@@ -540,13 +540,8 @@ impl RateLimitedOramBackend {
             // Functional access against the real ORAM.
             let addr = p.line_addr % self.capacity;
             match p.kind {
-                AccessKind::Read => {
-                    self.oram.read(addr);
-                }
-                AccessKind::Write => {
-                    let zeros = vec![0u8; 64];
-                    self.oram.write(addr, &zeros);
-                }
+                AccessKind::Read => self.oram.read_discard(addr),
+                AccessKind::Write => self.oram.write(addr, &[0u8; 64]),
             }
         } else {
             self.stream.serve(None);
@@ -682,12 +677,8 @@ impl MemoryBackend for UnprotectedOramBackend {
         self.busy_until = completion;
         let addr = line_addr % self.capacity;
         match kind {
-            AccessKind::Read => {
-                self.oram.read(addr);
-            }
-            AccessKind::Write => {
-                self.oram.write(addr, &[0u8; 64]);
-            }
+            AccessKind::Read => self.oram.read_discard(addr),
+            AccessKind::Write => self.oram.write(addr, &[0u8; 64]),
         }
         if self.record_trace && self.trace.len() < TRACE_CAP {
             self.trace.push(SlotRecord { start, real: true });

@@ -43,12 +43,6 @@ impl Bucket {
     pub fn occupancy(&self) -> usize {
         self.blocks.len()
     }
-
-    /// Removes and returns all real blocks (path read pulls blocks into
-    /// the stash).
-    pub fn take_blocks(&mut self) -> Vec<StoredBlock> {
-        std::mem::take(&mut self.blocks)
-    }
 }
 
 #[cfg(test)]
@@ -60,18 +54,5 @@ mod tests {
         let b = Bucket::empty();
         assert_eq!(b.occupancy(), 0);
         assert_eq!(b.encryption_counter, 0);
-    }
-
-    #[test]
-    fn take_blocks_empties() {
-        let mut b = Bucket::empty();
-        b.blocks.push(StoredBlock {
-            id: BlockId(1),
-            leaf: Leaf(0),
-            payload: vec![1, 2, 3],
-        });
-        let taken = b.take_blocks();
-        assert_eq!(taken.len(), 1);
-        assert_eq!(b.occupancy(), 0);
     }
 }

@@ -4,9 +4,10 @@
 //!
 //! # What lives here
 //!
-//! * [`TreeGeometry`] / [`TreeOram`] — one binary-tree ORAM: lazily
-//!   materialized buckets in (simulated) untrusted DRAM, an on-chip
-//!   [`stash`](Stash), greedy path eviction, and probabilistic
+//! * [`TreeGeometry`] / [`TreeOram`] — one binary-tree ORAM: buckets in
+//!   (simulated) untrusted DRAM — a dense tree-top array, and below it
+//!   only the buckets that hold blocks — an on-chip [`stash`](Stash)
+//!   kept sorted by block id, greedy path eviction, and probabilistic
 //!   re-encryption of every bucket a path touches.
 //! * [`RecursivePathOram`] — the full controller: a data ORAM plus three
 //!   recursive position-map ORAMs (§9.1.2), an on-chip final position

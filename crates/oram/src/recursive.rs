@@ -306,7 +306,6 @@ impl RecursivePathOram {
 
         // 2. Walk down the posmap chain. Reading posmaps[i] yields the
         //    leaf for the block in the tree below (posmaps[i-1] or data).
-        let mut leaf_for_below = Leaf(0);
         let mut cur_leaf = top_leaf;
         let mut cur_new = new_top_leaf;
         for i in (0..self.posmaps.len()).rev() {
@@ -330,10 +329,9 @@ impl RecursivePathOram {
                 old_below_leaf = Leaf(u64::from(u32::from_le_bytes(bytes)));
                 payload[off..off + 4].copy_from_slice(&(new_below_leaf.0 as u32).to_le_bytes());
             });
-            leaf_for_below = old_below_leaf;
             // Prepare next iteration: the tree below is accessed with the
             // leaf we just read, remapped to the one we just installed.
-            cur_leaf = leaf_for_below;
+            cur_leaf = old_below_leaf;
             cur_new = new_below_leaf;
         }
         self.covering_scratch = covering;
@@ -391,7 +389,6 @@ impl RecursivePathOram {
             self.pending_evictions.push_back(cur_leaf);
             self.stats.deferred_evictions += 1;
         }
-        let _ = leaf_for_below;
 
         self.stats.real_accesses += 1;
         self.stats.bytes_moved += self.config.bytes_per_access();
@@ -607,6 +604,60 @@ mod tests {
                 "bucket {node}"
             );
         }
+        serial.check_invariants();
+        deferred.check_invariants();
+    }
+
+    #[test]
+    fn deferred_fingerprints_match_serial_after_drain_paper() {
+        // As above at the paper's geometry, where the data tree's last
+        // 12 levels sit below the dense tree-top: every bucket on every
+        // accessed data path — dense and deep — must match the serial
+        // controller's ciphertext once the deferred evictions drain.
+        let mut serial = RecursivePathOram::new(OramConfig::paper()).expect("valid");
+        let mut deferred = RecursivePathOram::new(OramConfig::paper()).expect("valid");
+        let fresh = RecursivePathOram::new(OramConfig::paper()).expect("valid");
+        let capacity = serial.config().data_block_capacity();
+        let mut rng = SplitMix64::new(0xFEED);
+        let mut paths = Vec::new();
+        for step in 0..60u64 {
+            // Half the accesses hit eight hot addresses, so blocks come
+            // back off the tree and through the stash.
+            let addr = match rng.next_below(2) {
+                0 => rng.next_below(8),
+                _ => rng.next_below(capacity),
+            };
+            match rng.next_below(3) {
+                0 => {
+                    let val = vec![step as u8; 64];
+                    serial.write(addr, &val);
+                    deferred.write_deferred(addr, &val);
+                }
+                1 => assert_eq!(serial.read(addr), deferred.read_deferred(addr)),
+                _ => {
+                    serial.dummy_access();
+                    deferred.dummy_access_deferred();
+                }
+            }
+            // The deferred controller queues every data path it touched.
+            paths.push(*deferred.pending_evictions.back().expect("queued"));
+            while deferred.pending_evictions() > 3 {
+                deferred.drain_eviction();
+            }
+        }
+        deferred.drain_evictions();
+        let geom = serial.config().data;
+        let mut deep = 0;
+        for leaf in paths {
+            for node in geom.path_nodes(leaf) {
+                let fp = serial.bucket_fingerprint(node);
+                assert_eq!(fp, deferred.bucket_fingerprint(node), "bucket {node:?}");
+                // Every bucket on an accessed path was re-encrypted.
+                assert_ne!(fp, fresh.bucket_fingerprint(node), "bucket {node:?}");
+                deep += usize::from(node.0 >= (1 << 14) - 1);
+            }
+        }
+        assert!(deep >= 60 * 12, "only {deep} deep buckets compared");
         serial.check_invariants();
         deferred.check_invariants();
     }

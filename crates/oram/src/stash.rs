@@ -9,25 +9,19 @@
 
 use crate::bucket::StoredBlock;
 use crate::types::{BlockId, Leaf};
-use std::collections::BTreeMap;
 
 /// On-chip stash: an associative store of blocks awaiting eviction.
 ///
-/// Backed by a `BTreeMap` so iteration is id-ordered: eviction's
-/// lowest-id tie-break falls out of a plain early-exit scan, and the
+/// A vector kept sorted by block id: lookups and inserts are binary
+/// searches over a few dozen contiguous entries, iteration is id-ordered
+/// so eviction's lowest-id tie-break falls out of a plain scan, and the
 /// DRAM image (not just timing and fingerprints) is bit-reproducible
 /// across runs — which matters once deferred evictions interleave.
 #[derive(Debug, Clone, Default)]
 pub struct Stash {
-    blocks: BTreeMap<BlockId, StoredBlock>,
+    /// Resident blocks, strictly ascending by id.
+    blocks: Vec<StoredBlock>,
     peak: usize,
-    /// Reusable eviction scratch: the ids chosen for the bucket being
-    /// filled. Kept across drains so the steady-state eviction path
-    /// allocates nothing.
-    chosen: Vec<BlockId>,
-    /// Reusable scratch for [`Stash::evict_path_into`]: the `(id, level)`
-    /// placements of one whole-path eviction pass.
-    placed: Vec<(BlockId, usize)>,
 }
 
 impl Stash {
@@ -52,77 +46,33 @@ impl Stash {
         self.peak
     }
 
+    /// Position of `id`, or where it would be inserted.
+    fn search(&self, id: BlockId) -> Result<usize, usize> {
+        self.blocks.binary_search_by_key(&id, |b| b.id)
+    }
+
     /// Inserts a block (replacing any stale copy with the same id).
     pub fn insert(&mut self, block: StoredBlock) {
-        self.blocks.insert(block.id, block);
+        match self.search(block.id) {
+            Ok(i) => self.blocks[i] = block,
+            Err(i) => self.blocks.insert(i, block),
+        }
         self.peak = self.peak.max(self.blocks.len());
     }
 
     /// Looks up a block without removing it.
     pub fn get(&self, id: BlockId) -> Option<&StoredBlock> {
-        self.blocks.get(&id)
+        self.search(id).ok().map(|i| &self.blocks[i])
     }
 
     /// Mutable lookup (used by read-modify-write accesses).
     pub fn get_mut(&mut self, id: BlockId) -> Option<&mut StoredBlock> {
-        self.blocks.get_mut(&id)
+        self.search(id).ok().map(|i| &mut self.blocks[i])
     }
 
     /// Whether a block is resident.
     pub fn contains(&self, id: BlockId) -> bool {
-        self.blocks.contains_key(&id)
-    }
-
-    /// Removes and returns every block that may legally be evicted into
-    /// the bucket at `level` on the path to `path_leaf`, up to `limit`
-    /// blocks (the bucket's free capacity).
-    ///
-    /// `may_place(block_leaf)` is the geometry predicate — the block's own
-    /// path must pass through that bucket.
-    ///
-    /// When more blocks are eligible than fit, the lowest block ids win
-    /// (the map iterates in id order, so the scan can still stop at
-    /// `limit`): a deterministic tie-break, where the earlier hash-order
-    /// choice could park different blocks in shared buckets from run to
-    /// run.
-    pub fn drain_for_bucket<F>(&mut self, limit: usize, may_place: F) -> Vec<StoredBlock>
-    where
-        F: FnMut(Leaf) -> bool,
-    {
-        let mut out = Vec::with_capacity(limit.min(self.blocks.len()));
-        self.drain_for_bucket_into(limit, may_place, &mut out);
-        out
-    }
-
-    /// As [`Stash::drain_for_bucket`], but *appending* the evicted
-    /// blocks to a caller-owned buffer (typically the bucket's own block
-    /// vector, emptied by the preceding path read), so the steady-state
-    /// eviction path performs no allocation. Selection is identical:
-    /// id-ordered scan, first `limit` eligible blocks win.
-    pub fn drain_for_bucket_into<F>(
-        &mut self,
-        limit: usize,
-        mut may_place: F,
-        out: &mut Vec<StoredBlock>,
-    ) where
-        F: FnMut(Leaf) -> bool,
-    {
-        if limit == 0 {
-            return;
-        }
-        self.chosen.clear();
-        for (id, blk) in self.blocks.iter() {
-            if may_place(blk.leaf) {
-                self.chosen.push(*id);
-                if self.chosen.len() == limit {
-                    break;
-                }
-            }
-        }
-        for i in 0..self.chosen.len() {
-            let id = self.chosen[i];
-            out.push(self.blocks.remove(&id).expect("chosen from stash"));
-        }
+        self.search(id).is_ok()
     }
 
     /// Evicts blocks for one *whole path* in a single id-ordered pass:
@@ -131,8 +81,8 @@ impl Stash {
     /// stays resident when every eligible level is full.
     ///
     /// This produces placements *identical* to the reference per-bucket
-    /// procedure — calling [`Stash::drain_for_bucket_into`] once per
-    /// level from the leaf upward with the paths-share predicate — in
+    /// procedure — filling one bucket at a time from the leaf upward,
+    /// each with the first `z` eligible blocks of an id-ordered scan — in
     /// O(stash + levels) instead of O(stash x levels). The two are
     /// equivalent because eviction legality is prefix-closed (a block
     /// eligible at level `l` is eligible at every level above `l`), so
@@ -141,8 +91,9 @@ impl Stash {
     /// pins this exhaustively.
     ///
     /// `out` must hold one (typically recycled, emptied-by-path-read)
-    /// vector per level, root first. Blocks land in each vector in
-    /// ascending id order, exactly as the per-bucket scan emitted them.
+    /// vector per level, root first. Placed blocks move straight into
+    /// their level's vector, in ascending id order, and the blocks that
+    /// stay are compacted in place.
     pub fn evict_path_into<F>(&mut self, z: usize, mut deepest: F, out: &mut [Vec<StoredBlock>])
     where
         F: FnMut(Leaf) -> usize,
@@ -150,41 +101,29 @@ impl Stash {
         if z == 0 || out.is_empty() {
             return;
         }
-        self.placed.clear();
-        for (id, blk) in self.blocks.iter() {
-            let d = deepest(blk.leaf).min(out.len() - 1);
+        let top = out.len() - 1;
+        self.blocks.retain_mut(|blk| {
+            let d = deepest(blk.leaf).min(top);
             // Deepest-first: levels fill monotonically, so this scan is
             // O(1) amortized — it only walks levels that are already
             // full, and each level fills once per pass.
-            for level in (0..=d).rev() {
-                if out[level].len() < z {
+            match (0..=d).rev().find(|&level| out[level].len() < z) {
+                Some(level) => {
                     out[level].push(StoredBlock {
-                        id: *id,
+                        id: blk.id,
                         leaf: blk.leaf,
-                        payload: Vec::new(),
+                        payload: std::mem::take(&mut blk.payload),
                     });
-                    self.placed.push((*id, level));
-                    break;
+                    false
                 }
+                None => true,
             }
-        }
-        // Second pass moves the real payloads: the placeholder pushed
-        // above reserved the slot (keeping per-level id order and
-        // capacity exact) without fighting the borrow on `self.blocks`.
-        for i in 0..self.placed.len() {
-            let (id, level) = self.placed[i];
-            let block = self.blocks.remove(&id).expect("placed from stash");
-            let slot = out[level]
-                .iter_mut()
-                .find(|b| b.id == id)
-                .expect("slot reserved above");
-            *slot = block;
-        }
+        });
     }
 
-    /// Iterates over resident blocks (for invariant checks).
+    /// Iterates over resident blocks in id order (for invariant checks).
     pub fn iter(&self) -> impl Iterator<Item = &StoredBlock> {
-        self.blocks.values()
+        self.blocks.iter()
     }
 }
 
@@ -198,6 +137,30 @@ mod tests {
             leaf: Leaf(leaf),
             payload: vec![id as u8],
         }
+    }
+
+    /// Reference eviction for one bucket: removes and returns the first
+    /// `limit` blocks of an id-ordered scan that `may_place` admits (the
+    /// block's own path must pass through the bucket). Filling a path's
+    /// buckets with this from the leaf upward is the per-bucket procedure
+    /// [`Stash::evict_path_into`] must match.
+    fn drain_for_bucket<F>(stash: &mut Stash, limit: usize, mut may_place: F) -> Vec<StoredBlock>
+    where
+        F: FnMut(Leaf) -> bool,
+    {
+        let chosen: Vec<BlockId> = stash
+            .iter()
+            .filter(|b| may_place(b.leaf))
+            .take(limit)
+            .map(|b| b.id)
+            .collect();
+        chosen
+            .into_iter()
+            .map(|id| {
+                let i = stash.search(id).expect("chosen from stash");
+                stash.blocks.remove(i)
+            })
+            .collect()
     }
 
     #[test]
@@ -224,7 +187,7 @@ mod tests {
         for i in 0..10 {
             s.insert(blk(i, 0));
         }
-        let drained = s.drain_for_bucket(10, |_| true);
+        let drained = drain_for_bucket(&mut s, 10, |_| true);
         assert_eq!(drained.len(), 10);
         assert_eq!(s.len(), 0);
         assert_eq!(s.peak(), 10);
@@ -236,13 +199,13 @@ mod tests {
         s.insert(blk(1, 0));
         s.insert(blk(2, 1));
         s.insert(blk(3, 0));
-        let drained = s.drain_for_bucket(1, |leaf| leaf == Leaf(0));
+        let drained = drain_for_bucket(&mut s, 1, |leaf| leaf == Leaf(0));
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].leaf, Leaf(0));
         assert_eq!(s.len(), 2);
-        let drained2 = s.drain_for_bucket(5, |leaf| leaf == Leaf(0));
+        let drained2 = drain_for_bucket(&mut s, 5, |leaf| leaf == Leaf(0));
         assert_eq!(drained2.len(), 1);
-        let drained3 = s.drain_for_bucket(5, |_| true);
+        let drained3 = drain_for_bucket(&mut s, 5, |_| true);
         assert_eq!(drained3.len(), 1);
         assert_eq!(drained3[0].leaf, Leaf(1));
         assert!(s.is_empty());
@@ -254,8 +217,7 @@ mod tests {
         for id in [5u64, 2, 9, 1] {
             s.insert(blk(id, 0));
         }
-        let ids: Vec<u64> = s
-            .drain_for_bucket(2, |_| true)
+        let ids: Vec<u64> = drain_for_bucket(&mut s, 2, |_| true)
             .iter()
             .map(|b| b.id.0)
             .collect();
@@ -266,7 +228,7 @@ mod tests {
     fn drain_zero_limit_is_noop() {
         let mut s = Stash::new();
         s.insert(blk(1, 0));
-        assert!(s.drain_for_bucket(0, |_| true).is_empty());
+        assert!(drain_for_bucket(&mut s, 0, |_| true).is_empty());
         assert_eq!(s.len(), 1);
     }
 
@@ -275,9 +237,8 @@ mod tests {
         use crate::geometry::TreeGeometry;
         use proptest::prelude::*;
 
-        /// Reference eviction: one [`Stash::drain_for_bucket`] per level,
-        /// leaf upward — exactly what `TreeOram::write_path_from_stash`
-        /// did before the single-pass rewrite.
+        /// Reference eviction: one [`drain_for_bucket`] per level, leaf
+        /// upward.
         fn per_bucket(
             stash: &mut Stash,
             geom: &TreeGeometry,
@@ -285,7 +246,7 @@ mod tests {
             out: &mut [Vec<StoredBlock>],
         ) {
             for level in (0..geom.levels() as usize).rev() {
-                let drained = stash.drain_for_bucket(geom.z(), |block_leaf| {
+                let drained = drain_for_bucket(stash, geom.z(), |block_leaf| {
                     geom.paths_share_level(path_leaf, block_leaf, level as u32)
                 });
                 out[level] = drained;
@@ -304,11 +265,17 @@ mod tests {
                 let path_leaf = Leaf(path_leaf % geom.leaf_count());
                 let mut reference = Stash::new();
                 let mut fast = Stash::new();
+                // The id-keyed map the stash used to be: the sorted
+                // vector must hold exactly its contents, in its order.
+                let mut model = std::collections::BTreeMap::new();
                 for &(id, leaf) in &blocks {
                     let b = blk(id, leaf % geom.leaf_count());
                     reference.insert(b.clone());
+                    model.insert(b.id, b.clone());
                     fast.insert(b);
                 }
+                let resident: Vec<&StoredBlock> = fast.iter().collect();
+                prop_assert_eq!(resident, model.values().collect::<Vec<_>>());
                 let n = levels as usize;
                 let mut ref_out = vec![Vec::new(); n];
                 let mut fast_out = vec![Vec::new(); n];

@@ -6,9 +6,13 @@
 //! leaf it is being remapped to, mirroring how a hardware controller's
 //! datapath is driven by the position-map lookup pipeline.
 //!
-//! Buckets are lazily materialized: an untouched bucket is all dummies and
-//! costs no host memory, so paper-scale trees (2^25 leaves) are cheap to
-//! instantiate.
+//! Storage is split at [`DENSE_LEVELS`]. The tree-top is a flat array of
+//! buckets with their encryption counters. Below it only the buckets that
+//! hold blocks are stored: a path read removes them, a write-back inserts
+//! only the buckets it filled, and a deep bucket's encryption counter is
+//! derived from a log of written-back leaves. An empty deep bucket — all
+//! dummies — costs no host memory, so paper-scale trees (2^25 leaves) are
+//! cheap to instantiate and their path accesses are array work.
 
 use crate::bucket::{Bucket, StoredBlock};
 use crate::geometry::{PathTable, TreeGeometry};
@@ -90,21 +94,22 @@ pub struct TreeStats {
 
 /// Tree levels held in the dense top-of-tree array. Every access
 /// rewrites its path's top levels, so these buckets are hot on *every*
-/// access and (for any realistic access count) all materialize anyway;
-/// storing them as a flat heap-indexed array turns the hottest
-/// `DENSE_LEVELS` of every path read/write into direct indexing with no
-/// hashing and no probing. 2^14 − 1 buckets ≈ 0.5 MB per tree — the
-/// on-chip tree-top buffer of the Ren et al. [26] controller designs,
-/// in host-memory form.
+/// access and (for any realistic access count) all hold blocks or
+/// counters anyway; storing them as a flat heap-indexed array turns the
+/// hottest `DENSE_LEVELS` of every path read/write into direct indexing
+/// with no hashing and no probing. 2^14 − 1 buckets ≈ 0.5 MB per tree —
+/// the on-chip tree-top buffer of the Ren et al. [26] controller designs,
+/// in host-memory form. Levels below it store only block-holding buckets.
 const DENSE_LEVELS: u32 = 14;
 
-/// Fast node-index hasher for the deep (sparse) bucket map.
+/// Fast node-index hasher for the map of resident deep buckets.
 ///
 /// Bucket keys are heap indices — structured, dense-per-level integers —
-/// and the map is probed ~2 x levels times per access, so SipHash is
-/// pure overhead here (there is no attacker-controlled key material:
-/// node indices derive from PRNG-drawn leaves). A SplitMix64-style
-/// finalizer mixes all 64 bits into the low bits hashbrown indexes by.
+/// and the map is probed once per deep level on every path read, so
+/// SipHash is pure overhead here (there is no attacker-controlled key
+/// material: node indices derive from PRNG-drawn leaves). A
+/// SplitMix64-style finalizer mixes all 64 bits into the low bits
+/// hashbrown indexes by.
 #[derive(Clone, Copy, Default)]
 struct NodeIndexHasher(u64);
 
@@ -147,16 +152,22 @@ pub struct TreeOram {
     path: PathTable,
     /// Top [`DENSE_LEVELS`] levels, heap-indexed (`node.0` directly):
     /// the tree-top buffer. Always allocated, `encryption_counter == 0`
-    /// means "never written" exactly like absence from the sparse map.
+    /// means "never written".
     dense: Vec<Bucket>,
-    /// Buckets below the dense levels, lazily materialized on first
-    /// write — an untouched deep bucket is all dummies and costs no
-    /// host memory, so paper-scale trees stay cheap to instantiate.
-    buckets: HashMap<NodeIndex, Bucket, BuildNodeIndexHasher>,
+    /// The blocks of every bucket below the dense levels that holds any.
+    /// A path read removes its buckets and a write-back inserts only the
+    /// ones it filled, so an empty deep bucket has no entry.
+    resident: HashMap<NodeIndex, Vec<StoredBlock>, BuildNodeIndexHasher>,
+    /// Leaf of every path write-back, oldest first, kept only when the
+    /// tree has levels below the dense top: a deep bucket's encryption
+    /// counter is the number of these paths that pass through it (see
+    /// [`TreeOram::bucket_fingerprint`]). 8 B per write-back.
+    write_backs: Vec<Leaf>,
     stash: Stash,
     /// Per-level eviction scratch (root first), recycled across
     /// accesses: the single-pass stash eviction fills these, then each
-    /// vector's contents move into the corresponding path bucket.
+    /// dense level's contents move into its path bucket and each filled
+    /// deep level's vector moves into `resident` whole.
     evict_scratch: Vec<Vec<StoredBlock>>,
     default_payload: DefaultPayload,
     /// Fingerprint PRF: models what ciphertext an adversary would see for
@@ -186,7 +197,8 @@ impl TreeOram {
                 let levels = geom.levels().min(DENSE_LEVELS);
                 vec![Bucket::empty(); ((1u64 << levels) - 1) as usize]
             },
-            buckets: HashMap::default(),
+            resident: HashMap::default(),
+            write_backs: Vec::new(),
             stash: Stash::new(),
             evict_scratch: Vec::new(),
             default_payload,
@@ -361,14 +373,28 @@ impl TreeOram {
     /// The ciphertext fingerprint of a bucket, as an adversary snapshotting
     /// DRAM would see it (§3.2). Changes on every write-back because
     /// buckets are re-encrypted probabilistically.
+    ///
+    /// A tree-top bucket's counter is stored; a deeper bucket's is
+    /// counted from the write-back log, so probing one costs time linear
+    /// in the tree's write-backs. The §3.2 probe target, the root, is
+    /// always in the tree-top.
     pub fn bucket_fingerprint(&self, node: NodeIndex) -> u64 {
-        let counter = if (node.0 as usize) < self.dense.len() {
+        let counter = if node.0 < self.dense.len() as u64 {
             self.dense[node.0 as usize].encryption_counter
+        } else if node.0 >= self.geom.bucket_count() {
+            // Past the last level: no such bucket, never written.
+            0
         } else {
-            self.buckets
-                .get(&node)
-                .map(|b| b.encryption_counter)
-                .unwrap_or(0)
+            // Heap index n sits at level d = ⌊log2(n + 1)⌋ with path
+            // prefix n + 1 − 2^d; every written-back path whose leaf
+            // carries that prefix re-encrypted it once.
+            let level = u64::BITS - 1 - (node.0 + 1).leading_zeros();
+            let prefix = node.0 + 1 - (1u64 << level);
+            let shift = self.geom.height() - level;
+            self.write_backs
+                .iter()
+                .filter(|leaf| leaf.0 >> shift == prefix)
+                .count() as u64
         };
         self.fingerprint_prf.eval2(node.0, counter)
     }
@@ -393,18 +419,17 @@ impl TreeOram {
         }
     }
 
-    /// Number of buckets that have ever been written (host-memory
-    /// footprint diagnostic). Dense tree-top buckets are pre-allocated,
-    /// so "written" there means a non-zero encryption counter — exactly
-    /// the condition under which the sparse map used to materialize an
-    /// entry.
+    /// Number of buckets that hold host memory beyond the pre-allocated
+    /// tree-top array (footprint diagnostic): dense buckets that have
+    /// been written — their block vectors keep an allocation — plus the
+    /// deep buckets that currently hold blocks.
     pub fn materialized_buckets(&self) -> usize {
         let dense_written = self
             .dense
             .iter()
             .filter(|b| b.encryption_counter > 0)
             .count();
-        dense_written + self.buckets.len()
+        dense_written + self.resident.len()
     }
 
     fn read_path_into_stash(&mut self, leaf: Leaf) {
@@ -420,8 +445,8 @@ impl TreeOram {
         }
         for level in dense_levels..self.path.levels() {
             let node = self.path.node_at(leaf, level);
-            if let Some(bucket) = self.buckets.get_mut(&node) {
-                for block in bucket.blocks.drain(..) {
+            if let Some(blocks) = self.resident.remove(&node) {
+                for block in blocks {
                     self.stash.insert(block);
                 }
             }
@@ -453,17 +478,26 @@ impl TreeOram {
             &mut self.evict_scratch,
         );
         let dense_levels = self.dense_levels();
-        for level in (0..levels).rev() {
+        for level in 0..dense_levels {
             let node = self.path.node_at(leaf, level);
-            let bucket = if level < dense_levels {
-                &mut self.dense[node.0 as usize]
-            } else {
-                self.buckets.entry(node).or_insert_with(Bucket::empty)
-            };
+            let bucket = &mut self.dense[node.0 as usize];
             debug_assert!(bucket.blocks.is_empty(), "path was read before write");
             bucket.blocks.append(&mut self.evict_scratch[level]);
             // Probabilistic re-encryption of every bucket on the path.
             bucket.encryption_counter += 1;
+        }
+        for level in dense_levels..levels {
+            if self.evict_scratch[level].is_empty() {
+                continue;
+            }
+            let node = self.path.node_at(leaf, level);
+            let blocks = std::mem::take(&mut self.evict_scratch[level]);
+            let stale = self.resident.insert(node, blocks);
+            debug_assert!(stale.is_none(), "path was read before write");
+        }
+        // The deep buckets' re-encryption: one logged path.
+        if levels > dense_levels {
+            self.write_backs.push(leaf);
         }
     }
 
@@ -481,13 +515,13 @@ impl TreeOram {
             .dense
             .iter()
             .enumerate()
-            .map(|(i, b)| (NodeIndex(i as u64), b));
-        for (node, bucket) in dense.chain(self.buckets.iter().map(|(n, b)| (*n, b))) {
+            .map(|(i, b)| (NodeIndex(i as u64), &b.blocks));
+        for (node, blocks) in dense.chain(self.resident.iter().map(|(n, b)| (*n, b))) {
             assert!(
-                bucket.blocks.len() <= self.geom.z(),
+                blocks.len() <= self.geom.z(),
                 "bucket {node:?} over capacity"
             );
-            for block in &bucket.blocks {
+            for block in blocks {
                 let on_path = self.geom.path_nodes(block.leaf).any(|n| n == node);
                 assert!(
                     on_path,
@@ -605,8 +639,8 @@ mod tests {
 
     #[test]
     fn paper_scale_tree_is_cheap_to_instantiate() {
-        // 26 levels = 2^26-1 buckets; lazy materialization means only the
-        // touched paths cost memory.
+        // 26 levels = 2^26-1 buckets; only the written path's tree-top
+        // buckets and the deep buckets holding blocks cost memory.
         let mut t = test_tree(26);
         let geom = *t.geometry();
         let (l, l2) = {
@@ -616,6 +650,35 @@ mod tests {
         assert!(l.0 < geom.leaf_count());
         t.write(BlockId(123_456), l, l2, &[1u8; 64]);
         assert!(t.materialized_buckets() <= 26);
+    }
+
+    #[test]
+    fn deep_bucket_holds_a_block_only_while_resident() {
+        // A block remapped onto the path it was read from settles in
+        // that path's leaf bucket, 20 levels below the dense top.
+        let mut t = test_tree(34);
+        let leaf = Leaf(0x1_2345_6789);
+        t.write(BlockId(9), leaf, leaf, &[4u8; 64]);
+        assert_eq!(t.resident.len(), 1, "one deep bucket holds the block");
+        let node = t.geometry().node_at(leaf, 33);
+        assert!(t.resident[&node].iter().any(|b| b.id == BlockId(9)));
+        // Reading the path takes the bucket out of the map; the write-back
+        // puts it (or a shallower one) back.
+        t.dummy_access_deferred(leaf);
+        assert_eq!(t.resident.len(), 0);
+        t.evict_path(leaf);
+        assert_eq!(t.resident.len(), 1);
+        assert_eq!(t.read(BlockId(9), leaf, Leaf(3)), vec![4u8; 64]);
+        assert_eq!(t.check_invariant(), 1);
+        let prf = &t.fingerprint_prf;
+        assert_eq!(t.bucket_fingerprint(node), prf.eval2(node.0, 3));
+        // Past the last level there is no bucket: counter 0.
+        let past = NodeIndex(t.geometry().bucket_count());
+        assert_eq!(t.bucket_fingerprint(past), prf.eval2(past.0, 0));
+        assert_eq!(
+            t.bucket_fingerprint(NodeIndex(u64::MAX)),
+            prf.eval2(u64::MAX, 0)
+        );
     }
 
     #[test]
@@ -665,6 +728,115 @@ mod tests {
                 }
                 t.check_invariant();
                 prop_assert!(t.stash_len() <= 40, "stash grew to {}", t.stash_len());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Re-encryption counts below the dense tree-top: an 18-level
+        /// tree puts its last four levels under the dense array. Random
+        /// reads, writes and dummies — each immediate or deferred, with
+        /// deferred write-backs drained oldest-first at random points —
+        /// are checked against a model that counts write-backs per node.
+        /// Half the leaves come from a cluster of eight neighbours, whose
+        /// paths share all but the last three levels, so blocks also
+        /// settle in deep buckets.
+        /// After every step, every node on every touched path must show
+        /// the fingerprint of exactly its modelled count, every block
+        /// must read back its last write, and the invariant must hold.
+        #[test]
+        fn prop_deep_fingerprints_track_writebacks(seed in any::<u64>(), ops in 1usize..60) {
+            let mut t = test_tree(18);
+            let geom = *t.geometry();
+            prop_assert!(geom.levels() > DENSE_LEVELS, "tree must reach below the dense top");
+            let mut rng = otc_crypto::SplitMix64::new(seed);
+            // Block id -> (expected payload, current leaf).
+            let mut model: HashMap<u64, (Vec<u8>, Leaf)> = HashMap::new();
+            // Node index -> write-backs that re-encrypted it.
+            let mut writes: HashMap<u64, u64> = HashMap::new();
+            let mut touched: Vec<Leaf> = Vec::new();
+            let mut pending: std::collections::VecDeque<Leaf> = Default::default();
+            let cluster = rng.next_below(geom.leaf_count() / 8) * 8;
+            let draw_leaf = move |rng: &mut otc_crypto::SplitMix64| match rng.next_below(2) {
+                0 => Leaf(cluster + rng.next_below(8)),
+                _ => Leaf(rng.next_below(geom.leaf_count())),
+            };
+            let count_write_back = |writes: &mut HashMap<u64, u64>, leaf: Leaf| {
+                for node in geom.path_nodes(leaf) {
+                    *writes.entry(node.0).or_insert(0) += 1;
+                }
+            };
+            for step in 0..ops {
+                let defer = rng.next_below(2) == 0;
+                let access = match rng.next_below(5) {
+                    0 => {
+                        if let Some(leaf) = pending.pop_front() {
+                            t.evict_path(leaf);
+                            count_write_back(&mut writes, leaf);
+                        }
+                        None
+                    }
+                    1 => {
+                        let leaf = draw_leaf(&mut rng);
+                        if defer {
+                            t.dummy_access_deferred(leaf);
+                        } else {
+                            t.dummy_access(leaf);
+                        }
+                        Some(leaf)
+                    }
+                    op => {
+                        let id = rng.next_below(12);
+                        let new_leaf = draw_leaf(&mut rng);
+                        let (expect, leaf) = model
+                            .get(&id)
+                            .cloned()
+                            .unwrap_or_else(|| (vec![0u8; 64], draw_leaf(&mut rng)));
+                        let written = (op == 2).then(|| vec![(step as u8) ^ 0x5A; 64]);
+                        let update = |p: &mut Vec<u8>| {
+                            if let Some(w) = &written {
+                                p.copy_from_slice(w);
+                            }
+                        };
+                        let got = if defer {
+                            t.access_update_deferred(BlockId(id), leaf, new_leaf, update)
+                        } else {
+                            t.access_update(BlockId(id), leaf, new_leaf, update)
+                        };
+                        let now = written.unwrap_or(expect);
+                        prop_assert_eq!(&got, &now, "block {} read back wrong", id);
+                        model.insert(id, (now, new_leaf));
+                        Some(leaf)
+                    }
+                };
+                if let Some(leaf) = access {
+                    if !touched.contains(&leaf) {
+                        touched.push(leaf);
+                    }
+                    if defer {
+                        pending.push_back(leaf);
+                    } else {
+                        count_write_back(&mut writes, leaf);
+                    }
+                }
+                while pending.len() > 4 {
+                    let oldest = pending.pop_front().expect("non-empty");
+                    t.evict_path(oldest);
+                    count_write_back(&mut writes, oldest);
+                }
+                for &path in &touched {
+                    for node in geom.path_nodes(path) {
+                        let count = writes.get(&node.0).copied().unwrap_or(0);
+                        prop_assert_eq!(
+                            t.bucket_fingerprint(node),
+                            t.fingerprint_prf.eval2(node.0, count),
+                            "node {} after step {}", node.0, step
+                        );
+                    }
+                }
+                t.check_invariant();
             }
         }
     }
