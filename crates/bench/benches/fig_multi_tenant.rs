@@ -182,7 +182,7 @@ fn pipeline_sweep(slots_per_tenant: u64) {
             };
             let mut host = MultiTenantHost::new(cfg).ok()?;
             for (i, bench) in SpecBenchmark::tenant_mix(k).into_iter().enumerate() {
-                host.add_tenant_with_mode(
+                host.admit(
                     &TenantSpec {
                         name: format!("t{i}"),
                         benchmark: bench,
@@ -459,7 +459,7 @@ fn sweep(mode: LoopMode, slots_per_tenant: u64, shards: usize, max_k: usize) {
         };
         let mut admitted = true;
         for (i, bench) in SpecBenchmark::tenant_mix(k).into_iter().enumerate() {
-            let result = host.add_tenant_with_mode(
+            let result = host.admit(
                 &TenantSpec {
                     name: format!("t{i}"),
                     benchmark: bench,

@@ -6,13 +6,13 @@
 //! capacity check, leakage authorization, a slot stream on its own grid —
 //! and its entire view of the fleet is what any tenant can measure for
 //! free: when its own slots started and how long its own accesses sat
-//! queued behind busy shards ([`ObservedSlot`]). The host appends those
-//! observations deterministically (in the serial path at serve time, in
-//! the parallel path during the `TimeQ` completion merge), so an
-//! adversary's observation log is byte-identical at any thread count —
-//! which is what lets the isolation tests assert *measured* leakage
-//! against the ledger's per-tenant budget instead of arguing from
-//! properties.
+//! queued behind busy shards ([`ObservedSlot`]). The host's round loop
+//! appends those observations when it commits the round's completions,
+//! in posting order — the adversary's own slot order under every shard
+//! executor — so an adversary's observation log is byte-identical at
+//! any thread count, which is what lets the isolation tests assert
+//! *measured* leakage against the ledger's per-tenant budget instead of
+//! arguing from properties.
 //!
 //! Two adversary roles exist today:
 //!

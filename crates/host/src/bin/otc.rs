@@ -567,7 +567,7 @@ fn build_fleet(o: &Opts, k: usize) -> Result<MultiTenantHost, HostError> {
     let mut host = MultiTenantHost::new(host_config(o))?;
     for i in 0..k {
         let bench = benches[i % benches.len()];
-        host.add_tenant_with_mode(
+        host.admit(
             &TenantSpec {
                 name: format!("t{i}"),
                 benchmark: bench,

@@ -37,9 +37,10 @@
 //!   removes its calendar entry. Other tenants' streams are untouched:
 //!   eviction is an O(1) bucket op, not a drain.
 //! * [`MultiTenantHost::resize_shards`] grows or shrinks the backend
-//!   shard pool online; re-balancing is incremental in that only
-//!   accesses issued after the resize route over the new interleave —
-//!   nothing pauses, nothing drains.
+//!   shard pool online — nothing pauses, nothing drains. Routing is
+//!   `addr % n_shards`, so any resize, grow or shrink, re-routes nearly
+//!   every address; payloads are not migrated (the ROADMAP item "Data
+//!   that survives the control plane").
 //!
 //! Two invariants make multi-tenancy leakage-sound:
 //!
@@ -59,12 +60,9 @@ use crate::adversary::{AdversaryKind, AdversaryState, ObservedSlot};
 use crate::arbiter::{ArbiterKind, WdrrArbiter};
 use crate::calendar::CalendarQueue;
 use crate::ledger::LeakageLedger;
-use crate::parallel::{LaneRequest, RoundWork, WorkerChannel, WorkerPool};
-use crate::shard::{
-    Lane, LaneOp, PipelineConfig, PipelineKind, ShardClass, ShardService, ShardedOram,
-};
+use crate::parallel::{LaneRequest, ShardExecutor, Ticket};
+use crate::shard::{LaneOp, PipelineConfig, PipelineKind, ShardClass, ShardedOram};
 use crate::tenant::TenantDirectory;
-use crate::timeq::TimeQ;
 use crate::traffic::{LoopMode, Request, TenantTraffic, TrafficModel, TrafficPull};
 use otc_attacks::RateEstimate;
 use otc_core::{EpochSchedule, LeakageParams, RatePolicy, SessionError, SlotStream};
@@ -169,26 +167,26 @@ pub enum SchedulerKind {
     Merge,
 }
 
-/// How the host executes the shard work of one scheduling round.
+/// Where the host executes the shard work of one scheduling round.
 ///
-/// The scheduling spine — calendar pops, tenant PRNG draws, slot-grid
-/// serves, the leakage ledger — is always serial (its order *is* the
-/// determinism guarantee). What parallelizes is the heavy per-shard
-/// work: ORAM path reads, stash updates, eviction drains, histogram
-/// records. Each shard is pinned to one worker, workers execute their
-/// shards' requests strictly FIFO, and completions are merged back in
-/// deterministic `(slot time, shard, posting order)` order before any
-/// cross-shard bookkeeping — so seeded runs produce byte-identical
-/// serve logs, ledgers, and `.otcp` perf sessions at any thread count
-/// (`tests/threaded_equivalence.rs` pins this).
+/// Both kinds run the same round loop. Its scheduling spine — calendar
+/// pops, tenant PRNG draws, slot-grid serves, the leakage ledger — is
+/// always serial (its order *is* the determinism guarantee); only the
+/// heavy per-shard work (ORAM path reads, stash updates, eviction
+/// drains, histogram records) moves. Each shard is pinned to one
+/// worker, workers execute their shards' requests strictly FIFO, and
+/// the round commits completions in posting order — so seeded runs
+/// produce byte-identical serve logs, ledgers, and `.otcp` perf
+/// sessions at any thread count (`tests/threaded_equivalence.rs` pins
+/// this).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelKind {
-    /// Everything on the caller's thread — the bit-exact reference.
+    /// Every shard access runs inline on the caller's thread.
     #[default]
     Serial,
-    /// Shard work on `n` scoped worker threads (clamped to the shard
-    /// count; `Threads(0)` and `Threads(1)` degenerate to one worker,
-    /// still exercising the post/merge machinery).
+    /// Shard work on `n ≥ 1` persistent worker threads, clamped to the
+    /// shard count: a round uses, and the host spawns, at most one
+    /// worker per shard.
     Threads(usize),
 }
 
@@ -235,11 +233,10 @@ pub struct HostConfig {
     /// cycles) exceeds every slot period the paper's rate sets produce,
     /// so entries almost never alias onto a later pass of the ring.
     pub calendar_buckets: usize,
-    /// Round execution mode (see [`ParallelKind`]): `Serial` is the
-    /// bit-exact reference; `Threads(n)` runs shard work on `n` worker
-    /// threads with a deterministic completion merge, producing the
-    /// same observable state (serve logs, ledgers, perf sessions) at
-    /// any thread count.
+    /// Where shard accesses run (see [`ParallelKind`]): inline under
+    /// `Serial`, on worker threads under `Threads(n)`. The round loop
+    /// is the same, so the observable state (serve logs, ledgers, perf
+    /// sessions) is the same at any thread count.
     pub parallel: ParallelKind,
     /// Heterogeneous shard-class mix. Empty (the default) builds a
     /// homogeneous pool from [`HostConfig::oram`] +
@@ -286,15 +283,54 @@ impl HostConfig {
         }
     }
 
-    /// A validating builder over the config. The plain struct literal
-    /// keeps working (tests construct configs directly and
-    /// [`MultiTenantHost::new`] still validates what it must); the
-    /// builder is the front door for flag/scenario plumbing, catching
-    /// nonsense — zero quantum, zero threads, an explicitly empty shard
-    /// mix, an absurd leakage limit — at build time with a typed error
-    /// instead of a downstream panic or a silently degenerate run.
+    /// A validating builder over the config, the front door for
+    /// flag/scenario plumbing. It catches nonsense — zero quantum, zero
+    /// threads, an explicitly empty shard mix, an absurd leakage limit —
+    /// at build time with a typed error instead of a downstream panic
+    /// or a silently degenerate run. A struct literal gets the same
+    /// field checks from [`MultiTenantHost::new`].
     pub fn builder() -> HostConfigBuilder {
         HostConfigBuilder::default()
+    }
+
+    /// The field checks both front doors run: [`HostConfigBuilder::build`]
+    /// and [`MultiTenantHost::new`].
+    fn validate(&self) -> Result<(), HostError> {
+        let fail = |msg: String| Err(HostError::Build(msg));
+        if self.n_shards == 0 {
+            return fail("a sharded ORAM needs at least one shard".into());
+        }
+        if self.quantum == 0 {
+            return fail("round quantum must be > 0 cycles".into());
+        }
+        if let ParallelKind::Threads(0) = self.parallel {
+            return fail(
+                "parallel rounds need at least one worker thread (use Serial for none)".into(),
+            );
+        }
+        // Written so NaN fails too: every comparison with NaN is false.
+        if !(self.max_shard_utilization > 0.0 && self.max_shard_utilization <= 1.0) {
+            return fail(format!(
+                "max shard utilization must be in (0, 1], got {}",
+                self.max_shard_utilization
+            ));
+        }
+        // A zero limit admits nothing dynamic and an astronomically
+        // large one defeats the point of authorization; both are
+        // configuration mistakes, not policies.
+        if self.leakage_limit_bits == 0 || self.leakage_limit_bits > 1 << 20 {
+            return fail(format!(
+                "leakage limit of {} bits is outside the sane range [1, 2^20]",
+                self.leakage_limit_bits
+            ));
+        }
+        if self.calendar_bucket_width == 0 {
+            return fail("calendar bucket width must be > 0".into());
+        }
+        if self.calendar_buckets == 0 {
+            return fail("calendar needs at least one bucket".into());
+        }
+        Ok(())
     }
 }
 
@@ -420,42 +456,7 @@ impl HostConfigBuilder {
     /// [`HostError::Build`] describing the first offending field.
     pub fn build(self) -> Result<HostConfig, HostError> {
         let mut cfg = self.cfg;
-        if cfg.n_shards == 0 {
-            return Err(HostError::Build(
-                "a sharded ORAM needs at least one shard".into(),
-            ));
-        }
-        if cfg.quantum == 0 {
-            return Err(HostError::Build("round quantum must be > 0 cycles".into()));
-        }
-        if let ParallelKind::Threads(0) = cfg.parallel {
-            return Err(HostError::Build(
-                "parallel rounds need at least one worker thread (use Serial for none)".into(),
-            ));
-        }
-        if !(cfg.max_shard_utilization > 0.0 && cfg.max_shard_utilization <= 1.0) {
-            return Err(HostError::Build(format!(
-                "max shard utilization must be in (0, 1], got {}",
-                cfg.max_shard_utilization
-            )));
-        }
-        // A zero limit admits nothing dynamic and an astronomically
-        // large one defeats the point of authorization; both are
-        // configuration mistakes, not policies.
-        if cfg.leakage_limit_bits == 0 || cfg.leakage_limit_bits > 1 << 20 {
-            return Err(HostError::Build(format!(
-                "leakage limit of {} bits is outside the sane range [1, 2^20]",
-                cfg.leakage_limit_bits
-            )));
-        }
-        if cfg.calendar_bucket_width == 0 {
-            return Err(HostError::Build("calendar bucket width must be > 0".into()));
-        }
-        if cfg.calendar_buckets == 0 {
-            return Err(HostError::Build(
-                "calendar needs at least one bucket".into(),
-            ));
-        }
+        cfg.validate()?;
         if let Some(mix) = self.mix {
             if mix.is_empty() {
                 return Err(HostError::Build(
@@ -560,9 +561,9 @@ struct TenantRuntime {
     /// frontend for reporting; [`TrafficModel::Workload`] is the
     /// unshaped default).
     traffic_model: TrafficModel,
-    /// `Some` when this seat runs an attacks-crate adversary; its
-    /// observation log is appended deterministically by both round
-    /// paths.
+    /// `Some` when this seat runs an attacks-crate adversary; the round
+    /// loop appends its observations in its own slot order under every
+    /// executor.
     adversary: Option<AdversaryState>,
 }
 
@@ -742,43 +743,32 @@ impl HostReport {
     }
 }
 
-/// One posted slot's bookkeeping in the parallel round loop: who was
-/// served, when, where, whether it carried a real request, and which
-/// channel completion carries its [`ShardService`].
+/// One posted slot's bookkeeping in the round loop: who was served,
+/// when, whether it carried a real request, and which executor ticket
+/// redeems its shard service.
 struct PostedSlot {
     tenant: usize,
     slot: Cycle,
-    shard: usize,
-    worker: usize,
-    windex: usize,
     real: bool,
+    ticket: Ticket,
 }
 
-/// Persistent round-loop scratch: every buffer the serial and parallel
-/// round loops previously re-allocated per round, hoisted onto the host
-/// so the steady-state serving spine allocates nothing. No buffer
-/// carries meaning across rounds (each round clears before filling) —
-/// except `shard_cost`, a cache of the per-shard pricing vector that
-/// stays valid until a pool resize marks it stale.
+/// Persistent round-loop scratch, kept on the host so the steady-state
+/// serving spine allocates nothing. No buffer carries meaning across
+/// rounds (each round clears before filling) — except `shard_cost`, a
+/// cache of the per-shard pricing vector that stays valid until a pool
+/// resize marks it stale.
 #[derive(Default)]
 struct RoundScratch {
     /// Cached [`ShardedOram::pricing_cadences`] result.
     shard_cost: Vec<Cycle>,
     /// Whether `shard_cost` must be rebuilt before the next round.
     shard_cost_stale: bool,
-    /// Per-worker spine↔worker channels, reopened every parallel round.
-    channels: Vec<std::sync::Arc<WorkerChannel>>,
-    /// Parallel-round slot bookkeeping in spine posting order.
+    /// The round's slots in posting order.
     posted: Vec<PostedSlot>,
-    /// Closed-loop feedback owed per tenant (worker, completion index).
-    pending_fb: Vec<Option<(usize, usize)>>,
-    /// Per-worker lane deal-out buffers; the allocations round-trip
-    /// through the worker pool and come back for the next round.
-    groups: Vec<Vec<Lane>>,
-    /// Per-worker completion snapshots, copied out of the channels.
-    completions: Vec<Vec<ShardService>>,
-    /// The deterministic completion merge, cleared between rounds.
-    merge: TimeQ<(usize, bool, ShardService)>,
+    /// Closed-loop feedback owed per tenant: the ticket of its last
+    /// real read this round.
+    pending_fb: Vec<Option<Ticket>>,
 }
 
 /// The multi-tenant ORAM appliance.
@@ -801,11 +791,10 @@ pub struct MultiTenantHost {
     /// Active perf-session recorder. `None` — the common case — costs
     /// one branch at the end of each round; nothing per served slot.
     perf: Option<SessionRecorder>,
-    /// Persistent worker threads for [`ParallelKind::Threads`], spawned
-    /// lazily on the first parallel round and reused for every round
-    /// after (per-round thread spawns would dominate the shard work).
-    /// Always `None` under [`ParallelKind::Serial`].
-    pool: Option<WorkerPool>,
+    /// Runs each round's shard accesses where [`HostConfig::parallel`]
+    /// says: inline, or on persistent worker threads spawned as rounds
+    /// first need them (per-round spawns would dominate the shard work).
+    executor: ShardExecutor,
     /// WDRR credit state for the contended-port tie-break (see
     /// [`ArbiterKind`]); weights track admission/eviction/resize.
     arbiter: WdrrArbiter,
@@ -829,26 +818,20 @@ impl MultiTenantHost {
     ///
     /// # Errors
     ///
-    /// [`HostError::Build`] on invalid ORAM geometry, zero shards, or a
-    /// degenerate calendar configuration.
+    /// [`HostError::Build`] on any field [`HostConfigBuilder::build`]
+    /// rejects, or on invalid ORAM geometry.
     pub fn new(cfg: HostConfig) -> Result<Self, HostError> {
+        cfg.validate()?;
         let sharded = if cfg.shard_mix.is_empty() {
             ShardedOram::with_pipeline(&cfg.oram, &cfg.ddr, cfg.n_shards, cfg.pipeline)
         } else {
             ShardedOram::with_mix(&cfg.shard_mix, &cfg.ddr, cfg.n_shards)
         }
         .map_err(HostError::Build)?;
-        if cfg.calendar_bucket_width == 0 {
-            return Err(HostError::Build("calendar bucket width must be > 0".into()));
-        }
-        if cfg.calendar_buckets == 0 {
-            return Err(HostError::Build(
-                "calendar needs at least one bucket".into(),
-            ));
-        }
         let directory = TenantDirectory::new(cfg.leakage_limit_bits, cfg.seed);
         let calendar = CalendarQueue::new(cfg.calendar_bucket_width, cfg.calendar_buckets);
-        let cfg_arbiter = cfg.arbiter;
+        let arbiter = WdrrArbiter::new(cfg.arbiter);
+        let executor = ShardExecutor::new(cfg.parallel);
         Ok(Self {
             cfg,
             sharded,
@@ -862,8 +845,8 @@ impl MultiTenantHost {
             rounds: 0,
             admissions_denied: 0,
             perf: None,
-            pool: None,
-            arbiter: WdrrArbiter::new(cfg_arbiter),
+            executor,
+            arbiter,
             scratch: RoundScratch {
                 shard_cost_stale: true,
                 ..RoundScratch::default()
@@ -920,24 +903,15 @@ impl MultiTenantHost {
         self.admit(spec, LoopMode::Open)
     }
 
-    /// As [`MultiTenantHost::add_tenant`], choosing the tenant frontend's
-    /// feedback discipline (see the `traffic` module docs for the
-    /// open-vs-closed trade-off).
-    pub fn add_tenant_with_mode(
-        &mut self,
-        spec: &TenantSpec,
-        mode: LoopMode,
-    ) -> Result<usize, HostError> {
-        self.admit(spec, mode)
-    }
-
-    /// Admits a tenant *online*: leakage authorization (directory),
-    /// capacity check against the active fleet, stream + frontend
-    /// construction, and an O(1) splice of its first slot into the
-    /// calendar. The tenant's grid is anchored at the current clock —
-    /// always a round boundary, hence a public time — so admission never
-    /// perturbs any other tenant's stream and never materializes
-    /// past-due slots. Returns the tenant id.
+    /// Admits a tenant *online* under the frontend feedback discipline
+    /// `mode` (see the `traffic` module docs for the open-vs-closed
+    /// trade-off): leakage authorization (directory), capacity check
+    /// against the active fleet, stream + frontend construction, and an
+    /// O(1) splice of its first slot into the calendar. The tenant's
+    /// grid is anchored at the current clock — always a round boundary,
+    /// hence a public time — so admission never perturbs any other
+    /// tenant's stream and never materializes past-due slots. Returns
+    /// the tenant id.
     ///
     /// # Errors
     ///
@@ -1153,12 +1127,16 @@ impl MultiTenantHost {
         // of abandoning due slots.
         let mut retired = 0u64;
         while rt.stream.next_slot() < clock {
-            Self::serve_dummy(
-                rt,
-                &mut self.sharded,
-                &mut self.serve_log,
-                self.cfg.record_traces,
-            );
+            let shard = rt.rng.next_below(self.sharded.n_shards() as u64) as usize;
+            let start = rt.stream.serve(None).start;
+            rt.queueing_cycles += self.sharded.dummy_access(shard, start).queued_cycles;
+            if self.cfg.record_traces && self.serve_log.len() < SERVE_LOG_CAP {
+                self.serve_log.push(ServedSlot {
+                    tenant: id,
+                    start,
+                    real: false,
+                });
+            }
             retired += 1;
         }
         // Final ledger sync, then freeze the row where it stands.
@@ -1176,16 +1154,16 @@ impl MultiTenantHost {
     /// Resizes the shard pool online to `n_shards`. Growing adds fresh,
     /// idle shards; shrinking retires the highest-indexed shards (their
     /// access counters are preserved in
-    /// [`ShardedOram::retired_accesses`]). Re-balancing is incremental:
-    /// only accesses issued after the resize route over the new
-    /// interleave, so no tenant's stream pauses and no drain happens —
-    /// the slot grids are pure timing and never move. Shrinking is
-    /// refused if the active fleet's worst-case demand would no longer
-    /// fit.
+    /// [`ShardedOram::retired_accesses`]). No tenant's stream pauses and
+    /// no drain happens — the slot grids are pure timing and never
+    /// move. Shrinking is refused if the active fleet's worst-case
+    /// demand would no longer fit.
     ///
-    /// The host discards access payloads (timing is the product), so no
-    /// data migration happens; a payload-preserving resize would need
-    /// the oblivious re-shuffle pass the ROADMAP lists.
+    /// Routing is `addr % n_shards`, so any resize, grow or shrink,
+    /// re-routes nearly every address. The host discards access
+    /// payloads (timing is the product), so no data migration happens;
+    /// a payload-preserving resize needs the oblivious migration pass of
+    /// the ROADMAP item "Data that survives the control plane".
     ///
     /// # Errors
     ///
@@ -1329,40 +1307,14 @@ impl MultiTenantHost {
         }
     }
 
-    /// Serves one dummy slot for `rt`: shard drawn from the tenant's own
-    /// PRNG, queueing accrued, serve log appended (capped). Shared by
-    /// the scheduler's dummy branch and eviction's retire-as-dummies
-    /// drain so the two accounting paths stay in lockstep. Returns the
-    /// service record so the caller can charge the WDRR arbiter for the
-    /// shard the dummy actually landed on.
-    fn serve_dummy(
-        rt: &mut TenantRuntime,
-        sharded: &mut ShardedOram,
-        serve_log: &mut Vec<ServedSlot>,
-        record: bool,
-    ) -> crate::shard::ShardService {
-        let shard = rt.rng.next_below(sharded.n_shards() as u64) as usize;
-        let outcome = rt.stream.serve(None);
-        let service = sharded.dummy_access(shard, outcome.start);
-        rt.queueing_cycles += service.queued_cycles;
-        if record && serve_log.len() < SERVE_LOG_CAP {
-            serve_log.push(ServedSlot {
-                tenant: rt.id,
-                start: outcome.start,
-                real: false,
-            });
-        }
-        service
-    }
-
     /// Finds the next due slot via the reference k-way merge: the
     /// earliest `next_slot < frontier` over all active tenants, the
     /// caller-supplied rank breaking same-cycle ties (the same rank the
     /// calendar path hands [`CalendarQueue::pop_due`], so the two
     /// schedulers stay serve-order identical). O(K) per call — this is
     /// exactly the cost the calendar queue removes. An associated fn
-    /// (not a method) so the parallel round loop can call it while
-    /// holding disjoint field borrows of the host.
+    /// (not a method) so the round loop can call it while holding
+    /// disjoint field borrows of the host.
     fn pick_merge_in<R: Ord>(
         tenants: &[TenantRuntime],
         frontier: Cycle,
@@ -1395,136 +1347,23 @@ impl MultiTenantHost {
     /// service keeps the shards' queueing accounting honest and matches
     /// what the appliance hardware would do.
     ///
-    /// Under [`ParallelKind::Threads`] the shard work executes on
-    /// worker threads with a deterministic completion merge; the
-    /// observable outcome is bit-identical to [`ParallelKind::Serial`].
-    pub fn step_round(&mut self) {
-        match self.cfg.parallel {
-            ParallelKind::Serial => self.step_round_serial(),
-            ParallelKind::Threads(n) => self.step_round_parallel(n.max(1)),
-        }
-    }
-
-    /// The serial reference round loop ([`ParallelKind::Serial`]).
-    fn step_round_serial(&mut self) {
-        // Saturating: the round frontier parks at the end of time at
-        // the numeric horizon instead of wrapping behind the clock.
-        let frontier = self.clock.saturating_add(self.cfg.quantum);
-        let n = self.tenants.len();
-        let rotation = self.rotation;
-        self.arbiter.replenish(self.cfg.quantum);
-        // Per-shard slot costs (stable within a round: resizes happen
-        // between rounds) the arbiter spends credits against. Cached
-        // across rounds; moved out for the loop and put back after.
-        self.refresh_shard_cost();
-        let shard_cost = std::mem::take(&mut self.scratch.shard_cost);
-        loop {
-            // Composite tie-break: biggest unspent WDRR credit first
-            // (constant under uniform weights or ArbiterKind::Rotation),
-            // the legacy rotating rank as the deterministic settlement.
-            let pick = {
-                let arbiter = &self.arbiter;
-                let rank =
-                    |key: usize| (Reverse(arbiter.credit_rank(key)), (key + n - rotation) % n);
-                match self.cfg.scheduler {
-                    SchedulerKind::Calendar => self.calendar.pop_due(frontier, rank),
-                    SchedulerKind::Merge => Self::pick_merge_in(&self.tenants, frontier, rank),
-                }
-            };
-            let Some((idx, slot)) = pick else { break };
-            debug_assert_eq!(self.tenants[idx].stream.next_slot(), slot);
-            let rt = &mut self.tenants[idx];
-            // Lazy arrival pull: everything that arrived by this slot's
-            // start decides real-vs-dummy; later arrivals wait for the
-            // tenant's own later slots, exactly as with the old eager
-            // per-round pull.
-            Self::pull_arrivals(rt, slot);
-            let eligible = matches!(rt.pending.front(), Some(p) if p.at <= slot);
-            if eligible {
-                let req = rt.pending.pop_front().expect("front exists");
-                let outcome = rt.stream.serve(Some(req.at));
-                let service = match req.kind {
-                    AccessKind::Read => self.sharded.read_discard(req.line_addr, outcome.start),
-                    AccessKind::Write => {
-                        let zeros = [0u8; 64];
-                        self.sharded.write(req.line_addr, &zeros, outcome.start)
-                    }
-                };
-                rt.queueing_cycles += service.queued_cycles;
-                if let Some(adv) = rt.adversary.as_mut() {
-                    adv.record(ObservedSlot {
-                        start: slot,
-                        queued: service.queued_cycles,
-                        real: true,
-                    });
-                }
-                self.arbiter.charge(idx, shard_cost[service.shard]);
-                // Closed-loop feedback: the tenant's core is suspended on
-                // its demand read; resume it with the service completion
-                // it actually observed (slot wait + queueing + OLAT),
-                // translated back onto the tenant-local clock. The
-                // arrivals the resumed core can now produce are pulled
-                // lazily at its next due slot.
-                if rt.traffic.is_closed_loop() && req.kind == AccessKind::Read {
-                    rt.traffic.complete(service.completion - rt.origin);
-                }
-                if self.cfg.record_traces && self.serve_log.len() < SERVE_LOG_CAP {
-                    self.serve_log.push(ServedSlot {
-                        tenant: rt.id,
-                        start: slot,
-                        real: true,
-                    });
-                }
-            } else {
-                let service = Self::serve_dummy(
-                    rt,
-                    &mut self.sharded,
-                    &mut self.serve_log,
-                    self.cfg.record_traces,
-                );
-                if let Some(adv) = rt.adversary.as_mut() {
-                    adv.record(ObservedSlot {
-                        start: slot,
-                        queued: service.queued_cycles,
-                        real: false,
-                    });
-                }
-                self.arbiter.charge(idx, shard_cost[service.shard]);
-            }
-            if self.cfg.scheduler == SchedulerKind::Calendar {
-                self.calendar.insert(idx, rt.stream.next_slot());
-            }
-            // Ledger sync per served slot (transitions only move when a
-            // slot is served, so untouched tenants need no sweep).
-            self.ledger
-                .record_transitions(rt.id, rt.stream.transitions().len() as u64);
-        }
-        self.scratch.shard_cost = shard_cost;
-        self.finish_round(frontier);
-    }
-
-    /// The parallel round loop ([`ParallelKind::Threads`]).
+    /// The spine — pick, arrival pull, real-or-dummy choice, stream
+    /// serve, WDRR charge, serve-log entry, calendar re-insert, ledger
+    /// sync — runs on the caller's thread; each slot's shard access goes
+    /// to the executor [`HostConfig::parallel`] picks. Every executor
+    /// gives the same observable outcome because:
     ///
-    /// The spine below is the serial loop verbatim — same calendar
-    /// pops, same stream serves, same PRNG draws, same serve-log
-    /// entries — except the shard execution (`ShardedOram::read` /
-    /// `write` / `dummy_access`) is replaced by posting a [`LaneRequest`]
-    /// to the worker owning that shard. Equivalence rests on three
-    /// facts:
-    ///
-    /// 1. **Per-lane FIFO = serial order.** Each shard maps to exactly
-    ///    one worker, and workers drain their channels FIFO, so every
-    ///    shard sees its requests in exactly the spine's (= serial)
-    ///    posting order; the per-lane arithmetic is bit-identical.
+    /// 1. **Per-lane FIFO = posting order.** Each shard sees its
+    ///    requests in the spine's posting order, so the per-lane
+    ///    arithmetic is identical wherever it runs.
     /// 2. **Deferred closed-loop feedback is invisible.** A suspended
     ///    closed-loop core is only re-polled at the tenant's next due
     ///    slot, so completing it just before that pull (or at the round
-    ///    boundary) reproduces the serial traffic state exactly.
-    /// 3. **Cross-lane bookkeeping is commutative or merged.** Per-
-    ///    tenant queueing sums are applied from a [`TimeQ`] ordered by
-    ///    `(slot time, shard, posting order)`; everything else the
-    ///    round touches (ledger, calendar, streams) lives on the spine.
-    fn step_round_parallel(&mut self, threads: usize) {
+    ///    boundary) is the same as completing it at serve time.
+    /// 3. **Completions commit in posting order.** Per-tenant queueing
+    ///    sums commute, and each tenant's slots are posted in its own
+    ///    slot order, so adversary observation logs are in serve order.
+    pub fn step_round(&mut self) {
         // Saturating: the round frontier parks at the end of time at
         // the numeric horizon instead of wrapping behind the clock.
         let frontier = self.clock.saturating_add(self.cfg.quantum);
@@ -1532,24 +1371,15 @@ impl MultiTenantHost {
         let rotation = self.rotation;
         let record = self.cfg.record_traces;
         let scheduler = self.cfg.scheduler;
-        let router = self.sharded.router();
-        let n_shards = router.n_shards();
-        let workers = threads.min(n_shards).max(1);
-        // Spawn the persistent pool on the first parallel round; rounds
-        // after this reuse the same threads (idle workers past the
-        // active `workers` count just stay parked on their receivers).
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(threads.max(1)));
-        }
         self.arbiter.replenish(self.cfg.quantum);
-        // Per-shard slot costs, snapshotted while the pool still holds
-        // its lanes (resizes happen between rounds, so this is stable).
+        // Per-shard slot costs (stable within a round: resizes happen
+        // between rounds) the arbiter spends credits against.
         self.refresh_shard_cost();
+        self.executor.begin(self.sharded.take_lanes());
         // Disjoint field borrows so the spine can mutate tenants/
-        // calendar/ledger/serve log while the pool holds the lanes. The
-        // round scratch is destructured the same way: `shard_cost` is
-        // read while `posted`/`pending_fb` are written.
-        let pool = self.pool.as_ref().expect("created above");
+        // calendar/ledger/serve log while the executor holds the lanes.
+        let router = self.sharded.router();
+        let executor = &mut self.executor;
         let tenants = &mut self.tenants;
         let calendar = &mut self.calendar;
         let serve_log = &mut self.serve_log;
@@ -1557,220 +1387,109 @@ impl MultiTenantHost {
         let arbiter = &mut self.arbiter;
         let RoundScratch {
             shard_cost,
-            channels,
             posted,
             pending_fb,
-            groups,
-            completions,
-            merge,
             ..
         } = &mut self.scratch;
-        let shard_cost: &[Cycle] = shard_cost;
-        let mut lanes = self.sharded.take_lanes();
-        // Reopen (or on worker-count change, rebuild) the per-worker
-        // channels; their queue/completion allocations persist.
-        if channels.len() != workers {
-            channels.clear();
-            channels.extend((0..workers).map(|_| std::sync::Arc::new(WorkerChannel::new())));
-        } else {
-            for channel in channels.iter() {
-                channel.reset();
-            }
-        }
         posted.clear();
-        // Closed-loop feedback owed from a tenant's last real read this
-        // round, resolved lazily (see equivalence fact 2 above).
         pending_fb.clear();
         pending_fb.resize(n, None);
-        // Deal lane i to worker i % workers; within a worker, lane i
-        // sits at position i / workers (the RoundWork stride layout).
-        // The group buffers round-trip through the workers, so after the
-        // first round this moves lanes between existing allocations.
-        {
-            if groups.len() != workers {
-                groups.clear();
-                groups.resize_with(workers, Vec::new);
+        loop {
+            // Composite tie-break: biggest unspent WDRR credit first
+            // (constant under uniform weights or ArbiterKind::Rotation),
+            // the legacy rotating rank as the deterministic settlement.
+            // Charging happens at post time in spine order, so the
+            // credit evolution is the same under every executor.
+            let pick = {
+                let a = &*arbiter;
+                let rank = |key: usize| (Reverse(a.credit_rank(key)), (key + n - rotation) % n);
+                match scheduler {
+                    SchedulerKind::Calendar => calendar.pop_due(frontier, rank),
+                    SchedulerKind::Merge => Self::pick_merge_in(tenants, frontier, rank),
+                }
+            };
+            let Some((idx, slot)) = pick else { break };
+            let rt = &mut tenants[idx];
+            debug_assert_eq!(rt.stream.next_slot(), slot);
+            // Closed-loop feedback owed from this tenant's previous real
+            // read: resume its suspended core with the service completion
+            // it actually observed (slot wait + queueing + OLAT),
+            // translated back onto the tenant-local clock, before the
+            // arrival pull below re-polls it.
+            if let Some(ticket) = pending_fb[idx].take() {
+                rt.traffic
+                    .complete(executor.completion(ticket).completion - rt.origin);
             }
-            for (i, lane) in lanes.drain(..).enumerate() {
-                groups[i % workers].push(lane);
-            }
-            for (w, group) in groups.iter_mut().enumerate() {
-                pool.dispatch(
-                    w,
-                    RoundWork {
-                        lanes: std::mem::take(group),
-                        channel: channels[w].clone(),
-                        stride: workers,
-                    },
-                );
-            }
-            loop {
-                // Same composite rank as the serial loop: WDRR credit,
-                // then the legacy rotating tie-break. Charging happens
-                // at post time in spine order, so the credit evolution
-                // is bit-identical to serial at any thread count.
-                let pick = {
-                    let a = &*arbiter;
-                    let rank = |key: usize| (Reverse(a.credit_rank(key)), (key + n - rotation) % n);
-                    match scheduler {
-                        SchedulerKind::Calendar => calendar.pop_due(frontier, rank),
-                        SchedulerKind::Merge => Self::pick_merge_in(tenants, frontier, rank),
-                    }
+            // Lazy arrival pull: everything that arrived by this slot's
+            // start decides real-vs-dummy; later arrivals wait for the
+            // tenant's own later slots.
+            Self::pull_arrivals(rt, slot);
+            let real = matches!(rt.pending.front(), Some(p) if p.at <= slot);
+            let (shard, op) = if real {
+                let req = rt.pending.pop_front().expect("front exists");
+                rt.stream.serve(Some(req.at));
+                let local = router.local_addr(req.line_addr);
+                let op = match req.kind {
+                    AccessKind::Read => LaneOp::Read { local },
+                    AccessKind::Write => LaneOp::Write { local },
                 };
-                let Some((idx, slot)) = pick else { break };
-                debug_assert_eq!(tenants[idx].stream.next_slot(), slot);
-                // Resolve feedback owed from this tenant's previous real
-                // read before its core is re-polled: blocks only until
-                // the owning worker reaches that (already posted)
-                // request, never circularly.
-                if let Some((w, i)) = pending_fb[idx].take() {
-                    let service = channels[w].wait_completion(i);
-                    let rt = &mut tenants[idx];
-                    rt.traffic.complete(service.completion - rt.origin);
-                }
-                let rt = &mut tenants[idx];
-                Self::pull_arrivals(rt, slot);
-                let eligible = matches!(rt.pending.front(), Some(p) if p.at <= slot);
-                if eligible {
-                    let req = rt.pending.pop_front().expect("front exists");
-                    let outcome = rt.stream.serve(Some(req.at));
-                    let shard = router.shard_of(req.line_addr);
-                    let op = match req.kind {
-                        AccessKind::Read => LaneOp::Read {
-                            local: router.local_addr(req.line_addr),
-                        },
-                        AccessKind::Write => LaneOp::Write {
-                            local: router.local_addr(req.line_addr),
-                        },
-                    };
-                    let worker = shard % workers;
-                    let windex = channels[worker].post(LaneRequest {
-                        lane: shard,
-                        at: outcome.start,
-                        op,
-                    });
-                    posted.push(PostedSlot {
-                        tenant: idx,
-                        slot,
-                        shard,
-                        worker,
-                        windex,
-                        real: true,
-                    });
-                    arbiter.charge(idx, shard_cost[shard]);
-                    if rt.traffic.is_closed_loop() && req.kind == AccessKind::Read {
-                        pending_fb[idx] = Some((worker, windex));
-                    }
-                    if record && serve_log.len() < SERVE_LOG_CAP {
-                        serve_log.push(ServedSlot {
-                            tenant: rt.id,
-                            start: slot,
-                            real: true,
-                        });
-                    }
-                } else {
-                    let shard = rt.rng.next_below(n_shards as u64) as usize;
-                    let outcome = rt.stream.serve(None);
-                    let worker = shard % workers;
-                    let windex = channels[worker].post(LaneRequest {
-                        lane: shard,
-                        at: outcome.start,
-                        op: LaneOp::Dummy,
-                    });
-                    posted.push(PostedSlot {
-                        tenant: idx,
-                        slot,
-                        shard,
-                        worker,
-                        windex,
-                        real: false,
-                    });
-                    arbiter.charge(idx, shard_cost[shard]);
-                    if record && serve_log.len() < SERVE_LOG_CAP {
-                        serve_log.push(ServedSlot {
-                            tenant: rt.id,
-                            start: outcome.start,
-                            real: false,
-                        });
-                    }
-                }
-                if scheduler == SchedulerKind::Calendar {
-                    calendar.insert(idx, tenants[idx].stream.next_slot());
-                }
-                ledger.record_transitions(
-                    tenants[idx].id,
-                    tenants[idx].stream.transitions().len() as u64,
-                );
+                (router.shard_of(req.line_addr), op)
+            } else {
+                let shard = rt.rng.next_below(router.n_shards() as u64) as usize;
+                rt.stream.serve(None);
+                (shard, LaneOp::Dummy)
+            };
+            let ticket = executor.post(LaneRequest {
+                lane: shard,
+                at: slot,
+                op,
+            });
+            arbiter.charge(idx, shard_cost[shard]);
+            if rt.traffic.is_closed_loop() && matches!(op, LaneOp::Read { .. }) {
+                pending_fb[idx] = Some(ticket);
             }
-            for channel in channels.iter() {
-                channel.close();
+            posted.push(PostedSlot {
+                tenant: idx,
+                slot,
+                real,
+                ticket,
+            });
+            if record && serve_log.len() < SERVE_LOG_CAP {
+                serve_log.push(ServedSlot {
+                    tenant: rt.id,
+                    start: slot,
+                    real,
+                });
             }
+            if scheduler == SchedulerKind::Calendar {
+                calendar.insert(idx, rt.stream.next_slot());
+            }
+            // Ledger sync per served slot (transitions only move when a
+            // slot is served, so untouched tenants need no sweep).
+            ledger.record_transitions(rt.id, rt.stream.transitions().len() as u64);
         }
-        // Collect the lanes back (blocking until each worker drains its
-        // closed channel) and restore pool index order: worker w holds
-        // lanes w, w + workers, w + 2·workers, … in sequence — each
-        // group is reversed so `pop()` yields its lanes front-first,
-        // and the emptied `lanes` buffer taken from the pool is refilled
-        // in place.
-        for (w, group) in groups.iter_mut().enumerate() {
-            *group = pool.collect_lanes(w);
-            group.reverse();
-        }
-        for i in 0..n_shards {
-            lanes.push(groups[i % workers].pop().expect("lane count conserved"));
-        }
-        debug_assert!(groups.iter().all(Vec::is_empty));
-        self.sharded.put_lanes(lanes);
-        // Workers are parked again; every posted request has its completion.
-        completions.resize_with(workers, Vec::new);
-        for (w, channel) in channels.iter().enumerate() {
-            channel.take_completions_into(&mut completions[w]);
-        }
-        // Deterministic merge: apply per-tenant queueing in (slot time,
-        // shard, posting order) — a fixed order at any thread count.
-        // (The sums are commutative; the merge is what makes the commit
-        // order — and anything ever added to it — thread-count-blind.)
-        merge.clear();
-        for (seq, p) in posted.iter().enumerate() {
-            let service = completions[p.worker][p.windex];
-            merge.push(
-                p.slot,
-                (p.shard as u64, seq as u64),
-                (p.tenant, p.real, service),
-            );
-        }
-        while let Some(event) = merge.pop() {
-            let (tenant, real, service) = event.payload;
-            let rt = &mut tenants[tenant];
-            rt.queueing_cycles += service.queued_cycles;
-            // Adversary observations commit here, in (slot time, shard,
-            // posting order): a tenant's slot starts are distinct and
-            // increasing, so its per-tenant subsequence is exactly the
-            // serial loop's serve-time order at any thread count.
+        self.sharded.put_lanes(executor.finish());
+        for p in posted.iter() {
+            let queued = executor.completion(p.ticket).queued_cycles;
+            let rt = &mut tenants[p.tenant];
+            rt.queueing_cycles += queued;
             if let Some(adv) = rt.adversary.as_mut() {
                 adv.record(ObservedSlot {
-                    start: event.time,
-                    queued: service.queued_cycles,
-                    real,
+                    start: p.slot,
+                    queued,
+                    real: p.real,
                 });
             }
         }
         // Feedback still owed to tenants with no later due slot this
-        // round: complete at the boundary, exactly the state a serial
-        // round ends with (the core was not re-polled in between).
-        for (idx, fb) in pending_fb.iter_mut().enumerate() {
-            if let Some((w, i)) = fb.take() {
-                let service = completions[w][i];
-                let rt = &mut tenants[idx];
-                rt.traffic.complete(service.completion - rt.origin);
+        // round completes at the boundary: the core was not re-polled
+        // in between.
+        for (rt, fb) in tenants.iter_mut().zip(pending_fb.iter_mut()) {
+            if let Some(ticket) = fb.take() {
+                rt.traffic
+                    .complete(executor.completion(ticket).completion - rt.origin);
             }
         }
-        self.finish_round(frontier);
-    }
-
-    /// Round epilogue shared by the serial and parallel loops: lag
-    /// check, rotation advance, clock commit, perf sample.
-    fn finish_round(&mut self, frontier: Cycle) {
         // Churn-safe lag check (debug builds only): every *active*
         // stream must have been served up to the frontier. Evicted
         // streams legitimately freeze behind the clock, and the lag is
@@ -1778,7 +1497,7 @@ impl MultiTenantHost {
         // underflow the subtraction (the pre-churn version of this
         // assertion compared against the raw difference and wrapped).
         #[cfg(debug_assertions)]
-        for rt in &self.tenants {
+        for rt in self.tenants.iter() {
             debug_assert!(
                 !rt.is_active() || rt.stream.next_slot() >= frontier,
                 "active tenant {} lags the frontier by {} cycles",
@@ -1786,8 +1505,7 @@ impl MultiTenantHost {
                 frontier.saturating_sub(rt.stream.next_slot())
             );
         }
-        let n = self.tenants.len();
-        self.rotation = if n == 0 { 0 } else { (self.rotation + 1) % n };
+        self.rotation = if n == 0 { 0 } else { (rotation + 1) % n };
         self.clock = frontier;
         self.rounds += 1;
         // Perf sampling happens at the round boundary only — never per
@@ -2504,7 +2222,7 @@ mod tests {
         .into_iter()
         .enumerate()
         {
-            host.add_tenant_with_mode(
+            host.admit(
                 &spec(&format!("t{i}"), bench, RatePolicy::Static { rate: 600 }),
                 LoopMode::Closed,
             )
@@ -2538,7 +2256,7 @@ mod tests {
             };
             let mut host = MultiTenantHost::new(cfg).expect("builds");
             for i in 0..3 {
-                host.add_tenant_with_mode(
+                host.admit(
                     &spec(
                         &format!("t{i}"),
                         SpecBenchmark::Mcf,
@@ -2586,5 +2304,68 @@ mod tests {
         if t.transitions > 0 {
             assert!(rates.rates().contains(&t.final_rate), "{t:?}");
         }
+    }
+
+    #[test]
+    fn both_front_doors_refuse_every_invalid_field() {
+        // A struct literal used to skip every check but the calendar's:
+        // `quantum: 0` built a host whose clock never moved, and a NaN
+        // utilization cap admitted any fleet.
+        type Break = fn(&mut HostConfig);
+        let cases: [(&str, Break); 10] = [
+            ("zero shards", |c| c.n_shards = 0),
+            ("zero quantum", |c| c.quantum = 0),
+            ("zero threads", |c| c.parallel = ParallelKind::Threads(0)),
+            ("NaN utilization", |c| c.max_shard_utilization = f64::NAN),
+            ("zero utilization", |c| c.max_shard_utilization = 0.0),
+            ("utilization over 1", |c| c.max_shard_utilization = 1.5),
+            ("0-bit leakage limit", |c| c.leakage_limit_bits = 0),
+            ("limit over 2^20 bits", |c| {
+                c.leakage_limit_bits = (1 << 20) + 1
+            }),
+            ("zero bucket width", |c| c.calendar_bucket_width = 0),
+            ("zero buckets", |c| c.calendar_buckets = 0),
+        ];
+        for (what, break_it) in cases {
+            let mut c = HostConfig::small();
+            break_it(&mut c);
+            let built = HostConfig::builder()
+                .oram(c.oram.clone())
+                .shards(c.n_shards)
+                .quantum(c.quantum)
+                .parallel(c.parallel)
+                .max_shard_utilization(c.max_shard_utilization)
+                .leakage_limit_bits(c.leakage_limit_bits)
+                .calendar(c.calendar_bucket_width, c.calendar_buckets)
+                .build();
+            assert!(
+                matches!(built, Err(HostError::Build(_))),
+                "builder accepted {what}"
+            );
+            assert!(
+                matches!(MultiTenantHost::new(c), Err(HostError::Build(_))),
+                "struct literal with {what} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn threads_spawn_only_the_workers_a_round_uses() {
+        let cfg = HostConfig {
+            parallel: ParallelKind::Threads(8),
+            ..HostConfig::small()
+        };
+        let mut host = MultiTenantHost::new(cfg).expect("builds");
+        host.add_tenant(&spec("t", SpecBenchmark::Mcf, dynamic_policy()))
+            .expect("admit");
+        assert_eq!(host.executor.spawned_workers(), 0);
+        host.step_round();
+        assert_eq!(host.executor.spawned_workers(), 2, "2 shards, 2 workers");
+        host.resize_shards(4).expect("grow");
+        host.step_round();
+        assert_eq!(host.executor.spawned_workers(), 4, "a grow spawns more");
+        host.resize_shards(1).expect("shrink");
+        host.step_round();
+        assert_eq!(host.executor.spawned_workers(), 4, "a shrink keeps them");
     }
 }

@@ -126,7 +126,7 @@ pub struct ScenarioHost {
     pub capacity: CapacityKind,
     /// Due-slot finder.
     pub scheduler: SchedulerKind,
-    /// Worker threads (0 = the serial reference).
+    /// Worker threads (0 = every shard access inline).
     pub threads: usize,
     /// Round quantum in cycles.
     pub quantum: Cycle,

@@ -46,17 +46,15 @@
 //! pre-pipeline arithmetic and is the equivalence reference
 //! (`tests/pipeline_equivalence.rs`).
 //!
-//! # Lanes (parallel execution substrate)
+//! # Lanes (the executor's unit of work)
 //!
-//! Each shard's complete mutable state — its ORAM, busy/stage clocks,
-//! and counters — lives in one [`Lane`] struct, so a parallel host can
-//! hand disjoint `&mut Lane` borrows to scoped worker threads while the
-//! shared timing parameters ([`LaneParams`]) stay behind an immutable
-//! borrow. Shards are mutually independent by construction (disjoint
-//! trees, disjoint counters), so per-lane FIFO execution on any worker
-//! reproduces the serial per-shard arithmetic bit-for-bit; the host's
-//! deterministic merge (see `host::ParallelKind`) puts the cross-lane
-//! bookkeeping back in serial order.
+//! Each shard's complete mutable state — its ORAM, timing parameters
+//! ([`LaneParams`]), busy/stage clocks, and counters — lives in one
+//! [`Lane`] struct, so the host's shard executor can move lanes to
+//! worker threads for a round. Shards are mutually independent by
+//! construction (disjoint trees, disjoint counters), so per-lane FIFO
+//! execution on any worker reproduces the inline per-shard arithmetic
+//! bit-for-bit (see `host::ParallelKind`).
 
 use otc_dram::{Cycle, DdrConfig};
 use otc_oram::{
@@ -232,7 +230,7 @@ pub(crate) struct LaneParams {
 
 /// The ORAM operation a lane performs alongside its timing charge.
 ///
-/// The parallel host routes addresses on the spine thread (the PRNG and
+/// The round loop routes addresses on the spine thread (the PRNG and
 /// tag arithmetic must stay in serial order) and posts lane-local ops;
 /// read payloads are discarded — the host's serving loop never inspects
 /// them, and the timing result [`ShardService`] is the completion truth.
@@ -255,8 +253,8 @@ pub(crate) enum LaneOp {
 
 /// One shard's complete service state: its ORAM plus every clock,
 /// counter, and histogram the pool keeps per shard. Lanes are mutually
-/// disjoint, so a parallel host can execute different lanes on
-/// different threads and reproduce the serial arithmetic exactly.
+/// disjoint, so the host's executor can run different lanes on
+/// different threads and reproduce the inline arithmetic exactly.
 pub(crate) struct Lane {
     /// This lane's shard index (reported in [`ShardService::shard`]).
     index: usize,
@@ -413,8 +411,8 @@ impl Lane {
 
     /// Performs one routed operation: the timing charge plus the
     /// matching ORAM op under this lane's own pipeline discipline. This
-    /// is the unit of work a parallel worker executes; per-lane FIFO
-    /// order makes it bit-identical to the serial host calling
+    /// is the unit of work the host's executor runs; per-lane FIFO
+    /// order makes it bit-identical to calling
     /// [`ShardedOram::read`]/`write`/`dummy_access` in the same order.
     pub(crate) fn execute(&mut self, op: LaneOp, at: Cycle) -> ShardService {
         let kind = self.params.pipeline.kind;
@@ -465,19 +463,28 @@ impl Lane {
     }
 }
 
-/// Pure address-routing view of a [`ShardedOram`]: enough to map a
-/// global line address to (shard, local address) without borrowing the
-/// pool. The parallel host routes on the spine thread while worker
-/// threads hold the lanes. Shards of different classes can have
-/// different capacities, so routing carries the per-shard capacity
-/// vector.
-#[derive(Debug, Clone)]
+/// A [`ShardedOram`]'s address routing — the only copy of the
+/// line-interleave arithmetic — mapping a global line address to
+/// (shard, local address). The pool rebuilds it on every resize, and
+/// the host's round loop routes through it while the executor holds
+/// the lanes. Shards of different classes can have different
+/// capacities, so routing carries the per-shard capacity vector.
+#[derive(Debug)]
 pub(crate) struct ShardRouter {
     n_shards: u64,
     capacities: Vec<u64>,
 }
 
 impl ShardRouter {
+    /// Routing over shards `0..n_shards` of `mix` (shard `i` is class
+    /// `i % mix.len()`).
+    fn new(mix: &[MixClass], n_shards: usize) -> Self {
+        Self {
+            n_shards: n_shards as u64,
+            capacities: (0..n_shards).map(|i| mix[i % mix.len()].capacity).collect(),
+        }
+    }
+
     /// The shard owning global block address `addr` (line-interleaved).
     pub(crate) fn shard_of(&self, addr: u64) -> usize {
         (addr % self.n_shards) as usize
@@ -510,6 +517,8 @@ pub struct ShardedOram {
     hist_width: u64,
     /// Per-shard service state, disjoint by construction.
     lanes: Vec<Lane>,
+    /// Address routing over the current shard count.
+    router: ShardRouter,
     /// Accesses/dummies served by shards that a shrink later retired
     /// (so fleet-wide conservation checks survive resizes).
     retired_accesses: u64,
@@ -623,6 +632,7 @@ impl ShardedOram {
             .map(|i| Self::mint_lane(&mix, i, hist_width))
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Self {
+            router: ShardRouter::new(&mix, n_shards),
             mix,
             olat,
             hist_width,
@@ -656,8 +666,10 @@ impl ShardedOram {
     /// access counters into [`ShardedOram::retired_accesses`] so
     /// conservation checks (`Σ shard accesses == Σ slots served`) keep
     /// holding across resizes. Payloads are not migrated — the serving
-    /// host discards them (timing is the product); callers that need the
-    /// stored bytes must not shrink.
+    /// host discards them (timing is the product). Routing is
+    /// `addr % n_shards`, so a grow re-routes nearly every address just
+    /// as a shrink does: callers that need the stored bytes must not
+    /// resize (the ROADMAP item "Data that survives the control plane").
     ///
     /// # Errors
     ///
@@ -683,6 +695,7 @@ impl ShardedOram {
             }
             self.lanes.truncate(n_shards);
         }
+        self.router = ShardRouter::new(&self.mix, n_shards);
         Ok(())
     }
 
@@ -693,10 +706,7 @@ impl ShardedOram {
 
     /// Total addressable blocks across all shards.
     pub fn capacity(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| self.mix[l.index % self.mix.len()].capacity)
-            .sum()
+        self.router.capacities.iter().sum()
     }
 
     /// Pool `OLAT`: the per-access latency every slot grid is built
@@ -766,31 +776,18 @@ impl ShardedOram {
 
     /// The shard owning global block address `addr` (line-interleaved).
     pub fn shard_of(&self, addr: u64) -> usize {
-        (addr % self.lanes.len() as u64) as usize
+        self.router.shard_of(addr)
     }
 
-    fn local_addr(&self, addr: u64) -> u64 {
-        let shard = self.shard_of(addr);
-        (addr / self.lanes.len() as u64) % self.mix[shard % self.mix.len()].capacity
+    /// The pool's address routing (valid while the lanes are taken).
+    pub(crate) fn router(&self) -> &ShardRouter {
+        &self.router
     }
 
-    /// A cloneable routing view (shard/local address arithmetic only),
-    /// valid until the next [`ShardedOram::resize`].
-    pub(crate) fn router(&self) -> ShardRouter {
-        ShardRouter {
-            n_shards: self.lanes.len() as u64,
-            capacities: self
-                .lanes
-                .iter()
-                .map(|l| self.mix[l.index % self.mix.len()].capacity)
-                .collect(),
-        }
-    }
-
-    /// Moves the per-shard lanes out of the pool so a parallel host can
-    /// deal them to persistent worker threads for one round (each lane
-    /// carries its own timing parameters). The pool is unusable until
-    /// [`ShardedOram::put_lanes`] returns them.
+    /// Moves the per-shard lanes out of the pool so the host's executor
+    /// can hold them for one round (each lane carries its own timing
+    /// parameters). The pool is unusable until [`ShardedOram::put_lanes`]
+    /// returns them.
     pub(crate) fn take_lanes(&mut self) -> Vec<Lane> {
         std::mem::take(&mut self.lanes)
     }
@@ -804,8 +801,7 @@ impl ShardedOram {
 
     /// Reads the block at global address `addr` at slot time `at`.
     pub fn read(&mut self, addr: u64, at: Cycle) -> (Vec<u8>, ShardService) {
-        let s = self.shard_of(addr);
-        let local = self.local_addr(addr);
+        let (s, local) = (self.router.shard_of(addr), self.router.local_addr(addr));
         let lane = &mut self.lanes[s];
         match lane.params.pipeline.kind {
             PipelineKind::Serial => {
@@ -824,15 +820,13 @@ impl ShardedOram {
     /// consumer of the cache line is outside the simulated appliance), so
     /// its steady state allocates nothing per slot.
     pub fn read_discard(&mut self, addr: u64, at: Cycle) -> ShardService {
-        let s = self.shard_of(addr);
-        let local = self.local_addr(addr);
+        let (s, local) = (self.router.shard_of(addr), self.router.local_addr(addr));
         self.lanes[s].execute(LaneOp::Read { local }, at)
     }
 
     /// Writes the block at global address `addr` at slot time `at`.
     pub fn write(&mut self, addr: u64, data: &[u8], at: Cycle) -> ShardService {
-        let s = self.shard_of(addr);
-        let local = self.local_addr(addr);
+        let (s, local) = (self.router.shard_of(addr), self.router.local_addr(addr));
         let lane = &mut self.lanes[s];
         match lane.params.pipeline.kind {
             PipelineKind::Serial => {
@@ -1113,10 +1107,11 @@ mod tests {
     fn addresses_route_by_interleave() {
         let s = small(4);
         let r = s.router();
+        let cap = OramConfig::small().data_block_capacity();
         for addr in 0..32u64 {
             assert_eq!(s.shard_of(addr), (addr % 4) as usize);
             assert_eq!(r.shard_of(addr), s.shard_of(addr));
-            assert_eq!(r.local_addr(addr), s.local_addr(addr));
+            assert_eq!(r.local_addr(addr), (addr / 4) % cap);
         }
         assert_eq!(r.n_shards(), 4);
     }
@@ -1180,6 +1175,10 @@ mod tests {
         // Grow: fresh idle shards, distinct seeds, old counters kept.
         s.resize(5).expect("grow");
         assert_eq!(s.n_shards(), 5);
+        // Routing follows the new interleave (a grow re-routes too).
+        for addr in 0..10u64 {
+            assert_eq!(s.shard_of(addr), (addr % 5) as usize);
+        }
         assert_eq!(s.accesses().iter().sum::<u64>(), 10);
         assert_eq!(s.accesses()[2..], [0, 0, 0]);
         let seeds: Vec<u64> = (0..5).map(|i| OramConfig::small().shard(i).seed).collect();
@@ -1194,11 +1193,13 @@ mod tests {
         // total stays conserved.
         s.resize(1).expect("shrink");
         assert_eq!(s.n_shards(), 1);
+        assert!((0..10u64).all(|addr| s.shard_of(addr) == 0));
         let total = s.accesses().iter().sum::<u64>() + s.retired_accesses();
         assert_eq!(total, 20);
         // Zero shards is refused and leaves the pool intact.
         assert!(s.resize(0).is_err());
         assert_eq!(s.n_shards(), 1);
+        assert_eq!(s.router().n_shards(), 1);
     }
 
     #[test]
@@ -1379,7 +1380,7 @@ mod tests {
 
     #[test]
     fn lane_execute_matches_the_pool_entry_points() {
-        // The parallel host posts LaneOps; they must charge exactly like
+        // The round loop posts LaneOps; they must charge exactly like
         // the pool's public read/write/dummy paths.
         for make in [small as fn(usize) -> ShardedOram, staged] {
             let mut via_pool = make(2);
@@ -1388,7 +1389,7 @@ mod tests {
             for i in 0..20u64 {
                 let at = i * 700;
                 let addr = i * 3 % 16;
-                let (s, local) = (via_pool.shard_of(addr), via_pool.local_addr(addr));
+                let (s, local) = (via_pool.shard_of(addr), via_pool.router().local_addr(addr));
                 let expect = match i % 3 {
                     0 => via_pool.read(addr, at).1,
                     1 => via_pool.write(addr, &zeros, at),
@@ -1524,15 +1525,14 @@ mod tests {
         assert_eq!(m.capacity(), 2 * small_cap + 2 * tiny_cap);
         let r = m.router();
         for addr in 0..64u64 {
-            assert_eq!(r.shard_of(addr), m.shard_of(addr));
-            assert_eq!(r.local_addr(addr), m.local_addr(addr));
-            let shard = m.shard_of(addr);
+            let shard = (addr % 4) as usize;
+            assert_eq!(r.shard_of(addr), shard);
             let cap = if shard.is_multiple_of(2) {
                 small_cap
             } else {
                 tiny_cap
             };
-            assert!(m.local_addr(addr) < cap);
+            assert_eq!(r.local_addr(addr), (addr / 4) % cap);
         }
     }
 

@@ -2,15 +2,16 @@
 //!
 //! [`TimeQ`] orders events by `(time, tie, insertion sequence)`: the
 //! earliest simulated cycle first, an explicit caller-supplied tie key
-//! second (the parallel host uses `(shard, slot sequence)` so merges are
-//! reproducible at any thread count), and insertion order last so two
-//! events with equal time *and* tie still pop in a defined order. The
-//! payload never participates in ordering — it needs no `Ord` bound.
+//! second (e.g. `(shard, slot sequence)`, so a merge of out-of-order
+//! producers is reproducible at any thread count), and insertion order
+//! last so two events with equal time *and* tie still pop in a defined
+//! order. The payload never participates in ordering — it needs no
+//! `Ord` bound.
 //!
-//! This is the commit-side primitive of the parallel round loop: shard
-//! lanes complete out of wall-clock order on worker threads, and the
-//! host pushes every completion here before applying tenant feedback,
-//! ledger sync, and perf sampling in the popped (deterministic) order.
+//! The host's round loop does not use it: it commits shard completions
+//! in posting order, which needs no queue. `TimeQ` stays a public
+//! primitive for callers that merge producers running out of order (the
+//! repo benchmark's `timeq.op_ns` probe measures it).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

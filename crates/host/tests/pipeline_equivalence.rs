@@ -51,7 +51,7 @@ fn fleet(pipeline: PipelineConfig, mode: LoopMode) -> MultiTenantHost {
     .into_iter()
     .enumerate()
     {
-        host.add_tenant_with_mode(&spec(&format!("t{i}"), bench, rate), mode)
+        host.admit(&spec(&format!("t{i}"), bench, rate), mode)
             .expect("admit");
     }
     host

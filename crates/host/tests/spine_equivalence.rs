@@ -12,11 +12,21 @@
 //! out of *both* levels are all on the tested path. A separate
 //! regression pins the host past 2^32 virtual cycles, where the cycle
 //! arithmetic audited for overflow actually runs at scale.
+//!
+//! Serial and threaded rounds run one spine, so comparing them pins
+//! only that the executors agree. `mixed_pool_matches_the_golden_transcript`
+//! pins the host's absolute output: the shipped example scenario, driven
+//! the way `otc run --scenario` drives it, must reproduce
+//! `golden/mixed_pool.golden` byte for byte under every executor.
 
 use otc_core::RatePolicy;
-use otc_host::{HostConfig, LoopMode, MultiTenantHost, ParallelKind, SchedulerKind, TenantSpec};
+use otc_host::{
+    parse_scenario, render, HostConfig, LoopMode, MultiTenantHost, ParallelKind, ScenarioAction,
+    SchedulerKind, TenantSpec,
+};
 use otc_oram::{OramConfig, OramTiming};
 use otc_workloads::SpecBenchmark;
+use std::fmt::Write as _;
 
 /// Fleet size `otc bench --spine` gates on.
 const K: usize = 1024;
@@ -263,4 +273,179 @@ fn clock_past_2_pow_32_stays_sound() {
         report.fleet_spent_bits >= 0.0 && report.fleet_spent_bits.is_finite(),
         "ledger stays finite past 2^32 cycles"
     );
+}
+
+/// FNV-1a (64-bit) over `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Slot records printed per tenant (`otc run --trace 50`).
+const GOLDEN_TRACE: usize = 50;
+
+/// Runs `examples/mixed_pool.scenario` the way `otc run --scenario FILE
+/// --trace 50 --perf-session F` does — same roster admission, same
+/// session label, same round-by-round event replay and stop rule — and
+/// renders what the run observed: event outcomes, the fleet report, the
+/// first slot records per tenant, each adversary's reading, and digests
+/// of the full serve log and the `.otcp` session bytes.
+fn mixed_pool_transcript(parallel: ParallelKind) -> String {
+    let spec = parse_scenario(include_str!("../../../examples/mixed_pool.scenario"))
+        .expect("the shipped example parses");
+    let mut cfg = spec.host_config().expect("the shipped example builds");
+    cfg.record_traces = true;
+    cfg.parallel = parallel;
+    let mut host = MultiTenantHost::new(cfg).expect("builds");
+    let instructions = spec.host.slots.saturating_mul(50);
+    for t in &spec.tenants {
+        let ts = TenantSpec {
+            name: t.name.clone(),
+            benchmark: t.bench,
+            policy: t.policy().expect("roster schemes parse"),
+            instructions: t.instructions.unwrap_or(instructions),
+        };
+        let mode = if t.closed {
+            LoopMode::Closed
+        } else {
+            LoopMode::Open
+        };
+        match t.adversary {
+            Some(kind) => host.admit_adversary(&ts, kind),
+            None => host.admit_with_traffic(&ts, mode, t.traffic.clone()),
+        }
+        .expect("the roster fits");
+    }
+    host.record_perf_session(&format!(
+        "scenario tenants={} slots={} events={}",
+        spec.tenants.len(),
+        spec.host.slots,
+        spec.events.len()
+    ));
+    let mut out = String::new();
+    let (mut round, mut next) = (0u64, 0usize);
+    loop {
+        while next < spec.events.len() && spec.events[next].round <= round {
+            let ev = &spec.events[next];
+            next += 1;
+            let outcome = match &ev.action {
+                ScenarioAction::Admit {
+                    bench,
+                    scheme,
+                    closed,
+                } => host
+                    .admit(
+                        &TenantSpec {
+                            name: format!("c{}", host.tenant_count()),
+                            benchmark: *bench,
+                            policy: otc_host::parse_scheme(scheme).expect("event scheme parses"),
+                            instructions,
+                        },
+                        if *closed {
+                            LoopMode::Closed
+                        } else {
+                            LoopMode::Open
+                        },
+                    )
+                    .map(|id| format!("admitted id {id}")),
+                ScenarioAction::Evict { id } => host
+                    .evict(*id)
+                    .map(|retired| format!("evicted {id}, {retired} retired")),
+                ScenarioAction::Shards { n } => {
+                    host.resize_shards(*n).map(|()| format!("resized to {n}"))
+                }
+            };
+            writeln!(out, "@{} clock {}: {outcome:?}", ev.round, host.clock()).unwrap();
+        }
+        let all_served = (0..host.tenant_count()).all(|id| {
+            !host.tenant_active(id) || host.tenant_stream(id).slots_served() >= spec.host.slots
+        });
+        if next >= spec.events.len() && all_served {
+            break;
+        }
+        assert!(
+            round < 1 << 14,
+            "the example must finish well inside the CLI's round cap"
+        );
+        host.step_round();
+        round += 1;
+    }
+    let report = host.report();
+    let session = host.take_perf_session().expect("recording was on");
+    out.push_str(&render(&report));
+    writeln!(out, "slot traces (first {GOLDEN_TRACE} per tenant):").unwrap();
+    for t in &report.tenants {
+        let slots: Vec<String> = host
+            .tenant_trace(t.id)
+            .iter()
+            .take(GOLDEN_TRACE)
+            .map(|s| format!("{}{}", s.start, if s.real { "R" } else { "d" }))
+            .collect();
+        writeln!(out, "{}: {}", t.name, slots.join(" ")).unwrap();
+    }
+    let mut candidates: Vec<u64> = spec
+        .tenants
+        .iter()
+        .filter(|t| t.adversary.is_none())
+        .filter_map(|t| t.policy())
+        .map(|p| p.fastest_rate())
+        .collect();
+    candidates.sort_unstable();
+    candidates.dedup();
+    for t in &report.tenants {
+        if host.adversary_kind(t.id).is_some() {
+            writeln!(
+                out,
+                "adversary {}: {} observed slots, estimate {:?}",
+                t.name,
+                host.adversary_observations(t.id).len(),
+                host.adversary_estimate(t.id, &candidates)
+            )
+            .unwrap();
+        }
+    }
+    let log = host.serve_log();
+    let log_bytes = log.iter().flat_map(|s| {
+        (s.tenant as u64)
+            .to_le_bytes()
+            .into_iter()
+            .chain(s.start.to_le_bytes())
+            .chain([u8::from(s.real)])
+    });
+    writeln!(
+        out,
+        "serve log: {} entries, fnv1a {:016x}",
+        log.len(),
+        fnv1a(log_bytes)
+    )
+    .unwrap();
+    let bytes = session.to_bytes();
+    writeln!(
+        out,
+        "session: {} bytes, fnv1a {:016x}",
+        bytes.len(),
+        fnv1a(bytes.iter().copied())
+    )
+    .unwrap();
+    out
+}
+
+#[test]
+fn mixed_pool_matches_the_golden_transcript() {
+    let golden = include_str!("golden/mixed_pool.golden");
+    for parallel in [ParallelKind::Serial, ParallelKind::Threads(2)] {
+        let got = mixed_pool_transcript(parallel);
+        let first_diff = got
+            .lines()
+            .zip(golden.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or(got.lines().count().min(golden.lines().count()));
+        assert!(
+            got == golden,
+            "{parallel:?} transcript diverged from golden/mixed_pool.golden at line {}:\n{}",
+            first_diff + 1,
+            got
+        );
+    }
 }

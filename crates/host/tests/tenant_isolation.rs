@@ -174,7 +174,7 @@ fn ledger_fleet_bits_are_sum_of_tenant_bounds() {
 fn closed_loop_subject_trace(with_co_tenants: bool) -> Vec<(u64, bool)> {
     let mut host = MultiTenantHost::new(traced_config()).expect("builds");
     let subject = host
-        .add_tenant_with_mode(
+        .admit(
             &spec(
                 "subject",
                 SpecBenchmark::Gobmk,
@@ -189,7 +189,7 @@ fn closed_loop_subject_trace(with_co_tenants: bool) -> Vec<(u64, bool)> {
             .into_iter()
             .enumerate()
         {
-            host.add_tenant_with_mode(
+            host.admit(
                 &spec(
                     &format!("noisy{i}"),
                     bench,
@@ -238,7 +238,7 @@ fn ledger_sums_correctly_in_both_loop_modes() {
             ("b", RatePolicy::dynamic_paper(2, 4)),
             ("c", RatePolicy::Static { rate: 2_000 }),
         ] {
-            host.add_tenant_with_mode(&spec(name, SpecBenchmark::Mcf, policy, 80_000), mode)
+            host.admit(&spec(name, SpecBenchmark::Mcf, policy, 80_000), mode)
                 .expect("admit");
         }
         let report = host.run_until_slots(400);

@@ -121,12 +121,12 @@ fn open_loop_script(host: &mut MultiTenantHost) {
 }
 
 fn closed_loop_script(host: &mut MultiTenantHost) {
-    host.add_tenant_with_mode(
+    host.admit(
         &spec("a", SpecBenchmark::Mcf, RatePolicy::Static { rate: 2_400 }),
         LoopMode::Closed,
     )
     .expect("admit a");
-    host.add_tenant_with_mode(
+    host.admit(
         &spec("b", SpecBenchmark::Hmmer, RatePolicy::dynamic_paper(4, 4)),
         LoopMode::Closed,
     )
@@ -149,7 +149,7 @@ fn churn_storm_script(host: &mut MultiTenantHost) {
         RatePolicy::Static { rate: 2_400 },
     ))
     .expect("admit a");
-    host.add_tenant_with_mode(
+    host.admit(
         &spec(
             "b",
             SpecBenchmark::Hmmer,
