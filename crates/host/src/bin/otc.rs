@@ -39,9 +39,16 @@
 //!                    shard i takes class i mod len (e.g.
 //!                    small:serial,small:staged). Omitted = every
 //!                    shard uses --oram/--pipeline
-//! --scheme S         dynamic_R4_E4 | static_1300 | ... (default dynamic_R4_E4)
+//! --scheme S         static_<rate ≥ 1> | dynamic_R<n>_E<g> with
+//!                    2 ≤ n ≤ 32513 and g a power of two ≥ 2 (default
+//!                    dynamic_R4_E4); anything else exits 2
 //! --oram G           small | paper (default paper)
-//! --instructions N   per-tenant instruction budget (default accesses*50)
+//! --instructions N   instruction budget of every tenant without its
+//!                    own (flag fleets, scenario rows without
+//!                    instructions=, @admit events); default 50 × the
+//!                    slot target (--accesses, or a scenario's slots=).
+//!                    otc bench --spine serves a fixed round count, not
+//!                    a slot target: its default is 20000
 //! --limit BITS       processor leakage limit L (default 64)
 //! --bench a,b,..     explicit benchmark list (default: the tenant mix)
 //! --seed N           protocol/ORAM seed (default fixed)
@@ -95,14 +102,17 @@
 //!                    tenant (otc run only; used by the CI determinism
 //!                    diff — ignored with a warning elsewhere)
 //! --churn-script S   online churn events applied at round boundaries
-//!                    while the fleet serves (otc churn and otc tenants)
+//!                    while the fleet serves (otc run, otc churn and
+//!                    otc tenants; ignored with a warning elsewhere and
+//!                    with --scenario, whose @-lines are its events)
 //! --scenario FILE    otc run only: load a declarative scenario file —
 //!                    host line, tenant roster (per-tenant traffic
 //!                    models and adversary seats), churn events — and
 //!                    drive it; most flags are taken from the file
-//!                    (--threads/--trace/--perf-session still apply,
-//!                    --threads overriding the file's `threads=` so CI
-//!                    can diff serial vs threaded runs of one file)
+//!                    (--threads/--trace/--perf-session/--instructions
+//!                    still apply, --threads overriding the file's
+//!                    `threads=` so CI can diff serial vs threaded runs
+//!                    of one file)
 //! --perf-session F   record a structured perf session (per-round
 //!                    samples + summary, framed binary format) to F
 //!                    (otc run/tenants/churn/bench; tenants keeps the
@@ -113,6 +123,21 @@
 //! --width N          otc report only: timeline width in columns
 //!                    (default 64)
 //! ```
+//!
+//! # One front door
+//!
+//! Every serving subcommand runs a scenario. The host flags are the
+//! scenario `host` keys under other names (`--shards`, `--oram`,
+//! `--pipeline`, `--capacity`, `--shard-mix`, `--limit`, `--seed`,
+//! `--accesses` = `slots`) and parse through the same keyword tables;
+//! `run`, `churn`, `tenants` (once per K) and the `bench` sweeps compile
+//! them to an in-memory [`ScenarioSpec`] whose seats `t0..` cycle the
+//! benchmark list on `--scheme`, and hand it to the one driver:
+//! [`ScenarioSpec::admit_roster`], then [`ScenarioSpec::serve`]. This
+//! binary only prints — headers, event lines, the report, traces and
+//! adversary estimates. A run stops when every event has fired and
+//! every active tenant has served its slots; a run the driver's bound
+//! cuts short says so in a `NOTE:` line.
 //!
 //! # Churn scripts
 //!
@@ -130,7 +155,7 @@
 //! time boundary — and rejected events (saturation, unknown ids) are
 //! reported and skipped deterministically, so seeded re-runs emit
 //! byte-identical output (the CI churn-determinism job diffs exactly
-//! that). The flag is a shim over the typed scenario-event parser
+//! that). The flag parses through the scenario event parser
 //! (`otc_host::parse_churn_script`) — same grammar, same diagnostics as
 //! `@`-lines in a scenario file.
 //!
@@ -149,13 +174,14 @@
 //! of the victims, printed deterministically.
 
 use otc_core::{EpochSchedule, LeakageModel, RatePolicy};
+use otc_dram::DdrConfig;
 use otc_host::{
     parse_bench, parse_churn_script, parse_scenario, parse_scheme, render, CapacityKind,
-    HostConfig, HostError, HostReport, LoopMode, MultiTenantHost, ParallelKind, PerfSession,
-    PipelineConfig, PipelineKind, ScenarioAction, ScenarioEvent, SessionFile, ShardClass,
-    TenantSpec,
+    EventOutcome, HostError, HostReport, MultiTenantHost, PerfSession, PipelineKind,
+    ScenarioAction, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant, ServeEnd,
+    SessionFile, TrafficModel,
 };
-use otc_oram::{OramConfig, OramTiming};
+use otc_oram::OramTiming;
 use otc_workloads::SpecBenchmark;
 
 /// The p99 service-time SLO shared by `otc bench --admission` and the
@@ -164,6 +190,11 @@ use otc_workloads::SpecBenchmark;
 /// it, so a miss means the pricing let in tenants the shards cannot
 /// carry.
 const SLO_OLATS: u64 = 8;
+
+/// Seats the admission and fairness sweeps offer: a runaway guard (a
+/// pricing bug could otherwise admit forever), generous — stock
+/// geometries saturate in dozens.
+const MAX_FILL: usize = 4_096;
 
 fn usage() -> ! {
     eprint!(
@@ -177,6 +208,10 @@ fn usage() -> ! {
          \x20 otc report   render a recorded perf session (--session FILE [--jsonl])\n\
          \x20 otc leakage  leakage budget report\n\
          \n\
+         run, churn, tenants and bench compile their flags to one scenario and\n\
+         serve it with one driver; every tenant without its own budget gets\n\
+         --instructions, else 50 per slot of the slot target.\n\
+         \n\
          options: --tenants N --accesses N --shards N --scheme S --oram small|paper\n\
          \x20        --shard-mix small:serial,small:staged,.. --instructions N\n\
          \x20        --limit BITS --bench a,b,.. --seed N\n\
@@ -185,30 +220,37 @@ fn usage() -> ! {
          \x20        --json --gate X\n\
          \x20        --perf-session FILE --session FILE --jsonl --width N\n\
          \x20        --churn-script '@R admit <bench> <scheme> [closed]; @R evict <id>;\n\
-         \x20                        @R shards <n>; ...'\n\
-         \x20        --scenario FILE (otc run: drive a declarative scenario file)\n"
+         \x20                        @R shards <n>; ...' (otc run, churn, tenants)\n\
+         \x20        --scenario FILE (otc run: drive a declarative scenario file)\n\
+         schemes: static_<rate ≥ 1> | dynamic_R<2..=32513>_E<power of two ≥ 2>\n"
     );
     std::process::exit(2);
 }
 
+/// The host flags, each spelling the scenario `host` key it sets.
+const HOST_FLAGS: [(&str, &str); 8] = [
+    ("--shards", "shards"),
+    ("--oram", "oram"),
+    ("--pipeline", "pipeline"),
+    ("--capacity", "capacity"),
+    ("--shard-mix", "mix"),
+    ("--limit", "limit"),
+    ("--seed", "seed"),
+    ("--accesses", "slots"),
+];
+
 #[derive(Debug, Clone)]
 struct Opts {
+    /// The [`HOST_FLAGS`] in scenario form; `slots` is `--accesses`.
+    host: ScenarioHost,
     tenants: usize,
-    accesses: u64,
-    shards: usize,
     scheme: String,
-    oram: String,
-    shard_mix: Option<String>,
     instructions: Option<u64>,
-    limit: u64,
-    bench: Option<Vec<String>>,
-    seed: u64,
+    bench: Option<Vec<SpecBenchmark>>,
     closed_loop: bool,
     trace: usize,
-    churn_script: Option<String>,
+    churn_script: Option<Vec<ScenarioEvent>>,
     scenario: Option<String>,
-    pipeline: PipelineKind,
-    capacity: CapacityKind,
     admission: bool,
     fairness: bool,
     threads: Option<usize>,
@@ -225,22 +267,15 @@ struct Opts {
 impl Default for Opts {
     fn default() -> Self {
         Self {
+            host: ScenarioHost::default(),
             tenants: 4,
-            accesses: 20_000,
-            shards: 4,
             scheme: "dynamic_R4_E4".into(),
-            oram: "paper".into(),
-            shard_mix: None,
             instructions: None,
-            limit: 64,
             bench: None,
-            seed: 0x07C0_57ED,
             closed_loop: false,
             trace: 0,
             churn_script: None,
             scenario: None,
-            pipeline: PipelineKind::Serial,
-            capacity: CapacityKind::Olat,
             admission: false,
             fairness: false,
             threads: None,
@@ -268,43 +303,48 @@ fn parse_opts(args: &[String]) -> Opts {
                 })
                 .clone()
         };
+        if let Some(&(_, key)) = HOST_FLAGS.iter().find(|(f, _)| *f == flag.as_str()) {
+            if let Err(e) = o.host.set(key, &val(flag)) {
+                eprintln!("otc: {flag}: {e}");
+                usage()
+            }
+            continue;
+        }
         match flag.as_str() {
             "--tenants" => o.tenants = val("--tenants").parse().unwrap_or_else(|_| usage()),
-            "--accesses" => o.accesses = val("--accesses").parse().unwrap_or_else(|_| usage()),
-            "--shards" => o.shards = val("--shards").parse().unwrap_or_else(|_| usage()),
-            "--scheme" => o.scheme = val("--scheme"),
-            "--oram" => o.oram = val("--oram"),
-            "--shard-mix" => o.shard_mix = Some(val("--shard-mix")),
+            "--scheme" => {
+                o.scheme = val("--scheme");
+                if parse_scheme(&o.scheme).is_none() {
+                    eprintln!("bad --scheme {:?}", o.scheme);
+                    usage()
+                }
+            }
             "--instructions" => {
                 o.instructions = Some(val("--instructions").parse().unwrap_or_else(|_| usage()))
             }
-            "--limit" => o.limit = val("--limit").parse().unwrap_or_else(|_| usage()),
-            "--bench" => o.bench = Some(val("--bench").split(',').map(|s| s.to_string()).collect()),
-            "--seed" => o.seed = val("--seed").parse().unwrap_or_else(|_| usage()),
+            "--bench" => {
+                o.bench = Some(
+                    val("--bench")
+                        .split(',')
+                        .map(|n| {
+                            parse_bench(n).unwrap_or_else(|| {
+                                eprintln!("unknown benchmark: {n}");
+                                usage()
+                            })
+                        })
+                        .collect(),
+                )
+            }
             "--closed-loop" => o.closed_loop = true,
             "--trace" => o.trace = val("--trace").parse().unwrap_or_else(|_| usage()),
-            "--churn-script" => o.churn_script = Some(val("--churn-script")),
+            "--churn-script" => {
+                let events = parse_churn_script(&val("--churn-script")).unwrap_or_else(|e| {
+                    eprintln!("otc: --churn-script event {}: {}", e.line, e.msg);
+                    std::process::exit(2);
+                });
+                o.churn_script = Some(events);
+            }
             "--scenario" => o.scenario = Some(val("--scenario")),
-            "--pipeline" => {
-                o.pipeline = match val("--pipeline").as_str() {
-                    "serial" => PipelineKind::Serial,
-                    "staged" => PipelineKind::Staged,
-                    other => {
-                        eprintln!("unknown --pipeline mode: {other} (want serial|staged)");
-                        usage()
-                    }
-                }
-            }
-            "--capacity" => {
-                o.capacity = match val("--capacity").as_str() {
-                    "olat" => CapacityKind::Olat,
-                    "cadence" => CapacityKind::Cadence,
-                    other => {
-                        eprintln!("unknown --capacity pricing: {other} (want olat|cadence)");
-                        usage()
-                    }
-                }
-            }
             "--admission" => o.admission = true,
             "--fairness" => o.fairness = true,
             "--threads" => o.threads = Some(val("--threads").parse().unwrap_or_else(|_| usage())),
@@ -326,258 +366,213 @@ fn parse_opts(args: &[String]) -> Opts {
     o
 }
 
-fn benchmarks(o: &Opts) -> Vec<SpecBenchmark> {
-    match &o.bench {
-        Some(names) => names
-            .iter()
-            .map(|n| {
-                parse_bench(n).unwrap_or_else(|| {
-                    eprintln!("unknown benchmark: {n}");
-                    usage()
-                })
+/// The one instruction-budget rule: a tenant without its own budget,
+/// and every `@admit`, gets `--instructions` if given, else 50 per slot
+/// of the serve target.
+fn instructions(o: &Opts, spec: &ScenarioSpec) -> u64 {
+    o.instructions.unwrap_or(spec.host.slots.saturating_mul(50))
+}
+
+/// Compiles the serving flags to the scenario they spell: `k` seats
+/// `t0..` cycling `--bench` (default: the tenant mix), each on
+/// `--scheme` in the `--closed-loop` mode with the `--instructions`
+/// budget, and the `--churn-script` events.
+fn flag_spec(o: &Opts, k: usize) -> ScenarioSpec {
+    let benches = o
+        .bench
+        .clone()
+        .unwrap_or_else(|| SpecBenchmark::tenant_mix(o.tenants));
+    ScenarioSpec {
+        host: ScenarioHost {
+            threads: o.threads.unwrap_or(0),
+            ..o.host.clone()
+        },
+        tenants: (0..k)
+            .map(|i| ScenarioTenant {
+                name: format!("t{i}"),
+                bench: benches[i % benches.len()],
+                scheme: o.scheme.clone(),
+                closed: o.closed_loop,
+                traffic: TrafficModel::Workload,
+                adversary: None,
+                instructions: o.instructions,
             })
             .collect(),
-        None => SpecBenchmark::tenant_mix(o.tenants),
+        events: o.churn_script.clone().unwrap_or_default(),
     }
 }
 
-/// Parses `--shard-mix small:serial,paper:staged,..` into shard
-/// classes: a comma list of `<geometry>:<pipeline>` pairs (geometry
-/// small|paper, pipeline serial|staged). Shard `i` of the pool takes
-/// class `i % classes.len()`, so the list is a repeating pattern, not a
-/// per-shard roster.
-fn parse_shard_mix(s: &str) -> Option<Vec<ShardClass>> {
-    s.split(',')
-        .map(|pair| {
-            let (geom, pipe) = pair.trim().split_once(':')?;
-            Some(ShardClass {
-                oram: match geom {
-                    "small" => OramConfig::small(),
-                    "paper" => OramConfig::paper(),
-                    _ => return None,
-                },
-                pipeline: match pipe {
-                    "serial" => PipelineConfig::serial(),
-                    "staged" => PipelineConfig::staged(),
-                    _ => return None,
-                },
-            })
-        })
-        .collect()
-}
-
-fn host_config(o: &Opts) -> HostConfig {
-    let oram = match o.oram.as_str() {
-        "small" => OramConfig::small(),
-        "paper" => OramConfig::paper(),
-        other => {
-            eprintln!("unknown --oram geometry: {other} (want small|paper)");
-            usage()
-        }
-    };
-    let mut builder = HostConfig::builder()
-        .oram(oram)
-        .shards(o.shards)
-        .leakage_limit_bits(o.limit)
-        .seed(o.seed)
-        .record_traces(o.trace > 0)
-        .pipeline(match o.pipeline {
-            PipelineKind::Serial => PipelineConfig::serial(),
-            PipelineKind::Staged => PipelineConfig::staged(),
-        })
-        .capacity(o.capacity)
-        .threads(o.threads.unwrap_or(0));
-    if let Some(s) = &o.shard_mix {
-        let mix = parse_shard_mix(s).unwrap_or_else(|| {
-            eprintln!(
-                "bad --shard-mix: {s:?} (want a comma list of \
-                 <small|paper>:<serial|staged> pairs)"
-            );
-            usage()
-        });
-        builder = builder.shard_mix(mix);
-    }
-    builder.build().unwrap_or_else(|e| {
-        eprintln!("otc: {e}");
+/// Builds the host `spec` describes, recording traces for `--trace`. A
+/// configuration the builder refuses is a usage error (exit 2); a host
+/// that fails to come up is a runtime one (exit 1).
+fn build_host(spec: &ScenarioSpec, o: &Opts, who: &str) -> MultiTenantHost {
+    let mut cfg = spec.host_config().unwrap_or_else(|e| {
+        eprintln!("{who}: {e}");
         std::process::exit(2);
+    });
+    cfg.record_traces = o.trace > 0;
+    MultiTenantHost::new(cfg).unwrap_or_else(|e| {
+        eprintln!("{who}: {e}");
+        std::process::exit(1);
     })
 }
 
-fn loop_mode(o: &Opts) -> LoopMode {
-    if o.closed_loop {
-        LoopMode::Closed
-    } else {
-        LoopMode::Open
+/// [`build_host`] with the whole roster admitted; a refused seat ends
+/// the run (exit 1).
+fn fleet(spec: &ScenarioSpec, o: &Opts, who: &str) -> MultiTenantHost {
+    let mut host = build_host(spec, o, who);
+    if let Err((_, e)) = spec.admit_roster(&mut host, instructions(o, spec)) {
+        eprintln!("{who}: {e}");
+        std::process::exit(1);
+    }
+    host
+}
+
+/// Offers `spec`'s seats in order until the pool refuses one as
+/// saturated (the fill sweeps offer [`MAX_FILL`] seats), keeping only
+/// the admitted seats in `spec`. Returns the host and the denial.
+fn fill_to_saturation(spec: &mut ScenarioSpec, o: &Opts) -> (MultiTenantHost, String) {
+    let mut host = build_host(spec, o, "otc bench");
+    match spec.admit_roster(&mut host, instructions(o, spec)) {
+        Err((seat, e @ HostError::Saturated { .. })) => {
+            spec.tenants.truncate(seat);
+            (host, e.to_string())
+        }
+        Err((_, e)) => {
+            eprintln!("otc bench: {e}");
+            std::process::exit(1);
+        }
+        Ok(()) => {
+            eprintln!(
+                "otc bench: admission never saturated after {} tenants",
+                spec.tenants.len()
+            );
+            std::process::exit(1);
+        }
     }
 }
 
-/// Applies one event, printing a deterministic one-line outcome (the CI
-/// churn-determinism job diffs this output across seeded re-runs).
-fn apply_event(host: &mut MultiTenantHost, ev: &ScenarioEvent, instructions: u64) {
-    let clock = host.clock();
-    match &ev.action {
-        ScenarioAction::Admit {
-            bench,
-            scheme,
-            closed,
-        } => {
-            // The scheme was validated when the event parsed; a
-            // hand-built event with an unknown scheme is rejected the
-            // same way a saturated admission is — reported, skipped.
-            let Some(policy) = parse_scheme(scheme) else {
-                println!(
-                    "@{} clock {clock}: admit REJECTED: unknown scheme {scheme:?}",
-                    ev.round
-                );
-                return;
-            };
-            let name = format!("c{}", host.tenant_count());
-            let mode = if *closed {
-                LoopMode::Closed
+/// Serves `spec` on `host` to the driver's stop rule, printing one line
+/// per fired event (the CI churn-determinism job diffs them), and a
+/// `NOTE:` when the bound cut the run short, so a truncated report
+/// can't pass for a completed one (on stderr under `--json`, whose
+/// stdout is the record).
+fn serve(o: &Opts, spec: &ScenarioSpec, host: &mut MultiTenantHost) -> HostReport {
+    let end = spec.serve(host, instructions(o, spec), |ev, clock, outcome| {
+        println!(
+            "@{} clock {clock}: {}",
+            ev.round,
+            describe(&ev.action, outcome)
+        );
+    });
+    if let ServeEnd::CutShort {
+        rounds,
+        unfired,
+        under_target,
+    } = end
+    {
+        let note = format!(
+            "NOTE: stopped at the safety bound after {rounds} rounds: {unfired} unfired \
+             event(s){}",
+            if under_target {
+                format!(", some tenants under the {}-slot target", spec.host.slots)
             } else {
-                LoopMode::Open
-            };
-            let outcome = host.admit(
-                &TenantSpec {
-                    name: name.clone(),
-                    benchmark: *bench,
-                    policy,
-                    instructions,
-                },
-                mode,
-            );
-            match outcome {
-                Ok(id) => println!(
-                    "@{} clock {clock}: admitted {name} ({}, {scheme}, {} loop) as id {id}",
-                    ev.round,
-                    bench.full_name(),
-                    if *closed { "closed" } else { "open" },
-                ),
-                Err(e) => println!("@{} clock {clock}: admit REJECTED: {e}", ev.round),
+                String::new()
             }
+        );
+        if o.json {
+            eprintln!("{note}");
+        } else {
+            println!("{note}");
         }
-        ScenarioAction::Evict { id } => match host.evict(*id) {
-            Ok(retired) => println!(
-                "@{} clock {clock}: evicted tenant {id} ({retired} due slots retired as dummies)",
-                ev.round
-            ),
-            Err(e) => println!("@{} clock {clock}: evict REJECTED: {e}", ev.round),
-        },
-        ScenarioAction::Shards { n } => match host.resize_shards(*n) {
-            Ok(()) => println!("@{} clock {clock}: resized shard pool to {n}", ev.round),
-            Err(e) => println!("@{} clock {clock}: resize REJECTED: {e}", ev.round),
-        },
-    }
-}
-
-/// Drives the host round by round, applying script events at their
-/// round boundaries, until every active tenant has served `target`
-/// slots and every event has fired. A safety cap bounds the run for
-/// scripts/targets that would never finish (very slow rates, events
-/// anchored far past the serving horizon) — hitting it is reported, not
-/// silent, so a truncated report can't be mistaken for a completed one.
-fn run_with_script(
-    host: &mut MultiTenantHost,
-    target: u64,
-    script: &[ScenarioEvent],
-    instructions: u64,
-) -> HostReport {
-    const MAX_ROUNDS: u64 = 1 << 14;
-    let mut round = 0u64;
-    let mut next = 0usize;
-    loop {
-        while next < script.len() && script[next].round <= round {
-            apply_event(host, &script[next], instructions);
-            next += 1;
-        }
-        let all_served = (0..host.tenant_count())
-            .all(|id| !host.tenant_active(id) || host.tenant_stream(id).slots_served() >= target);
-        if next >= script.len() && all_served {
-            break;
-        }
-        if round >= MAX_ROUNDS {
-            println!(
-                "NOTE: stopped at the {MAX_ROUNDS}-round safety cap: {} unfired event(s){}",
-                script.len() - next,
-                if all_served {
-                    String::new()
-                } else {
-                    format!(", some tenants under the {target}-slot target")
-                }
-            );
-            break;
-        }
-        host.step_round();
-        round += 1;
     }
     host.report()
 }
 
-fn cmd_churn(o: &Opts) {
-    require_tenants(o);
-    let Some(script_text) = &o.churn_script else {
-        eprintln!("otc churn needs --churn-script (see --help for the grammar)");
-        std::process::exit(2);
-    };
-    let script = parse_churn_script(script_text).unwrap_or_else(|e| {
-        eprintln!("otc churn: --churn-script event {}: {}", e.line, e.msg);
-        std::process::exit(2);
-    });
-    let mut host = match build_fleet(o, o.tenants) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("otc churn: {e}");
-            std::process::exit(1);
+/// A fired event's outcome as its event line prints it.
+fn describe(action: &ScenarioAction, outcome: EventOutcome) -> String {
+    use {EventOutcome as Did, ScenarioAction as Act};
+    match (action, outcome) {
+        (
+            Act::Admit {
+                bench,
+                scheme,
+                closed,
+            },
+            Did::Admitted { name, id },
+        ) => format!(
+            "admitted {name} ({}, {scheme}, {} loop) as id {id}",
+            bench.full_name(),
+            loop_label(*closed)
+        ),
+        (Act::Evict { id }, Did::Evicted(retired)) => {
+            format!("evicted tenant {id} ({retired} due slots retired as dummies)")
         }
-    };
-    println!(
-        "otc churn: {} initial tenants, {} shards, scheme {}, {} slots/tenant, {} loop, {} events",
-        o.tenants,
-        o.shards,
-        o.scheme,
-        o.accesses,
-        if o.closed_loop { "closed" } else { "open" },
-        script.len()
-    );
-    let instructions = o.instructions.unwrap_or(o.accesses.saturating_mul(50));
-    if o.perf_session.is_some() {
-        host.record_perf_session(&format!(
-            "churn tenants={} scheme={} accesses={} events={}",
-            o.tenants,
-            o.scheme,
-            o.accesses,
-            script.len()
-        ));
+        (Act::Shards { n }, Did::Resized) => format!("resized shard pool to {n}"),
+        (Act::Admit { .. }, Did::Rejected(e)) => format!("admit REJECTED: {e}"),
+        (Act::Evict { .. }, Did::Rejected(e)) => format!("evict REJECTED: {e}"),
+        (Act::Shards { .. }, Did::Rejected(e)) => format!("resize REJECTED: {e}"),
+        (_, outcome) => unreachable!("{outcome:?} does not answer its own action"),
     }
-    let report = run_with_script(&mut host, o.accesses, &script, instructions);
+}
+
+fn loop_label(closed: bool) -> &'static str {
+    if closed {
+        "closed"
+    } else {
+        "open"
+    }
+}
+
+/// Serves a built fleet, recording a perf session labelled `label` when
+/// `--perf-session` asks for one, then prints the report and the traces
+/// `--trace` asks for.
+fn serve_and_report(
+    o: &Opts,
+    spec: &ScenarioSpec,
+    host: &mut MultiTenantHost,
+    label: &str,
+) -> HostReport {
+    if o.perf_session.is_some() {
+        host.record_perf_session(label);
+    }
+    let report = serve(o, spec, host);
     if let Some(path) = &o.perf_session {
         let session = host.take_perf_session().expect("recording was enabled");
         write_session(path, &session);
     }
     print!("{}", render(&report));
+    if o.trace > 0 {
+        print_traces(host, &report, o.trace);
+    }
+    report
 }
 
-fn build_fleet(o: &Opts, k: usize) -> Result<MultiTenantHost, HostError> {
-    let policy = parse_scheme(&o.scheme).unwrap_or_else(|| {
-        eprintln!("bad --scheme (want dynamic_R<n>_E<g> or static_<rate>)");
-        usage()
-    });
-    let instructions = o.instructions.unwrap_or(o.accesses.saturating_mul(50));
-    let benches = benchmarks(o);
-    let mut host = MultiTenantHost::new(host_config(o))?;
-    for i in 0..k {
-        let bench = benches[i % benches.len()];
-        host.admit(
-            &TenantSpec {
-                name: format!("t{i}"),
-                benchmark: bench,
-                policy: policy.clone(),
-                instructions,
-            },
-            loop_mode(o),
-        )?;
-    }
-    Ok(host)
+fn cmd_churn(o: &Opts) {
+    require_tenants(o);
+    let Some(script) = &o.churn_script else {
+        eprintln!("otc churn needs --churn-script (see --help for the grammar)");
+        std::process::exit(2);
+    };
+    let spec = flag_spec(o, o.tenants);
+    let mut host = fleet(&spec, o, "otc churn");
+    println!(
+        "otc churn: {} initial tenants, {} shards, scheme {}, {} slots/tenant, {} loop, {} events",
+        o.tenants,
+        o.host.shards,
+        o.scheme,
+        o.host.slots,
+        loop_label(o.closed_loop),
+        script.len()
+    );
+    let label = format!(
+        "churn tenants={} scheme={} accesses={} events={}",
+        o.tenants,
+        o.scheme,
+        o.host.slots,
+        script.len()
+    );
+    serve_and_report(o, &spec, &mut host, &label);
 }
 
 /// Writes a recorded perf session to `path` in the framed binary
@@ -602,47 +597,32 @@ fn require_tenants(o: &Opts) {
     }
 }
 
-/// `otc run --scenario FILE`: parse the scenario, build the host it
-/// describes through the validating builder, admit its tenant roster
-/// (adversary seats through [`MultiTenantHost::admit_adversary`], the
-/// rest with their declared traffic models), serve to the file's slot
-/// target while firing its churn events, and report — ending with each
-/// adversary's rate/phase estimate of the victim fleet. Everything on
-/// stdout is deterministic, so the CI scenario-smoke job can diff a
-/// doubled run and a serial-vs-threaded pair byte for byte.
+/// `otc run --scenario FILE`: parse the scenario, admit its roster
+/// (printing each seat), serve it while firing its churn events, and
+/// report — ending with each adversary's rate/phase estimate of the
+/// victim fleet. Everything on stdout is deterministic, so the CI
+/// scenario-smoke job can diff a doubled run and a serial-vs-threaded
+/// pair byte for byte.
 fn cmd_run_scenario(o: &Opts, path: &str) {
+    let who = format!("otc run: {path}");
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("otc run: cannot read scenario {path}: {e}");
         std::process::exit(1);
     });
-    let spec = parse_scenario(&text).unwrap_or_else(|e| {
-        eprintln!("otc run: {path}: {e}");
+    let mut spec = parse_scenario(&text).unwrap_or_else(|e| {
+        eprintln!("{who}: {e}");
         std::process::exit(2);
     });
     if spec.tenants.is_empty() {
-        eprintln!("otc run: {path}: scenario has no tenants");
+        eprintln!("{who}: scenario has no tenants");
         std::process::exit(2);
     }
-    let mut cfg = spec.host_config().unwrap_or_else(|e| {
-        eprintln!("otc run: {path}: {e}");
-        std::process::exit(2);
-    });
-    cfg.record_traces = o.trace > 0;
     // --threads on the command line overrides the file's `threads=`, so
     // CI can pit serial against threaded runs of one scenario file.
     if let Some(n) = o.threads {
-        cfg.parallel = match n {
-            0 => ParallelKind::Serial,
-            n => ParallelKind::Threads(n),
-        };
+        spec.host.threads = n;
     }
-    let mut host = match MultiTenantHost::new(cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("otc run: {path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let mut host = build_host(&spec, o, &who);
     println!(
         "otc run: scenario {path}: {} tenants, {} shards, {} slots/tenant, {} events",
         spec.tenants.len(),
@@ -650,87 +630,33 @@ fn cmd_run_scenario(o: &Opts, path: &str) {
         spec.host.slots,
         spec.events.len()
     );
-    let default_instructions = spec.host.slots.saturating_mul(50);
-    for t in &spec.tenants {
-        let Some(policy) = t.policy() else {
-            eprintln!(
-                "otc run: {path}: tenant {}: unknown scheme {:?}",
-                t.name, t.scheme
-            );
-            std::process::exit(2);
+    let admitted = spec.admit_roster(&mut host, instructions(o, &spec));
+    let seated = admitted.as_ref().err().map_or(spec.tenants.len(), |r| r.0);
+    // A fresh host numbers its tenants from 0 in admission order.
+    for (id, t) in spec.tenants[..seated].iter().enumerate() {
+        let role = match t.adversary {
+            Some(kind) => format!("adversary: {}", kind.label()),
+            None => format!("{}, {} loop", t.traffic.label(), loop_label(t.closed)),
         };
-        let tenant_spec = TenantSpec {
-            name: t.name.clone(),
-            benchmark: t.bench,
-            policy,
-            instructions: t.instructions.unwrap_or(default_instructions),
-        };
-        let mode = if t.closed {
-            LoopMode::Closed
-        } else {
-            LoopMode::Open
-        };
-        let outcome = match t.adversary {
-            Some(kind) => host.admit_adversary(&tenant_spec, kind),
-            None => host.admit_with_traffic(&tenant_spec, mode, t.traffic.clone()),
-        };
-        match outcome {
-            Ok(id) => println!(
-                "  admitted {} ({}, {}, {}) as id {id}",
-                t.name,
-                t.bench.full_name(),
-                t.scheme,
-                match t.adversary {
-                    Some(kind) => format!("adversary: {}", kind.label()),
-                    None => format!(
-                        "{}, {} loop",
-                        t.traffic.label(),
-                        if t.closed { "closed" } else { "open" }
-                    ),
-                },
-            ),
-            Err(e) => {
-                eprintln!("otc run: {path}: admitting {}: {e}", t.name);
-                std::process::exit(1);
-            }
-        }
+        println!(
+            "  admitted {} ({}, {}, {role}) as id {id}",
+            t.name,
+            t.bench.full_name(),
+            t.scheme
+        );
     }
-    if o.perf_session.is_some() {
-        host.record_perf_session(&format!(
-            "scenario tenants={} slots={} events={}",
-            spec.tenants.len(),
-            spec.host.slots,
-            spec.events.len()
-        ));
+    if let Err((seat, e)) = admitted {
+        eprintln!("{who}: admitting {}: {e}", spec.tenants[seat].name);
+        std::process::exit(1);
     }
-    let report = if spec.events.is_empty() {
-        host.run_until_slots(spec.host.slots)
-    } else {
-        run_with_script(
-            &mut host,
-            spec.host.slots,
-            &spec.events,
-            default_instructions,
-        )
-    };
-    if let Some(session_path) = &o.perf_session {
-        let session = host.take_perf_session().expect("recording was enabled");
-        write_session(session_path, &session);
-    }
-    print!("{}", render(&report));
-    if o.trace > 0 {
-        print_traces(&host, &report, o.trace);
-    }
-    // Candidate rates the adversaries rank: the victims' scheme grids.
-    let mut candidates: Vec<u64> = spec
-        .tenants
-        .iter()
-        .filter(|t| t.adversary.is_none())
-        .filter_map(|t| t.policy())
-        .map(|p| p.fastest_rate())
-        .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
+    let label = format!(
+        "scenario tenants={} slots={} events={}",
+        spec.tenants.len(),
+        spec.host.slots,
+        spec.events.len()
+    );
+    let report = serve_and_report(o, &spec, &mut host, &label);
+    let candidates = spec.victim_rates();
     for t in &report.tenants {
         let Some(kind) = host.adversary_kind(t.id) else {
             continue;
@@ -775,58 +701,37 @@ fn cmd_run(o: &Opts) {
         return cmd_run_scenario(o, path);
     }
     require_tenants(o);
-    let mut host = match build_fleet(o, o.tenants) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("otc run: {e}");
-            std::process::exit(1);
-        }
-    };
+    let spec = flag_spec(o, o.tenants);
+    let mut host = fleet(&spec, o, "otc run");
     println!(
         "otc run: {} tenants, {} shards, scheme {}, {} slots/tenant, {} loop",
         o.tenants,
-        o.shards,
+        o.host.shards,
         o.scheme,
-        o.accesses,
-        if o.closed_loop { "closed" } else { "open" }
+        o.host.slots,
+        loop_label(o.closed_loop)
     );
-    if o.perf_session.is_some() {
-        host.record_perf_session(&format!(
-            "run tenants={} scheme={} accesses={}",
-            o.tenants, o.scheme, o.accesses
-        ));
-    }
-    let report = host.run_until_slots(o.accesses);
-    if let Some(path) = &o.perf_session {
-        let session = host.take_perf_session().expect("recording was enabled");
-        write_session(path, &session);
-    }
-    print!("{}", render(&report));
-    if o.trace > 0 {
-        print_traces(&host, &report, o.trace);
-    }
+    let label = format!(
+        "run tenants={} scheme={} accesses={}",
+        o.tenants, o.scheme, o.host.slots
+    );
+    serve_and_report(o, &spec, &mut host, &label);
 }
 
 fn cmd_tenants(o: &Opts) {
     require_tenants(o);
-    let script = match &o.churn_script {
-        Some(text) => parse_churn_script(text).unwrap_or_else(|e| {
-            eprintln!("otc tenants: --churn-script event {}: {}", e.line, e.msg);
-            std::process::exit(2);
-        }),
-        None => Vec::new(),
-    };
+    let events = o.churn_script.as_ref().map_or(0, Vec::len);
     println!(
         "otc tenants: saturation sweep K=1..={} | {} shards | scheme {} | {} slots/tenant | {} loop{}",
         o.tenants,
-        o.shards,
+        o.host.shards,
         o.scheme,
-        o.accesses,
-        if o.closed_loop { "closed" } else { "open" },
-        if script.is_empty() {
+        o.host.slots,
+        loop_label(o.closed_loop),
+        if events == 0 {
             String::new()
         } else {
-            format!(" | churn script ({} events)", script.len())
+            format!(" | churn script ({events} events)")
         }
     );
     println!(
@@ -842,63 +747,19 @@ fn cmd_tenants(o: &Opts) {
     let mut last = None;
     let mut last_session = None;
     for k in 1..=o.tenants {
-        match build_fleet(o, k) {
-            Ok(mut host) => {
-                if o.perf_session.is_some() {
-                    host.record_perf_session(&format!(
-                        "tenants k={k} scheme={} accesses={}",
-                        o.scheme, o.accesses
-                    ));
-                }
-                let report = if script.is_empty() {
-                    host.run_until_slots(o.accesses)
-                } else {
-                    let instructions = o.instructions.unwrap_or(o.accesses.saturating_mul(50));
-                    println!("-- K={k} churn log --");
-                    run_with_script(&mut host, o.accesses, &script, instructions)
-                };
-                if o.perf_session.is_some() {
-                    last_session = host.take_perf_session();
-                }
-                // Fleet columns cover the *active* fleet: frozen eviction
-                // rows (possible under a churn script) would otherwise
-                // keep their lifetime rates in the sums forever.
-                let active = || report.tenants.iter().filter(|t| t.is_active());
-                let n_active = report.active_tenants().max(1) as f64;
-                // `+ 0.0` normalizes the -0.0 an empty sum yields (a
-                // fully evicted fleet) so the table prints 0.0 — IEEE
-                // 754 fixes the sign of `-0.0 + +0.0`, unlike `max`,
-                // whose sign on equal zeros is platform-defined.
-                let fleet_tp: f64 = active().map(|t| t.throughput_per_mcycle).sum::<f64>() + 0.0;
-                let mean_waste: f64 =
-                    active().map(|t| t.waste_per_real).sum::<f64>() / n_active + 0.0;
-                let max_util = report
-                    .shard_utilization
-                    .iter()
-                    .cloned()
-                    .fold(0.0f64, f64::max);
-                // Per-tenant queueing feedback: in closed-loop mode these
-                // backend cycles were actually felt by the tenants' cores.
-                let mean_fb: f64 =
-                    active().map(|t| t.feedback_cycles).sum::<u64>() as f64 / n_active;
-                println!(
-                    "{:<4}{:>14.1}{:>14.1}{:>14.1}{:>14}{:>16.0}{:>16.1}",
-                    k,
-                    fleet_tp,
-                    mean_waste,
-                    max_util * 100.0,
-                    report.shard_queueing_cycles,
-                    mean_fb,
-                    report.fleet_spent_bits
-                );
-                last = Some(report);
-            }
-            Err(HostError::Saturated {
-                demanded,
-                available,
-                cadence,
-                pricing,
-            }) => {
+        let spec = flag_spec(o, k);
+        let mut host = build_host(&spec, o, "otc tenants");
+        match spec.admit_roster(&mut host, instructions(o, &spec)) {
+            Ok(()) => {}
+            Err((
+                _,
+                HostError::Saturated {
+                    demanded,
+                    available,
+                    cadence,
+                    pricing,
+                },
+            )) => {
                 println!(
                     "{k:<4}  SATURATED: demands {demanded:.2} shard-equivalents, \
                      {available:.2} available ({:.2} short; {pricing} pricing at \
@@ -907,11 +768,54 @@ fn cmd_tenants(o: &Opts) {
                 );
                 break;
             }
-            Err(e) => {
+            Err((_, e)) => {
                 eprintln!("otc tenants: {e}");
                 std::process::exit(1);
             }
         }
+        if o.perf_session.is_some() {
+            host.record_perf_session(&format!(
+                "tenants k={k} scheme={} accesses={}",
+                o.scheme, o.host.slots
+            ));
+        }
+        if events > 0 {
+            println!("-- K={k} churn log --");
+        }
+        let report = serve(o, &spec, &mut host);
+        if o.perf_session.is_some() {
+            last_session = host.take_perf_session();
+        }
+        // Fleet columns cover the *active* fleet: frozen eviction
+        // rows (possible under a churn script) would otherwise
+        // keep their lifetime rates in the sums forever.
+        let active = || report.tenants.iter().filter(|t| t.is_active());
+        let n_active = report.active_tenants().max(1) as f64;
+        // `+ 0.0` normalizes the -0.0 an empty sum yields (a
+        // fully evicted fleet) so the table prints 0.0 — IEEE
+        // 754 fixes the sign of `-0.0 + +0.0`, unlike `max`,
+        // whose sign on equal zeros is platform-defined.
+        let fleet_tp: f64 = active().map(|t| t.throughput_per_mcycle).sum::<f64>() + 0.0;
+        let mean_waste: f64 = active().map(|t| t.waste_per_real).sum::<f64>() / n_active + 0.0;
+        let max_util = report
+            .shard_utilization
+            .iter()
+            .cloned()
+            .fold(0.0f64, f64::max);
+        // Per-tenant queueing feedback: in closed-loop mode these
+        // backend cycles were actually felt by the tenants' cores.
+        let mean_fb: f64 = active().map(|t| t.feedback_cycles).sum::<u64>() as f64 / n_active;
+        println!(
+            "{:<4}{:>14.1}{:>14.1}{:>14.1}{:>14}{:>16.0}{:>16.1}",
+            k,
+            fleet_tp,
+            mean_waste,
+            max_util * 100.0,
+            report.shard_queueing_cycles,
+            mean_fb,
+            report.fleet_spent_bits
+        );
+        last = Some(report);
     }
     if let Some(report) = last {
         println!("\nfinal fleet detail:");
@@ -933,58 +837,24 @@ fn cmd_tenants(o: &Opts) {
 /// meet the same p99 SLO. Deterministic: admission is arithmetic over
 /// the capacity model and the serve is over simulated cycles.
 fn cmd_bench_admission(o: &Opts) {
-    /// Runaway guard on the fill loop (a pricing bug could otherwise
-    /// admit forever); generous — stock geometries saturate in dozens.
-    const MAX_FILL: usize = 4_096;
-    let policy = parse_scheme(&o.scheme).unwrap_or_else(|| {
-        eprintln!("bad --scheme (want dynamic_R<n>_E<g> or static_<rate>)");
-        usage()
-    });
-    let instructions = o.instructions.unwrap_or(o.accesses.saturating_mul(50));
-    let benches = benchmarks(o);
-    let base = host_config(o);
-    let slo_cycles = SLO_OLATS * OramTiming::derive(&base.oram, &base.ddr).latency;
+    let slo_cycles =
+        SLO_OLATS * OramTiming::derive(&o.host.oram.config(), &DdrConfig::default()).latency;
     let fill = |pipeline: PipelineKind,
                 capacity: CapacityKind|
      -> (usize, String, HostReport, PerfSession) {
         let mut opts = o.clone();
-        opts.pipeline = pipeline;
-        opts.capacity = capacity;
-        let mut host = match MultiTenantHost::new(host_config(&opts)) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("otc bench: {e}");
-                std::process::exit(1);
-            }
-        };
-        let mut admitted = 0usize;
-        let denial = loop {
-            if admitted >= MAX_FILL {
-                eprintln!("otc bench: admission never saturated after {MAX_FILL} tenants");
-                std::process::exit(1);
-            }
-            let spec = TenantSpec {
-                name: format!("t{admitted}"),
-                benchmark: benches[admitted % benches.len()],
-                policy: policy.clone(),
-                instructions,
-            };
-            match host.admit(&spec, LoopMode::Closed) {
-                Ok(_) => admitted += 1,
-                Err(e @ HostError::Saturated { .. }) => break e.to_string(),
-                Err(e) => {
-                    eprintln!("otc bench: {e}");
-                    std::process::exit(1);
-                }
-            }
-        };
+        opts.host.pipeline = pipeline;
+        opts.host.capacity = capacity;
+        opts.closed_loop = true;
+        let mut spec = flag_spec(&opts, MAX_FILL);
+        let (mut host, denial) = fill_to_saturation(&mut spec, &opts);
         host.record_perf_session(&format!(
             "bench admission {:?}/{:?} accesses={}",
-            pipeline, capacity, o.accesses
+            pipeline, capacity, o.host.slots
         ));
-        let report = host.run_until_slots(o.accesses);
+        let report = serve(&opts, &spec, &mut host);
         let session = host.take_perf_session().expect("recording was enabled");
-        (admitted, denial, report, session)
+        (spec.tenants.len(), denial, report, session)
     };
     let (serial_k, serial_denial, serial, serial_session) =
         fill(PipelineKind::Serial, CapacityKind::Olat);
@@ -1024,7 +894,11 @@ fn cmd_bench_admission(o: &Opts) {
             "  \"config\": {{\"seed\": {}, \"shards\": {}, \"oram\": \"{}\", \
              \"scheme\": \"{}\", \"slots_per_tenant\": {}, \"closed_loop\": true, \
              \"slo_cycles\": {slo_cycles}}},",
-            o.seed, o.shards, o.oram, o.scheme, o.accesses
+            o.host.seed,
+            o.host.shards,
+            o.host.oram.label(),
+            o.scheme,
+            o.host.slots
         );
         println!(
             "  \"serial_olat\": {},",
@@ -1046,7 +920,11 @@ fn cmd_bench_admission(o: &Opts) {
         println!(
             "otc bench: admission sweep | {} shards, oram {}, scheme {}, {} slots/tenant, \
              closed loop, seed {} | p99 SLO {slo_cycles} cycles",
-            o.shards, o.oram, o.scheme, o.accesses, o.seed
+            o.host.shards,
+            o.host.oram.label(),
+            o.scheme,
+            o.host.slots,
+            o.host.seed
         );
         for (label, k, denial, report) in [
             ("serial/olat", serial_k, &serial_denial, &serial),
@@ -1098,46 +976,18 @@ fn cmd_bench_admission(o: &Opts) {
 /// simulated cycles, so every field except `elapsed_ms` is
 /// bit-deterministic — the CI diff filters that one line.
 fn cmd_bench_fairness(o: &Opts) {
-    /// Runaway guard on the fill loop, same rationale as the admission
-    /// sweep's.
-    const MAX_FILL: usize = 4_096;
     /// The admitted rate pattern: spread wide enough that weight shares
     /// differ by an order of magnitude across the fleet.
     const RATES: [u64; 4] = [500, 900, 1_600, 2_800];
-    let cfg = host_config(o);
-    let quantum = cfg.quantum;
-    let instructions = o.instructions.unwrap_or(o.accesses.saturating_mul(50));
-    let benches = benchmarks(o);
-    let mut host = match MultiTenantHost::new(cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("otc bench: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut admitted = 0usize;
-    let denial = loop {
-        if admitted >= MAX_FILL {
-            eprintln!("otc bench: admission never saturated after {MAX_FILL} tenants");
-            std::process::exit(1);
-        }
-        let spec = TenantSpec {
-            name: format!("t{admitted}"),
-            benchmark: benches[admitted % benches.len()],
-            policy: RatePolicy::Static {
-                rate: RATES[admitted % RATES.len()],
-            },
-            instructions,
-        };
-        match host.admit(&spec, LoopMode::Open) {
-            Ok(_) => admitted += 1,
-            Err(e @ HostError::Saturated { .. }) => break e.to_string(),
-            Err(e) => {
-                eprintln!("otc bench: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
+    let mut opts = o.clone();
+    opts.closed_loop = false;
+    let mut spec = flag_spec(&opts, MAX_FILL);
+    for (i, t) in spec.tenants.iter_mut().enumerate() {
+        t.scheme = format!("static_{}", RATES[i % RATES.len()]);
+    }
+    let quantum = spec.host.quantum;
+    let (mut host, denial) = fill_to_saturation(&mut spec, &opts);
+    let admitted = spec.tenants.len();
     if admitted < 2 {
         eprintln!(
             "otc bench: fairness needs >= 2 admitted tenants (got {admitted}); grow the pool"
@@ -1147,11 +997,11 @@ fn cmd_bench_fairness(o: &Opts) {
     if o.perf_session.is_some() {
         host.record_perf_session(&format!(
             "bench fairness tenants={admitted} accesses={}",
-            o.accesses
+            o.host.slots
         ));
     }
     let start = std::time::Instant::now();
-    let report = host.run_until_slots(o.accesses);
+    let report = serve(&opts, &spec, &mut host);
     let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
     if let Some(path) = &o.perf_session {
         let session = host.take_perf_session().expect("recording was enabled");
@@ -1194,12 +1044,12 @@ fn cmd_bench_fairness(o: &Opts) {
             "  \"config\": {{\"seed\": {}, \"shards\": {}, \"oram\": \"{}\", \
              \"shard_mix\": \"{}\", \"capacity_pricing\": \"{}\", \"quantum\": {quantum}, \
              \"slots_per_tenant\": {}}},",
-            o.seed,
-            o.shards,
-            o.oram,
-            o.shard_mix.as_deref().unwrap_or(""),
+            o.host.seed,
+            o.host.shards,
+            o.host.oram.label(),
+            o.host.mix_label(),
             report.capacity,
-            o.accesses
+            o.host.slots
         );
         println!("  \"pipeline\": \"{}\",", report.pipeline_label);
         println!("  \"tenants_admitted\": {admitted},");
@@ -1226,12 +1076,12 @@ fn cmd_bench_fairness(o: &Opts) {
         println!(
             "otc bench: fairness sweep | {} shards ({} pipeline), mix \"{}\", {} pricing, \
              {} slots/tenant, seed {} | {admitted} tenants admitted to saturation",
-            o.shards,
+            o.host.shards,
             report.pipeline_label,
-            o.shard_mix.as_deref().unwrap_or(""),
+            o.host.mix_label(),
             report.capacity,
-            o.accesses,
-            o.seed
+            o.host.slots,
+            o.host.seed
         );
         println!("  denial: {denial}");
         println!(
@@ -1305,39 +1155,27 @@ fn cmd_bench_spine(o: &Opts) {
     /// identical across reps — a free determinism check on every run.
     const SPINE_REPS: usize = 3;
     let mut opts = o.clone();
-    opts.shards = SPINE_SHARDS;
+    opts.host.shards = SPINE_SHARDS;
     opts.threads = None; // the spine bench times the serial spine only
-    let cfg = host_config(&opts);
-    let olat = OramTiming::derive(&cfg.oram, &cfg.ddr).latency;
-    let quantum = cfg.quantum;
+    opts.closed_loop = false;
     // A short instruction burst, then the all-dummy steady state: every
     // slot is a full recursive path access either way, but arrival
     // ingestion (which scales with K x benchmark miss rate, not with
     // the spine) stays a bounded prefix of the run.
-    let instructions = o.instructions.unwrap_or(20_000);
-    let benches = benchmarks(o);
+    opts.instructions = Some(o.instructions.unwrap_or(20_000));
+    let olat = OramTiming::derive(&opts.host.oram.config(), &DdrConfig::default()).latency;
+    let quantum = opts.host.quantum;
+    let mut roster = flag_spec(&opts, SPINE_KS[SPINE_KS.len() - 1]);
+    for (i, t) in roster.tenants.iter_mut().enumerate() {
+        t.scheme = format!(
+            "static_{}",
+            SPINE_RATE_OLATS[i % SPINE_RATE_OLATS.len()] * olat
+        );
+    }
     let run_once = |k: usize| -> (u64, u64, u64, u64, f64) {
-        let mut host = match MultiTenantHost::new(host_config(&opts)) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("otc bench: K={k}: {e}");
-                std::process::exit(1);
-            }
-        };
-        for i in 0..k {
-            let spec = TenantSpec {
-                name: format!("t{i}"),
-                benchmark: benches[i % benches.len()],
-                policy: RatePolicy::Static {
-                    rate: SPINE_RATE_OLATS[i % SPINE_RATE_OLATS.len()] * olat,
-                },
-                instructions,
-            };
-            if let Err(e) = host.admit(&spec, LoopMode::Open) {
-                eprintln!("otc bench: K={k}: admitting t{i}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let mut spec = roster.clone();
+        spec.tenants.truncate(k);
+        let mut host = fleet(&spec, &opts, &format!("otc bench: K={k}"));
         let start = std::time::Instant::now();
         for _ in 0..SPINE_ROUNDS {
             host.step_round();
@@ -1398,7 +1236,8 @@ fn cmd_bench_spine(o: &Opts) {
              \"olat\": {olat}, \"quantum\": {quantum}, \"rounds\": {SPINE_ROUNDS}, \
              \"reps\": {SPINE_REPS}, \"rate_olats\": [64, 96, 128, 192], \
              \"open_loop\": true, \"threads\": 0}},",
-            o.seed, o.oram
+            o.host.seed,
+            o.host.oram.label()
         );
         println!("  \"sweep\": [");
         for (i, (k, slots, real, clock, bits_milli, elapsed_ms)) in sweep.iter().enumerate() {
@@ -1430,7 +1269,8 @@ fn cmd_bench_spine(o: &Opts) {
             "otc bench: spine sweep | {SPINE_SHARDS} shards, oram {} (OLAT {olat}), \
              {SPINE_ROUNDS} rounds, static rates {{64,96,128,192}}xOLAT, open loop, seed {} | \
              single-threaded serial spine",
-            o.oram, o.seed
+            o.host.oram.label(),
+            o.host.seed
         );
         println!(
             "{:<8}{:>14}{:>16}{:>16}{:>12}{:>14}",
@@ -1509,15 +1349,10 @@ fn cmd_bench_wallclock(o: &Opts) {
     let run = |k: usize, threads: Option<usize>| -> (WallclockDigest, f64) {
         let mut opts = o.clone();
         opts.threads = threads;
-        let mut host = match build_fleet(&opts, k) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("otc bench: K={k}: {e}");
-                std::process::exit(1);
-            }
-        };
+        let spec = flag_spec(&opts, k);
+        let mut host = fleet(&spec, &opts, &format!("otc bench: K={k}"));
         let start = std::time::Instant::now();
-        let report = host.run_until_slots(opts.accesses);
+        let report = serve(&opts, &spec, &mut host);
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         let digest = WallclockDigest {
             slots: report.tenants.iter().map(|t| t.slots_served).sum(),
@@ -1568,7 +1403,12 @@ fn cmd_bench_wallclock(o: &Opts) {
             "  \"config\": {{\"seed\": {}, \"shards\": {}, \"oram\": \"{}\", \
              \"scheme\": \"{}\", \"slots_per_tenant\": {}, \"threads\": {threads}, \
              \"closed_loop\": {}}},",
-            o.seed, o.shards, o.oram, o.scheme, o.accesses, o.closed_loop
+            o.host.seed,
+            o.host.shards,
+            o.host.oram.label(),
+            o.scheme,
+            o.host.slots,
+            o.closed_loop
         );
         println!("  \"sweep\": [");
         for (i, (k, digest, serial_ms, threaded_ms)) in sweep.iter().enumerate() {
@@ -1610,12 +1450,12 @@ fn cmd_bench_wallclock(o: &Opts) {
             "otc bench: wall-clock sweep | {} shards, oram {}, scheme {}, {} slots/tenant, \
              {} loop, seed {} | serial vs {threads} worker thread(s) on {host_parallelism} \
              host core(s)",
-            o.shards,
-            o.oram,
+            o.host.shards,
+            o.host.oram.label(),
             o.scheme,
-            o.accesses,
-            if o.closed_loop { "closed" } else { "open" },
-            o.seed
+            o.host.slots,
+            loop_label(o.closed_loop),
+            o.host.seed
         );
         println!(
             "{:<8}{:>14}{:>16}{:>10}{:>14}{:>12}",
@@ -1675,20 +1515,15 @@ fn cmd_bench(o: &Opts) {
     }
     let run = |kind: PipelineKind| -> (HostReport, PerfSession) {
         let mut opts = o.clone();
-        opts.pipeline = kind;
+        opts.host.pipeline = kind;
         opts.closed_loop = true; // the gate measures fed-back service time
-        let mut host = match build_fleet(&opts, opts.tenants) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("otc bench: {e}");
-                std::process::exit(1);
-            }
-        };
+        let spec = flag_spec(&opts, opts.tenants);
+        let mut host = fleet(&spec, &opts, "otc bench");
         host.record_perf_session(&format!(
             "bench pipeline {kind:?} tenants={} accesses={}",
-            opts.tenants, opts.accesses
+            opts.tenants, opts.host.slots
         ));
-        let report = host.run_until_slots(opts.accesses);
+        let report = serve(&opts, &spec, &mut host);
         let session = host.take_perf_session().expect("recording was enabled");
         (report, session)
     };
@@ -1745,7 +1580,12 @@ fn cmd_bench(o: &Opts) {
             "  \"config\": {{\"seed\": {}, \"tenants\": {}, \"shards\": {}, \
              \"oram\": \"{}\", \"scheme\": \"{}\", \"slots_per_tenant\": {}, \
              \"closed_loop\": true}},",
-            o.seed, o.tenants, o.shards, o.oram, o.scheme, o.accesses
+            o.host.seed,
+            o.tenants,
+            o.host.shards,
+            o.host.oram.label(),
+            o.scheme,
+            o.host.slots
         );
         println!("  \"serial\": {},", mode_json(&serial, &serial_session));
         println!("  \"staged\": {},", mode_json(&staged, &staged_session));
@@ -1761,7 +1601,7 @@ fn cmd_bench(o: &Opts) {
         println!(
             "otc bench: pipeline sweep | {} tenants, {} shards, scheme {}, {} slots/tenant, \
              closed loop, seed {}",
-            o.tenants, o.shards, o.scheme, o.accesses, o.seed
+            o.tenants, o.host.shards, o.scheme, o.host.slots, o.host.seed
         );
         for (label, report, session) in [
             ("serial", &serial, &serial_session),
@@ -1842,7 +1682,7 @@ fn cmd_report(o: &Opts) {
 }
 
 fn cmd_leakage(o: &Opts) {
-    let policy = parse_scheme(&o.scheme).unwrap_or_else(|| usage());
+    let policy = parse_scheme(&o.scheme).expect("--scheme is checked when the flags parse");
     let (rate_count, schedule) = match &policy {
         RatePolicy::Static { .. } => (1, EpochSchedule::scaled(4)),
         RatePolicy::Dynamic {
@@ -1872,8 +1712,8 @@ fn cmd_leakage(o: &Opts) {
     );
     println!(
         "  processor limit L             : {:>8} bits per tenant ({})",
-        o.limit,
-        if model.oram_timing_bits().ceil() as u64 <= o.limit {
+        o.host.limit_bits,
+        if model.oram_timing_bits().ceil() as u64 <= o.host.limit_bits {
             "admissible"
         } else {
             "would be REJECTED at admission"
@@ -1903,6 +1743,18 @@ fn main() {
         eprintln!("--scenario only applies to `otc run`; ignoring");
         opts.scenario = None;
     }
+    if opts.churn_script.is_some() && !matches!(cmd.as_str(), "run" | "churn" | "tenants") {
+        eprintln!(
+            "--churn-script only applies to `otc run`, `otc churn` and `otc tenants`; ignoring"
+        );
+        opts.churn_script = None;
+    }
+    if opts.churn_script.is_some() && opts.scenario.is_some() {
+        eprintln!(
+            "--churn-script does not apply with --scenario (its @-lines are the events); ignoring"
+        );
+        opts.churn_script = None;
+    }
     match cmd.as_str() {
         "run" => cmd_run(&opts),
         "tenants" => cmd_tenants(&opts),
@@ -1918,28 +1770,50 @@ fn main() {
 mod tests {
     use super::*;
 
+    /// Each flag set compiles to the spec its equivalent scenario text
+    /// parses to, and that spec survives a render round trip.
     #[test]
-    fn churn_script_round_trips() {
-        let script = parse_churn_script(
-            "@8 admit mcf dynamic_R4_E4; @24 shards 8; @16 evict 0; @8 admit hmmer static_900 closed",
-        )
-        .expect("parses");
-        assert_eq!(script.len(), 4);
-        // Round-sorted, stable within a round.
-        assert_eq!(
-            script.iter().map(|e| e.round).collect::<Vec<_>>(),
-            [8, 8, 16, 24]
-        );
-        assert!(matches!(
-            &script[0].action,
-            ScenarioAction::Admit { closed: false, .. }
-        ));
-        assert!(matches!(
-            &script[1].action,
-            ScenarioAction::Admit { closed: true, .. }
-        ));
-        assert!(matches!(&script[2].action, ScenarioAction::Evict { id: 0 }));
-        assert!(matches!(&script[3].action, ScenarioAction::Shards { n: 8 }));
+    fn flags_compile_to_their_scenario() {
+        let cases: [(&[&str], &str); 3] = [
+            (
+                &["--tenants", "2"],
+                "tenant t0 bench=mcf scheme=dynamic_R4_E4\n\
+                 tenant t1 bench=hmmer scheme=dynamic_R4_E4\n",
+            ),
+            (
+                &[
+                    "--tenants", "3", "--accesses", "300", "--shards", "2", "--oram", "small",
+                    "--pipeline", "staged", "--capacity", "cadence", "--seed", "7", "--limit",
+                    "32", "--threads", "2", "--scheme", "static_900", "--bench", "libq,gobmk",
+                    "--closed-loop", "--instructions", "5000",
+                ],
+                "host shards=2 oram=small pipeline=staged capacity=cadence seed=7 limit=32 \
+                 threads=2 slots=300\n\
+                 tenant t0 bench=libquantum scheme=static_900 instructions=5000 closed\n\
+                 tenant t1 bench=gobmk scheme=static_900 instructions=5000 closed\n\
+                 tenant t2 bench=libquantum scheme=static_900 instructions=5000 closed\n",
+            ),
+            (
+                &[
+                    "--tenants", "1", "--oram", "small", "--shard-mix",
+                    "small:serial,paper:staged", "--churn-script",
+                    "@8 admit mcf dynamic_R4_E4; @24 shards 8; @16 evict 0; @8 admit hmmer static_900 closed",
+                ],
+                "host oram=small mix=small:serial,paper:staged\n\
+                 tenant t0 bench=mcf scheme=dynamic_R4_E4\n\
+                 @8 admit mcf dynamic_R4_E4\n\
+                 @24 shards 8\n\
+                 @16 evict 0\n\
+                 @8 admit hmmer static_900 closed\n",
+            ),
+        ];
+        for (flags, text) in cases {
+            let args: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+            let o = parse_opts(&args);
+            let spec = flag_spec(&o, o.tenants);
+            assert_eq!(Ok(&spec), parse_scenario(text).as_ref(), "{flags:?}");
+            assert_eq!(parse_scenario(&spec.render()), Ok(spec), "{flags:?}");
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! time, so a round costs O(slots due + quantum/bucket-width) instead of
 //! the O(K tenants) per served slot a k-way merge pays; the merge
 //! survives as [`SchedulerKind::Merge`], the reference implementation
-//! the equivalence property tests (and the K-scaling sweep in
-//! `fig_multi_tenant`) compare against.
+//! the equivalence property tests compare against. (The K-scaling
+//! sweep in `fig_multi_tenant` times its own k-way merge over bare
+//! slot grids, not this variant.)
 //!
 //! # Online churn
 //!
@@ -1582,8 +1583,26 @@ impl MultiTenantHost {
     /// `target` slots (or a safety horizon is hit). Returns the fleet
     /// report. A host with no active tenants returns immediately.
     pub fn run_until_slots(&mut self, target: u64) -> HostReport {
-        // Safety horizon: each policy's slowest candidate rate bounds the
-        // cycles a slot can take; add generous slack for epoch ramp-in.
+        // Relative to the current clock so repeated runs on one host
+        // each get a full budget.
+        let end = self.clock.saturating_add(self.slot_horizon(target));
+        while !self.all_served(target) && self.clock < end {
+            self.step_round();
+        }
+        self.report()
+    }
+
+    /// Whether every *active* tenant has served at least `target` slots.
+    pub(crate) fn all_served(&self, target: u64) -> bool {
+        self.tenants
+            .iter()
+            .all(|t| !t.is_active() || t.stream.slots_served() >= target)
+    }
+
+    /// The cycles [`MultiTenantHost::run_until_slots`] may serve before
+    /// giving up: each active policy's slowest candidate rate bounds the
+    /// cycles a slot can take, with generous slack for epoch ramp-in.
+    pub(crate) fn slot_horizon(&self, target: u64) -> Cycle {
         let slowest_period = self
             .tenants
             .iter()
@@ -1592,24 +1611,12 @@ impl MultiTenantHost {
             .max()
             .unwrap_or(0);
         if slowest_period == 0 {
-            return self.report();
+            return 0;
         }
-        let safety = target
+        target
             .saturating_mul(slowest_period)
             .saturating_mul(4)
-            .max(1 << 22);
-        // Relative to the current clock so repeated runs on one host
-        // each get a full budget.
-        let end = self.clock.saturating_add(safety);
-        while self
-            .tenants
-            .iter()
-            .any(|t| t.is_active() && t.stream.slots_served() < target)
-            && self.clock < end
-        {
-            self.step_round();
-        }
-        self.report()
+            .max(1 << 22)
     }
 
     /// Runs rounds until virtual time reaches `horizon`.

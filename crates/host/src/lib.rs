@@ -86,8 +86,9 @@ pub use report::{
     capacity_summary, fairness_table, leakage_summary, render, shard_summary, tenant_table,
 };
 pub use scenario::{
-    parse_bench, parse_churn_script, parse_scenario, parse_scheme, OramChoice, ScenarioAction,
-    ScenarioError, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant,
+    parse_bench, parse_churn_script, parse_scenario, parse_scheme, EventOutcome, OramChoice,
+    ScenarioAction, ScenarioError, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant,
+    ServeEnd,
 };
 pub use shard::{PipelineConfig, PipelineKind, ShardClass, ShardService, ShardedOram};
 pub use tenant::{TenantDirectory, TenantEntry};

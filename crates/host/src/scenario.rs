@@ -15,7 +15,7 @@
 //! tenant eve   bench=libq scheme=static_1000 adversary=probe
 //!
 //! # churn events, anchored at scheduling rounds (same grammar as the
-//! # legacy --churn-script flag, which is now a shim over this parser)
+//! # otc --churn-script flag, which parses through this event parser)
 //! @8  admit gobmk dynamic_R4_E4
 //! @16 evict 1
 //! @24 shards 5
@@ -33,6 +33,11 @@
 //! * `tenant NAME` keys: `bench`, `scheme`, `traffic`, `adversary`
 //!   (`probe|distinguisher`), `instructions`; the bare word `closed`
 //!   selects the closed-loop frontend.
+//! * Schemes (§9 of the paper): `static_<rate>` with rate ≥ 1, or
+//!   `dynamic_R<n>_E<g>` with `2 ≤ n ≤ 32513` candidate rates (one per
+//!   cycle count in `R`'s 256..=32768 span) and an epoch growth `g`
+//!   that is a power of two ≥ 2 — the parameters for which the
+//!   `|E|·lg|R|` leakage bound is defined.
 //! * Traffic syntax: `workload`,
 //!   `bursty:on=<cycles>,off=<cycles>,seed=<n>`,
 //!   `diurnal:period=<cycles>,amplitude=<ppm>,phase=<ppm>`,
@@ -43,11 +48,16 @@
 //! truncated input, and [`ScenarioSpec::render`] emits a canonical form
 //! that reparses to an equal spec (`tests/scenario_props.rs` holds both
 //! properties over generated inputs).
+//!
+//! [`ScenarioSpec::admit_roster`] and [`ScenarioSpec::serve`] run a
+//! spec on a host built from [`ScenarioSpec::host_config`]: the one
+//! driver behind every serving `otc` subcommand, whose flags compile to
+//! an in-memory spec.
 
 use crate::adversary::AdversaryKind;
-use crate::host::{HostConfig, HostError, SchedulerKind};
+use crate::host::{HostConfig, HostError, MultiTenantHost, SchedulerKind, TenantSpec};
 use crate::shard::{PipelineConfig, PipelineKind, ShardClass};
-use crate::traffic::TrafficModel;
+use crate::traffic::{LoopMode, TrafficModel};
 use otc_core::{DividerImpl, EpochSchedule, RatePolicy, RateSet};
 use otc_dram::Cycle;
 use otc_oram::{CapacityKind, OramConfig};
@@ -86,10 +96,7 @@ pub enum OramChoice {
 impl OramChoice {
     /// The scenario keyword for this geometry.
     pub fn label(&self) -> &'static str {
-        match self {
-            OramChoice::Small => "small",
-            OramChoice::Paper => "paper",
-        }
+        label(&ORAMS, *self)
     }
 
     /// Materializes the geometry.
@@ -99,15 +106,27 @@ impl OramChoice {
             OramChoice::Paper => OramConfig::paper(),
         }
     }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "small" => Some(OramChoice::Small),
-            "paper" => Some(OramChoice::Paper),
-            _ => None,
-        }
-    }
 }
+
+// Keyword tables of the `host` line, read both ways: to parse a value
+// and to render the canonical form.
+const ORAMS: [(&str, OramChoice); 2] = [("small", OramChoice::Small), ("paper", OramChoice::Paper)];
+const PIPELINES: [(&str, PipelineKind); 2] = [
+    ("serial", PipelineKind::Serial),
+    ("staged", PipelineKind::Staged),
+];
+const CAPACITIES: [(&str, CapacityKind); 2] = [
+    ("olat", CapacityKind::Olat),
+    ("cadence", CapacityKind::Cadence),
+];
+const SCHEDULERS: [(&str, SchedulerKind); 2] = [
+    ("calendar", SchedulerKind::Calendar),
+    ("merge", SchedulerKind::Merge),
+];
+const ADVERSARIES: [(&str, AdversaryKind); 2] = [
+    ("probe", AdversaryKind::Probe),
+    ("distinguisher", AdversaryKind::Distinguisher),
+];
 
 /// The host half of a scenario: everything `HostConfig` needs plus the
 /// per-tenant serve target. Shard classes are stored as
@@ -159,6 +178,56 @@ impl Default for ScenarioHost {
     }
 }
 
+impl ScenarioHost {
+    /// The shard mix as its `mix=` value (empty for a homogeneous pool).
+    pub fn mix_label(&self) -> String {
+        let classes: Vec<String> = self
+            .mix
+            .iter()
+            .map(|(o, p)| format!("{}:{}", o.label(), label(&PIPELINES, *p)))
+            .collect();
+        classes.join(",")
+    }
+
+    /// Sets one `host`-line key from its text, as a `key=value` token
+    /// of a scenario file does. The `otc` host flags parse through
+    /// here too, so a flag and its key share one grammar.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong with the key or the value.
+    pub fn set(&mut self, key: &str, val: &str) -> Result<(), String> {
+        match key {
+            "shards" => self.shards = number(val, "shard count")?,
+            "oram" => self.oram = keyword(&ORAMS, "oram geometry", val)?,
+            "pipeline" => self.pipeline = keyword(&PIPELINES, "pipeline", val)?,
+            "capacity" => self.capacity = keyword(&CAPACITIES, "capacity pricing", val)?,
+            "scheduler" => self.scheduler = keyword(&SCHEDULERS, "scheduler", val)?,
+            "threads" => self.threads = number(val, "thread count")?,
+            "quantum" => self.quantum = number(val, "quantum")?,
+            "limit" => self.limit_bits = number(val, "leakage limit")?,
+            "seed" => self.seed = number(val, "seed")?,
+            "slots" => self.slots = number(val, "slot target")?,
+            "mix" => {
+                self.mix = val
+                    .split(',')
+                    .map(|pair| {
+                        let (geom, pipe) = pair.trim().split_once(':').ok_or_else(|| {
+                            format!("shard-mix entry {pair:?} is not <geometry>:<pipeline>")
+                        })?;
+                        Ok((
+                            keyword(&ORAMS, "mix geometry", geom)?,
+                            keyword(&PIPELINES, "mix pipeline", pipe)?,
+                        ))
+                    })
+                    .collect::<Result<_, String>>()?
+            }
+            _ => return Err(format!("unknown host option {key:?}")),
+        }
+        Ok(())
+    }
+}
+
 /// One tenant row of a scenario.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioTenant {
@@ -188,6 +257,43 @@ impl ScenarioTenant {
     pub fn policy(&self) -> Option<RatePolicy> {
         parse_scheme(&self.scheme)
     }
+}
+
+/// What a fired churn event did (see [`ScenarioSpec::serve`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum EventOutcome {
+    /// `admit`: the new tenant joined.
+    Admitted {
+        /// Its auto-assigned name, `c<N>` after the host's tenant count.
+        name: String,
+        /// Its id.
+        id: usize,
+    },
+    /// `evict`: the tenant left; this many still-due slots were retired
+    /// as dummies.
+    Evicted(u64),
+    /// `shards`: the pool now has the event's shard count.
+    Resized,
+    /// The host refused the event (saturation, an unknown or already
+    /// evicted id, a pool too small for the fleet); the run goes on
+    /// without it.
+    Rejected(HostError),
+}
+
+/// How [`ScenarioSpec::serve`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeEnd {
+    /// Every event fired and every active tenant served the slot target.
+    Complete,
+    /// The bound stopped the run first.
+    CutShort {
+        /// Rounds served.
+        rounds: u64,
+        /// Events that never fired.
+        unfired: usize,
+        /// Whether some active tenant was still under the slot target.
+        under_target: bool,
+    },
 }
 
 /// A churn action fired at a round mark.
@@ -243,6 +349,10 @@ impl ScenarioSpec {
     ///
     /// [`HostError::Build`] from [`crate::HostConfigBuilder::build`].
     pub fn host_config(&self) -> Result<HostConfig, HostError> {
+        let pipeline = |p: PipelineKind| match p {
+            PipelineKind::Serial => PipelineConfig::serial(),
+            PipelineKind::Staged => PipelineConfig::staged(),
+        };
         let h = &self.host;
         let mut b = HostConfig::builder()
             .oram(h.oram.config())
@@ -251,27 +361,113 @@ impl ScenarioSpec {
             .leakage_limit_bits(h.limit_bits)
             .seed(h.seed)
             .scheduler(h.scheduler)
-            .pipeline(match h.pipeline {
-                PipelineKind::Serial => PipelineConfig::serial(),
-                PipelineKind::Staged => PipelineConfig::staged(),
-            })
+            .pipeline(pipeline(h.pipeline))
             .capacity(h.capacity)
             .threads(h.threads);
         if !h.mix.is_empty() {
             b = b.shard_mix(
                 h.mix
                     .iter()
-                    .map(|(o, p)| ShardClass {
+                    .map(|&(o, p)| ShardClass {
                         oram: o.config(),
-                        pipeline: match p {
-                            PipelineKind::Serial => PipelineConfig::serial(),
-                            PipelineKind::Staged => PipelineConfig::staged(),
-                        },
+                        pipeline: pipeline(p),
                     })
                     .collect(),
             );
         }
         b.build()
+    }
+
+    /// Admits the roster into `host` in order: adversary seats through
+    /// [`MultiTenantHost::admit_adversary`], every other seat through
+    /// [`MultiTenantHost::admit_with_traffic`] with its traffic model
+    /// and loop mode. A seat without its own `instructions` gets
+    /// `default_instructions`. Seats take consecutive ids from the
+    /// host's tenant count.
+    ///
+    /// # Errors
+    ///
+    /// The index of the first seat the host refused, and why; the seats
+    /// before it stay admitted.
+    pub fn admit_roster(
+        &self,
+        host: &mut MultiTenantHost,
+        default_instructions: u64,
+    ) -> Result<(), (usize, HostError)> {
+        for (seat, t) in self.tenants.iter().enumerate() {
+            let Some(policy) = t.policy() else {
+                return Err((seat, unknown_scheme(&t.scheme)));
+            };
+            let spec = TenantSpec {
+                name: t.name.clone(),
+                benchmark: t.bench,
+                policy,
+                instructions: t.instructions.unwrap_or(default_instructions),
+            };
+            match t.adversary {
+                Some(kind) => host.admit_adversary(&spec, kind),
+                None => host.admit_with_traffic(&spec, loop_mode(t.closed), t.traffic.clone()),
+            }
+            .map_err(|e| (seat, e))?;
+        }
+        Ok(())
+    }
+
+    /// Serves `host` round by round, firing each event at the start of
+    /// its round (counted from this call) and reporting it to
+    /// `on_event` with the host clock and its outcome. An `@admit`
+    /// tenant gets `default_instructions`.
+    ///
+    /// The run stops when every event has fired and every active tenant
+    /// has served `slots`. A run that never gets there stops at a bound
+    /// — at least 2^14 rounds, and at least the cycles
+    /// [`MultiTenantHost::run_until_slots`] would serve — and says so.
+    pub fn serve(
+        &self,
+        host: &mut MultiTenantHost,
+        default_instructions: u64,
+        mut on_event: impl FnMut(&ScenarioEvent, Cycle, EventOutcome),
+    ) -> ServeEnd {
+        const MIN_ROUNDS: u64 = 1 << 14;
+        let target = self.host.slots;
+        let horizon = host.clock().saturating_add(host.slot_horizon(target));
+        let mut round = 0;
+        let mut next = 0;
+        loop {
+            while let Some(ev) = self.events.get(next).filter(|e| e.round <= round) {
+                next += 1;
+                let clock = host.clock();
+                on_event(ev, clock, fire(host, &ev.action, default_instructions));
+            }
+            let served = host.all_served(target);
+            if next == self.events.len() && served {
+                return ServeEnd::Complete;
+            }
+            if round >= MIN_ROUNDS && host.clock() >= horizon {
+                return ServeEnd::CutShort {
+                    rounds: round,
+                    unfired: self.events.len() - next,
+                    under_target: !served,
+                };
+            }
+            host.step_round();
+            round += 1;
+        }
+    }
+
+    /// The candidate rates an adversary seat ranks: every victim seat's
+    /// fastest rate, ascending and deduplicated.
+    pub fn victim_rates(&self) -> Vec<Cycle> {
+        let mut rates: Vec<Cycle> = self
+            .tenants
+            .iter()
+            .filter(|t| t.adversary.is_none())
+            .filter_map(|t| t.policy())
+            .map(|p| p.fastest_rate())
+            .collect();
+        rates.sort_unstable();
+        rates.dedup();
+        rates
     }
 
     /// Renders the canonical text form: one `host` line with every key
@@ -284,9 +480,9 @@ impl ScenarioSpec {
              quantum={} limit={} seed={} slots={}",
             h.shards,
             h.oram.label(),
-            pipeline_label(h.pipeline),
-            capacity_label(h.capacity),
-            scheduler_label(h.scheduler),
+            label(&PIPELINES, h.pipeline),
+            label(&CAPACITIES, h.capacity),
+            label(&SCHEDULERS, h.scheduler),
             h.threads,
             h.quantum,
             h.limit_bits,
@@ -295,14 +491,7 @@ impl ScenarioSpec {
         );
         if !h.mix.is_empty() {
             out.push_str(" mix=");
-            for (i, (o, p)) in h.mix.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(o.label());
-                out.push(':');
-                out.push_str(pipeline_label(*p));
-            }
+            out.push_str(&h.mix_label());
         }
         out.push('\n');
         for t in &self.tenants {
@@ -358,24 +547,31 @@ impl ScenarioSpec {
 
 /// Parses `dynamic_R4_E4` / `static_1300` into a rate policy (the one
 /// scheme parser shared by the CLI flags, churn scripts, and scenario
-/// files).
+/// files). Total: it returns `None` for every scheme whose `|E|·lg|R|`
+/// leakage bound is undefined — rate 0, fewer than two candidate
+/// rates, more candidates than `R`'s cycle span holds, or an epoch
+/// growth that is not a power of two ≥ 2 — so an accepted scheme never
+/// panics downstream.
 pub fn parse_scheme(s: &str) -> Option<RatePolicy> {
     if let Some(rest) = s.strip_prefix("static_") {
-        let rate: u64 = rest.parse().ok()?;
+        let rate: u64 = rest.parse().ok().filter(|&r| r > 0)?;
         return Some(RatePolicy::Static { rate });
     }
-    if let Some(rest) = s.strip_prefix("dynamic_R") {
-        let (r, e) = rest.split_once("_E")?;
-        let rate_count: usize = r.parse().ok()?;
-        let growth: u32 = e.parse().ok()?;
-        return Some(RatePolicy::Dynamic {
-            rates: RateSet::paper(rate_count),
-            schedule: EpochSchedule::scaled(growth),
-            divider: DividerImpl::ShiftRegister,
-            initial_rate: 10_000,
-        });
-    }
-    None
+    let (r, e) = s.strip_prefix("dynamic_R")?.split_once("_E")?;
+    // One candidate per cycle count between the paper set's extremes.
+    let span = RateSet::paper(2);
+    let max_count = (span.slowest() - span.fastest() + 1) as usize;
+    let rate_count: usize = r.parse().ok().filter(|n| (2..=max_count).contains(n))?;
+    let growth: u32 = e
+        .parse()
+        .ok()
+        .filter(|g: &u32| *g >= 2 && g.is_power_of_two())?;
+    Some(RatePolicy::Dynamic {
+        rates: RateSet::paper(rate_count),
+        schedule: EpochSchedule::scaled(growth),
+        divider: DividerImpl::ShiftRegister,
+        initial_rate: 10_000,
+    })
 }
 
 /// Looks a benchmark up by full or short name (the one bench parser
@@ -485,35 +681,91 @@ fn tokens(line: &str) -> Vec<(usize, &str)> {
     out
 }
 
+fn number<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("bad {what}: {v:?}"))
+}
+
 fn parse_num<T: std::str::FromStr>(
     v: &str,
     line: usize,
     col: usize,
     what: &str,
 ) -> Result<T, ScenarioError> {
-    v.parse()
-        .map_err(|_| err(line, col, format!("bad {what}: {v:?}")))
+    number(v, what).map_err(|m| err(line, col, m))
 }
 
-fn pipeline_label(p: PipelineKind) -> &'static str {
-    match p {
-        PipelineKind::Serial => "serial",
-        PipelineKind::Staged => "staged",
+/// Looks `word` up in a keyword table.
+fn keyword<T: Copy>(table: &[(&str, T)], what: &str, word: &str) -> Result<T, String> {
+    match table.iter().find(|(k, _)| *k == word) {
+        Some(&(_, v)) => Ok(v),
+        None => {
+            let want: Vec<&str> = table.iter().map(|(k, _)| *k).collect();
+            Err(format!("unknown {what} {word:?} (want {})", want.join("|")))
+        }
     }
 }
 
-fn capacity_label(c: CapacityKind) -> &'static str {
-    match c {
-        CapacityKind::Olat => "olat",
-        CapacityKind::Cadence => "cadence",
+/// The keyword a table gives `value`.
+fn label<T: PartialEq>(table: &[(&'static str, T)], value: T) -> &'static str {
+    table
+        .iter()
+        .find(|(_, v)| *v == value)
+        .map(|&(k, _)| k)
+        .expect("every keyword table covers its whole enum")
+}
+
+/// `scheme`, if [`parse_scheme`] accepts it.
+fn checked_scheme(scheme: &str, line: usize, col: usize) -> Result<String, ScenarioError> {
+    match parse_scheme(scheme) {
+        Some(_) => Ok(scheme.to_string()),
+        None => Err(err(
+            line,
+            col,
+            format!(
+                "bad scheme {scheme:?} (want static_<rate ≥ 1> or \
+                 dynamic_R<2..=32513>_E<power of two ≥ 2>)"
+            ),
+        )),
     }
 }
 
-fn scheduler_label(s: SchedulerKind) -> &'static str {
-    match s {
-        SchedulerKind::Calendar => "calendar",
-        SchedulerKind::Merge => "merge",
+fn unknown_scheme(scheme: &str) -> HostError {
+    HostError::Build(format!("unknown scheme {scheme:?}"))
+}
+
+fn loop_mode(closed: bool) -> LoopMode {
+    if closed {
+        LoopMode::Closed
+    } else {
+        LoopMode::Open
     }
+}
+
+/// Applies one churn action to `host` at its current round boundary.
+fn fire(host: &mut MultiTenantHost, action: &ScenarioAction, instructions: u64) -> EventOutcome {
+    let applied = match action {
+        ScenarioAction::Admit {
+            bench,
+            scheme,
+            closed,
+        } => match parse_scheme(scheme) {
+            None => Err(unknown_scheme(scheme)),
+            Some(policy) => {
+                let name = format!("c{}", host.tenant_count());
+                let spec = TenantSpec {
+                    name: name.clone(),
+                    benchmark: *bench,
+                    policy,
+                    instructions,
+                };
+                host.admit(&spec, loop_mode(*closed))
+                    .map(|id| EventOutcome::Admitted { name, id })
+            }
+        },
+        ScenarioAction::Evict { id } => host.evict(*id).map(EventOutcome::Evicted),
+        ScenarioAction::Shards { n } => host.resize_shards(*n).map(|()| EventOutcome::Resized),
+    };
+    applied.unwrap_or_else(EventOutcome::Rejected)
 }
 
 fn parse_host_line(
@@ -529,95 +781,7 @@ fn parse_host_line(
                 format!("host option {tok:?} is not key=value"),
             ));
         };
-        match key {
-            "shards" => host.shards = parse_num(val, line, col, "shard count")?,
-            "oram" => {
-                host.oram = OramChoice::parse(val).ok_or_else(|| {
-                    err(
-                        line,
-                        col,
-                        format!("unknown oram geometry {val:?} (want small|paper)"),
-                    )
-                })?
-            }
-            "pipeline" => {
-                host.pipeline = match val {
-                    "serial" => PipelineKind::Serial,
-                    "staged" => PipelineKind::Staged,
-                    _ => {
-                        return Err(err(
-                            line,
-                            col,
-                            format!("unknown pipeline {val:?} (want serial|staged)"),
-                        ))
-                    }
-                }
-            }
-            "capacity" => {
-                host.capacity = match val {
-                    "olat" => CapacityKind::Olat,
-                    "cadence" => CapacityKind::Cadence,
-                    _ => {
-                        return Err(err(
-                            line,
-                            col,
-                            format!("unknown capacity pricing {val:?} (want olat|cadence)"),
-                        ))
-                    }
-                }
-            }
-            "scheduler" => {
-                host.scheduler = match val {
-                    "calendar" => SchedulerKind::Calendar,
-                    "merge" => SchedulerKind::Merge,
-                    _ => {
-                        return Err(err(
-                            line,
-                            col,
-                            format!("unknown scheduler {val:?} (want calendar|merge)"),
-                        ))
-                    }
-                }
-            }
-            "threads" => host.threads = parse_num(val, line, col, "thread count")?,
-            "quantum" => host.quantum = parse_num(val, line, col, "quantum")?,
-            "limit" => host.limit_bits = parse_num(val, line, col, "leakage limit")?,
-            "seed" => host.seed = parse_num(val, line, col, "seed")?,
-            "slots" => host.slots = parse_num(val, line, col, "slot target")?,
-            "mix" => {
-                let mut mix = Vec::new();
-                for pair in val.split(',') {
-                    let Some((geom, pipe)) = pair.split_once(':') else {
-                        return Err(err(
-                            line,
-                            col,
-                            format!("shard-mix entry {pair:?} is not <geometry>:<pipeline>"),
-                        ));
-                    };
-                    let o = OramChoice::parse(geom).ok_or_else(|| {
-                        err(
-                            line,
-                            col,
-                            format!("unknown mix geometry {geom:?} (want small|paper)"),
-                        )
-                    })?;
-                    let p = match pipe {
-                        "serial" => PipelineKind::Serial,
-                        "staged" => PipelineKind::Staged,
-                        _ => {
-                            return Err(err(
-                                line,
-                                col,
-                                format!("unknown mix pipeline {pipe:?} (want serial|staged)"),
-                            ))
-                        }
-                    };
-                    mix.push((o, p));
-                }
-                host.mix = mix;
-            }
-            _ => return Err(err(line, col, format!("unknown host option {key:?}"))),
-        }
+        host.set(key, val).map_err(|m| err(line, col, m))?;
     }
     Ok(())
 }
@@ -659,32 +823,14 @@ fn parse_tenant_line(
                         .ok_or_else(|| err(line, col, format!("unknown benchmark {val:?}")))?,
                 )
             }
-            "scheme" => {
-                if parse_scheme(val).is_none() {
-                    return Err(err(
-                        line,
-                        col,
-                        format!("bad scheme {val:?} (want dynamic_R<n>_E<g> or static_<rate>)"),
-                    ));
-                }
-                scheme = Some(val.to_string());
-            }
+            "scheme" => scheme = Some(checked_scheme(val, line, col)?),
             "traffic" => {
                 traffic = parse_traffic(val).map_err(|m| err(line, col, m))?;
                 traffic_set = true;
             }
             "adversary" => {
-                adversary = Some(match val {
-                    "probe" => AdversaryKind::Probe,
-                    "distinguisher" => AdversaryKind::Distinguisher,
-                    _ => {
-                        return Err(err(
-                            line,
-                            col,
-                            format!("unknown adversary {val:?} (want probe|distinguisher)"),
-                        ))
-                    }
-                })
+                adversary =
+                    Some(keyword(&ADVERSARIES, "adversary", val).map_err(|m| err(line, col, m))?)
             }
             "instructions" => instructions = Some(parse_num(val, line, col, "instruction budget")?),
             _ => return Err(err(line, col, format!("unknown tenant option {key:?}"))),
@@ -761,12 +907,9 @@ fn parse_event_tokens(toks: &[(usize, &str)], line: usize) -> Result<ScenarioEve
             no_extra(5)?;
             let bench = parse_bench(bench_name)
                 .ok_or_else(|| err(line, bcol, format!("unknown benchmark {bench_name:?}")))?;
-            if parse_scheme(scheme).is_none() {
-                return Err(err(line, scol, format!("bad scheme {scheme:?}")));
-            }
             ScenarioAction::Admit {
                 bench,
-                scheme: scheme.to_string(),
+                scheme: checked_scheme(scheme, line, scol)?,
                 closed,
             }
         }
@@ -906,6 +1049,7 @@ fn parse_traffic(s: &str) -> Result<TrafficModel, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::render;
 
     const EXAMPLE: &str = "\
         # demo scenario\n\
@@ -981,7 +1125,32 @@ mod tests {
         ] {
             assert!(parse_scenario(bad).is_err(), "accepted {bad:?}");
         }
+        // Schemes whose |E|·lg|R| bound is undefined are refused at the
+        // scheme= token, not left to panic at admission.
+        for scheme in DEGENERATE_SCHEMES {
+            let e =
+                parse_scenario(&format!("tenant a bench=mcf scheme={scheme}\n")).expect_err(scheme);
+            assert_eq!((e.line, e.col), (1, 20), "{scheme}: {e}");
+        }
+        // ...while the grammar's edges still parse.
+        for scheme in ["static_1", "dynamic_R2_E2", "dynamic_R32513_E2147483648"] {
+            parse_scenario(&format!("tenant a bench=mcf scheme={scheme}\n")).expect(scheme);
+        }
     }
+
+    /// Schemes outside the paper's grammar that the parser once accepted
+    /// and otc-core then rejected with a panic (or, for the huge |R|, an
+    /// aborting allocation).
+    const DEGENERATE_SCHEMES: [&str; 8] = [
+        "static_0",
+        "dynamic_R0_E4",
+        "dynamic_R1_E4",
+        "dynamic_R4_E0",
+        "dynamic_R4_E3",
+        "dynamic_R4_E99",
+        "dynamic_R32514_E4",
+        "dynamic_R100000000000_E4",
+    ];
 
     #[test]
     fn churn_script_shim_matches_event_grammar() {
@@ -991,11 +1160,118 @@ mod tests {
         let via_file =
             parse_scenario("@8 admit mcf dynamic_R4_E4\n@24 shards 8\n@16 evict 0\n").expect("ok");
         assert_eq!(via_script, via_file.events);
+        // Round-sorted, stable within a round: the two @8 admits keep
+        // their script order, and `closed` sticks to the second.
+        let script = parse_churn_script(
+            "@8 admit mcf dynamic_R4_E4; @24 shards 8; @16 evict 0; @8 admit hmmer static_900 closed",
+        )
+        .expect("ok");
+        assert_eq!(
+            script.iter().map(|e| e.round).collect::<Vec<_>>(),
+            [8, 8, 16, 24]
+        );
+        assert!(matches!(
+            &script[0].action,
+            ScenarioAction::Admit { closed: false, .. }
+        ));
+        assert!(matches!(
+            &script[1].action,
+            ScenarioAction::Admit { closed: true, .. }
+        ));
         // Errors carry the event ordinal as the line.
         let e = parse_churn_script("@1 evict 0; @2 retire 1").expect_err("bad action");
         assert_eq!(e.line, 2);
         assert!(e.msg.contains("retire"), "{e}");
+        for bad in [
+            "admit mcf dynamic_R4_E4",       // missing @round
+            "@x admit mcf dynamic_R4_E4",    // bad round
+            "@1 admit nosuch dynamic_R4_E4", // unknown bench
+            "@1 admit mcf bogus",            // bad scheme
+            "@1 evict",                      // missing id
+            "@1 shards many",                // bad count
+            "@1 retire 0",                   // unknown action
+            "@1 admit mcf static_900 turbo", // unknown flag
+        ] {
+            assert!(parse_churn_script(bad).is_err(), "accepted {bad:?}");
+        }
+        for scheme in DEGENERATE_SCHEMES {
+            let e = parse_churn_script(&format!("@1 admit mcf {scheme}")).expect_err(scheme);
+            assert_eq!((e.line, e.col), (1, 14), "{scheme}: {e}");
+        }
         assert!(parse_churn_script(" ; ;").expect("empty ok").is_empty());
+    }
+
+    fn small_host(spec: &ScenarioSpec) -> MultiTenantHost {
+        MultiTenantHost::new(spec.host_config().expect("valid")).expect("builds")
+    }
+
+    #[test]
+    fn serve_without_events_stops_where_run_until_slots_does() {
+        let spec = parse_scenario(
+            "host shards=2 oram=small slots=300\n\
+             tenant a bench=mcf scheme=dynamic_R4_E4\n\
+             tenant b bench=hmmer scheme=static_1300 closed\n",
+        )
+        .expect("parses");
+        let mut driven = small_host(&spec);
+        let mut reference = small_host(&spec);
+        for host in [&mut driven, &mut reference] {
+            spec.admit_roster(host, 15_000).expect("fits");
+        }
+        let end = spec.serve(&mut driven, 15_000, |ev, _, _| panic!("no events: {ev:?}"));
+        assert_eq!(end, ServeEnd::Complete);
+        let report = reference.run_until_slots(spec.host.slots);
+        assert_eq!(
+            (driven.clock(), driven.rounds()),
+            (reference.clock(), reference.rounds())
+        );
+        assert_eq!(render(&driven.report()), render(&report));
+    }
+
+    #[test]
+    fn serve_reports_refused_events_and_a_cut_short_run() {
+        // One glacial seat (a slot every 2^30 cycles) and a zero slot
+        // target: only the never-reached @99999 event keeps the run
+        // going, so the bound ends it after its 2^14 rounds.
+        let spec = parse_scenario(
+            "host shards=2 oram=small slots=0\n\
+             tenant a bench=mcf scheme=static_1073741824\n\
+             @0 evict 9\n\
+             @0 shards 0\n\
+             @1 admit hmmer static_1073741824 closed\n\
+             @2 evict 0\n\
+             @3 shards 3\n\
+             @99999 evict 1\n",
+        )
+        .expect("parses");
+        let mut host = small_host(&spec);
+        spec.admit_roster(&mut host, 1_000).expect("fits");
+        let mut fired = Vec::new();
+        let end = spec.serve(&mut host, 1_000, |ev, clock, outcome| {
+            fired.push((ev.round, clock, outcome))
+        });
+        assert_eq!(
+            end,
+            ServeEnd::CutShort {
+                rounds: 1 << 14,
+                unfired: 1,
+                under_target: false
+            }
+        );
+        let quantum = spec.host.quantum;
+        assert!(
+            matches!(
+                &fired[..],
+                [
+                    (0, 0, EventOutcome::Rejected(HostError::UnknownTenant { id: 9 })),
+                    (0, 0, EventOutcome::Rejected(HostError::Build(_))),
+                    (1, q1, EventOutcome::Admitted { name, id: 1 }),
+                    (2, _, EventOutcome::Evicted(0)),
+                    (3, _, EventOutcome::Resized),
+                ] if *q1 == quantum && name == "c1"
+            ),
+            "{fired:?}"
+        );
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //!    now a shim over the scenario event parser, still interprets a
 //!    pinned legacy script exactly as the pre-shim parser did
 //!    (`tests/golden/churn_script.golden`).
+//! 4. **Accepted schemes are sound** — every scheme `parse_scheme`
+//!    accepts builds a `SlotStream` and its leakage parameters without
+//!    panicking, including near the grammar's edges (|R| of 0..3, epoch
+//!    growths that are not powers of two, rate 0).
 
 use otc_host::{
-    parse_churn_script, parse_scenario, AdversaryKind, CapacityKind, OramChoice, PipelineKind,
-    ScenarioAction, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant, SchedulerKind,
-    TrafficModel,
+    parse_churn_script, parse_scenario, parse_scheme, AdversaryKind, CapacityKind, OramChoice,
+    PipelineKind, ScenarioAction, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant,
+    SchedulerKind, SlotStream, TenantSpec, TrafficModel,
 };
 use otc_workloads::SpecBenchmark;
 use proptest::prelude::*;
@@ -215,6 +219,33 @@ proptest! {
         let text = String::from_utf8_lossy(&bytes);
         let _ = parse_scenario(&text);
         let _ = parse_churn_script(&text);
+    }
+
+    /// Whatever `parse_scheme` accepts, otc-core can run: the stream
+    /// and the leakage parameters build without a panic.
+    #[test]
+    fn accepted_schemes_build_streams_and_leakage_params(
+        scheme in prop_oneof![
+            1 => prop_oneof![0u64..4, any::<u64>()].prop_map(|r| format!("static_{r}")),
+            3 => (
+                prop_oneof![0usize..4, 4usize..40_000],
+                prop_oneof![0u32..20, any::<u32>()],
+            )
+                .prop_map(|(n, g)| format!("dynamic_R{n}_E{g}")),
+        ],
+    ) {
+        if let Some(policy) = parse_scheme(&scheme) {
+            let params = TenantSpec {
+                name: scheme.clone(),
+                benchmark: SpecBenchmark::Mcf,
+                policy: policy.clone(),
+                instructions: 1_000,
+            }
+            .leakage_params();
+            prop_assert!(params.rate_count >= 1, "{}", scheme);
+            let stream = SlotStream::new(1_300, policy);
+            prop_assert!(stream.next_slot() > 0, "{}", scheme);
+        }
     }
 
     /// Single-byte mutations and truncations of the shipped example —

@@ -15,14 +15,14 @@
 //!
 //! Serial and threaded rounds run one spine, so comparing them pins
 //! only that the executors agree. `mixed_pool_matches_the_golden_transcript`
-//! pins the host's absolute output: the shipped example scenario, driven
-//! the way `otc run --scenario` drives it, must reproduce
+//! pins the host's absolute output: the shipped example scenario, run
+//! through the scenario driver `otc run --scenario` uses, must reproduce
 //! `golden/mixed_pool.golden` byte for byte under every executor.
 
 use otc_core::RatePolicy;
 use otc_host::{
-    parse_scenario, render, HostConfig, LoopMode, MultiTenantHost, ParallelKind, ScenarioAction,
-    SchedulerKind, TenantSpec,
+    parse_scenario, render, EventOutcome, HostConfig, LoopMode, MultiTenantHost, ParallelKind,
+    ScenarioAction, SchedulerKind, ServeEnd, TenantSpec,
 };
 use otc_oram::{OramConfig, OramTiming};
 use otc_workloads::SpecBenchmark;
@@ -285,12 +285,12 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// Slot records printed per tenant (`otc run --trace 50`).
 const GOLDEN_TRACE: usize = 50;
 
-/// Runs `examples/mixed_pool.scenario` the way `otc run --scenario FILE
-/// --trace 50 --perf-session F` does — same roster admission, same
-/// session label, same round-by-round event replay and stop rule — and
-/// renders what the run observed: event outcomes, the fleet report, the
-/// first slot records per tenant, each adversary's reading, and digests
-/// of the full serve log and the `.otcp` session bytes.
+/// Runs `examples/mixed_pool.scenario` as `otc run --scenario FILE
+/// --trace 50 --perf-session F` does — the same driver, the same
+/// session label — and renders what the run observed: event outcomes,
+/// the fleet report, the first slot records per tenant, each
+/// adversary's reading, and digests of the full serve log and the
+/// `.otcp` session bytes.
 fn mixed_pool_transcript(parallel: ParallelKind) -> String {
     let spec = parse_scenario(include_str!("../../../examples/mixed_pool.scenario"))
         .expect("the shipped example parses");
@@ -299,24 +299,8 @@ fn mixed_pool_transcript(parallel: ParallelKind) -> String {
     cfg.parallel = parallel;
     let mut host = MultiTenantHost::new(cfg).expect("builds");
     let instructions = spec.host.slots.saturating_mul(50);
-    for t in &spec.tenants {
-        let ts = TenantSpec {
-            name: t.name.clone(),
-            benchmark: t.bench,
-            policy: t.policy().expect("roster schemes parse"),
-            instructions: t.instructions.unwrap_or(instructions),
-        };
-        let mode = if t.closed {
-            LoopMode::Closed
-        } else {
-            LoopMode::Open
-        };
-        match t.adversary {
-            Some(kind) => host.admit_adversary(&ts, kind),
-            None => host.admit_with_traffic(&ts, mode, t.traffic.clone()),
-        }
+    spec.admit_roster(&mut host, instructions)
         .expect("the roster fits");
-    }
     host.record_perf_session(&format!(
         "scenario tenants={} slots={} events={}",
         spec.tenants.len(),
@@ -324,53 +308,23 @@ fn mixed_pool_transcript(parallel: ParallelKind) -> String {
         spec.events.len()
     ));
     let mut out = String::new();
-    let (mut round, mut next) = (0u64, 0usize);
-    loop {
-        while next < spec.events.len() && spec.events[next].round <= round {
-            let ev = &spec.events[next];
-            next += 1;
-            let outcome = match &ev.action {
-                ScenarioAction::Admit {
-                    bench,
-                    scheme,
-                    closed,
-                } => host
-                    .admit(
-                        &TenantSpec {
-                            name: format!("c{}", host.tenant_count()),
-                            benchmark: *bench,
-                            policy: otc_host::parse_scheme(scheme).expect("event scheme parses"),
-                            instructions,
-                        },
-                        if *closed {
-                            LoopMode::Closed
-                        } else {
-                            LoopMode::Open
-                        },
-                    )
-                    .map(|id| format!("admitted id {id}")),
-                ScenarioAction::Evict { id } => host
-                    .evict(*id)
-                    .map(|retired| format!("evicted {id}, {retired} retired")),
-                ScenarioAction::Shards { n } => {
-                    host.resize_shards(*n).map(|()| format!("resized to {n}"))
-                }
-            };
-            writeln!(out, "@{} clock {}: {outcome:?}", ev.round, host.clock()).unwrap();
-        }
-        let all_served = (0..host.tenant_count()).all(|id| {
-            !host.tenant_active(id) || host.tenant_stream(id).slots_served() >= spec.host.slots
-        });
-        if next >= spec.events.len() && all_served {
-            break;
-        }
-        assert!(
-            round < 1 << 14,
-            "the example must finish well inside the CLI's round cap"
-        );
-        host.step_round();
-        round += 1;
-    }
+    let end = spec.serve(&mut host, instructions, |ev, clock, outcome| {
+        let outcome = match (outcome, &ev.action) {
+            (EventOutcome::Admitted { id, .. }, _) => Ok(format!("admitted id {id}")),
+            (EventOutcome::Evicted(retired), ScenarioAction::Evict { id }) => {
+                Ok(format!("evicted {id}, {retired} retired"))
+            }
+            (EventOutcome::Resized, ScenarioAction::Shards { n }) => Ok(format!("resized to {n}")),
+            (EventOutcome::Rejected(e), _) => Err(e),
+            (outcome, action) => panic!("{outcome:?} does not answer {action:?}"),
+        };
+        writeln!(out, "@{} clock {clock}: {outcome:?}", ev.round).unwrap();
+    });
+    assert_eq!(
+        end,
+        ServeEnd::Complete,
+        "the example must finish inside the bound"
+    );
     let report = host.report();
     let session = host.take_perf_session().expect("recording was on");
     out.push_str(&render(&report));
@@ -384,15 +338,7 @@ fn mixed_pool_transcript(parallel: ParallelKind) -> String {
             .collect();
         writeln!(out, "{}: {}", t.name, slots.join(" ")).unwrap();
     }
-    let mut candidates: Vec<u64> = spec
-        .tenants
-        .iter()
-        .filter(|t| t.adversary.is_none())
-        .filter_map(|t| t.policy())
-        .map(|p| p.fastest_rate())
-        .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
+    let candidates = spec.victim_rates();
     for t in &report.tenants {
         if host.adversary_kind(t.id).is_some() {
             writeln!(
