@@ -7,8 +7,9 @@
 //! The scripts cover the shapes that stress the merge most: open-loop
 //! saturation, closed-loop feedback (service completions re-enter
 //! tenant clocks), the staged shard pipeline (background eviction
-//! drains), churn storms (admit/evict/resize mid-run), and both
-//! schedulers (calendar and the k-way merge reference).
+//! drains), churn storms (admit/evict/resize mid-run), both schedulers
+//! (calendar and the k-way merge reference), and rounds long enough to
+//! fill a worker's rings.
 
 use otc_core::RatePolicy;
 use otc_host::{
@@ -84,10 +85,11 @@ fn run(mut cfg: HostConfig, parallel: ParallelKind, script: fn(&mut MultiTenantH
     }
 }
 
-/// Asserts Threads(2) and Threads(4) reproduce Serial exactly.
+/// Asserts Threads(1), Threads(2) and Threads(4) reproduce Serial
+/// exactly.
 fn assert_equivalent(cfg: HostConfig, script: fn(&mut MultiTenantHost)) {
     let reference = run(cfg.clone(), ParallelKind::Serial, script);
-    for threads in [2usize, 4] {
+    for threads in [1usize, 2, 4] {
         let threaded = run(cfg.clone(), ParallelKind::Threads(threads), script);
         assert_eq!(
             threaded, reference,
@@ -275,19 +277,55 @@ fn mixed_lane_merge_scheduler_threads_match_serial() {
 
 #[test]
 fn more_workers_than_shards_degenerates_cleanly() {
-    // Threads(16) against a 2-shard pool clamps to 2 workers; Threads(1)
-    // exercises the post/merge machinery on one worker. Both must still
-    // be byte-identical to serial.
+    // Threads(16) against a 2-shard pool clamps to 2 workers, and must
+    // still be byte-identical to serial.
     let reference = run(HostConfig::small(), ParallelKind::Serial, open_loop_script);
-    for threads in [1usize, 16] {
-        let threaded = run(
-            HostConfig::small(),
-            ParallelKind::Threads(threads),
-            open_loop_script,
-        );
-        assert_eq!(
-            threaded, reference,
-            "Threads({threads}) diverged from Serial"
-        );
+    let threaded = run(
+        HostConfig::small(),
+        ParallelKind::Threads(16),
+        open_loop_script,
+    );
+    assert_eq!(threaded, reference, "Threads(16) diverged from Serial");
+}
+
+/// Two open-loop tenants on one shard with a long quantum post about
+/// 3,500 accesses per round to a single worker — more than it may owe
+/// the spine. A slow closed-loop tenant reads about every 750 posts, so
+/// the spine's credit redemptions and its waits for that tenant's
+/// feedback interleave in every round.
+fn full_ring_script(host: &mut MultiTenantHost) {
+    host.add_tenant(&spec(
+        "a",
+        SpecBenchmark::Mcf,
+        RatePolicy::Static { rate: 2_000 },
+    ))
+    .expect("admit a");
+    host.add_tenant(&spec(
+        "b",
+        SpecBenchmark::Bzip2,
+        RatePolicy::Static { rate: 2_000 },
+    ))
+    .expect("admit b");
+    host.admit(
+        &spec(
+            "c",
+            SpecBenchmark::Hmmer,
+            RatePolicy::Static { rate: 900_000 },
+        ),
+        LoopMode::Closed,
+    )
+    .expect("admit c");
+    for _ in 0..3 {
+        host.step_round();
     }
+}
+
+#[test]
+fn rounds_past_a_workers_credit_match_serial() {
+    let cfg = HostConfig {
+        quantum: 1 << 22,
+        n_shards: 1,
+        ..HostConfig::small()
+    };
+    assert_equivalent(cfg, full_ring_script);
 }
