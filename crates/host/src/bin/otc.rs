@@ -8,19 +8,8 @@
 //! otc tenants [opts]   K-tenant saturation sweep (throughput/waste per K)
 //! otc churn   [opts]   drive a fleet through a churn script (admit/evict/
 //!                      resize online) and report the outcome
-//! otc bench   [opts]   seeded pipeline-vs-serial closed-loop sweep;
-//!                      --json emits the machine-readable record the CI
-//!                      perf gate checks, --gate PCT enforces the floor;
-//!                      --wallclock instead times the same seeded fleet
-//!                      serial vs threaded (real elapsed ms) and gates
-//!                      on the speedup; --fairness instead fills a
-//!                      (typically heterogeneous) pool to saturation
-//!                      with unequal-rate tenants and gates on the WDRR
-//!                      arbiter's worst served-vs-weight share deviation;
-//!                      --spine instead times the single-threaded serving
-//!                      spine itself (rounds/sec at K in {64,256,1024})
-//!                      and gates on improvement over the recorded
-//!                      pre-optimization baseline
+//! otc bench   [opts]   one wall-clock sweep, --spine or --wallclock
+//!                      (below), printed as its JSON record
 //! otc report  [opts]   render a recorded perf session: stage-occupancy
 //!                      and queue-depth timelines, shard utilization,
 //!                      per-tenant SLO attainment (--session FILE;
@@ -63,26 +52,10 @@
 //!                    (the pipeline's steady-state initiation interval
 //!                    — staged pools admit up to their real bandwidth;
 //!                    slot grids identical under both)
-//! --admission        otc bench only: run the admission sweep instead
-//!                    of the pipeline sweep — fill serial/olat and
-//!                    staged/cadence pools to their admission ceilings
-//!                    and compare tenants admitted at the same p99
-//!                    service-time SLO
-//! --fairness         otc bench only: run the fairness sweep instead —
-//!                    fill the pool (honouring --shard-mix) to its
-//!                    admission ceiling with open-loop tenants of
-//!                    deliberately unequal static rates, serve, and
-//!                    compare every tenant's served-slot share against
-//!                    its admitted weight share
-//! --gate X           otc bench only: exit nonzero unless the staged
-//!                    mean service time is ≥ X% below serial (pipeline
-//!                    sweep) / the staged pool admits ≥ X× the tenants
-//!                    within the SLO (admission sweep) / no tenant's
-//!                    share deviates by more than X scheduling quanta
-//!                    of its own slots (fairness sweep)
-//! --json             otc bench only: emit the JSON record
-//!                    (BENCH_pipeline.json / BENCH_admission.json /
-//!                    BENCH_fairness.json in CI) instead of a table
+//! --gate X           otc bench only: exit 1 unless the spine's K=1024
+//!                    rounds/sec is ≥ X% above the recorded baseline
+//!                    (--spine) / the threaded speedup at the largest K
+//!                    is ≥ X× (--wallclock); X is a finite number ≥ 0
 //! --threads N        execute shard work on N worker threads
 //!                    (ParallelKind::Threads); 0 or omitted = the serial
 //!                    reference. Deterministic: any thread count
@@ -115,8 +88,8 @@
 //!                    of one file)
 //! --perf-session F   record a structured perf session (per-round
 //!                    samples + summary, framed binary format) to F
-//!                    (otc run/tenants/churn/bench; tenants keeps the
-//!                    largest fleet's session, bench the staged run's)
+//!                    (otc run/tenants/churn; tenants keeps the
+//!                    largest fleet's session)
 //! --session F        otc report only: the session file to render
 //! --jsonl            otc report only: emit the JSONL export instead of
 //!                    the timeline report
@@ -176,25 +149,19 @@
 use otc_core::{EpochSchedule, LeakageModel, RatePolicy};
 use otc_dram::DdrConfig;
 use otc_host::{
-    parse_bench, parse_churn_script, parse_scenario, parse_scheme, render, CapacityKind,
-    EventOutcome, HostError, HostReport, MultiTenantHost, PerfSession, PipelineKind,
-    ScenarioAction, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant, ServeEnd,
-    SessionFile, TrafficModel,
+    parse_bench, parse_churn_script, parse_scenario, parse_scheme, render, EventOutcome, HostError,
+    HostReport, MultiTenantHost, PerfSession, ScenarioAction, ScenarioEvent, ScenarioHost,
+    ScenarioSpec, ScenarioTenant, ServeEnd, SessionFile, TrafficModel,
 };
 use otc_oram::OramTiming;
 use otc_workloads::SpecBenchmark;
 
-/// The p99 service-time SLO shared by `otc bench --admission` and the
-/// `otc report` per-tenant attainment table, in OLATs: generous enough
-/// that a pool correctly admitted to ~90% of its *real* bandwidth meets
-/// it, so a miss means the pricing let in tenants the shards cannot
-/// carry.
+/// The p99 service-time SLO of the `otc report` per-tenant attainment
+/// table, in OLATs: generous enough that a pool correctly admitted to
+/// ~90% of its *real* bandwidth meets it, so a miss means the pricing
+/// let in tenants the shards cannot carry. `capacity_replay` holds the
+/// admission record to the same SLO.
 const SLO_OLATS: u64 = 8;
-
-/// Seats the admission and fairness sweeps offer: a runaway guard (a
-/// pricing bug could otherwise admit forever), generous — stock
-/// geometries saturate in dozens.
-const MAX_FILL: usize = 4_096;
 
 fn usage() -> ! {
     eprint!(
@@ -204,7 +171,7 @@ fn usage() -> ! {
          \x20 otc run      drive a workload mix through the full stack\n\
          \x20 otc tenants  K-tenant saturation sweep with per-tenant throughput/waste\n\
          \x20 otc churn    drive a fleet through an online churn script\n\
-         \x20 otc bench    seeded pipeline-vs-serial sweep (--json / --gate PCT)\n\
+         \x20 otc bench    wall-clock sweep as a JSON record (--spine | --wallclock)\n\
          \x20 otc report   render a recorded perf session (--session FILE [--jsonl])\n\
          \x20 otc leakage  leakage budget report\n\
          \n\
@@ -216,8 +183,7 @@ fn usage() -> ! {
          \x20        --shard-mix small:serial,small:staged,.. --instructions N\n\
          \x20        --limit BITS --bench a,b,.. --seed N\n\
          \x20        --closed-loop --trace N --pipeline serial|staged --threads N\n\
-         \x20        --capacity olat|cadence --admission --wallclock --fairness --spine\n\
-         \x20        --json --gate X\n\
+         \x20        --capacity olat|cadence --spine --wallclock --gate X (finite, >= 0)\n\
          \x20        --perf-session FILE --session FILE --jsonl --width N\n\
          \x20        --churn-script '@R admit <bench> <scheme> [closed]; @R evict <id>;\n\
          \x20                        @R shards <n>; ...' (otc run, churn, tenants)\n\
@@ -251,12 +217,9 @@ struct Opts {
     trace: usize,
     churn_script: Option<Vec<ScenarioEvent>>,
     scenario: Option<String>,
-    admission: bool,
-    fairness: bool,
     threads: Option<usize>,
     wallclock: bool,
     spine: bool,
-    json: bool,
     gate: Option<f64>,
     perf_session: Option<String>,
     session: Option<String>,
@@ -276,12 +239,9 @@ impl Default for Opts {
             trace: 0,
             churn_script: None,
             scenario: None,
-            admission: false,
-            fairness: false,
             threads: None,
             wallclock: false,
             spine: false,
-            json: false,
             gate: None,
             perf_session: None,
             session: None,
@@ -345,13 +305,19 @@ fn parse_opts(args: &[String]) -> Opts {
                 o.churn_script = Some(events);
             }
             "--scenario" => o.scenario = Some(val("--scenario")),
-            "--admission" => o.admission = true,
-            "--fairness" => o.fairness = true,
             "--threads" => o.threads = Some(val("--threads").parse().unwrap_or_else(|_| usage())),
             "--wallclock" => o.wallclock = true,
             "--spine" => o.spine = true,
-            "--json" => o.json = true,
-            "--gate" => o.gate = Some(val("--gate").parse().unwrap_or_else(|_| usage())),
+            "--gate" => {
+                let text = val("--gate");
+                match text.parse::<f64>() {
+                    Ok(g) if g.is_finite() && g >= 0.0 => o.gate = Some(g),
+                    _ => {
+                        eprintln!("otc: --gate {text:?} is not a finite number >= 0");
+                        usage()
+                    }
+                }
+            }
             "--perf-session" => o.perf_session = Some(val("--perf-session")),
             "--session" => o.session = Some(val("--session")),
             "--jsonl" => o.jsonl = true,
@@ -428,36 +394,17 @@ fn fleet(spec: &ScenarioSpec, o: &Opts, who: &str) -> MultiTenantHost {
     host
 }
 
-/// Offers `spec`'s seats in order until the pool refuses one as
-/// saturated (the fill sweeps offer [`MAX_FILL`] seats), keeping only
-/// the admitted seats in `spec`. Returns the host and the denial.
-fn fill_to_saturation(spec: &mut ScenarioSpec, o: &Opts) -> (MultiTenantHost, String) {
-    let mut host = build_host(spec, o, "otc bench");
-    match spec.admit_roster(&mut host, instructions(o, spec)) {
-        Err((seat, e @ HostError::Saturated { .. })) => {
-            spec.tenants.truncate(seat);
-            (host, e.to_string())
-        }
-        Err((_, e)) => {
-            eprintln!("otc bench: {e}");
-            std::process::exit(1);
-        }
-        Ok(()) => {
-            eprintln!(
-                "otc bench: admission never saturated after {} tenants",
-                spec.tenants.len()
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
 /// Serves `spec` on `host` to the driver's stop rule, printing one line
 /// per fired event (the CI churn-determinism job diffs them), and a
 /// `NOTE:` when the bound cut the run short, so a truncated report
-/// can't pass for a completed one (on stderr under `--json`, whose
-/// stdout is the record).
-fn serve(o: &Opts, spec: &ScenarioSpec, host: &mut MultiTenantHost) -> HostReport {
+/// can't pass for a completed one (on stderr when `stdout_is_record`,
+/// as under `otc bench`, whose stdout is the JSON record).
+fn serve(
+    o: &Opts,
+    spec: &ScenarioSpec,
+    host: &mut MultiTenantHost,
+    stdout_is_record: bool,
+) -> HostReport {
     let end = spec.serve(host, instructions(o, spec), |ev, clock, outcome| {
         println!(
             "@{} clock {clock}: {}",
@@ -480,7 +427,7 @@ fn serve(o: &Opts, spec: &ScenarioSpec, host: &mut MultiTenantHost) -> HostRepor
                 String::new()
             }
         );
-        if o.json {
+        if stdout_is_record {
             eprintln!("{note}");
         } else {
             println!("{note}");
@@ -536,7 +483,7 @@ fn serve_and_report(
     if o.perf_session.is_some() {
         host.record_perf_session(label);
     }
-    let report = serve(o, spec, host);
+    let report = serve(o, spec, host, false);
     if let Some(path) = &o.perf_session {
         let session = host.take_perf_session().expect("recording was enabled");
         write_session(path, &session);
@@ -782,7 +729,7 @@ fn cmd_tenants(o: &Opts) {
         if events > 0 {
             println!("-- K={k} churn log --");
         }
-        let report = serve(o, &spec, &mut host);
+        let report = serve(o, &spec, &mut host, false);
         if o.perf_session.is_some() {
             last_session = host.take_perf_session();
         }
@@ -823,293 +770,6 @@ fn cmd_tenants(o: &Opts) {
     }
     if let (Some(path), Some(session)) = (&o.perf_session, &last_session) {
         write_session(path, session);
-    }
-}
-
-/// `otc bench --admission`: the capacity-model sweep behind the CI
-/// admission gate. Two pools of identical shards are filled to their
-/// admission ceilings with identical tenants — serial shards priced at
-/// one `OLAT` per slot (the pre-cadence reference) against staged
-/// shards priced at their pipeline cadence — then each admitted fleet
-/// serves closed-loop and reports its p99 per-access service time
-/// against the SLO. The payoff on record: the cadence-priced staged
-/// pool admits ≥1.5× the tenants (`--gate` floor) while both pools
-/// meet the same p99 SLO. Deterministic: admission is arithmetic over
-/// the capacity model and the serve is over simulated cycles.
-fn cmd_bench_admission(o: &Opts) {
-    let slo_cycles =
-        SLO_OLATS * OramTiming::derive(&o.host.oram.config(), &DdrConfig::default()).latency;
-    let fill = |pipeline: PipelineKind,
-                capacity: CapacityKind|
-     -> (usize, String, HostReport, PerfSession) {
-        let mut opts = o.clone();
-        opts.host.pipeline = pipeline;
-        opts.host.capacity = capacity;
-        opts.closed_loop = true;
-        let mut spec = flag_spec(&opts, MAX_FILL);
-        let (mut host, denial) = fill_to_saturation(&mut spec, &opts);
-        host.record_perf_session(&format!(
-            "bench admission {:?}/{:?} accesses={}",
-            pipeline, capacity, o.host.slots
-        ));
-        let report = serve(&opts, &spec, &mut host);
-        let session = host.take_perf_session().expect("recording was enabled");
-        (spec.tenants.len(), denial, report, session)
-    };
-    let (serial_k, serial_denial, serial, serial_session) =
-        fill(PipelineKind::Serial, CapacityKind::Olat);
-    let (staged_k, staged_denial, staged, staged_session) =
-        fill(PipelineKind::Staged, CapacityKind::Cadence);
-    if let Some(path) = &o.perf_session {
-        write_session(path, &staged_session);
-    }
-    let ratio = staged_k as f64 / serial_k.max(1) as f64;
-    // The SLO check and the JSON percentiles come from the session
-    // distribution (the merged fleet histogram in the summary), the
-    // same source `otc report` renders.
-    let serial_p99 = serial_session.summary.service_hist.percentile(99);
-    let staged_p99 = staged_session.summary.service_hist.percentile(99);
-    let slo_met = serial_p99 <= slo_cycles && staged_p99 <= slo_cycles;
-    let passed = slo_met && o.gate.is_none_or(|g| ratio >= g);
-    let mode_json = |k: usize, report: &HostReport, session: &PerfSession| -> String {
-        format!(
-            "{{\"tenants_admitted\": {k}, \"capacity_pricing\": \"{}\", \
-             \"effective_cadence\": {}, \"fleet_demand\": {:.4}, \"fleet_capacity\": {:.4}, \
-             \"p50_service_cycles\": {}, \"p99_service_cycles\": {}, \
-             \"mean_service_cycles\": {:.3}, \"queueing_cycles\": {}}}",
-            report.capacity,
-            report.effective_cadence,
-            report.fleet_demand,
-            report.fleet_capacity,
-            session.summary.service_hist.percentile(50),
-            session.summary.service_hist.percentile(99),
-            report.mean_service_cycles,
-            report.shard_queueing_cycles
-        )
-    };
-    if o.json {
-        println!("{{");
-        println!("  \"bench\": \"admission_sweep\",");
-        println!(
-            "  \"config\": {{\"seed\": {}, \"shards\": {}, \"oram\": \"{}\", \
-             \"scheme\": \"{}\", \"slots_per_tenant\": {}, \"closed_loop\": true, \
-             \"slo_cycles\": {slo_cycles}}},",
-            o.host.seed,
-            o.host.shards,
-            o.host.oram.label(),
-            o.scheme,
-            o.host.slots
-        );
-        println!(
-            "  \"serial_olat\": {},",
-            mode_json(serial_k, &serial, &serial_session)
-        );
-        println!(
-            "  \"staged_cadence\": {},",
-            mode_json(staged_k, &staged, &staged_session)
-        );
-        println!("  \"admission_ratio\": {ratio:.3},");
-        println!("  \"slo_met\": {slo_met},");
-        println!(
-            "  \"gate_ratio\": {},",
-            o.gate.map_or("null".into(), |g| format!("{g:.2}"))
-        );
-        println!("  \"gate_passed\": {passed}");
-        println!("}}");
-    } else {
-        println!(
-            "otc bench: admission sweep | {} shards, oram {}, scheme {}, {} slots/tenant, \
-             closed loop, seed {} | p99 SLO {slo_cycles} cycles",
-            o.host.shards,
-            o.host.oram.label(),
-            o.scheme,
-            o.host.slots,
-            o.host.seed
-        );
-        for (label, k, denial, report) in [
-            ("serial/olat", serial_k, &serial_denial, &serial),
-            ("staged/cadence", staged_k, &staged_denial, &staged),
-        ] {
-            println!(
-                "  {label:<15} admitted {k:>3} tenants | p99 service {:>8} cycles | \
-                 mean {:>8.1} | demand {:.2}/{:.2} shard-equivalents",
-                report.p99_service_cycles,
-                report.mean_service_cycles,
-                report.fleet_demand,
-                report.fleet_capacity
-            );
-            println!("  {label:<15} denial: {denial}");
-        }
-        println!(
-            "  cadence pricing admits {ratio:.2}x the tenants; SLO {}",
-            if slo_met {
-                "met by both pools"
-            } else {
-                "MISSED"
-            }
-        );
-    }
-    if let Some(g) = o.gate {
-        if !passed {
-            eprintln!(
-                "ADMISSION GATE FAILED: ratio {ratio:.2} (floor {g:.2}), p99 serial \
-                 {serial_p99} / staged {staged_p99} vs SLO {slo_cycles}"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("admission gate passed: {ratio:.2}x >= {g:.2}x floor, both pools within SLO");
-    }
-}
-
-/// `otc bench --fairness`: the WDRR fairness sweep behind the CI
-/// fairness gate. The pool (heterogeneous when `--shard-mix` is given)
-/// is filled to its admission ceiling with open-loop tenants whose
-/// static rates cycle a deliberately spread list — fast and slow grids
-/// price differently, so the arbiter carries genuinely unequal weights —
-/// then the fleet serves and every tenant's served-slot share is
-/// compared against its admitted weight share. The figure on record is
-/// the worst deviation measured in scheduling quanta of that tenant's
-/// own slots (one quantum is the structural slack of a deficit
-/// round-robin; the property suite in `tests/fairness_replay.rs` holds
-/// the same bound over 64 random fleets). `--gate X` fails the run if
-/// any tenant deviates by more than X quanta. The serve is over
-/// simulated cycles, so every field except `elapsed_ms` is
-/// bit-deterministic — the CI diff filters that one line.
-fn cmd_bench_fairness(o: &Opts) {
-    /// The admitted rate pattern: spread wide enough that weight shares
-    /// differ by an order of magnitude across the fleet.
-    const RATES: [u64; 4] = [500, 900, 1_600, 2_800];
-    let mut opts = o.clone();
-    opts.closed_loop = false;
-    let mut spec = flag_spec(&opts, MAX_FILL);
-    for (i, t) in spec.tenants.iter_mut().enumerate() {
-        t.scheme = format!("static_{}", RATES[i % RATES.len()]);
-    }
-    let quantum = spec.host.quantum;
-    let (mut host, denial) = fill_to_saturation(&mut spec, &opts);
-    let admitted = spec.tenants.len();
-    if admitted < 2 {
-        eprintln!(
-            "otc bench: fairness needs >= 2 admitted tenants (got {admitted}); grow the pool"
-        );
-        std::process::exit(1);
-    }
-    if o.perf_session.is_some() {
-        host.record_perf_session(&format!(
-            "bench fairness tenants={admitted} accesses={}",
-            o.host.slots
-        ));
-    }
-    let start = std::time::Instant::now();
-    let report = serve(&opts, &spec, &mut host);
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    if let Some(path) = &o.perf_session {
-        let session = host.take_perf_session().expect("recording was enabled");
-        write_session(path, &session);
-    }
-    let olat = host.capacity_model().olat();
-    // `+ 0.0` normalizes the -0.0 an empty f64 sum yields (unreachable
-    // here after the >= 2 check, but the idiom is uniform repo-wide).
-    let total_weight: f64 = report.tenants.iter().map(|t| t.capacity_share).sum::<f64>() + 0.0;
-    let total_slots: u64 = report.tenants.iter().map(|t| t.slots_served).sum();
-    // Per tenant: how far its served-slot count sits from its weight's
-    // entitlement, in units of one scheduling quantum of its own slots
-    // (plus the grid's ±1 quantization) — the same slack the property
-    // suite asserts.
-    let rows: Vec<(String, u64, f64, f64, u64, f64)> = report
-        .tenants
-        .iter()
-        .map(|t| {
-            let weight_share = t.capacity_share / total_weight;
-            let slot_share = t.slots_served as f64 / total_slots as f64;
-            let expected = weight_share * total_slots as f64;
-            let quantum_slots = quantum as f64 / (t.final_rate + olat) as f64 + 1.0;
-            let deviation_quanta = (t.slots_served as f64 - expected).abs() / quantum_slots;
-            (
-                t.name.clone(),
-                t.final_rate,
-                weight_share,
-                slot_share,
-                t.slots_served,
-                deviation_quanta,
-            )
-        })
-        .collect();
-    let max_deviation = rows.iter().map(|r| r.5).fold(0.0f64, f64::max);
-    let passed = o.gate.is_none_or(|g| max_deviation <= g);
-    if o.json {
-        println!("{{");
-        println!("  \"bench\": \"fairness_sweep\",");
-        println!(
-            "  \"config\": {{\"seed\": {}, \"shards\": {}, \"oram\": \"{}\", \
-             \"shard_mix\": \"{}\", \"capacity_pricing\": \"{}\", \"quantum\": {quantum}, \
-             \"slots_per_tenant\": {}}},",
-            o.host.seed,
-            o.host.shards,
-            o.host.oram.label(),
-            o.host.mix_label(),
-            report.capacity,
-            o.host.slots
-        );
-        println!("  \"pipeline\": \"{}\",", report.pipeline_label);
-        println!("  \"tenants_admitted\": {admitted},");
-        println!("  \"total_slots\": {total_slots},");
-        println!("  \"tenants\": [");
-        for (i, (name, rate, weight_share, slot_share, slots, dev)) in rows.iter().enumerate() {
-            println!(
-                "    {{\"name\": \"{name}\", \"rate\": {rate}, \"weight_share\": \
-                 {weight_share:.6}, \"slot_share\": {slot_share:.6}, \"slots\": {slots}, \
-                 \"deviation_quanta\": {dev:.4}}}{}",
-                if i + 1 < rows.len() { "," } else { "" }
-            );
-        }
-        println!("  ],");
-        println!("  \"max_deviation_quanta\": {max_deviation:.4},");
-        println!("  \"elapsed_ms\": {elapsed_ms:.1},");
-        println!(
-            "  \"gate_quanta\": {},",
-            o.gate.map_or("null".into(), |g| format!("{g:.2}"))
-        );
-        println!("  \"gate_passed\": {passed}");
-        println!("}}");
-    } else {
-        println!(
-            "otc bench: fairness sweep | {} shards ({} pipeline), mix \"{}\", {} pricing, \
-             {} slots/tenant, seed {} | {admitted} tenants admitted to saturation",
-            o.host.shards,
-            report.pipeline_label,
-            o.host.mix_label(),
-            report.capacity,
-            o.host.slots,
-            o.host.seed
-        );
-        println!("  denial: {denial}");
-        println!(
-            "  {:<8}{:>8}{:>14}{:>14}{:>10}{:>12}",
-            "tenant", "rate", "weight share", "slot share", "slots", "dev quanta"
-        );
-        for (name, rate, weight_share, slot_share, slots, dev) in &rows {
-            println!(
-                "  {name:<8}{rate:>8}{:>14.4}{:>14.4}{slots:>10}{dev:>12.3}",
-                weight_share, slot_share
-            );
-        }
-        println!(
-            "  worst deviation {max_deviation:.3} scheduling quanta across {} tenants",
-            rows.len()
-        );
-    }
-    if let Some(g) = o.gate {
-        if !passed {
-            eprintln!(
-                "FAIRNESS GATE FAILED: worst served-vs-weight share deviation \
-                 {max_deviation:.3} quanta exceeds the {g:.2}-quantum floor"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "fairness gate passed: worst deviation {max_deviation:.3} <= {g:.2} scheduling quanta"
-        );
     }
 }
 
@@ -1228,66 +888,41 @@ fn cmd_bench_spine(o: &Opts) {
     let gate_rps = rps(gate_run.5);
     let improvement = (gate_rps / SPINE_BASELINE_K1024_ROUNDS_PER_SEC - 1.0) * 100.0;
     let passed = o.gate.is_none_or(|g| improvement >= g);
-    if o.json {
-        println!("{{");
-        println!("  \"bench\": \"spine_sweep\",");
+    println!("{{");
+    println!("  \"bench\": \"spine_sweep\",");
+    println!(
+        "  \"config\": {{\"seed\": {}, \"shards\": {SPINE_SHARDS}, \"oram\": \"{}\", \
+         \"olat\": {olat}, \"quantum\": {quantum}, \"rounds\": {SPINE_ROUNDS}, \
+         \"reps\": {SPINE_REPS}, \"rate_olats\": [64, 96, 128, 192], \
+         \"open_loop\": true, \"threads\": 0}},",
+        o.host.seed,
+        o.host.oram.label()
+    );
+    println!("  \"sweep\": [");
+    for (i, (k, slots, real, clock, bits_milli, elapsed_ms)) in sweep.iter().enumerate() {
+        println!("    {{");
+        println!("      \"tenants\": {k},");
         println!(
-            "  \"config\": {{\"seed\": {}, \"shards\": {SPINE_SHARDS}, \"oram\": \"{}\", \
-             \"olat\": {olat}, \"quantum\": {quantum}, \"rounds\": {SPINE_ROUNDS}, \
-             \"reps\": {SPINE_REPS}, \"rate_olats\": [64, 96, 128, 192], \
-             \"open_loop\": true, \"threads\": 0}},",
-            o.host.seed,
-            o.host.oram.label()
+            "      \"digest\": {{\"slots\": {slots}, \"real\": {real}, \"clock\": {clock}, \
+             \"spent_bits_milli\": {bits_milli}}},"
         );
-        println!("  \"sweep\": [");
-        for (i, (k, slots, real, clock, bits_milli, elapsed_ms)) in sweep.iter().enumerate() {
-            println!("    {{");
-            println!("      \"tenants\": {k},");
-            println!(
-                "      \"digest\": {{\"slots\": {slots}, \"real\": {real}, \"clock\": {clock}, \
-                 \"spent_bits_milli\": {bits_milli}}},"
-            );
-            println!("      \"elapsed_ms\": {elapsed_ms:.1},");
-            println!("      \"rounds_per_sec\": {:.1},", rps(*elapsed_ms));
-            println!(
-                "      \"slots_per_sec\": {:.0}",
-                *slots as f64 / (elapsed_ms / 1e3).max(1e-9)
-            );
-            println!("    }}{}", if i + 1 < sweep.len() { "," } else { "" });
-        }
-        println!("  ],");
-        println!("  \"baseline_rounds_per_sec\": {SPINE_BASELINE_K1024_ROUNDS_PER_SEC:.1},");
-        println!("  \"improvement_pct\": {improvement:.1},");
+        println!("      \"elapsed_ms\": {elapsed_ms:.1},");
+        println!("      \"rounds_per_sec\": {:.1},", rps(*elapsed_ms));
         println!(
-            "  \"gate_pct\": {},",
-            o.gate.map_or("null".into(), |g| format!("{g:.1}"))
+            "      \"slots_per_sec\": {:.0}",
+            *slots as f64 / (elapsed_ms / 1e3).max(1e-9)
         );
-        println!("  \"gate_passed\": {passed}");
-        println!("}}");
-    } else {
-        println!(
-            "otc bench: spine sweep | {SPINE_SHARDS} shards, oram {} (OLAT {olat}), \
-             {SPINE_ROUNDS} rounds, static rates {{64,96,128,192}}xOLAT, open loop, seed {} | \
-             single-threaded serial spine",
-            o.host.oram.label(),
-            o.host.seed
-        );
-        println!(
-            "{:<8}{:>14}{:>16}{:>16}{:>12}{:>14}",
-            "K", "elapsed ms", "rounds/sec", "slots/sec", "slots", "clock"
-        );
-        for (k, slots, _real, clock, _bits, elapsed_ms) in &sweep {
-            println!(
-                "{k:<8}{elapsed_ms:>14.1}{:>16.1}{:>16.0}{slots:>12}{clock:>14}",
-                rps(*elapsed_ms),
-                *slots as f64 / (elapsed_ms / 1e3).max(1e-9)
-            );
-        }
-        println!(
-            "  K=1024 spine at {gate_rps:.1} rounds/sec vs {SPINE_BASELINE_K1024_ROUNDS_PER_SEC:.1} \
-             pre-optimization baseline: {improvement:+.1}%"
-        );
+        println!("    }}{}", if i + 1 < sweep.len() { "," } else { "" });
     }
+    println!("  ],");
+    println!("  \"baseline_rounds_per_sec\": {SPINE_BASELINE_K1024_ROUNDS_PER_SEC:.1},");
+    println!("  \"improvement_pct\": {improvement:.1},");
+    println!(
+        "  \"gate_pct\": {},",
+        o.gate.map_or("null".into(), |g| format!("{g:.1}"))
+    );
+    println!("  \"gate_passed\": {passed}");
+    println!("}}");
     if let Some(g) = o.gate {
         if !passed {
             eprintln!(
@@ -1322,10 +957,9 @@ struct WallclockDigest {
 /// seeds, and the *real elapsed time* of the serve loop is measured
 /// (host construction excluded). Simulated results are cross-checked
 /// field by field ([`WallclockDigest`]); `--gate X` holds a speedup
-/// floor at the largest K. Unlike every other bench, the timing fields
-/// here are genuinely nondeterministic — the CI diff filters the
-/// `elapsed_ms`/`speedup`/`host_parallelism`/`applied_gate`/
-/// `gate_passed` lines and pins the rest.
+/// floor at the largest K. The timing fields are nondeterministic — the
+/// CI diff filters the `elapsed_ms`/`speedup`/`host_parallelism`/
+/// `applied_gate`/`gate_passed` lines and pins the rest.
 ///
 /// The gate is parallelism-aware: a wall-clock speedup requires the
 /// host to actually run threads concurrently, so on a single-core
@@ -1338,7 +972,6 @@ fn cmd_bench_wallclock(o: &Opts) {
     /// Floor applied instead of `--gate` when only one CPU is visible:
     /// threaded must finish within 2x of serial (speedup >= 0.5).
     const SINGLE_CORE_FLOOR: f64 = 0.5;
-    require_tenants(o);
     let threads = match o.threads {
         None | Some(0) => 4,
         Some(n) => n,
@@ -1352,7 +985,7 @@ fn cmd_bench_wallclock(o: &Opts) {
         let spec = flag_spec(&opts, k);
         let mut host = fleet(&spec, &opts, &format!("otc bench: K={k}"));
         let start = std::time::Instant::now();
-        let report = serve(&opts, &spec, &mut host);
+        let report = serve(&opts, &spec, &mut host, true);
         let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
         let digest = WallclockDigest {
             slots: report.tenants.iter().map(|t| t.slots_served).sum(),
@@ -1396,80 +1029,54 @@ fn cmd_bench_wallclock(o: &Opts) {
         }
     });
     let passed = applied_gate.is_none_or(|g| gate_speedup >= g);
-    if o.json {
-        println!("{{");
-        println!("  \"bench\": \"wallclock_sweep\",");
+    println!("{{");
+    println!("  \"bench\": \"wallclock_sweep\",");
+    println!(
+        "  \"config\": {{\"seed\": {}, \"shards\": {}, \"oram\": \"{}\", \
+         \"scheme\": \"{}\", \"slots_per_tenant\": {}, \"threads\": {threads}, \
+         \"closed_loop\": {}}},",
+        o.host.seed,
+        o.host.shards,
+        o.host.oram.label(),
+        o.scheme,
+        o.host.slots,
+        o.closed_loop
+    );
+    println!("  \"sweep\": [");
+    for (i, (k, digest, serial_ms, threaded_ms)) in sweep.iter().enumerate() {
+        println!("    {{");
+        println!("      \"tenants\": {k},");
         println!(
-            "  \"config\": {{\"seed\": {}, \"shards\": {}, \"oram\": \"{}\", \
-             \"scheme\": \"{}\", \"slots_per_tenant\": {}, \"threads\": {threads}, \
-             \"closed_loop\": {}}},",
-            o.host.seed,
-            o.host.shards,
-            o.host.oram.label(),
-            o.scheme,
-            o.host.slots,
-            o.closed_loop
+            "      \"digest\": {{\"slots\": {}, \"real\": {}, \"clock\": {}, \
+             \"queueing_cycles\": {}, \"p99_service_cycles\": {}, \
+             \"spent_bits_milli\": {}}},",
+            digest.slots,
+            digest.real,
+            digest.clock,
+            digest.queueing_cycles,
+            digest.p99_service_cycles,
+            digest.spent_bits_milli
         );
-        println!("  \"sweep\": [");
-        for (i, (k, digest, serial_ms, threaded_ms)) in sweep.iter().enumerate() {
-            println!("    {{");
-            println!("      \"tenants\": {k},");
-            println!(
-                "      \"digest\": {{\"slots\": {}, \"real\": {}, \"clock\": {}, \
-                 \"queueing_cycles\": {}, \"p99_service_cycles\": {}, \
-                 \"spent_bits_milli\": {}}},",
-                digest.slots,
-                digest.real,
-                digest.clock,
-                digest.queueing_cycles,
-                digest.p99_service_cycles,
-                digest.spent_bits_milli
-            );
-            println!("      \"elapsed_ms_serial\": {serial_ms:.1},");
-            println!("      \"elapsed_ms_threads\": {threaded_ms:.1},");
-            println!(
-                "      \"speedup\": {:.2}",
-                speedup_at(*serial_ms, *threaded_ms)
-            );
-            println!("    }}{}", if i + 1 < sweep.len() { "," } else { "" });
-        }
-        println!("  ],");
-        println!("  \"host_parallelism\": {host_parallelism},");
+        println!("      \"elapsed_ms_serial\": {serial_ms:.1},");
+        println!("      \"elapsed_ms_threads\": {threaded_ms:.1},");
         println!(
-            "  \"gate_speedup\": {},",
-            o.gate.map_or("null".into(), |g| format!("{g:.2}"))
+            "      \"speedup\": {:.2}",
+            speedup_at(*serial_ms, *threaded_ms)
         );
-        println!(
-            "  \"applied_gate\": {},",
-            applied_gate.map_or("null".into(), |g| format!("{g:.2}"))
-        );
-        println!("  \"gate_passed\": {passed}");
-        println!("}}");
-    } else {
-        println!(
-            "otc bench: wall-clock sweep | {} shards, oram {}, scheme {}, {} slots/tenant, \
-             {} loop, seed {} | serial vs {threads} worker thread(s) on {host_parallelism} \
-             host core(s)",
-            o.host.shards,
-            o.host.oram.label(),
-            o.scheme,
-            o.host.slots,
-            loop_label(o.closed_loop),
-            o.host.seed
-        );
-        println!(
-            "{:<8}{:>14}{:>16}{:>10}{:>14}{:>12}",
-            "K", "serial ms", "threads ms", "speedup", "slots", "clock"
-        );
-        for (k, digest, serial_ms, threaded_ms) in &sweep {
-            println!(
-                "{k:<8}{serial_ms:>14.1}{threaded_ms:>16.1}{:>10.2}{:>14}{:>12}",
-                speedup_at(*serial_ms, *threaded_ms),
-                digest.slots,
-                digest.clock
-            );
-        }
+        println!("    }}{}", if i + 1 < sweep.len() { "," } else { "" });
     }
+    println!("  ],");
+    println!("  \"host_parallelism\": {host_parallelism},");
+    println!(
+        "  \"gate_speedup\": {},",
+        o.gate.map_or("null".into(), |g| format!("{g:.2}"))
+    );
+    println!(
+        "  \"applied_gate\": {},",
+        applied_gate.map_or("null".into(), |g| format!("{g:.2}"))
+    );
+    println!("  \"gate_passed\": {passed}");
+    println!("}}");
     if let Some(g) = applied_gate {
         let requested = o.gate.expect("applied_gate implies --gate");
         let floor = if (g - requested).abs() > f64::EPSILON {
@@ -1492,149 +1099,21 @@ fn cmd_bench_wallclock(o: &Opts) {
     }
 }
 
-/// `otc bench`: the seeded pipeline-vs-serial sweep behind the CI perf
-/// gate (or, with `--admission` / `--fairness`, the capacity and
-/// arbiter sweeps above). The same
-/// closed-loop fleet (identical seeds, benchmarks and rate policy) runs
-/// once per pipeline discipline; the comparison is over simulated
-/// cycles, so the result is bit-deterministic — the `--gate` floor
-/// exists to catch real regressions, not wall-clock noise.
+/// `otc bench`: one of the two wall-clock sweeps, `--spine` or
+/// `--wallclock`. Each prints its JSON record on stdout and, under
+/// `--gate`, exits 1 below the floor. The seeded pipeline, admission
+/// and fairness gates count simulated cycles, so tier-1 tests hold
+/// them against their records (`pipeline_equivalence`,
+/// `capacity_replay`, `fairness_replay`).
 fn cmd_bench(o: &Opts) {
     require_tenants(o);
-    if o.wallclock {
-        return cmd_bench_wallclock(o);
-    }
-    if o.spine {
-        return cmd_bench_spine(o);
-    }
-    if o.admission {
-        return cmd_bench_admission(o);
-    }
-    if o.fairness {
-        return cmd_bench_fairness(o);
-    }
-    let run = |kind: PipelineKind| -> (HostReport, PerfSession) {
-        let mut opts = o.clone();
-        opts.host.pipeline = kind;
-        opts.closed_loop = true; // the gate measures fed-back service time
-        let spec = flag_spec(&opts, opts.tenants);
-        let mut host = fleet(&spec, &opts, "otc bench");
-        host.record_perf_session(&format!(
-            "bench pipeline {kind:?} tenants={} accesses={}",
-            opts.tenants, opts.host.slots
-        ));
-        let report = serve(&opts, &spec, &mut host);
-        let session = host.take_perf_session().expect("recording was enabled");
-        (report, session)
-    };
-    let (serial, serial_session) = run(PipelineKind::Serial);
-    let (staged, staged_session) = run(PipelineKind::Staged);
-    if let Some(path) = &o.perf_session {
-        write_session(path, &staged_session);
-    }
-    let improvement = if serial.mean_service_cycles > 0.0 {
-        (1.0 - staged.mean_service_cycles / serial.mean_service_cycles) * 100.0
-    } else {
-        0.0
-    };
-    // The percentiles come from the sessions' merged fleet service-time
-    // histograms — the same distribution `otc report` renders. The gate
-    // holds the floor on the p99 tail as well as the mean, so a staged
-    // pipeline that wins on average but regresses its worst percentile
-    // still fails.
-    let serial_p99 = serial_session.summary.service_hist.percentile(99);
-    let staged_p99 = staged_session.summary.service_hist.percentile(99);
-    let p99_improvement = if serial_p99 > 0 {
-        (1.0 - staged_p99 as f64 / serial_p99 as f64) * 100.0
-    } else {
-        0.0
-    };
-    let passed = o
-        .gate
-        .is_none_or(|g| improvement >= g && p99_improvement >= g);
-    let mode_json = |report: &HostReport, session: &PerfSession| -> String {
-        let tp: f64 = report
-            .tenants
-            .iter()
-            .filter(|t| t.is_active())
-            .map(|t| t.throughput_per_mcycle)
-            .sum();
-        format!(
-            "{{\"mean_service_cycles\": {:.3}, \"p50_service_cycles\": {}, \
-             \"p99_service_cycles\": {}, \"queueing_cycles\": {}, \
-             \"service_cycles\": {}, \"fleet_throughput_per_mcycle\": {:.3}, \
-             \"background_eviction_drains\": {}}}",
-            report.mean_service_cycles,
-            session.summary.service_hist.percentile(50),
-            session.summary.service_hist.percentile(99),
-            report.shard_queueing_cycles,
-            report.shard_service_cycles,
-            tp,
-            report.background_eviction_drains
-        )
-    };
-    if o.json {
-        println!("{{");
-        println!("  \"bench\": \"pipeline_sweep\",");
-        println!(
-            "  \"config\": {{\"seed\": {}, \"tenants\": {}, \"shards\": {}, \
-             \"oram\": \"{}\", \"scheme\": \"{}\", \"slots_per_tenant\": {}, \
-             \"closed_loop\": true}},",
-            o.host.seed,
-            o.tenants,
-            o.host.shards,
-            o.host.oram.label(),
-            o.scheme,
-            o.host.slots
-        );
-        println!("  \"serial\": {},", mode_json(&serial, &serial_session));
-        println!("  \"staged\": {},", mode_json(&staged, &staged_session));
-        println!("  \"improvement_pct\": {improvement:.3},");
-        println!("  \"p99_improvement_pct\": {p99_improvement:.3},");
-        println!(
-            "  \"gate_pct\": {},",
-            o.gate.map_or("null".into(), |g| format!("{g:.1}"))
-        );
-        println!("  \"gate_passed\": {passed}");
-        println!("}}");
-    } else {
-        println!(
-            "otc bench: pipeline sweep | {} tenants, {} shards, scheme {}, {} slots/tenant, \
-             closed loop, seed {}",
-            o.tenants, o.host.shards, o.scheme, o.host.slots, o.host.seed
-        );
-        for (label, report, session) in [
-            ("serial", &serial, &serial_session),
-            ("staged", &staged, &staged_session),
-        ] {
-            println!(
-                "  {label:<7} mean service {:>8.1} cycles | p99 {:>8} | queueing {:>12} | \
-                 drains {:>8}",
-                report.mean_service_cycles,
-                session.summary.service_hist.percentile(99),
-                report.shard_queueing_cycles,
-                report.background_eviction_drains
-            );
+    match (o.spine, o.wallclock) {
+        (true, false) => cmd_bench_spine(o),
+        (false, true) => cmd_bench_wallclock(o),
+        _ => {
+            eprintln!("otc bench needs exactly one of --spine and --wallclock");
+            std::process::exit(2);
         }
-        println!(
-            "  staged mean service time is {improvement:.1}% below serial \
-             (p99 {p99_improvement:.1}% below)"
-        );
-    }
-    if let Some(g) = o.gate {
-        if !passed {
-            eprintln!(
-                "PERF GATE FAILED: staged mean {:.1} cycles is {improvement:.1}% below serial \
-                 {:.1}, staged p99 {staged_p99} is {p99_improvement:.1}% below serial p99 \
-                 {serial_p99} (floor {g:.0}% on both)",
-                staged.mean_service_cycles, serial.mean_service_cycles
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "perf gate passed: mean {improvement:.1}% and p99 {p99_improvement:.1}% >= \
-             {g:.0}% floor"
-        );
     }
 }
 
@@ -1734,8 +1213,9 @@ fn main() {
         opts.trace = 0;
     }
     // Sessions are sampled round by round while a fleet serves; the
-    // non-simulating subcommands have no rounds to sample.
-    if opts.perf_session.is_some() && matches!(cmd.as_str(), "leakage" | "report") {
+    // non-simulating subcommands have no rounds to sample, and `otc
+    // bench` times its fleets, so it records none.
+    if opts.perf_session.is_some() && matches!(cmd.as_str(), "leakage" | "report" | "bench") {
         eprintln!("--perf-session does not apply to `otc {cmd}`; ignoring");
         opts.perf_session = None;
     }

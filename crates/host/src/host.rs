@@ -19,9 +19,7 @@
 //! time, so a round costs O(slots due + quantum/bucket-width) instead of
 //! the O(K tenants) per served slot a k-way merge pays; the merge
 //! survives as [`SchedulerKind::Merge`], the reference implementation
-//! the equivalence property tests compare against. (The K-scaling
-//! sweep in `fig_multi_tenant` times its own k-way merge over bare
-//! slot grids, not this variant.)
+//! the equivalence property tests compare against.
 //!
 //! # Online churn
 //!

@@ -1,5 +1,4 @@
-//! Plain-text rendering of [`HostReport`]s for the `otc` CLI and the
-//! `fig_multi_tenant` bench.
+//! Plain-text rendering of [`HostReport`]s for the `otc` CLI.
 
 use crate::host::HostReport;
 
@@ -67,7 +66,7 @@ pub fn tenant_table(report: &HostReport) -> String {
 /// attainment ratio between the two. Slot grids are rate-periodic, so
 /// in a saturating steady state an active tenant's slot share tracks
 /// its weight share — attainment near 1.00 is the fairness the arbiter
-/// is gated on (`otc bench --fairness`). Evicted tenants keep their
+/// is gated on (`tests/fairness_replay.rs`). Evicted tenants keep their
 /// frozen share but show no attainment: their slot counts stopped at
 /// eviction while the fleet's kept growing.
 pub fn fairness_table(report: &HostReport) -> String {

@@ -993,8 +993,8 @@ impl ShardedOram {
     /// every live shard's histogram plus the retired histogram, so the
     /// result covers all accesses ever served (conservation:
     /// `service_histogram().total() == Σ accesses + retired`). This is
-    /// the distribution `otc bench` gates p50/p99 on and perf-session
-    /// summaries store.
+    /// the distribution the pipeline and admission gates read p50/p99
+    /// from and perf-session summaries store.
     pub fn service_histogram(&self) -> Histogram {
         let mut merged = self.retired_hist.clone();
         for lane in &self.lanes {
@@ -1018,7 +1018,7 @@ impl ShardedOram {
     /// upper edge of the histogram bucket holding the 99th-percentile
     /// access — a conservative (never under-reporting) figure with
     /// `OLAT/16`-cycle resolution. 0 when idle. This is the number the
-    /// admission SLO in `otc bench --admission` is stated against.
+    /// admission gate's SLO is stated against.
     pub fn p99_service_cycles(&self) -> Cycle {
         self.service_histogram().percentile(99)
     }

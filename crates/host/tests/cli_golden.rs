@@ -6,11 +6,13 @@
 //! these can. A change meant to move the output re-records the file and
 //! says why.
 //!
-//! The degenerate-scheme case pins that bad external input is a usage
-//! error (exit 2) with a message, never a panic (101) or an aborting
-//! allocation (134).
+//! The degenerate-scheme and bench-flag cases pin that bad external
+//! input is a usage error (exit 2) with a message, never a panic (101),
+//! an aborting allocation (134) or a run that means nothing.
 
 use std::process::{Command, Output};
+
+mod util;
 
 /// Runs `otc` from the repo root, where CI runs it (the scenario case
 /// names its file relative to that root).
@@ -30,16 +32,7 @@ fn assert_golden(args: &[&str], name: &str, golden: &str) {
         String::from_utf8_lossy(&out.stderr)
     );
     let got = String::from_utf8(out.stdout).expect("stdout is UTF-8");
-    let first_diff = got
-        .lines()
-        .zip(golden.lines())
-        .position(|(a, b)| a != b)
-        .unwrap_or(got.lines().count().min(golden.lines().count()));
-    assert!(
-        got == golden,
-        "otc {args:?} diverged from golden/{name} at line {}:\n{got}",
-        first_diff + 1
-    );
+    util::assert_text_eq(&format!("otc {args:?} vs golden/{name}"), &got, golden);
 }
 
 #[test]
@@ -156,5 +149,40 @@ fn degenerate_schemes_are_usage_errors() {
                 "otc {args:?} names no scheme: {stderr}"
             );
         }
+    }
+}
+
+#[test]
+fn meaningless_bench_flags_are_usage_errors() {
+    // Each row exits before any fleet serves. `--perf-session` is
+    // ignored with a warning, as on `report` and `leakage`, so that row
+    // still fails on the missing sweep.
+    for (args, needle) in [
+        (&["bench"][..], "exactly one of --spine and --wallclock"),
+        (&["bench", "--spine", "--wallclock"][..], "exactly one of"),
+        (
+            &["bench", "--wallclock", "--gate", "-5"][..],
+            "--gate \"-5\"",
+        ),
+        (
+            &["bench", "--wallclock", "--gate", "nan"][..],
+            "--gate \"nan\"",
+        ),
+        (&["bench", "--spine", "--gate", "inf"][..], "--gate \"inf\""),
+        (&["bench", "--admission"][..], "unknown option: --admission"),
+        (&["bench", "--fairness"][..], "unknown option: --fairness"),
+        (
+            &["bench", "--wallclock", "--json"][..],
+            "unknown option: --json",
+        ),
+        (
+            &["bench", "--perf-session", "unused.otcp"][..],
+            "--perf-session does not apply to `otc bench`",
+        ),
+    ] {
+        let out = otc(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "otc {args:?}: {stderr}");
+        assert!(stderr.contains(needle), "otc {args:?}: {stderr}");
     }
 }

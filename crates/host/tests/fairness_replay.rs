@@ -16,16 +16,26 @@
 //!    admitted to saturation on random (including heterogeneous) pools:
 //!    every tenant's served-slot share stays within one scheduling
 //!    quantum's worth of its slots of its admitted weight share.
+//! 4. **The fairness gate** — the same bound on `BENCH_fairness.json`'s
+//!    mixed pool, filled with unequal-rate tenants; the record, rendered
+//!    afresh, must match the checked-in file byte for byte.
 //!
 //! CI replays this suite with fixed seeds; nondeterminism in the credit
 //! arithmetic would show up as a diff between runs.
 
 use otc_core::RatePolicy;
+use otc_dram::Cycle;
 use otc_host::{
-    ArbiterKind, CapacityKind, HostConfig, HostError, LoopMode, MultiTenantHost, PipelineConfig,
-    SchedulerKind, ShardClass, TenantSpec,
+    ArbiterKind, CapacityKind, HostConfig, HostError, HostReport, LoopMode, MultiTenantHost,
+    PipelineConfig, SchedulerKind, ShardClass, TenantSpec,
 };
 use otc_oram::{OramConfig, TreeGeometry};
+
+mod util;
+
+/// The fairness gate's floor, in scheduling quanta of a tenant's own
+/// slots (see [`share_deviations`]).
+const FLOOR_QUANTA: f64 = 1.0;
 
 fn spec(name: &str, policy: RatePolicy) -> TenantSpec {
     TenantSpec {
@@ -62,6 +72,30 @@ fn mixed_classes() -> Vec<ShardClass> {
             pipeline: PipelineConfig::staged(),
         },
     ]
+}
+
+/// Each tenant's `(weight share, served-slot share, deviation)`, the
+/// deviation being the distance of its served slots from its weight's
+/// entitlement in scheduling quanta of its own slots, plus the grid's
+/// ±1 quantization. One quantum is the structural slack: rounds serve
+/// whole batches, so a share can lag by at most one round of service.
+fn share_deviations(report: &HostReport, quantum: Cycle, olat: Cycle) -> Vec<(f64, f64, f64)> {
+    let total_weight: f64 = report.tenants.iter().map(|t| t.capacity_share).sum();
+    let total_slots: u64 = report.tenants.iter().map(|t| t.slots_served).sum();
+    report
+        .tenants
+        .iter()
+        .map(|t| {
+            let weight_share = t.capacity_share / total_weight;
+            let expected = weight_share * total_slots as f64;
+            let quantum_slots = quantum as f64 / (t.final_rate + olat) as f64 + 1.0;
+            (
+                weight_share,
+                t.slots_served as f64 / total_slots as f64,
+                (t.slots_served as f64 - expected).abs() / quantum_slots,
+            )
+        })
+        .collect()
 }
 
 #[test]
@@ -158,12 +192,11 @@ fn arbiter_reorders_ties_but_never_moves_a_grid() {
 
 #[test]
 fn served_slot_shares_track_weight_shares_across_64_saturating_fleets() {
-    // The acceptance criterion behind `otc bench --fairness`, as a
-    // seeded property sweep: random pools (shard count, class mix,
-    // pricing, scheduler), random static-rate tenants admitted until
-    // the pool saturates, a multi-round run — then every tenant's
-    // served-slot share must sit within one quantum's worth of its own
-    // slots of its admitted weight share.
+    // The fairness gate as a seeded property sweep: random pools (shard
+    // count, class mix, pricing, scheduler), random static-rate tenants
+    // admitted until the pool saturates, a multi-round run — then every
+    // tenant's served-slot share must sit within one quantum's worth of
+    // its own slots of its admitted weight share.
     let mut rng = otc_crypto::SplitMix64::new(0xFA1_12E55);
     for case in 0..64u64 {
         let n_shards = 1 + rng.next_below(4) as usize;
@@ -207,27 +240,82 @@ fn served_slot_shares_track_weight_shares_across_64_saturating_fleets() {
             continue; // a one-tenant pool has nothing to arbitrate
         }
         let report = host.run_for(1 << 19);
-        let total_weight: f64 = report.tenants.iter().map(|t| t.capacity_share).sum();
-        let total_slots: u64 = report.tenants.iter().map(|t| t.slots_served).sum();
-        assert!(total_slots > 0, "case {case}: fleet never served");
+        assert!(
+            report.tenants.iter().any(|t| t.slots_served > 0),
+            "case {case}: fleet never served"
+        );
         let olat = host.capacity_model().olat();
-        for t in &report.tenants {
-            let weight_share = t.capacity_share / total_weight;
-            let expected = weight_share * total_slots as f64;
-            let period = rates[t.id] + olat;
-            // One scheduling quantum's worth of this tenant's slots
-            // (plus the grid's ±1 quantization) is the structural slack:
-            // rounds serve whole batches, so shares can lag by at most
-            // one round of service.
-            let slack = quantum as f64 / period as f64 + 1.0;
-            let deviation = (t.slots_served as f64 - expected).abs();
+        let rows = share_deviations(&report, quantum, olat);
+        for (t, (weight_share, slot_share, deviation)) in report.tenants.iter().zip(rows) {
             assert!(
-                deviation <= slack,
-                "case {case} tenant {}: served {} expected {expected:.1} \
-                 (weight share {weight_share:.4}, slack {slack:.1})",
+                deviation <= FLOOR_QUANTA,
+                "case {case} tenant {}: slot share {slot_share:.4} vs weight share \
+                 {weight_share:.4} is {deviation:.3} quanta off",
                 t.name,
-                t.slots_served,
             );
         }
     }
+}
+
+#[test]
+fn mixed_pool_filled_to_saturation_meets_the_fairness_floor() {
+    // The fairness gate on `BENCH_fairness.json`'s fleet: a four-shard
+    // small:serial,small:staged pool at cadence pricing (seed 7, 3000
+    // slots per tenant), filled with open-loop tenants whose static
+    // rates spread weight shares over an order of magnitude.
+    const RATES: [u64; 4] = [500, 900, 1_600, 2_800];
+    let keys =
+        "shards=4 oram=small mix=small:serial,small:staged capacity=cadence seed=7 slots=3000";
+    let mut spec = util::flag_spec(keys, util::FILL, 4, false, |i| {
+        format!("static_{}", RATES[i % RATES.len()])
+    });
+    let (mut host, refused) = util::admit(&mut spec);
+    assert!(refused.is_some(), "the pool never saturated");
+    let report = util::serve(&spec, &mut host);
+    let rows = share_deviations(&report, spec.host.quantum, host.capacity_model().olat());
+    let worst = rows.iter().map(|r| r.2).fold(0.0f64, f64::max);
+    assert!(
+        worst <= FLOOR_QUANTA,
+        "worst served-vs-weight share deviation {worst:.3} quanta exceeds the \
+         {FLOOR_QUANTA}-quantum floor"
+    );
+    let h = &spec.host;
+    let tenants: Vec<String> = report
+        .tenants
+        .iter()
+        .zip(&rows)
+        .map(|(t, (weight_share, slot_share, deviation))| {
+            format!(
+                "    {{\"name\": \"{}\", \"rate\": {}, \"weight_share\": {weight_share:.6}, \
+                 \"slot_share\": {slot_share:.6}, \"slots\": {}, \
+                 \"deviation_quanta\": {deviation:.4}}}",
+                t.name, t.final_rate, t.slots_served
+            )
+        })
+        .collect();
+    let record = format!(
+        "{{\n  \"bench\": \"fairness_sweep\",\n  \"config\": {{\"seed\": {}, \"shards\": {}, \
+         \"oram\": \"{}\", \"shard_mix\": \"{}\", \"capacity_pricing\": \"{}\", \
+         \"quantum\": {}, \"slots_per_tenant\": {}}},\n  \"pipeline\": \"{}\",\n  \
+         \"tenants_admitted\": {},\n  \"total_slots\": {},\n  \"tenants\": [\n{}\n  ],\n  \
+         \"max_deviation_quanta\": {worst:.4},\n  \"gate_quanta\": {FLOOR_QUANTA:.2},\n  \
+         \"gate_passed\": {}\n}}\n",
+        h.seed,
+        h.shards,
+        h.oram.label(),
+        h.mix_label(),
+        report.capacity,
+        h.quantum,
+        h.slots,
+        report.pipeline_label,
+        spec.tenants.len(),
+        report.tenants.iter().map(|t| t.slots_served).sum::<u64>(),
+        tenants.join(",\n"),
+        worst <= FLOOR_QUANTA
+    );
+    util::assert_text_eq(
+        "BENCH_fairness.json",
+        &record,
+        include_str!("../../../BENCH_fairness.json"),
+    );
 }

@@ -154,7 +154,8 @@ pub struct SessionSummary {
     /// Deferred evictions completed by background drains.
     pub eviction_drains: u64,
     /// The merged fleet-wide service-time distribution (p50/p99 come
-    /// from here — the same histogram `otc bench` gates on).
+    /// from here — the same histogram the pipeline and admission gates
+    /// read).
     pub service_hist: Histogram,
 }
 
