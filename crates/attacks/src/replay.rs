@@ -125,7 +125,7 @@ pub fn session_fixture(
 /// The request pattern is crafted near a rate-discretization boundary so
 /// even ±`jitter` cycles of arrival noise flips the learner's choice —
 /// exactly the fragility §8.1 describes ("depending on main memory
-/// timing … the rate learner [may] choose different rates").
+/// timing … the rate learner \[may\] choose different rates").
 pub fn demonstrate_broken_determinism(jitter: Cycle) -> (Vec<Cycle>, Vec<Cycle>) {
     let run = |jitter: Cycle| {
         let mut backend = RateLimitedOramBackend::new(

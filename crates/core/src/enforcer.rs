@@ -74,7 +74,7 @@ pub struct EpochTransition {
 /// Rate-selection policy for [`RateLimitedOramBackend`].
 #[derive(Debug, Clone)]
 pub enum RatePolicy {
-    /// One rate forever — zero ORAM-timing leakage ([7]'s approach,
+    /// One rate forever — zero ORAM-timing leakage (\[7\]'s approach,
     /// evaluated as `static_300`/`static_500`/`static_1300` in §9).
     Static {
         /// The fixed rate in cycles.

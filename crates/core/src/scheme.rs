@@ -19,7 +19,7 @@ pub enum Scheme {
     /// Path ORAM with no timing protection — a performance/power oracle
     /// that leaks unboundedly over the timing channel.
     BaseOram,
-    /// Strictly periodic ORAM at a fixed rate (Ascend-style, [7]).
+    /// Strictly periodic ORAM at a fixed rate (Ascend-style, \[7\]).
     Static {
         /// The fixed rate in cycles.
         rate: Cycle,

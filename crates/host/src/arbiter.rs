@@ -28,8 +28,8 @@
 //! *is* round-robin fairness — so the arbiter short-circuits its credit
 //! rank to a constant and the composite rank collapses to exactly the
 //! legacy rotation rank. `tests/fairness_replay.rs` pins byte-identical
-//! serve logs for that case, mirroring how `SchedulerKind::Merge` and
-//! `PipelineKind::Serial` are kept as bit-exact references.
+//! serve logs for that case, as `SchedulerKind::Merge` is kept as a
+//! bit-exact reference for the calendar scheduler.
 
 use otc_dram::Cycle;
 

@@ -28,9 +28,10 @@
 //!                    shard i takes class i mod len (e.g.
 //!                    small:serial,small:staged). Omitted = every
 //!                    shard uses --oram/--pipeline
-//! --scheme S         static_<rate ≥ 1> | dynamic_R<n>_E<g> with
-//!                    2 ≤ n ≤ 32513 and g a power of two ≥ 2 (default
-//!                    dynamic_R4_E4); anything else exits 2
+//! --scheme S         static_<rate> with 1 ≤ rate ≤ 2^32 |
+//!                    dynamic_R<n>_E<g> with 2 ≤ n ≤ 32513 and g a
+//!                    power of two ≥ 2 (default dynamic_R4_E4);
+//!                    anything else exits 2
 //! --oram G           small | paper (default paper)
 //! --instructions N   instruction budget of every tenant without its
 //!                    own (flag fleets, scenario rows without
@@ -44,7 +45,7 @@
 //! --closed-loop      closed-loop tenant frontends (full stepped cores;
 //!                    shard service + queueing cycles fed back into each
 //!                    tenant's clock)
-//! --pipeline P       shard pipeline: serial (pre-pipeline reference,
+//! --pipeline P       shard pipeline: serial (the paper's controller,
 //!                    default) | staged (overlapped posmap/data stages +
 //!                    background eviction)
 //! --capacity C       admission pricing: olat (one full OLAT per slot,
@@ -188,7 +189,7 @@ fn usage() -> ! {
          \x20        --churn-script '@R admit <bench> <scheme> [closed]; @R evict <id>;\n\
          \x20                        @R shards <n>; ...' (otc run, churn, tenants)\n\
          \x20        --scenario FILE (otc run: drive a declarative scenario file)\n\
-         schemes: static_<rate ≥ 1> | dynamic_R<2..=32513>_E<power of two ≥ 2>\n"
+         schemes: static_<1..=2^32> | dynamic_R<2..=32513>_E<power of two ≥ 2>\n"
     );
     std::process::exit(2);
 }
@@ -776,15 +777,15 @@ fn cmd_tenants(o: &Opts) {
 /// `otc bench --spine`: the single-threaded serving-spine sweep behind
 /// the CI spine gate. A seeded open-loop fleet of static-rate tenants —
 /// rates cycle a fixed spread of OLAT multiples so the config scales
-/// with the geometry — serves exactly [`SPINE_ROUNDS`] scheduling
+/// with the geometry — serves exactly `SPINE_ROUNDS` scheduling
 /// rounds on the serial spine (`ParallelKind::Serial`, calendar
-/// scheduler) at each K in [`SPINE_KS`], and the real elapsed time of
+/// scheduler) at each K in `SPINE_KS`, and the real elapsed time of
 /// the round loop is measured. Unlike `--wallclock` (which degrades to
 /// a no-regression check on the single-core CI host, where a threading
 /// speedup is physically unavailable), rounds/sec of the serial spine
 /// is a real single-core figure: `--gate PCT` holds the measured
 /// rounds/sec at K=1024 at least PCT% above
-/// [`SPINE_BASELINE_K1024_ROUNDS_PER_SEC`], the pre-optimization
+/// `SPINE_BASELINE_K1024_ROUNDS_PER_SEC`, the pre-optimization
 /// baseline recorded with this same harness. All simulated fields
 /// (slots, clock, ledger bits) are bit-deterministic — the CI diff
 /// filters only the timing-derived lines.
@@ -964,7 +965,7 @@ struct WallclockDigest {
 /// The gate is parallelism-aware: a wall-clock speedup requires the
 /// host to actually run threads concurrently, so on a single-core
 /// machine (`available_parallelism() == 1`) the `--gate` floor degrades
-/// to [`SINGLE_CORE_FLOOR`] — a no-regression check that the threaded
+/// to `SINGLE_CORE_FLOOR` — a no-regression check that the threaded
 /// path's synchronization overhead stays bounded. The JSON records
 /// which floor applied, so a single-core run can never masquerade as a
 /// multi-core speedup measurement.

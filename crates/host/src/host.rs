@@ -213,8 +213,9 @@ pub struct HostConfig {
     /// Due-slot finder (see [`SchedulerKind`]).
     pub scheduler: SchedulerKind,
     /// Shard pipeline discipline (see [`PipelineKind`]): `Serial` is the
-    /// bit-exact pre-pipeline reference, `Staged` overlaps the stages of
-    /// consecutive accesses and defers evictions to background drains.
+    /// paper's controller, one opaque `OLAT` per access; `Staged`
+    /// overlaps the stages of consecutive accesses and defers evictions
+    /// to background drains.
     pub pipeline: PipelineConfig,
     /// What admission prices one slot at (see [`CapacityKind`]): `Olat`
     /// charges a full `OLAT` per slot — the pre-cadence reference, bit-

@@ -88,7 +88,7 @@ pub use report::{
 pub use scenario::{
     parse_bench, parse_churn_script, parse_scenario, parse_scheme, EventOutcome, OramChoice,
     ScenarioAction, ScenarioError, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant,
-    ServeEnd,
+    ServeEnd, MAX_STATIC_RATE,
 };
 pub use shard::{PipelineConfig, PipelineKind, ShardClass, ShardService, ShardedOram};
 pub use tenant::{TenantDirectory, TenantEntry};

@@ -33,11 +33,12 @@
 //! * `tenant NAME` keys: `bench`, `scheme`, `traffic`, `adversary`
 //!   (`probe|distinguisher`), `instructions`; the bare word `closed`
 //!   selects the closed-loop frontend.
-//! * Schemes (§9 of the paper): `static_<rate>` with rate ≥ 1, or
-//!   `dynamic_R<n>_E<g>` with `2 ≤ n ≤ 32513` candidate rates (one per
-//!   cycle count in `R`'s 256..=32768 span) and an epoch growth `g`
-//!   that is a power of two ≥ 2 — the parameters for which the
-//!   `|E|·lg|R|` leakage bound is defined.
+//! * Schemes (§9 of the paper): `static_<rate>` with
+//!   `1 ≤ rate ≤ 2^32` ([`MAX_STATIC_RATE`]), or `dynamic_R<n>_E<g>`
+//!   with `2 ≤ n ≤ 32513` candidate rates (one per cycle count in `R`'s
+//!   256..=32768 span) and an epoch growth `g` that is a power of two
+//!   ≥ 2 — the parameters for which the `|E|·lg|R|` leakage bound is
+//!   defined.
 //! * Traffic syntax: `workload`,
 //!   `bursty:on=<cycles>,off=<cycles>,seed=<n>`,
 //!   `diurnal:period=<cycles>,amplitude=<ppm>,phase=<ppm>`,
@@ -545,16 +546,26 @@ impl ScenarioSpec {
     }
 }
 
+/// The largest rate a `static_<rate>` scheme may name: 2^32 cycles, far
+/// beyond any rate the paper sweeps (its slowest candidate is 32768),
+/// and small enough that every period, horizon and pricing sum built
+/// from it stays well inside `u64`.
+pub const MAX_STATIC_RATE: u64 = 1 << 32;
+
 /// Parses `dynamic_R4_E4` / `static_1300` into a rate policy (the one
 /// scheme parser shared by the CLI flags, churn scripts, and scenario
 /// files). Total: it returns `None` for every scheme whose `|E|·lg|R|`
 /// leakage bound is undefined — rate 0, fewer than two candidate
 /// rates, more candidates than `R`'s cycle span holds, or an epoch
-/// growth that is not a power of two ≥ 2 — so an accepted scheme never
-/// panics downstream.
+/// growth that is not a power of two ≥ 2 — and for a static rate above
+/// [`MAX_STATIC_RATE`], so an accepted scheme never panics or stalls
+/// downstream.
 pub fn parse_scheme(s: &str) -> Option<RatePolicy> {
     if let Some(rest) = s.strip_prefix("static_") {
-        let rate: u64 = rest.parse().ok().filter(|&r| r > 0)?;
+        let rate: u64 = rest
+            .parse()
+            .ok()
+            .filter(|r| (1..=MAX_STATIC_RATE).contains(r))?;
         return Some(RatePolicy::Static { rate });
     }
     let (r, e) = s.strip_prefix("dynamic_R")?.split_once("_E")?;
@@ -722,7 +733,7 @@ fn checked_scheme(scheme: &str, line: usize, col: usize) -> Result<String, Scena
             line,
             col,
             format!(
-                "bad scheme {scheme:?} (want static_<rate ≥ 1> or \
+                "bad scheme {scheme:?} (want static_<1..=2^32> or \
                  dynamic_R<2..=32513>_E<power of two ≥ 2>)"
             ),
         )),
@@ -1133,16 +1144,25 @@ mod tests {
             assert_eq!((e.line, e.col), (1, 20), "{scheme}: {e}");
         }
         // ...while the grammar's edges still parse.
-        for scheme in ["static_1", "dynamic_R2_E2", "dynamic_R32513_E2147483648"] {
+        for scheme in [
+            "static_1",
+            "static_4294967296",
+            "dynamic_R2_E2",
+            "dynamic_R32513_E2147483648",
+        ] {
             parse_scenario(&format!("tenant a bench=mcf scheme={scheme}\n")).expect(scheme);
         }
     }
 
     /// Schemes outside the paper's grammar that the parser once accepted
     /// and otc-core then rejected with a panic (or, for the huge |R|, an
-    /// aborting allocation).
-    const DEGENERATE_SCHEMES: [&str; 8] = [
+    /// aborting allocation), and static rates past [`MAX_STATIC_RATE`],
+    /// which overflowed admission pricing or stalled the serve bound.
+    const DEGENERATE_SCHEMES: [&str; 11] = [
         "static_0",
+        "static_4294967297",
+        "static_10000000000000000000",
+        "static_18446744073709551615",
         "dynamic_R0_E4",
         "dynamic_R1_E4",
         "dynamic_R4_E0",

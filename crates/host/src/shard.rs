@@ -11,17 +11,21 @@
 //! # What a shard-granular observer sees
 //!
 //! Path ORAM hides the address *within* a shard; the shard *index* of an
-//! access is additional observable surface. The host keeps it as flat as
-//! the architecture allows: each tenant's line addresses are mixed
-//! through a per-tenant tag before interleaving (real accesses spread
-//! near-uniformly), and the caller supplies each dummy's shard drawn
-//! uniformly from a per-tenant PRNG — so dummies are not marked by any
-//! global pattern (an earlier round-robin cursor was a trivial
+//! access is additional observable surface. Each tenant's line addresses
+//! are mixed through a per-tenant tag before interleaving (real accesses
+//! spread near-uniformly), and the caller supplies each dummy's shard
+//! drawn uniformly from a per-tenant PRNG — so dummies are not marked by
+//! any global pattern (an earlier round-robin cursor was a trivial
 //! real/dummy distinguisher *and* coupled tenants through shared state).
-//! Residual channel, stated honestly: a hot line revisits its shard, so
-//! long-run per-shard frequencies can drift from uniform for a skewed
-//! working set. Closing that fully needs per-shard batch padding
-//! (Snoopy-style oblivious load balancing) — a ROADMAP item.
+//!
+//! That does not close the channel. A real access still goes to shard
+//! `addr % n_shards`, so the shard sequence follows the secret address
+//! stream, and a co-tenant sees it as queueing on the shards it shares.
+//! The leak is measured: in the mixed pool, a probe tenant tells four
+//! secret address streams of a `static_1000` or `static_2000` victim
+//! apart — 2 bits, all that four secrets can show — while the ledger
+//! charges a static victim nothing. Oblivious shard placement, which
+//! would close it, is item 1 of `ROADMAP.md`.
 //!
 //! # Pipelining ([`PipelineKind`])
 //!
@@ -42,9 +46,14 @@
 //! so `check_invariants` holds throughout), the queue bound plus a
 //! stash threshold force drains before the backlog can grow, and after
 //! a flush the bucket ciphertexts are bit-identical to a serial run of
-//! the same access sequence. `PipelineKind::Serial` preserves the exact
-//! pre-pipeline arithmetic and is the equivalence reference
-//! (`tests/pipeline_equivalence.rs`).
+//! the same access sequence.
+//!
+//! `PipelineKind::Serial`, the paper's controller, is the one-stage
+//! pipeline: its only unit is the data port, which each access holds
+//! for the whole `OLAT`, and its ORAM never defers an eviction. Both
+//! disciplines therefore run one charge and one ORAM call per access;
+//! the pre-pipeline arithmetic serial shards must reproduce lives as a
+//! hand-rolled model in `tests/pipeline_equivalence.rs`.
 //!
 //! # Lanes (the executor's unit of work)
 //!
@@ -75,8 +84,8 @@ const SERVICE_HIST_OLAT_FRACTION: u64 = 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PipelineKind {
     /// One opaque `OLAT` per access, strictly sequential per shard —
-    /// the pre-pipeline behavior, kept bit-identical as the equivalence
-    /// reference (mirroring the Calendar-vs-Merge scheduler pattern).
+    /// the paper's controller, run as a one-stage pipeline whose ORAM
+    /// evicts inline.
     #[default]
     Serial,
     /// Staged pipeline: each posmap tree and the data-tree port are
@@ -99,12 +108,18 @@ impl PipelineKind {
         }
     }
 
-    /// The [`CapacityModel`] pricing slots of a shard running this
-    /// discipline under `kind`.
-    pub fn capacity_model(&self, plan: &AccessPlan, kind: CapacityKind) -> CapacityModel {
+    /// The stage plan a shard running this discipline walks each access
+    /// through. Staged, that is `plan` itself. Serial, it is the
+    /// one-stage pipeline: the whole `OLAT` on the data port, with no
+    /// posmap stage and nothing to defer.
+    fn lane_plan(&self, plan: &AccessPlan) -> AccessPlan {
         match self {
-            PipelineKind::Serial => CapacityModel::serial(plan, kind),
-            PipelineKind::Staged => CapacityModel::staged(plan, kind),
+            PipelineKind::Serial => AccessPlan {
+                posmap_levels: Vec::new(),
+                data_read: plan.total(),
+                eviction: 0,
+            },
+            PipelineKind::Staged => plan.clone(),
         }
     }
 }
@@ -114,10 +129,10 @@ impl PipelineKind {
 pub struct PipelineConfig {
     /// Stage scheduling (see [`PipelineKind`]).
     pub kind: PipelineKind,
-    /// Staged mode: per-shard bound on the background eviction queue.
-    /// At the bound, drains are forced ahead of the next access even if
-    /// they delay it — the queue (and with it the stash) cannot grow
-    /// without limit.
+    /// Per-shard bound on the background eviction queue of a staged
+    /// shard. At the bound, drains are forced ahead of the next access
+    /// even if they delay it — the queue (and with it the stash) cannot
+    /// grow without limit.
     pub max_deferred: usize,
 }
 
@@ -128,7 +143,7 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// The serial reference discipline.
+    /// The serial discipline: the paper's controller.
     pub fn serial() -> Self {
         Self {
             kind: PipelineKind::Serial,
@@ -182,19 +197,23 @@ pub struct ShardClass {
 #[derive(Clone)]
 struct MixClass {
     class: ShardClass,
+    /// The staged decomposition of one access of this class (stage costs
+    /// sum to the class `OLAT`), whatever discipline its lanes run.
+    plan: AccessPlan,
     params: LaneParams,
     capacity: u64,
-    units: usize,
 }
 
 impl MixClass {
+    /// The class `OLAT`: the full stage sum of one access.
+    fn olat(&self) -> Cycle {
+        self.plan.total()
+    }
+
     /// Steady-state initiation interval of this class's shards under
     /// their own discipline.
     fn effective_cadence(&self) -> Cycle {
-        self.params
-            .pipeline
-            .kind
-            .effective_cadence(&self.params.plan)
+        self.class.pipeline.kind.effective_cadence(&self.plan)
     }
 
     /// The per-slot figure admission prices this class's shards at
@@ -202,7 +221,7 @@ impl MixClass {
     /// own pipeline cadence under cadence pricing.
     fn pricing_cadence(&self, kind: CapacityKind) -> Cycle {
         match kind {
-            CapacityKind::Olat => self.params.olat,
+            CapacityKind::Olat => self.olat(),
             CapacityKind::Cadence => self.effective_cadence(),
         }
     }
@@ -213,15 +232,15 @@ impl MixClass {
 /// discipline), so worker threads need nothing shared to execute one.
 #[derive(Clone)]
 pub(crate) struct LaneParams {
-    /// Per-access latency (`OLAT`, the full stage sum).
-    pub(crate) olat: Cycle,
-    /// Staged decomposition of one access (stage costs sum to `olat`
-    /// exactly; see [`AccessPlan`]).
+    /// The stages one access walks through (see
+    /// [`PipelineKind::lane_plan`]); their costs sum to the class `OLAT`
+    /// exactly. The last unit is the data-tree port.
     pub(crate) plan: AccessPlan,
-    /// Pipeline discipline in force.
-    pub(crate) pipeline: PipelineConfig,
-    /// Staged mode: forced-drain threshold on the data tree's stash,
-    /// derived from the geometry and the eviction-queue bound.
+    /// Bound on the background eviction queue (see
+    /// [`PipelineConfig::max_deferred`]).
+    pub(crate) max_deferred: usize,
+    /// Forced-drain threshold on the data tree's stash, derived from the
+    /// geometry and the eviction-queue bound.
     pub(crate) stash_bound: usize,
     /// Blocks on one data-tree path (levels × Z) — the stash headroom a
     /// deferred eviction can add.
@@ -261,16 +280,15 @@ pub(crate) struct Lane {
     /// This lane's own timing parameters (its class's geometry and
     /// discipline — lanes of one pool may differ).
     params: LaneParams,
-    /// The shard's ORAM instance.
+    /// The shard's ORAM instance (deferring its evictions exactly when
+    /// the lane's discipline is staged).
     oram: RecursivePathOram,
-    /// Serial mode: when the shard frees up.
-    busy_until: Cycle,
-    /// Staged mode: when each pipeline unit frees up. Units are the
-    /// posmap trees in recursion order, then the data-tree port (which
-    /// the read stage and eviction drains share).
+    /// When each pipeline unit frees up. Units are the posmap stages in
+    /// recursion order, then the data-tree port (which the read stage
+    /// and eviction drains share).
     stage_free: Vec<Cycle>,
-    /// Staged mode: accumulated busy cycles per pipeline unit (the
-    /// occupancy [`ShardedOram::utilization`] reports).
+    /// Accumulated busy cycles per pipeline unit (the occupancy
+    /// [`ShardedOram::utilization`] reports).
     stage_busy: Vec<u64>,
     /// Accesses (real + dummy) served.
     accesses: u64,
@@ -280,7 +298,7 @@ pub(crate) struct Lane {
     queueing_cycles: u64,
     /// Σ (completion − request time) over this shard's accesses.
     service_cycles: u64,
-    /// Background eviction drains completed (staged mode).
+    /// Background eviction drains completed.
     drained_evictions: u64,
     /// Per-access service-time distribution (bucket width `OLAT / 16`,
     /// overflow in the last bucket).
@@ -288,18 +306,12 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    fn new(
-        index: usize,
-        params: LaneParams,
-        oram: RecursivePathOram,
-        units: usize,
-        hist_width: u64,
-    ) -> Self {
+    fn new(index: usize, params: LaneParams, oram: RecursivePathOram, hist_width: u64) -> Self {
+        let units = params.plan.posmap_levels.len() + 1;
         Self {
             index,
             params,
             oram,
-            busy_until: 0,
             stage_free: vec![0; units],
             stage_busy: vec![0; units],
             accesses: 0,
@@ -311,50 +323,23 @@ impl Lane {
         }
     }
 
-    /// Serial charge: one opaque `OLAT`, strictly sequential per shard.
-    /// This arithmetic is the pre-pipeline reference and must stay
-    /// bit-identical (`tests/pipeline_equivalence.rs` pins it).
+    /// Walks one access through the lane's pipeline units. Posmap
+    /// lookups of this access overlap whatever earlier accesses still
+    /// occupy the data port; the eviction is deferred when the lane's
+    /// ORAM defers it (the caller performs the matching ORAM op and this
+    /// method completes the pending functional drains it schedules). A
+    /// serial lane's one stage makes this a strictly sequential `OLAT`
+    /// per access.
     fn charge(&mut self, at: Cycle) -> ShardService {
-        let olat = self.params.olat;
-        let start = at.max(self.busy_until);
-        // Million-round horizons drive `start + OLAT` toward the u64
-        // edge long before anything else; catch the wrap where it would
-        // originate rather than where the corrupted clock surfaces.
-        debug_assert!(
-            start.checked_add(olat).is_some(),
-            "lane clock overflow: start {start} + olat {olat}"
-        );
-        let queued_cycles = start - at;
-        self.queueing_cycles += queued_cycles;
-        self.busy_until = start + olat;
-        self.accesses += 1;
-        self.service_cycles += start + olat - at;
-        self.hist.record(start + olat - at);
-        ShardService {
-            shard: self.index,
-            start,
-            completion: start + olat,
-            queued_cycles,
-        }
-    }
-
-    /// Staged charge: walk the access through the shard's pipeline
-    /// units. Posmap lookups of this access overlap whatever earlier
-    /// accesses still occupy the data port; the eviction is deferred
-    /// (the caller performs the matching `*_deferred` ORAM op and this
-    /// method completes the pending functional drains it schedules).
-    fn charge_staged(&mut self, at: Cycle) -> ShardService {
         let p = &self.params;
         let data_unit = p.plan.posmap_levels.len();
         // Stage 1..=P: the posmap recursion, one unit per tree.
         let mut t = at;
-        let mut start = at;
+        let mut start = None;
         for j in 0..data_unit {
             let cost = p.plan.posmap_levels[j];
             let begin = t.max(self.stage_free[j]);
-            if j == 0 {
-                start = begin;
-            }
+            start.get_or_insert(begin);
             t = begin + cost;
             self.stage_free[j] = t;
             self.stage_busy[j] += cost;
@@ -372,7 +357,7 @@ impl Lane {
             if pending == 0 {
                 break;
             }
-            let forced = pending >= p.pipeline.max_deferred.max(1)
+            let forced = pending >= p.max_deferred.max(1)
                 || self.oram.data_stash_len() + p.path_blocks > p.stash_bound;
             let free = self.stage_free[data_unit] + evict <= t;
             if !forced && !free {
@@ -387,6 +372,9 @@ impl Lane {
         // write-back joins the background queue instead of the critical
         // path.
         let read_begin = t.max(self.stage_free[data_unit]);
+        // Million-round horizons drive the clocks toward the u64 edge
+        // long before anything else; catch the wrap where it would
+        // originate rather than where the corrupted clock surfaces.
         debug_assert!(
             read_begin.checked_add(p.plan.data_read).is_some(),
             "lane stage clock overflow at read begin {read_begin}"
@@ -395,71 +383,34 @@ impl Lane {
         self.stage_free[data_unit] = completion;
         self.stage_busy[data_unit] += p.plan.data_read;
         self.accesses += 1;
-        // Queueing = service time beyond the uncontended critical path —
-        // the same definition the serial mode's `start − at` reduces to.
+        // Queueing = service time beyond the uncontended critical path.
         let queued_cycles = (completion - at) - p.plan.critical_path();
         self.queueing_cycles += queued_cycles;
         self.service_cycles += completion - at;
         self.hist.record(completion - at);
         ShardService {
             shard: self.index,
-            start,
+            start: start.unwrap_or(read_begin),
             completion,
             queued_cycles,
         }
     }
 
     /// Performs one routed operation: the timing charge plus the
-    /// matching ORAM op under this lane's own pipeline discipline. This
-    /// is the unit of work the host's executor runs; per-lane FIFO
-    /// order makes it bit-identical to calling
+    /// matching ORAM op. This is the unit of work the host's executor
+    /// runs; per-lane FIFO order makes it bit-identical to calling
     /// [`ShardedOram::read`]/`write`/`dummy_access` in the same order.
     pub(crate) fn execute(&mut self, op: LaneOp, at: Cycle) -> ShardService {
-        let kind = self.params.pipeline.kind;
+        let service = self.charge(at);
         match op {
-            LaneOp::Read { local } => match kind {
-                PipelineKind::Serial => {
-                    let service = self.charge(at);
-                    self.oram.read_discard(local);
-                    service
-                }
-                PipelineKind::Staged => {
-                    let service = self.charge_staged(at);
-                    self.oram.read_discard_deferred(local);
-                    service
-                }
-            },
-            LaneOp::Write { local } => {
-                let zeros = [0u8; 64];
-                match kind {
-                    PipelineKind::Serial => {
-                        let service = self.charge(at);
-                        self.oram.write(local, &zeros);
-                        service
-                    }
-                    PipelineKind::Staged => {
-                        let service = self.charge_staged(at);
-                        self.oram.write_deferred(local, &zeros);
-                        service
-                    }
-                }
-            }
+            LaneOp::Read { local } => self.oram.read_discard(local),
+            LaneOp::Write { local } => self.oram.write(local, &[0u8; 64]),
             LaneOp::Dummy => {
                 self.dummies += 1;
-                match kind {
-                    PipelineKind::Serial => {
-                        let service = self.charge(at);
-                        self.oram.dummy_access();
-                        service
-                    }
-                    PipelineKind::Staged => {
-                        let service = self.charge_staged(at);
-                        self.oram.dummy_access_deferred();
-                        service
-                    }
-                }
+                self.oram.dummy_access();
             }
         }
+        service
     }
 }
 
@@ -603,10 +554,12 @@ impl ShardedOram {
         let mix = classes
             .iter()
             .map(|class| {
-                let timing = OramTiming::derive(&class.oram, ddr);
                 let plan = AccessPlan::derive(&class.oram, ddr);
-                debug_assert_eq!(plan.total(), timing.latency, "plan must telescope to OLAT");
-                let units = plan.posmap_levels.len() + 1;
+                debug_assert_eq!(
+                    plan.total(),
+                    OramTiming::derive(&class.oram, ddr).latency,
+                    "plan must telescope to OLAT"
+                );
                 // Deferral keeps at most `max_deferred` undrained paths'
                 // blocks in the stash; two extra paths of slack cover the
                 // serial baseline's transient occupancy.
@@ -614,19 +567,18 @@ impl ShardedOram {
                 let stash_bound = (class.pipeline.max_deferred + 2) * path_blocks;
                 MixClass {
                     capacity: class.oram.data_block_capacity(),
-                    units,
                     params: LaneParams {
-                        olat: timing.latency,
-                        plan,
-                        pipeline: class.pipeline,
+                        plan: class.pipeline.kind.lane_plan(&plan),
+                        max_deferred: class.pipeline.max_deferred,
                         stash_bound,
                         path_blocks,
                     },
+                    plan,
                     class: class.clone(),
                 }
             })
             .collect::<Vec<_>>();
-        let olat = mix.iter().map(|c| c.params.olat).max().expect("non-empty");
+        let olat = mix.iter().map(MixClass::olat).max().expect("non-empty");
         let hist_width = (olat / SERVICE_HIST_OLAT_FRACTION).max(1);
         let lanes = (0..n_shards)
             .map(|i| Self::mint_lane(&mix, i, hist_width))
@@ -647,11 +599,16 @@ impl ShardedOram {
     }
 
     /// Mints shard `index` from its mix class, with the shard-unique
-    /// seed and the pool-wide histogram width.
+    /// seed and the pool-wide histogram width. A staged class's ORAM
+    /// defers its evictions; a serial class's evicts inline.
     fn mint_lane(mix: &[MixClass], index: usize, hist_width: u64) -> Result<Lane, String> {
         let c = &mix[index % mix.len()];
-        RecursivePathOram::new(c.class.oram.shard(index as u64))
-            .map(|oram| Lane::new(index, c.params.clone(), oram, c.units, hist_width))
+        let config = c.class.oram.shard(index as u64);
+        let oram = match c.class.pipeline.kind {
+            PipelineKind::Serial => RecursivePathOram::new(config),
+            PipelineKind::Staged => RecursivePathOram::with_deferred_evictions(config),
+        };
+        oram.map(|oram| Lane::new(index, c.params.clone(), oram, hist_width))
     }
 
     /// The mix classes shard indices `0..n_shards` would instantiate:
@@ -803,16 +760,8 @@ impl ShardedOram {
     pub fn read(&mut self, addr: u64, at: Cycle) -> (Vec<u8>, ShardService) {
         let (s, local) = (self.router.shard_of(addr), self.router.local_addr(addr));
         let lane = &mut self.lanes[s];
-        match lane.params.pipeline.kind {
-            PipelineKind::Serial => {
-                let service = lane.charge(at);
-                (lane.oram.read(local), service)
-            }
-            PipelineKind::Staged => {
-                let service = lane.charge_staged(at);
-                (lane.oram.read_deferred(local), service)
-            }
-        }
+        let service = lane.charge(at);
+        (lane.oram.read(local), service)
     }
 
     /// As [`ShardedOram::read`], discarding the payload. The host's
@@ -828,18 +777,9 @@ impl ShardedOram {
     pub fn write(&mut self, addr: u64, data: &[u8], at: Cycle) -> ShardService {
         let (s, local) = (self.router.shard_of(addr), self.router.local_addr(addr));
         let lane = &mut self.lanes[s];
-        match lane.params.pipeline.kind {
-            PipelineKind::Serial => {
-                let service = lane.charge(at);
-                lane.oram.write(local, data);
-                service
-            }
-            PipelineKind::Staged => {
-                let service = lane.charge_staged(at);
-                lane.oram.write_deferred(local, data);
-                service
-            }
-        }
+        let service = lane.charge(at);
+        lane.oram.write(local, data);
+        service
     }
 
     /// Performs an indistinguishable dummy access on `shard` at slot
@@ -850,10 +790,10 @@ impl ShardedOram {
         self.lanes[shard].execute(LaneOp::Dummy, at)
     }
 
-    /// Flushes every shard's background eviction queue (staged mode;
-    /// serial shards have nothing pending). Charges the drains to the
-    /// data ports as if they ran back to back from each port's current
-    /// free point — the end-of-run analogue of the idle-cycle drains.
+    /// Flushes every shard's background eviction queue (serial shards
+    /// have nothing pending). Charges the drains to the data ports as if
+    /// they ran back to back from each port's current free point — the
+    /// end-of-run analogue of the idle-cycle drains.
     pub fn drain_evictions(&mut self) {
         for lane in &mut self.lanes {
             let data_unit = lane.params.plan.posmap_levels.len();
@@ -900,34 +840,28 @@ impl ShardedOram {
     /// the tail of its last interval extending past the horizon) over
     /// the horizon.
     ///
-    /// In serial mode the whole shard is one unit whose busy time is
-    /// `accesses × OLAT`, so this reduces exactly to the pre-pipeline
-    /// formula (pinned by a unit test). The naive `accesses × OLAT`
-    /// numerator would *over-report* a staged shard — overlapped stages
-    /// multiply-count wall cycles the shard spends serving several
-    /// accesses at once — so staged shards report the bottleneck unit's
-    /// occupancy instead, which is the quantity admission control
-    /// actually needs to keep below 1.0.
+    /// A serial shard is one unit whose busy time is `accesses × OLAT`,
+    /// so this reduces exactly to the pre-pipeline formula (pinned by a
+    /// unit test). The naive `accesses × OLAT` numerator would
+    /// *over-report* a staged shard — overlapped stages multiply-count
+    /// wall cycles the shard spends serving several accesses at once —
+    /// so staged shards report the bottleneck unit's occupancy instead,
+    /// which is the quantity admission control actually needs to keep
+    /// below 1.0.
     pub fn utilization(&self, horizon: Cycle) -> Vec<f64> {
         if horizon == 0 {
             return vec![0.0; self.lanes.len()];
         }
         self.lanes
             .iter()
-            .map(|l| match l.params.pipeline.kind {
-                PipelineKind::Serial => {
-                    let busy = (l.accesses * l.params.olat)
-                        .saturating_sub(l.busy_until.saturating_sub(horizon));
-                    busy as f64 / horizon as f64
-                }
-                PipelineKind::Staged => l
-                    .stage_busy
+            .map(|l| {
+                l.stage_busy
                     .iter()
                     .zip(&l.stage_free)
                     .map(|(&b, &f)| {
                         b.saturating_sub(f.saturating_sub(horizon)) as f64 / horizon as f64
                     })
-                    .fold(0.0f64, f64::max),
+                    .fold(0.0f64, f64::max)
             })
             .collect()
     }
@@ -941,15 +875,15 @@ impl ShardedOram {
     /// a homogeneous pool; for a mixed pool use
     /// [`ShardedOram::pipeline_label`] or the per-shard figures instead.
     pub fn pipeline(&self) -> PipelineConfig {
-        self.mix[0].params.pipeline
+        self.mix[0].class.pipeline
     }
 
     /// A human-readable pipeline label: `"serial"` / `"staged"` when
     /// every instantiated class agrees, `"mixed"` otherwise.
     pub fn pipeline_label(&self) -> &'static str {
         let classes = self.classes_in_use(self.lanes.len());
-        let first = classes[0].params.pipeline.kind;
-        if classes.iter().all(|c| c.params.pipeline.kind == first) {
+        let first = classes[0].class.pipeline.kind;
+        if classes.iter().all(|c| c.class.pipeline.kind == first) {
             match first {
                 PipelineKind::Serial => "serial",
                 PipelineKind::Staged => "staged",
@@ -963,11 +897,12 @@ impl ShardedOram {
     /// class (stage costs sum to that class's `OLAT` exactly). Exact
     /// for a homogeneous pool.
     pub fn plan(&self) -> &AccessPlan {
-        &self.mix[0].params.plan
+        &self.mix[0].plan
     }
 
-    /// Staged mode's forced-drain threshold on a first-class shard's
-    /// data-tree stash, in blocks.
+    /// The forced-drain threshold on a first-class shard's data-tree
+    /// stash, in blocks (only a staged shard defers, so only it can
+    /// reach the threshold).
     pub fn stash_bound(&self) -> usize {
         self.mix[0].params.stash_bound
     }
@@ -1034,29 +969,22 @@ impl ShardedOram {
         self.lanes.iter().map(|l| l.oram.pending_evictions()).sum()
     }
 
-    /// Pipeline units per shard as perf sessions sample them: 1 in
-    /// serial mode (the whole shard is one unit), posmap trees plus the
-    /// data port in staged mode.
+    /// Pipeline units per shard as perf sessions sample them: 1 for a
+    /// serial shard (the whole shard is one unit), posmap trees plus the
+    /// data port for a staged one.
     pub fn n_stage_units(&self) -> usize {
         self.classes_in_use(self.lanes.len())
             .iter()
-            .map(|c| match c.params.pipeline.kind {
-                PipelineKind::Serial => 1,
-                PipelineKind::Staged => c.units,
-            })
+            .map(|c| c.params.plan.posmap_levels.len() + 1)
             .max()
             .expect("at least one class")
     }
 
-    /// Cumulative busy cycles per pipeline unit of one shard. Serial
-    /// shards report their single opaque unit (`accesses × OLAT`);
-    /// staged shards report each unit's accumulated stage time.
+    /// Cumulative busy cycles per pipeline unit of one shard. A serial
+    /// shard reports its single opaque unit (`accesses × OLAT`); a
+    /// staged shard reports each unit's accumulated stage time.
     pub fn stage_busy_snapshot(&self, shard: usize) -> Vec<u64> {
-        let lane = &self.lanes[shard];
-        match lane.params.pipeline.kind {
-            PipelineKind::Serial => vec![lane.accesses * lane.params.olat],
-            PipelineKind::Staged => lane.stage_busy.clone(),
-        }
+        self.lanes[shard].stage_busy.clone()
     }
 
     /// Background-eviction queue depth of one shard.
@@ -1238,7 +1166,7 @@ mod tests {
         let mut s = small(2);
         let olat = s.olat();
         s.read(0, 1_000); // shard 0
-        s.read(2, 1_000); // shard 0 again: queues, busy_until = 1_000 + 2·olat
+        s.read(2, 1_000); // shard 0 again: queues, busy until 1_000 + 2·olat
         s.read(1, 200); // shard 1, completes well before the horizon
         let horizon = 1_000 + 2 * olat; // exactly the shard-0 busy end
         let u = s.utilization(horizon);
@@ -1272,6 +1200,32 @@ mod tests {
                 s.effective_cadence()
             );
         }
+    }
+
+    #[test]
+    fn serial_lanes_run_the_one_stage_pipeline() {
+        let mut serial = small(1);
+        let mut staged = staged(1);
+        let plan = serial.plan().clone();
+        // One stage holding the data port for the whole OLAT: the
+        // critical path is OLAT, so queueing reduces to `start − at`,
+        // and the stage cadence is the serial pricing cadence.
+        let one = PipelineKind::Serial.lane_plan(&plan);
+        assert!(one.posmap_levels.is_empty());
+        assert_eq!(
+            (one.total(), one.critical_path()),
+            (plan.total(), plan.total())
+        );
+        assert_eq!(
+            one.staged_cadence(),
+            PipelineKind::Serial.effective_cadence(&plan)
+        );
+        assert_eq!(PipelineKind::Staged.lane_plan(&plan), plan);
+        // Only a staged shard's ORAM defers its eviction.
+        serial.read(0, 0);
+        staged.read(0, 0);
+        assert_eq!(serial.pending_evictions(), 0);
+        assert_eq!(staged.pending_evictions(), 1);
     }
 
     #[test]

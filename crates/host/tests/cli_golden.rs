@@ -120,8 +120,12 @@ fn example_scenario_with_traces() {
 
 #[test]
 fn degenerate_schemes_are_usage_errors() {
+    // The two huge static rates once hung `otc run` (the serve bound
+    // saturated) or overflowed admission pricing.
     for scheme in [
         "static_0",
+        "static_10000000000000000000",
+        "static_18446744073709551615",
         "dynamic_R0_E4",
         "dynamic_R1_E4",
         "dynamic_R4_E3",

@@ -1,11 +1,13 @@
 //! Equivalence suite for the shard pipeline (the Serial-vs-Staged
 //! analogue of the Calendar-vs-Merge scheduler suite):
 //!
-//! 1. **Serial is the pre-pipeline reference, bit for bit** — the
-//!    `PipelineKind::Serial` service arithmetic is replayed against a
-//!    hand-rolled model of the original `ShardService` accounting
-//!    (`start = max(at, busy_until)`, `completion = start + OLAT`) over
-//!    a seeded access pattern and must match field for field.
+//! 1. **Serial reproduces the pre-pipeline arithmetic, bit for bit** —
+//!    `PipelineKind::Serial` (the one-stage pipeline) is replayed
+//!    against a hand-rolled model of the original `ShardService`
+//!    accounting (`start = max(at, busy_until)`, `completion = start +
+//!    OLAT`), the only copy of that arithmetic, over a seeded pattern
+//!    of reads, writes and dummies: every service, utilization, stage
+//!    snapshot and cycle total must match.
 //! 2. **Open-loop observables are pipeline-independent** — a tenant's
 //!    slot grid is pure stream timing, so open-loop traces and serve
 //!    logs are bit-identical across `Serial` and `Staged`; the backend
@@ -68,34 +70,69 @@ fn fleet(pipeline: PipelineConfig, mode: LoopMode) -> MultiTenantHost {
 #[test]
 fn serial_service_matches_pre_pipeline_arithmetic_bit_for_bit() {
     // Hand-rolled model of the original (pre-pipeline) ShardService
-    // accounting, replayed against PipelineKind::Serial over a seeded
-    // access pattern with queueing collisions and idle gaps.
+    // accounting — the only copy of the serial arithmetic — replayed
+    // against PipelineKind::Serial over a seeded pattern of reads,
+    // writes and dummies with queueing collisions and idle gaps.
+    const SHARDS: usize = 3;
     let base = OramConfig::small();
-    let mut sharded = ShardedOram::new(&base, &DdrConfig::default(), 3).expect("valid");
+    let mut sharded = ShardedOram::new(&base, &DdrConfig::default(), SHARDS).expect("valid");
     let olat = sharded.olat();
-    let mut busy_until = [0u64; 3];
+    let mut busy_until = [0u64; SHARDS];
+    let mut accesses = [0u64; SHARDS];
     let mut model_queueing = 0u64;
+    let mut model_service = 0u64;
+    // The pre-pipeline utilization: each shard's `accesses × OLAT`,
+    // minus the tail of its last interval past the horizon.
+    let utilization = |busy_until: &[u64; SHARDS], accesses: &[u64; SHARDS], horizon: Cycle| {
+        (0..SHARDS)
+            .map(|s| {
+                let busy =
+                    (accesses[s] * olat).saturating_sub(busy_until[s].saturating_sub(horizon));
+                busy as f64 / horizon as f64
+            })
+            .collect::<Vec<_>>()
+    };
+    let payload = [0x5Au8; 64];
     let mut rng = otc_crypto::SplitMix64::new(0xBEEF_CAFE);
     let mut at: Cycle = 0;
     for step in 0..500u64 {
         at += rng.next_below(olat * 2); // collisions and gaps both occur
         let addr = rng.next_below(300);
         let shard = sharded.shard_of(addr);
-        let service = if step % 5 == 0 {
-            sharded.dummy_access(shard, at)
-        } else {
-            sharded.read(addr, at).1
+        let service = match step % 5 {
+            0 => sharded.dummy_access(shard, at),
+            1 => sharded.write(addr, &payload, at),
+            _ => sharded.read(addr, at).1,
         };
         // The reference model.
         let start = at.max(busy_until[shard]);
         busy_until[shard] = start + olat;
+        accesses[shard] += 1;
         model_queueing += start - at;
+        model_service += start + olat - at;
         assert_eq!(service.shard, shard, "step {step}");
         assert_eq!(service.start, start, "step {step}");
         assert_eq!(service.completion, start + olat, "step {step}");
         assert_eq!(service.queued_cycles, start - at, "step {step}");
+        if step % 50 == 49 {
+            // Horizons before, at and past the shards' busy ends.
+            for horizon in [at / 2, at, at + olat / 3, at + 2 * olat] {
+                assert_eq!(
+                    sharded.utilization(horizon),
+                    utilization(&busy_until, &accesses, horizon),
+                    "step {step}, horizon {horizon}"
+                );
+            }
+        }
+    }
+    assert_eq!(sharded.utilization(0), vec![0.0; SHARDS]);
+    assert_eq!(sharded.accesses(), accesses);
+    assert_eq!(sharded.n_stage_units(), 1, "a serial shard is one unit");
+    for (s, &n) in accesses.iter().enumerate() {
+        assert_eq!(sharded.stage_busy_snapshot(s), [n * olat], "shard {s}");
     }
     assert_eq!(sharded.queueing_cycles(), model_queueing);
+    assert_eq!(sharded.service_cycles(), model_service);
     assert_eq!(sharded.pending_evictions(), 0, "serial never defers");
     assert_eq!(sharded.drained_evictions(), 0);
 }

@@ -199,20 +199,13 @@ proptest! {
         prop_assert!(plan.bottleneck() <= cadence && cadence <= plan.total());
         // The model prices serial pools at OLAT under either kind, and
         // staged pools at OLAT/cadence per kind.
+        let serial = |kind| CapacityModel::from_parts(kind, plan.total(), plan.total());
+        let staged = |kind| CapacityModel::from_parts(kind, plan.total(), cadence);
         for kind in [CapacityKind::Olat, CapacityKind::Cadence] {
-            prop_assert_eq!(
-                CapacityModel::serial(&plan, kind).effective_cadence(),
-                plan.total()
-            );
+            prop_assert_eq!(serial(kind).effective_cadence(), plan.total());
         }
-        prop_assert_eq!(
-            CapacityModel::staged(&plan, CapacityKind::Olat).effective_cadence(),
-            plan.total()
-        );
-        prop_assert_eq!(
-            CapacityModel::staged(&plan, CapacityKind::Cadence).effective_cadence(),
-            cadence
-        );
+        prop_assert_eq!(staged(CapacityKind::Olat).effective_cadence(), plan.total());
+        prop_assert_eq!(staged(CapacityKind::Cadence).effective_cadence(), cadence);
     }
 
     /// Cadence monotonicity over directly constructed stage vectors:
@@ -242,14 +235,17 @@ proptest! {
         prop_assert!(grown.staged_cadence() >= base.staged_cadence());
         prop_assert!(grown.total() >= base.total());
         prop_assert!(grown.bottleneck() >= base.bottleneck());
+        let staged = |kind, plan: &AccessPlan| {
+            CapacityModel::from_parts(kind, plan.total(), plan.staged_cadence())
+        };
         for kind in [CapacityKind::Olat, CapacityKind::Cadence] {
-            let m_base = CapacityModel::staged(&base, kind);
-            let m_grown = CapacityModel::staged(&grown, kind);
+            let m_base = staged(kind, &base);
+            let m_grown = staged(kind, &grown);
             prop_assert!(m_grown.effective_cadence() >= m_base.effective_cadence());
         }
         // Utilization: under one model, a faster grid (smaller rate)
         // costs at least as much as a slower one.
-        let m = CapacityModel::staged(&base, CapacityKind::Cadence);
+        let m = staged(CapacityKind::Cadence, &base);
         prop_assert!(m.slot_utilization(rate) >= m.slot_utilization(rate + delta));
     }
 }

@@ -14,14 +14,16 @@
 //!    pinned legacy script exactly as the pre-shim parser did
 //!    (`tests/golden/churn_script.golden`).
 //! 4. **Accepted schemes are sound** — every scheme `parse_scheme`
-//!    accepts builds a `SlotStream` and its leakage parameters without
-//!    panicking, including near the grammar's edges (|R| of 0..3, epoch
-//!    growths that are not powers of two, rate 0).
+//!    accepts builds a `SlotStream` and its leakage parameters, and
+//!    prices at admission, without panicking, including near the
+//!    grammar's edges (|R| of 0..3, epoch growths that are not powers
+//!    of two, rate 0, rates at and past `MAX_STATIC_RATE` and at the
+//!    top of `u64`).
 
 use otc_host::{
-    parse_churn_script, parse_scenario, parse_scheme, AdversaryKind, CapacityKind, OramChoice,
-    PipelineKind, ScenarioAction, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant,
-    SchedulerKind, SlotStream, TenantSpec, TrafficModel,
+    parse_churn_script, parse_scenario, parse_scheme, AdversaryKind, CapacityKind, CapacityModel,
+    OramChoice, PipelineKind, ScenarioAction, ScenarioEvent, ScenarioHost, ScenarioSpec,
+    ScenarioTenant, SchedulerKind, SlotStream, TenantSpec, TrafficModel, MAX_STATIC_RATE,
 };
 use otc_workloads::SpecBenchmark;
 use proptest::prelude::*;
@@ -221,12 +223,19 @@ proptest! {
         let _ = parse_churn_script(&text);
     }
 
-    /// Whatever `parse_scheme` accepts, otc-core can run: the stream
-    /// and the leakage parameters build without a panic.
+    /// Whatever `parse_scheme` accepts, otc-core can run and admission
+    /// can price: the stream and the leakage parameters build, and the
+    /// worst-case share of a shard is a finite fraction, without a panic.
     #[test]
     fn accepted_schemes_build_streams_and_leakage_params(
         scheme in prop_oneof![
-            1 => prop_oneof![0u64..4, any::<u64>()].prop_map(|r| format!("static_{r}")),
+            1 => prop_oneof![
+                0u64..4,
+                any::<u64>(),
+                MAX_STATIC_RATE - 2..MAX_STATIC_RATE + 3,
+                u64::MAX - 3..=u64::MAX,
+            ]
+            .prop_map(|r| format!("static_{r}")),
             3 => (
                 prop_oneof![0usize..4, 4usize..40_000],
                 prop_oneof![0u32..20, any::<u32>()],
@@ -235,14 +244,18 @@ proptest! {
         ],
     ) {
         if let Some(policy) = parse_scheme(&scheme) {
-            let params = TenantSpec {
+            let spec = TenantSpec {
                 name: scheme.clone(),
                 benchmark: SpecBenchmark::Mcf,
                 policy: policy.clone(),
                 instructions: 1_000,
+            };
+            prop_assert!(spec.leakage_params().rate_count >= 1, "{}", scheme);
+            for kind in [CapacityKind::Olat, CapacityKind::Cadence] {
+                let pool = CapacityModel::from_parts(kind, 1_300, 700);
+                let share = spec.worst_case_utilization(&pool);
+                prop_assert!(share > 0.0 && share <= 1.0, "{} prices at {}", scheme, share);
             }
-            .leakage_params();
-            prop_assert!(params.rate_count >= 1, "{}", scheme);
             let stream = SlotStream::new(1_300, policy);
             prop_assert!(stream.next_slot() > 0, "{}", scheme);
         }

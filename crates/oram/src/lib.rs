@@ -1,5 +1,5 @@
-//! A from-scratch Path ORAM implementation (Stefanov et al. [32], as built
-//! into secure processors by Ren et al. [26]), the memory substrate of the
+//! A from-scratch Path ORAM implementation (Stefanov et al. \[32\], as built
+//! into secure processors by Ren et al. \[26\]), the memory substrate of the
 //! HPCA'14 timing-channel paper this repository reproduces.
 //!
 //! # What lives here
@@ -65,4 +65,4 @@ pub use stash::Stash;
 pub use stats::OramStats;
 pub use timing::{AccessPlan, CapacityKind, CapacityModel, OramTiming};
 pub use tree::{DefaultPayload, TreeOram, TreeStats};
-pub use types::{BlockId, Leaf, NodeIndex, OramOp};
+pub use types::{BlockId, Leaf, NodeIndex};

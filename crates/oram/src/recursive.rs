@@ -12,12 +12,19 @@ use crate::posmap::SparseLeafMap;
 use crate::stats::OramStats;
 use crate::timing::AccessPlan;
 use crate::tree::{DefaultPayload, TreeOram};
-use crate::types::{BlockId, Leaf, NodeIndex, OramOp};
+use crate::types::{BlockId, Leaf, NodeIndex};
 use otc_crypto::{Prf, SplitMix64, SymmetricKey};
 use otc_dram::DdrConfig;
 use std::collections::VecDeque;
 
 /// A complete Path ORAM with recursive position maps.
+///
+/// Whether the data tree's path write-back (the eviction) runs inline or
+/// is deferred into a background queue is fixed when the ORAM is built:
+/// [`RecursivePathOram::new`] evicts inline, the serial controller the
+/// paper models; [`RecursivePathOram::with_deferred_evictions`] builds
+/// the pipelined controller's variant. Every access method then runs the
+/// same code whichever was chosen.
 ///
 /// # Example
 ///
@@ -38,9 +45,10 @@ pub struct RecursivePathOram {
     onchip: SparseLeafMap,
     rng: SplitMix64,
     stats: OramStats,
-    /// Data-tree paths whose write-back (eviction) has been deferred by
-    /// a `*_deferred` access, FIFO. Drained by
-    /// [`RecursivePathOram::drain_eviction`].
+    /// Whether data-tree accesses defer their path write-back.
+    defer_evictions: bool,
+    /// Data-tree paths whose write-back (eviction) has been deferred,
+    /// FIFO. Drained by [`RecursivePathOram::drain_eviction`].
     pending_evictions: VecDeque<Leaf>,
     /// Reusable scratch for the covering posmap block indices of one
     /// access (one entry per recursion level).
@@ -59,13 +67,31 @@ impl std::fmt::Debug for RecursivePathOram {
 }
 
 impl RecursivePathOram {
-    /// Builds an ORAM from `config`.
+    /// Builds an ORAM from `config` whose accesses evict inline.
     ///
     /// # Errors
     ///
     /// Returns a descriptive error if `config` fails
     /// [`OramConfig::validate`].
     pub fn new(config: OramConfig) -> Result<Self, String> {
+        Self::build(config, false)
+    }
+
+    /// As [`RecursivePathOram::new`], but every access defers the data
+    /// tree's path write-back into the background eviction queue. Real
+    /// and dummy accesses defer alike, so they stay indistinguishable;
+    /// posmap trees still evict inline (their paths are small and their
+    /// lookups form the pipeline's front stages). The caller drains the
+    /// queue via [`RecursivePathOram::drain_eviction`].
+    ///
+    /// # Errors
+    ///
+    /// As [`RecursivePathOram::new`].
+    pub fn with_deferred_evictions(config: OramConfig) -> Result<Self, String> {
+        Self::build(config, true)
+    }
+
+    fn build(config: OramConfig, defer_evictions: bool) -> Result<Self, String> {
         config.validate()?;
         let key = SymmetricKey::from_seed(config.seed);
         let data = TreeOram::new(
@@ -106,6 +132,7 @@ impl RecursivePathOram {
             onchip,
             rng: SplitMix64::new(rng_seed),
             stats: OramStats::default(),
+            defer_evictions,
             pending_evictions: VecDeque::new(),
             covering_scratch: Vec::new(),
             dummy_leaves: Vec::new(),
@@ -123,7 +150,9 @@ impl RecursivePathOram {
     ///
     /// Panics if `addr` exceeds [`OramConfig::data_block_capacity`].
     pub fn read(&mut self, addr: u64) -> Vec<u8> {
-        self.access(addr, OramOp::Read, None, false)
+        let mut out = Vec::new();
+        self.access(addr, |p| out.clone_from(p));
+        out
     }
 
     /// As [`RecursivePathOram::read`], discarding the payload: the same
@@ -131,13 +160,7 @@ impl RecursivePathOram {
     /// materialized. The multi-tenant host's serving datapath consumes
     /// only the access's *timing*, so its read path stays allocation-free.
     pub fn read_discard(&mut self, addr: u64) {
-        self.access_inner(addr, OramOp::Read, None, false, false);
-    }
-
-    /// As [`RecursivePathOram::read_deferred`], discarding the payload
-    /// (see [`RecursivePathOram::read_discard`]).
-    pub fn read_discard_deferred(&mut self, addr: u64) {
-        self.access_inner(addr, OramOp::Read, None, true, false);
+        self.access(addr, |_| {});
     }
 
     /// Writes the cache line at block address `addr`.
@@ -147,45 +170,19 @@ impl RecursivePathOram {
     /// Panics if `addr` is out of range or `data` is not one data block
     /// long.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
-        self.access_inner(addr, OramOp::Write, Some(data), false, false);
-    }
-
-    /// As [`RecursivePathOram::read`], but the data tree's path
-    /// write-back is deferred into the background eviction queue
-    /// (posmap trees still evict inline — their paths are small and
-    /// their lookups form the pipeline's front stages). The caller
-    /// drains the queue via [`RecursivePathOram::drain_eviction`].
-    pub fn read_deferred(&mut self, addr: u64) -> Vec<u8> {
-        self.access(addr, OramOp::Read, None, true)
-    }
-
-    /// As [`RecursivePathOram::write`], with the data-tree eviction
-    /// deferred (see [`RecursivePathOram::read_deferred`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range or `data` is not one data block
-    /// long.
-    pub fn write_deferred(&mut self, addr: u64, data: &[u8]) {
-        self.access_inner(addr, OramOp::Write, Some(data), true, false);
+        assert_eq!(
+            data.len(),
+            self.config.data.block_bytes(),
+            "payload must be block-sized"
+        );
+        self.access(addr, |p| p.copy_from_slice(data));
     }
 
     /// Performs an indistinguishable dummy access (§1.1.2): a random path
     /// is read and written in every tree, with all the same data movement
-    /// and re-encryption as a real access.
+    /// and re-encryption as a real access (the data tree's write-back
+    /// deferred exactly when a real access's would be).
     pub fn dummy_access(&mut self) {
-        self.dummy(false);
-    }
-
-    /// As [`RecursivePathOram::dummy_access`], with the data-tree
-    /// eviction deferred (see [`RecursivePathOram::read_deferred`]) —
-    /// dummies and real accesses must stay indistinguishable, so a
-    /// pipelined controller defers both the same way.
-    pub fn dummy_access_deferred(&mut self) {
-        self.dummy(true);
-    }
-
-    fn dummy(&mut self, defer: bool) {
         // Batch the PRNG draws up front (same draw order as ever:
         // posmap chain smallest-first, then the data tree) so the hot
         // loop below is pure tree work; the scratch is reused across
@@ -199,17 +196,21 @@ impl RecursivePathOram {
         let leaf = Leaf(self.rng.next_below(self.data.geometry().leaf_count()));
         for (j, i) in (0..self.posmaps.len()).rev().enumerate() {
             let posmap_leaf = self.dummy_leaves[j];
-            self.posmaps[i].dummy_access(posmap_leaf);
+            self.posmaps[i].dummy_access(posmap_leaf, false);
         }
-        if defer {
-            self.data.dummy_access_deferred(leaf);
-            self.pending_evictions.push_back(leaf);
-            self.stats.deferred_evictions += 1;
-        } else {
-            self.data.dummy_access(leaf);
-        }
+        self.data.dummy_access(leaf, self.defer_evictions);
+        self.defer_eviction(leaf);
         self.stats.dummy_accesses += 1;
         self.stats.bytes_moved += self.config.bytes_per_access();
+    }
+
+    /// Queues the data-tree path to `leaf` for a later drain, when this
+    /// ORAM defers its evictions.
+    fn defer_eviction(&mut self, leaf: Leaf) {
+        if self.defer_evictions {
+            self.pending_evictions.push_back(leaf);
+            self.stats.deferred_evictions += 1;
+        }
     }
 
     /// Completes the oldest deferred data-tree eviction, if any. Returns
@@ -259,24 +260,14 @@ impl RecursivePathOram {
         AccessPlan::derive(&self.config, ddr)
     }
 
-    fn access(&mut self, addr: u64, op: OramOp, data: Option<&[u8]>, defer: bool) -> Vec<u8> {
-        self.access_inner(addr, op, data, defer, true)
-            .expect("requested result")
-    }
-
-    /// One full recursive access. `want_result` controls whether the data
-    /// block's payload is cloned out — the tree and PRNG work is
-    /// byte-identical either way, so discard-mode callers (the host's
-    /// serving datapath) get the same timing and DRAM image with zero
-    /// payload allocation.
-    fn access_inner(
-        &mut self,
-        addr: u64,
-        op: OramOp,
-        data: Option<&[u8]>,
-        defer: bool,
-        want_result: bool,
-    ) -> Option<Vec<u8>> {
+    /// One full recursive access, applying `update` to the data block's
+    /// payload. The tree and PRNG work is the same whatever `update`
+    /// does, so discard-mode callers (the host's serving datapath) get
+    /// the same timing and DRAM image with zero payload allocation.
+    fn access<F>(&mut self, addr: u64, update: F)
+    where
+        F: FnOnce(&mut Vec<u8>),
+    {
         assert!(
             addr < self.config.data_block_capacity(),
             "address {addr} beyond ORAM capacity {}",
@@ -319,9 +310,8 @@ impl RecursivePathOram {
             };
             let new_below_leaf = Leaf(self.rng.next_below(below_leaves));
             let mut old_below_leaf = Leaf(0);
-            // The posmap block's payload is consumed inside the closure;
-            // the quiet access avoids cloning it back out.
-            self.posmaps[i].access_update_quiet(block, cur_leaf, cur_new, |payload| {
+            // The posmap block's payload is consumed inside the closure.
+            self.posmaps[i].access(block, cur_leaf, cur_new, false, |payload| {
                 let off = slot * POSMAP_ENTRY_BYTES;
                 let bytes: [u8; 4] = payload[off..off + 4]
                     .try_into()
@@ -337,58 +327,14 @@ impl RecursivePathOram {
         self.covering_scratch = covering;
 
         // 3. Data ORAM access (eviction inline or deferred).
-        let result = match (op, data) {
-            (OramOp::Write, Some(bytes)) => {
-                assert_eq!(
-                    bytes.len(),
-                    self.data.geometry().block_bytes(),
-                    "payload must be block-sized"
-                );
-                if defer {
-                    self.data
-                        .access_update_deferred_quiet(BlockId(addr), cur_leaf, cur_new, |p| {
-                            p.copy_from_slice(bytes)
-                        });
-                } else {
-                    self.data
-                        .access_update_quiet(BlockId(addr), cur_leaf, cur_new, |p| {
-                            p.copy_from_slice(bytes)
-                        });
-                }
-                None
-            }
-            (OramOp::Read, _) => {
-                if defer {
-                    if want_result {
-                        Some(self.data.access_update_deferred(
-                            BlockId(addr),
-                            cur_leaf,
-                            cur_new,
-                            |_| {},
-                        ))
-                    } else {
-                        self.data.access_update_deferred_quiet(
-                            BlockId(addr),
-                            cur_leaf,
-                            cur_new,
-                            |_| {},
-                        );
-                        None
-                    }
-                } else if want_result {
-                    Some(self.data.read(BlockId(addr), cur_leaf, cur_new))
-                } else {
-                    self.data
-                        .access_update_quiet(BlockId(addr), cur_leaf, cur_new, |_| {});
-                    None
-                }
-            }
-            (OramOp::Write, None) => unreachable!("write always carries data"),
-        };
-        if defer {
-            self.pending_evictions.push_back(cur_leaf);
-            self.stats.deferred_evictions += 1;
-        }
+        self.data.access(
+            BlockId(addr),
+            cur_leaf,
+            cur_new,
+            self.defer_evictions,
+            update,
+        );
+        self.defer_eviction(cur_leaf);
 
         self.stats.real_accesses += 1;
         self.stats.bytes_moved += self.config.bytes_per_access();
@@ -399,7 +345,6 @@ impl RecursivePathOram {
                 .max()
                 .unwrap_or(0),
         );
-        result
     }
 
     /// Statistics snapshot.
@@ -453,6 +398,10 @@ mod tests {
         RecursivePathOram::new(OramConfig::small()).expect("valid")
     }
 
+    fn deferred() -> RecursivePathOram {
+        RecursivePathOram::with_deferred_evictions(OramConfig::small()).expect("valid")
+    }
+
     #[test]
     fn fresh_reads_are_zero() {
         let mut o = small();
@@ -474,12 +423,14 @@ mod tests {
             o.write(i, &[i as u8; 64]);
         }
         assert!(o.total_stash_len() >= o.data_stash_len());
+        assert_eq!(o.pending_evictions(), 0, "an inline ORAM never defers");
         // Deferred accesses grow the data stash; the total tracks it.
+        let mut d = deferred();
         for i in 0..16u64 {
-            o.write_deferred(i, &[1u8; 64]);
+            d.write(i, &[1u8; 64]);
         }
-        assert!(o.total_stash_len() >= o.data_stash_len());
-        assert!(o.data_stash_len() > 0);
+        assert!(d.total_stash_len() >= d.data_stash_len());
+        assert!(d.data_stash_len() > 0);
     }
 
     #[test]
@@ -540,17 +491,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "payload must be block-sized")]
+    fn wrong_payload_size_panics() {
+        small().write(0, &[1, 2, 3]);
+    }
+
+    #[test]
     fn deferred_accesses_roundtrip_under_bounded_queue() {
-        let mut o = small();
+        let mut o = deferred();
         for i in 0..32u64 {
-            o.write_deferred(i, &[i as u8; 64]);
+            o.write(i, &[i as u8; 64]);
             while o.pending_evictions() > 4 {
                 assert!(o.drain_eviction());
             }
         }
         o.check_invariants(); // stash residency is always legal
         for i in (0..32u64).rev() {
-            assert_eq!(o.read_deferred(i), vec![i as u8; 64], "block {i}");
+            assert_eq!(o.read(i), vec![i as u8; 64], "block {i}");
             while o.pending_evictions() > 4 {
                 o.drain_eviction();
             }
@@ -572,7 +529,7 @@ mod tests {
         // has been re-encrypted exactly as many times as under a serial
         // controller running the same access sequence.
         let mut serial = small();
-        let mut deferred = small();
+        let mut deferred = deferred();
         let mut rng = SplitMix64::new(0xFEED);
         for step in 0..60u64 {
             match rng.next_below(3) {
@@ -580,15 +537,15 @@ mod tests {
                     let addr = rng.next_below(100);
                     let val = vec![step as u8; 64];
                     serial.write(addr, &val);
-                    deferred.write_deferred(addr, &val);
+                    deferred.write(addr, &val);
                 }
                 1 => {
                     let addr = rng.next_below(100);
-                    assert_eq!(serial.read(addr), deferred.read_deferred(addr));
+                    assert_eq!(serial.read(addr), deferred.read(addr));
                 }
                 _ => {
                     serial.dummy_access();
-                    deferred.dummy_access_deferred();
+                    deferred.dummy_access();
                 }
             }
             while deferred.pending_evictions() > 3 {
@@ -615,7 +572,8 @@ mod tests {
         // accessed data path — dense and deep — must match the serial
         // controller's ciphertext once the deferred evictions drain.
         let mut serial = RecursivePathOram::new(OramConfig::paper()).expect("valid");
-        let mut deferred = RecursivePathOram::new(OramConfig::paper()).expect("valid");
+        let mut deferred =
+            RecursivePathOram::with_deferred_evictions(OramConfig::paper()).expect("valid");
         let fresh = RecursivePathOram::new(OramConfig::paper()).expect("valid");
         let capacity = serial.config().data_block_capacity();
         let mut rng = SplitMix64::new(0xFEED);
@@ -631,12 +589,12 @@ mod tests {
                 0 => {
                     let val = vec![step as u8; 64];
                     serial.write(addr, &val);
-                    deferred.write_deferred(addr, &val);
+                    deferred.write(addr, &val);
                 }
-                1 => assert_eq!(serial.read(addr), deferred.read_deferred(addr)),
+                1 => assert_eq!(serial.read(addr), deferred.read(addr)),
                 _ => {
                     serial.dummy_access();
-                    deferred.dummy_access_deferred();
+                    deferred.dummy_access();
                 }
             }
             // The deferred controller queues every data path it touched.

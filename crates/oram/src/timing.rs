@@ -258,33 +258,13 @@ pub struct CapacityModel {
 }
 
 impl CapacityModel {
-    /// Model for a serial shard: the pipeline cadence *is* `OLAT`
-    /// (accesses run strictly back to back), so both [`CapacityKind`]s
-    /// price identically.
-    pub fn serial(plan: &AccessPlan, kind: CapacityKind) -> Self {
-        Self {
-            kind,
-            olat: plan.total(),
-            pipeline_cadence: plan.total(),
-        }
-    }
-
-    /// Model for a staged shard: the pipeline cadence is
-    /// [`AccessPlan::staged_cadence`].
-    pub fn staged(plan: &AccessPlan, kind: CapacityKind) -> Self {
-        Self {
-            kind,
-            olat: plan.total(),
-            pipeline_cadence: plan.staged_cadence(),
-        }
-    }
-
-    /// Model for a heterogeneous pool: the caller supplies the aggregate
-    /// figures directly (typically the maxima over the pool's shard
-    /// classes, so pricing stays conservative for whichever shard a slot
-    /// lands on). For a homogeneous pool this is field-identical to
-    /// [`CapacityModel::serial`] / [`CapacityModel::staged`] built from
-    /// that one class's plan.
+    /// Model from its figures: `olat` is the end-to-end cost of one
+    /// access, `pipeline_cadence` how often a shard can start one —
+    /// `plan.total()` for a serial shard (accesses run strictly back to
+    /// back, so both [`CapacityKind`]s price identically),
+    /// [`AccessPlan::staged_cadence`] for a staged one. A heterogeneous
+    /// pool supplies the maxima over its shard classes, so pricing stays
+    /// conservative for whichever shard a slot lands on.
     pub fn from_parts(kind: CapacityKind, olat: Cycle, pipeline_cadence: Cycle) -> Self {
         Self {
             kind,
@@ -416,22 +396,22 @@ mod tests {
         let olat = plan.total();
         // Serial: both pricings coincide at OLAT.
         for kind in [CapacityKind::Olat, CapacityKind::Cadence] {
-            let m = CapacityModel::serial(&plan, kind);
+            let m = CapacityModel::from_parts(kind, olat, olat);
+            assert_eq!(m.kind(), kind);
             assert_eq!(m.effective_cadence(), olat);
             assert_eq!(m.pipeline_cadence(), olat);
             assert_eq!(m.olat(), olat);
         }
         // Staged: olat pricing still charges OLAT; cadence pricing
         // charges the steady-state initiation interval.
-        let m = CapacityModel::staged(&plan, CapacityKind::Olat);
-        assert_eq!(m.effective_cadence(), olat);
-        assert_eq!(m.pipeline_cadence(), plan.staged_cadence());
-        let m = CapacityModel::staged(&plan, CapacityKind::Cadence);
+        let m_olat = CapacityModel::from_parts(CapacityKind::Olat, olat, plan.staged_cadence());
+        assert_eq!(m_olat.effective_cadence(), olat);
+        assert_eq!(m_olat.pipeline_cadence(), plan.staged_cadence());
+        let m = CapacityModel::from_parts(CapacityKind::Cadence, olat, plan.staged_cadence());
         assert_eq!(m.effective_cadence(), plan.staged_cadence());
         // The utilization formula keeps the grid period at rate + OLAT
         // under both pricings.
         let rate = 2_000u64;
-        let m_olat = CapacityModel::staged(&plan, CapacityKind::Olat);
         assert_eq!(
             m_olat.slot_utilization(rate),
             olat as f64 / (rate + olat) as f64
@@ -441,24 +421,8 @@ mod tests {
             plan.staged_cadence() as f64 / (rate + olat) as f64
         );
         assert!(m.slot_utilization(rate) < m_olat.slot_utilization(rate));
-    }
-
-    #[test]
-    fn from_parts_matches_the_plan_constructors() {
-        // A homogeneous "mix" must price field-identically to the plan
-        // constructors — the bit-exact replay suites depend on it.
-        let plan = AccessPlan::derive(&OramConfig::paper(), &DdrConfig::default());
-        for kind in [CapacityKind::Olat, CapacityKind::Cadence] {
-            assert_eq!(
-                CapacityModel::from_parts(kind, plan.total(), plan.total()),
-                CapacityModel::serial(&plan, kind)
-            );
-            assert_eq!(
-                CapacityModel::from_parts(kind, plan.total(), plan.staged_cadence()),
-                CapacityModel::staged(&plan, kind)
-            );
-        }
-        // A genuine mix: olat from the slowest class, cadence likewise.
+        // A heterogeneous mix: olat from the slowest class, cadence
+        // likewise.
         let m = CapacityModel::from_parts(CapacityKind::Cadence, 1_488, 700);
         assert_eq!(m.olat(), 1_488);
         assert_eq!(m.pipeline_cadence(), 700);

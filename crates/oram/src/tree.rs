@@ -98,7 +98,7 @@ pub struct TreeStats {
 /// counters anyway; storing them as a flat heap-indexed array turns the
 /// hottest `DENSE_LEVELS` of every path read/write into direct indexing
 /// with no hashing and no probing. 2^14 − 1 buckets ≈ 0.5 MB per tree —
-/// the on-chip tree-top buffer of the Ren et al. [26] controller designs,
+/// the on-chip tree-top buffer of the Ren et al. \[26\] controller designs,
 /// in host-memory form. Levels below it store only block-holding buckets.
 const DENSE_LEVELS: u32 = 14;
 
@@ -216,98 +216,25 @@ impl TreeOram {
     ///
     /// Reads the path to `leaf` into the stash, applies `update` to the
     /// payload of `id` (synthesizing a default payload if the block was
-    /// never written), remaps the block to `new_leaf`, then evicts and
-    /// writes the path back. Returns the payload *after* `update` ran.
+    /// never written) and remaps the block to `new_leaf`. The payload is
+    /// read or written only through `update`, so an access whose result
+    /// nobody consumes allocates nothing.
+    ///
+    /// Unless `defer`, the path is then evicted and written back. With
+    /// `defer` the path's blocks stay in the stash and the caller must
+    /// later call [`TreeOram::evict_path`] with the same `leaf` to
+    /// complete the eviction. Until then the Path ORAM invariant still
+    /// holds (stash residency is always legal) and reads of any staged
+    /// block keep working — only the write-back bandwidth and the
+    /// re-encryption of the path's buckets are postponed.
     ///
     /// # Panics
     ///
     /// Panics if `leaf`/`new_leaf` are out of range, or if the invariant
     /// "the block is on the claimed path or in the stash" is violated —
     /// which would mean the caller's position map is inconsistent.
-    pub fn access_update<F>(
-        &mut self,
-        id: BlockId,
-        leaf: Leaf,
-        new_leaf: Leaf,
-        update: F,
-    ) -> Vec<u8>
+    pub fn access<F>(&mut self, id: BlockId, leaf: Leaf, new_leaf: Leaf, defer: bool, update: F)
     where
-        F: FnOnce(&mut Vec<u8>),
-    {
-        let result = self.access_update_deferred(id, leaf, new_leaf, update);
-        // The deferred variant just emptied the path's buckets, so the
-        // immediate write-back is exactly the serial eviction.
-        self.write_path_from_stash(leaf);
-        result
-    }
-
-    /// Convenience read (no modification).
-    pub fn read(&mut self, id: BlockId, leaf: Leaf, new_leaf: Leaf) -> Vec<u8> {
-        self.access_update(id, leaf, new_leaf, |_| {})
-    }
-
-    /// Convenience write (payload replaced).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly `block_bytes` long.
-    pub fn write(&mut self, id: BlockId, leaf: Leaf, new_leaf: Leaf, data: &[u8]) -> Vec<u8> {
-        assert_eq!(
-            data.len(),
-            self.geom.block_bytes(),
-            "payload must be block-sized"
-        );
-        self.access_update(id, leaf, new_leaf, |p| p.copy_from_slice(data))
-    }
-
-    /// Performs a dummy access: read and write back the path to `leaf`
-    /// without touching any logical block (§1.1.2 footnote 1, §3).
-    /// Indistinguishable from a real access by construction — the same
-    /// bytes move and every bucket is re-encrypted.
-    pub fn dummy_access(&mut self, leaf: Leaf) {
-        self.dummy_access_deferred(leaf);
-        self.write_path_from_stash(leaf);
-    }
-
-    /// As [`TreeOram::access_update`], but with the path write-back
-    /// *deferred*: the path's blocks stay in the stash and the caller
-    /// must later call [`TreeOram::evict_path`] with the same `leaf` to
-    /// complete the eviction. Until then the Path ORAM invariant still
-    /// holds (stash residency is always legal) and reads of any staged
-    /// block keep working — only the write-back bandwidth and the
-    /// re-encryption of the path's buckets are postponed.
-    pub fn access_update_deferred<F>(
-        &mut self,
-        id: BlockId,
-        leaf: Leaf,
-        new_leaf: Leaf,
-        update: F,
-    ) -> Vec<u8>
-    where
-        F: FnOnce(&mut Vec<u8>),
-    {
-        self.access_update_deferred_quiet(id, leaf, new_leaf, update);
-        self.stash
-            .get(id)
-            .expect("block staged in stash")
-            .payload
-            .clone()
-    }
-
-    /// As [`TreeOram::access_update_deferred`], but without materializing
-    /// a copy of the updated payload. The serving datapath discards the
-    /// result of most accesses (every posmap hop, every write, every
-    /// host-level read whose payload nobody consumes), so the quiet
-    /// variants keep the per-access hot path allocation-free; callers
-    /// that do want the payload read it through `update` or use the
-    /// cloning wrappers.
-    pub fn access_update_deferred_quiet<F>(
-        &mut self,
-        id: BlockId,
-        leaf: Leaf,
-        new_leaf: Leaf,
-        update: F,
-    ) where
         F: FnOnce(&mut Vec<u8>),
     {
         assert!(new_leaf.0 < self.geom.leaf_count(), "new_leaf out of range");
@@ -325,24 +252,25 @@ impl TreeOram {
         block.leaf = new_leaf;
         update(&mut block.payload);
         self.accesses += 1;
+        if !defer {
+            // The read just emptied the path's buckets, so the immediate
+            // write-back is exactly the serial eviction.
+            self.write_path_from_stash(leaf);
+        }
     }
 
-    /// Quiet counterpart of [`TreeOram::access_update`]: full access
-    /// (read path, update, immediate write-back) with no payload copy.
-    pub fn access_update_quiet<F>(&mut self, id: BlockId, leaf: Leaf, new_leaf: Leaf, update: F)
-    where
-        F: FnOnce(&mut Vec<u8>),
-    {
-        self.access_update_deferred_quiet(id, leaf, new_leaf, update);
-        self.write_path_from_stash(leaf);
-    }
-
-    /// Dummy-access counterpart of [`TreeOram::access_update_deferred`]:
-    /// reads the path to `leaf` into the stash and leaves the write-back
-    /// to a later [`TreeOram::evict_path`].
-    pub fn dummy_access_deferred(&mut self, leaf: Leaf) {
+    /// Performs a dummy access: reads the path to `leaf` without touching
+    /// any logical block (§1.1.2 footnote 1, §3) and, unless `defer`,
+    /// writes it back. Indistinguishable from a real access by
+    /// construction — the same bytes move and every bucket is
+    /// re-encrypted. A deferred dummy leaves the write-back to a later
+    /// [`TreeOram::evict_path`], as a deferred real access does.
+    pub fn dummy_access(&mut self, leaf: Leaf, defer: bool) {
         self.read_path_into_stash(leaf);
         self.accesses += 1;
+        if !defer {
+            self.write_path_from_stash(leaf);
+        }
     }
 
     /// Completes a deferred eviction: gathers the current contents of the
@@ -360,7 +288,7 @@ impl TreeOram {
     /// pending eviction (deeper buckets were emptied by this path's own
     /// read and FIFO order keeps them empty), and a hardware controller
     /// holds those top-of-tree levels in its on-chip tree-top buffer
-    /// (standard in the Ren et al. [26] designs this models), so the
+    /// (standard in the Ren et al. \[26\] designs this models), so the
     /// write-back re-reads nothing from DRAM. Worst case outside the
     /// buffered depth — two pending paths to nearby leaves — the model
     /// is optimistic by the shared suffix; bytes_moved accounting is
@@ -550,6 +478,17 @@ mod tests {
         )
     }
 
+    /// The payload of `id` after an access that only reads it.
+    fn read(t: &mut TreeOram, id: BlockId, leaf: Leaf, new_leaf: Leaf) -> Vec<u8> {
+        let mut out = Vec::new();
+        t.access(id, leaf, new_leaf, false, |p| out.clone_from(p));
+        out
+    }
+
+    fn write(t: &mut TreeOram, id: BlockId, leaf: Leaf, new_leaf: Leaf, data: &[u8]) {
+        t.access(id, leaf, new_leaf, false, |p| p.copy_from_slice(data));
+    }
+
     /// Deterministic "random" leaf sequence for tests.
     fn leaf_seq(geom: &TreeGeometry, seed: u64) -> impl FnMut() -> Leaf + '_ {
         let mut rng = otc_crypto::SplitMix64::new(seed);
@@ -559,7 +498,7 @@ mod tests {
     #[test]
     fn fresh_block_reads_zero() {
         let mut t = test_tree(4);
-        let data = t.read(BlockId(5), Leaf(2), Leaf(3));
+        let data = read(&mut t, BlockId(5), Leaf(2), Leaf(3));
         assert_eq!(data, vec![0u8; 64]);
     }
 
@@ -567,9 +506,9 @@ mod tests {
     fn write_then_read_roundtrip() {
         let mut t = test_tree(4);
         let payload = vec![0xAB; 64];
-        t.write(BlockId(7), Leaf(1), Leaf(4), &payload);
+        write(&mut t, BlockId(7), Leaf(1), Leaf(4), &payload);
         // Must read via the *new* leaf.
-        let got = t.read(BlockId(7), Leaf(4), Leaf(0));
+        let got = read(&mut t, BlockId(7), Leaf(4), Leaf(0));
         assert_eq!(got, payload);
         t.check_invariant();
     }
@@ -578,9 +517,9 @@ mod tests {
     fn root_fingerprint_changes_every_access() {
         let mut t = test_tree(4);
         let f0 = t.root_fingerprint();
-        t.dummy_access(Leaf(0));
+        t.dummy_access(Leaf(0), false);
         let f1 = t.root_fingerprint();
-        t.dummy_access(Leaf(7));
+        t.dummy_access(Leaf(7), false);
         let f2 = t.root_fingerprint();
         assert_ne!(f0, f1);
         assert_ne!(f1, f2);
@@ -594,7 +533,7 @@ mod tests {
         let node7 = t.geometry().node_at(Leaf(7), 3);
         let before = t.bucket_fingerprint(node7);
         for _ in 0..5 {
-            t.dummy_access(Leaf(0));
+            t.dummy_access(Leaf(0), false);
         }
         assert_eq!(t.bucket_fingerprint(node7), before);
     }
@@ -602,19 +541,19 @@ mod tests {
     #[test]
     fn dummy_access_preserves_contents() {
         let mut t = test_tree(4);
-        t.write(BlockId(3), Leaf(6), Leaf(6), &[9u8; 64]);
+        write(&mut t, BlockId(3), Leaf(6), Leaf(6), &[9u8; 64]);
         for leaf in 0..8 {
-            t.dummy_access(Leaf(leaf));
+            t.dummy_access(Leaf(leaf), false);
         }
-        assert_eq!(t.read(BlockId(3), Leaf(6), Leaf(1)), vec![9u8; 64]);
+        assert_eq!(read(&mut t, BlockId(3), Leaf(6), Leaf(1)), vec![9u8; 64]);
         t.check_invariant();
     }
 
     #[test]
     fn access_counts_and_bytes() {
         let mut t = test_tree(4);
-        t.dummy_access(Leaf(0));
-        t.read(BlockId(0), Leaf(0), Leaf(0));
+        t.dummy_access(Leaf(0), false);
+        read(&mut t, BlockId(0), Leaf(0), Leaf(0));
         let s = t.stats();
         assert_eq!(s.path_accesses, 2);
         assert_eq!(s.bytes_moved, 2 * 2 * t.geometry().path_bytes());
@@ -648,7 +587,7 @@ mod tests {
             (next(), next())
         };
         assert!(l.0 < geom.leaf_count());
-        t.write(BlockId(123_456), l, l2, &[1u8; 64]);
+        write(&mut t, BlockId(123_456), l, l2, &[1u8; 64]);
         assert!(t.materialized_buckets() <= 26);
     }
 
@@ -658,17 +597,17 @@ mod tests {
         // that path's leaf bucket, 20 levels below the dense top.
         let mut t = test_tree(34);
         let leaf = Leaf(0x1_2345_6789);
-        t.write(BlockId(9), leaf, leaf, &[4u8; 64]);
+        write(&mut t, BlockId(9), leaf, leaf, &[4u8; 64]);
         assert_eq!(t.resident.len(), 1, "one deep bucket holds the block");
         let node = t.geometry().node_at(leaf, 33);
         assert!(t.resident[&node].iter().any(|b| b.id == BlockId(9)));
         // Reading the path takes the bucket out of the map; the write-back
         // puts it (or a shallower one) back.
-        t.dummy_access_deferred(leaf);
+        t.dummy_access(leaf, true);
         assert_eq!(t.resident.len(), 0);
         t.evict_path(leaf);
         assert_eq!(t.resident.len(), 1);
-        assert_eq!(t.read(BlockId(9), leaf, Leaf(3)), vec![4u8; 64]);
+        assert_eq!(read(&mut t, BlockId(9), leaf, Leaf(3)), vec![4u8; 64]);
         assert_eq!(t.check_invariant(), 1);
         let prf = &t.fingerprint_prf;
         assert_eq!(t.bucket_fingerprint(node), prf.eval2(node.0, 3));
@@ -679,12 +618,6 @@ mod tests {
             t.bucket_fingerprint(NodeIndex(u64::MAX)),
             prf.eval2(u64::MAX, 0)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "payload must be block-sized")]
-    fn wrong_payload_size_panics() {
-        test_tree(4).write(BlockId(0), Leaf(0), Leaf(0), &[1, 2, 3]);
     }
 
     proptest! {
@@ -711,11 +644,11 @@ mod tests {
                 if rng.next_below(2) == 0 {
                     // write
                     let payload = vec![(step as u8).wrapping_mul(31); 64];
-                    t.write(BlockId(id), cur_leaf, new_leaf, &payload);
+                    write(&mut t, BlockId(id), cur_leaf, new_leaf, &payload);
                     model.insert(id, (payload, new_leaf));
                 } else {
                     // read
-                    let got = t.read(BlockId(id), cur_leaf, new_leaf);
+                    let got = read(&mut t, BlockId(id), cur_leaf, new_leaf);
                     if let Some((expect, _)) = entry {
                         prop_assert_eq!(&got, &expect);
                     } else {
@@ -780,11 +713,7 @@ mod tests {
                     }
                     1 => {
                         let leaf = draw_leaf(&mut rng);
-                        if defer {
-                            t.dummy_access_deferred(leaf);
-                        } else {
-                            t.dummy_access(leaf);
-                        }
+                        t.dummy_access(leaf, defer);
                         Some(leaf)
                     }
                     op => {
@@ -795,16 +724,13 @@ mod tests {
                             .cloned()
                             .unwrap_or_else(|| (vec![0u8; 64], draw_leaf(&mut rng)));
                         let written = (op == 2).then(|| vec![(step as u8) ^ 0x5A; 64]);
-                        let update = |p: &mut Vec<u8>| {
+                        let mut got = Vec::new();
+                        t.access(BlockId(id), leaf, new_leaf, defer, |p| {
                             if let Some(w) = &written {
                                 p.copy_from_slice(w);
                             }
-                        };
-                        let got = if defer {
-                            t.access_update_deferred(BlockId(id), leaf, new_leaf, update)
-                        } else {
-                            t.access_update(BlockId(id), leaf, new_leaf, update)
-                        };
+                            got.clone_from(p);
+                        });
                         let now = written.unwrap_or(expect);
                         prop_assert_eq!(&got, &now, "block {} read back wrong", id);
                         model.insert(id, (now, new_leaf));

@@ -28,16 +28,6 @@ impl std::fmt::Display for Leaf {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeIndex(pub u64);
 
-/// The two logical operations the processor issues to the ORAM controller
-/// (it is invoked on LLC misses and evictions, §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OramOp {
-    /// Fetch a cache line (LLC miss).
-    Read,
-    /// Write a cache line back (LLC dirty eviction).
-    Write,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -451,7 +451,7 @@ impl<S: Strategy> Strategy for &S {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Inclusive-exclusive size bounds for [`vec`].
+    /// Inclusive-exclusive size bounds for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

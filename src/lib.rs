@@ -16,16 +16,16 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`core`](otc_core) | **The contribution**: epoch schedules, candidate rate sets, the Equation-1 rate learner with the Algorithm-1 shift divider, the slot-periodic rate enforcer with dummy accesses, information-theoretic leakage accounting, and the §5/§8 session protocol |
-//! | [`oram`](otc_oram) | Path ORAM: tree + stash + recursive position maps, probabilistic bucket encryption, access timing |
-//! | [`host`](otc_host) | **Beyond the paper**: the multi-tenant serving layer — sharded ORAM backends, batched slot scheduling over per-tenant `SlotStream`s, a tenant directory with session-authorized leakage budgets, and the fleet-wide `LeakageLedger` (drive it with the `otc` CLI) |
-//! | [`perf`](otc_perf) | Structured perf sessions: per-round sample schema, framed + footer-indexed binary trace format, exact-percentile histograms, and the `otc report` timeline renderer |
-//! | [`sim`](otc_sim) | Cycle-level in-order processor (Table 1): caches, write buffer, pluggable memory backends |
-//! | [`dram`](otc_dram) | DRAM timing: flat-latency baseline + calibrated DDR3-like channel model |
-//! | [`workloads`](otc_workloads) | Synthetic SPEC-int stand-ins with per-input variants |
-//! | [`power`](otc_power) | The Table 2 energy model (984 nJ per ORAM access) |
-//! | [`crypto`](otc_crypto) | Simulation-grade fixed-latency primitives, session keys |
-//! | [`attacks`](otc_attacks) | Executable adversaries: Fig. 1(a)'s malicious program + decoder, the §3.2 root-bucket probe, replay attacks |
+//! | [`core`] | **The contribution**: epoch schedules, candidate rate sets, the Equation-1 rate learner with the Algorithm-1 shift divider, the slot-periodic rate enforcer with dummy accesses, information-theoretic leakage accounting, and the §5/§8 session protocol |
+//! | [`oram`] | Path ORAM: tree + stash + recursive position maps, probabilistic bucket encryption, access timing |
+//! | [`host`] | **Beyond the paper**: the multi-tenant serving layer — sharded ORAM backends, batched slot scheduling over per-tenant `SlotStream`s, a tenant directory with session-authorized leakage budgets, and the fleet-wide `LeakageLedger` (drive it with the `otc` CLI) |
+//! | [`perf`] | Structured perf sessions: per-round sample schema, framed + footer-indexed binary trace format, exact-percentile histograms, and the `otc report` timeline renderer |
+//! | [`sim`] | Cycle-level in-order processor (Table 1): caches, write buffer, pluggable memory backends |
+//! | [`dram`] | DRAM timing: flat-latency baseline + calibrated DDR3-like channel model |
+//! | [`workloads`] | Synthetic SPEC-int stand-ins with per-input variants |
+//! | [`power`] | The Table 2 energy model (984 nJ per ORAM access) |
+//! | [`crypto`] | Simulation-grade fixed-latency primitives, session keys |
+//! | [`attacks`] | Executable adversaries: Fig. 1(a)'s malicious program + decoder, the §3.2 root-bucket probe, replay attacks |
 //!
 //! ## Quickstart
 //!
