@@ -408,14 +408,13 @@ impl SlotStream {
         else {
             return;
         };
-        let (rates, schedule, divider) = (rates.clone(), *schedule, *divider);
         // The schedule is public and runs on the stream's own clock: a
         // stream anchored mid-run at `origin` sees its epochs start there
         // (`at` in the recorded transition stays global).
         let local = completion - self.origin;
         while local >= schedule.epoch_end(self.epoch_index) {
             let epoch_cycles = schedule.epoch_length(self.epoch_index);
-            let predictor = RatePredictor::new(divider);
+            let predictor = RatePredictor::new(*divider);
             let raw = predictor.predict_raw(epoch_cycles, &self.counters);
             let new_rate = rates.discretize(raw);
             self.transitions.push(EpochTransition {

@@ -5,6 +5,7 @@
 //! values are not (functional data lives in the ORAM backend).
 
 use crate::config::CacheConfig;
+use std::ops::Range;
 
 /// Result of a cache lookup-with-fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,19 +19,24 @@ pub struct AccessOutcome {
     pub evicted: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    lru: u64,
-}
-
 /// One cache level.
+///
+/// The ways live set-major in three flat arrays — way `w` of set `s` is
+/// index `s * ways + w` of each — so a cache is three zeroed allocations
+/// whatever its size. The set count is a power of two: a line's set is
+/// its low bits, its tag the rest.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// `sets - 1`: a line's set is `line_addr & set_mask`.
+    set_mask: u64,
+    /// `log2(sets)`: a line's tag is `line_addr >> set_bits`.
+    set_bits: u32,
+    tags: Vec<u64>,
+    /// The tick of each way's last access; 0 marks an invalid way. Valid
+    /// stamps are distinct and nonzero.
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -41,13 +47,23 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration yields zero sets or ways.
+    /// Panics if the configuration yields zero sets or ways, or a set
+    /// count that is not a power of two.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         assert!(sets > 0 && config.ways > 0, "degenerate cache geometry");
+        assert!(
+            sets.is_power_of_two(),
+            "cache set count {sets} is not a power of two"
+        );
+        let n = sets * config.ways;
         Self {
             config,
-            sets: vec![vec![Way::default(); config.ways]; sets],
+            set_mask: sets as u64 - 1,
+            set_bits: sets.trailing_zeros(),
+            tags: vec![0; n],
+            stamps: vec![0; n],
+            dirty: vec![false; n],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -59,9 +75,20 @@ impl Cache {
         &self.config
     }
 
-    fn index_tag(&self, line_addr: u64) -> (usize, u64) {
-        let sets = self.sets.len() as u64;
-        ((line_addr % sets) as usize, line_addr / sets)
+    /// The indices of `line_addr`'s set's ways, and its tag.
+    fn locate(&self, line_addr: u64) -> (Range<usize>, u64) {
+        let base = (line_addr & self.set_mask) as usize * self.config.ways;
+        (base..base + self.config.ways, line_addr >> self.set_bits)
+    }
+
+    /// The index of the valid way of `set` that holds `tag`.
+    fn find(&self, set: Range<usize>, tag: u64) -> Option<usize> {
+        let base = set.start;
+        self.tags[set.clone()]
+            .iter()
+            .zip(&self.stamps[set])
+            .position(|(&t, &s)| t == tag && s != 0)
+            .map(|w| base + w)
     }
 
     /// Looks up `line_addr` (a *line* address, i.e. byte address / line
@@ -69,13 +96,11 @@ impl Cache {
     /// line dirty when `write` is set.
     pub fn access(&mut self, line_addr: u64, write: bool) -> AccessOutcome {
         self.tick += 1;
-        let (set_idx, tag) = self.index_tag(line_addr);
-        let sets = self.sets.len() as u64;
-        let set = &mut self.sets[set_idx];
+        let (set, tag) = self.locate(line_addr);
 
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.lru = self.tick;
-            way.dirty |= write;
+        if let Some(i) = self.find(set.clone(), tag) {
+            self.stamps[i] = self.tick;
+            self.dirty[i] |= write;
             self.hits += 1;
             return AccessOutcome {
                 hit: true,
@@ -85,27 +110,19 @@ impl Cache {
         }
 
         self.misses += 1;
-        // Victim: invalid way if any, else LRU.
-        let victim_idx = set.iter().position(|w| !w.valid).unwrap_or_else(|| {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.lru)
-                .map(|(i, _)| i)
-                .expect("non-empty set")
-        });
-        let victim = set[victim_idx];
-        let (writeback, evicted) = if victim.valid {
-            let victim_addr = victim.tag * sets + set_idx as u64;
-            (victim.dirty.then_some(victim_addr), Some(victim_addr))
+        // Victim: the first invalid way if any, else the LRU one. Invalid
+        // ways have stamp 0 and valid stamps are distinct, so that is the
+        // first way with the smallest stamp.
+        let victim = set.min_by_key(|&i| self.stamps[i]).expect("non-empty set");
+        let (writeback, evicted) = if self.stamps[victim] != 0 {
+            let victim_addr = (self.tags[victim] << self.set_bits) | (line_addr & self.set_mask);
+            (self.dirty[victim].then_some(victim_addr), Some(victim_addr))
         } else {
             (None, None)
         };
-        set[victim_idx] = Way {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: self.tick,
-        };
+        self.tags[victim] = tag;
+        self.stamps[victim] = self.tick;
+        self.dirty[victim] = write;
         AccessOutcome {
             hit: false,
             writeback,
@@ -115,21 +132,17 @@ impl Cache {
 
     /// Probes for presence without updating LRU or filling.
     pub fn probe(&self, line_addr: u64) -> bool {
-        let (set_idx, tag) = self.index_tag(line_addr);
-        self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        let (set, tag) = self.locate(line_addr);
+        self.find(set, tag).is_some()
     }
 
     /// Invalidates `line_addr` if present; returns whether the dropped
     /// line was dirty (inclusive-hierarchy back-invalidation).
     pub fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
-        let (set_idx, tag) = self.index_tag(line_addr);
-        for way in &mut self.sets[set_idx] {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                return Some(way.dirty);
-            }
-        }
-        None
+        let (set, tag) = self.locate(line_addr);
+        let i = self.find(set, tag)?;
+        self.stamps[i] = 0;
+        Some(self.dirty[i])
     }
 
     /// Hits so far.
@@ -147,6 +160,141 @@ impl Cache {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The cache as it was first written — a `Vec` of ways per set, sets
+    /// found by `%` and `/` — kept as the oracle the flat layout must
+    /// match outcome for outcome.
+    mod reference {
+        use super::{AccessOutcome, CacheConfig};
+
+        #[derive(Debug, Clone, Copy, Default)]
+        struct Way {
+            tag: u64,
+            valid: bool,
+            dirty: bool,
+            lru: u64,
+        }
+
+        pub struct RefCache {
+            sets: Vec<Vec<Way>>,
+            tick: u64,
+            pub hits: u64,
+            pub misses: u64,
+        }
+
+        impl RefCache {
+            pub fn new(config: CacheConfig) -> Self {
+                Self {
+                    sets: vec![vec![Way::default(); config.ways]; config.sets()],
+                    tick: 0,
+                    hits: 0,
+                    misses: 0,
+                }
+            }
+
+            fn index_tag(&self, line_addr: u64) -> (usize, u64) {
+                let sets = self.sets.len() as u64;
+                ((line_addr % sets) as usize, line_addr / sets)
+            }
+
+            pub fn access(&mut self, line_addr: u64, write: bool) -> AccessOutcome {
+                self.tick += 1;
+                let (set_idx, tag) = self.index_tag(line_addr);
+                let sets = self.sets.len() as u64;
+                let set = &mut self.sets[set_idx];
+
+                if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+                    way.lru = self.tick;
+                    way.dirty |= write;
+                    self.hits += 1;
+                    return AccessOutcome {
+                        hit: true,
+                        writeback: None,
+                        evicted: None,
+                    };
+                }
+
+                self.misses += 1;
+                let victim_idx = set.iter().position(|w| !w.valid).unwrap_or_else(|| {
+                    set.iter()
+                        .enumerate()
+                        .min_by_key(|(_, w)| w.lru)
+                        .map(|(i, _)| i)
+                        .expect("non-empty set")
+                });
+                let victim = set[victim_idx];
+                let (writeback, evicted) = if victim.valid {
+                    let victim_addr = victim.tag * sets + set_idx as u64;
+                    (victim.dirty.then_some(victim_addr), Some(victim_addr))
+                } else {
+                    (None, None)
+                };
+                set[victim_idx] = Way {
+                    tag,
+                    valid: true,
+                    dirty: write,
+                    lru: self.tick,
+                };
+                AccessOutcome {
+                    hit: false,
+                    writeback,
+                    evicted,
+                }
+            }
+
+            pub fn probe(&self, line_addr: u64) -> bool {
+                let (set_idx, tag) = self.index_tag(line_addr);
+                self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+            }
+
+            pub fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
+                let (set_idx, tag) = self.index_tag(line_addr);
+                for way in &mut self.sets[set_idx] {
+                    if way.valid && way.tag == tag {
+                        way.valid = false;
+                        return Some(way.dirty);
+                    }
+                }
+                None
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Read(u64),
+        Write(u64),
+        Probe(u64),
+        Invalidate(u64),
+    }
+
+    /// A geometry (ways, log2 sets) and an op sequence over it. Most
+    /// lines are `tag * sets + set` with up to `ways + 2` tags in four
+    /// sets (the first, second, middle and last), so sets fill, evict
+    /// and re-hit; the rest are huge addresses, two of them in one set.
+    fn geometry_and_ops() -> impl Strategy<Value = (usize, u32, Vec<Op>)> {
+        (1usize..=16, 0u32..=8).prop_flat_map(|(ways, log2_sets)| {
+            let sets = 1u64 << log2_sets;
+            let crowded = (
+                0..ways as u64 + 2,
+                sample::select(vec![0, 1 % sets, sets / 2, sets - 1]),
+            )
+                .prop_map(move |(tag, set)| tag * sets + set);
+            let huge = sample::select(vec![u64::MAX, u64::MAX - sets, 1 << 63, (1 << 63) | 1]);
+            let line = prop_oneof![7 => crowded, 1 => huge];
+            let op = (0u8..8, line).prop_map(|(kind, l)| match kind {
+                0..=2 => Op::Read(l),
+                3..=5 => Op::Write(l),
+                6 => Op::Probe(l),
+                _ => Op::Invalidate(l),
+            });
+            (
+                Just(ways),
+                Just(log2_sets),
+                proptest::collection::vec(op, 1..400),
+            )
+        })
+    }
 
     fn tiny(ways: usize, sets_times_ways_lines: u64) -> Cache {
         // line 64 B; capacity chosen to produce the requested geometry.
@@ -170,7 +318,7 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let mut c = tiny(2, 2); // 1 set, 2 ways
-        assert_eq!(c.sets.len(), 1);
+        assert_eq!(c.config().sets(), 1);
         c.access(0, false);
         c.access(1, false);
         c.access(0, false); // touch 0: now 1 is LRU
@@ -245,5 +393,46 @@ mod tests {
                 recent.push(a);
             }
         }
+
+        /// Over random power-of-two geometries, every outcome, probe and
+        /// invalidate result and both counters match the reference.
+        #[test]
+        fn prop_matches_the_nested_vec_reference(
+            (ways, log2_sets, ops) in geometry_and_ops()
+        ) {
+            let config = CacheConfig {
+                capacity_bytes: (ways as u64) << log2_sets << 6,
+                ways,
+                line_bytes: 64,
+                hit_latency: 1,
+                miss_extra: 0,
+            };
+            let mut flat = Cache::new(config);
+            let mut oracle = reference::RefCache::new(config);
+            for (step, &op) in ops.iter().enumerate() {
+                match op {
+                    Op::Read(l) | Op::Write(l) => {
+                        let write = matches!(op, Op::Write(_));
+                        let (got, want) = (flat.access(l, write), oracle.access(l, write));
+                        prop_assert_eq!(got, want, "step {} {:?}", step, op);
+                    }
+                    Op::Probe(l) => {
+                        prop_assert_eq!(flat.probe(l), oracle.probe(l), "step {} {:?}", step, op);
+                    }
+                    Op::Invalidate(l) => {
+                        let (got, want) = (flat.invalidate(l), oracle.invalidate(l));
+                        prop_assert_eq!(got, want, "step {} {:?}", step, op);
+                    }
+                }
+                let counters = (flat.hits(), flat.misses());
+                prop_assert_eq!(counters, (oracle.hits, oracle.misses), "step {}", step);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        tiny(1, 3);
     }
 }

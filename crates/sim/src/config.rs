@@ -37,6 +37,11 @@ impl Default for CoreConfig {
 }
 
 /// One cache's parameters.
+///
+/// The set count, `capacity_bytes / (ways * line_bytes)`, must be a power
+/// of two: [`crate::Cache::new`] panics otherwise. Table 1's caches have
+/// 128 (L1) and 1,024 (L2) sets, and the paper's 512 KB–4 MB LLC sweeps
+/// keep 16 ways, so all of them qualify.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -52,13 +57,15 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Number of sets.
+    /// Number of sets (a power of two in any cache that can be built).
     pub fn sets(&self) -> usize {
         (self.capacity_bytes / (self.ways as u64 * self.line_bytes)) as usize
     }
 }
 
 /// The full memory-hierarchy + core configuration (defaults = Table 1).
+///
+/// Each cache's set count must be a power of two (see [`CacheConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Core latencies.
@@ -109,7 +116,8 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// The paper's configuration with a different LLC capacity (the paper
-    /// also ran 512 KB–4 MB sweeps, §9.1.2).
+    /// also ran 512 KB–4 MB sweeps, §9.1.2). The LLC's set count,
+    /// `bytes / (ways * line_bytes)`, must be a power of two.
     pub fn with_llc_capacity(mut self, bytes: u64) -> Self {
         self.l2.capacity_bytes = bytes;
         self

@@ -285,12 +285,26 @@ pub struct SteppedSim {
 impl SteppedSim {
     /// Creates a cold core with `config`.
     pub fn new(config: SimConfig) -> Self {
+        Self::warmed(
+            config,
+            WarmState {
+                l1i: Cache::new(config.l1i),
+                l1d: Cache::new(config.l1d),
+                l2: Cache::new(config.l2),
+            },
+        )
+    }
+
+    /// Creates a core whose caches start from `warm` (see
+    /// [`Simulator::warm_caches`]).
+    pub fn warmed(config: SimConfig, warm: WarmState) -> Self {
         let line = config.l1i.line_bytes;
+        let WarmState { l1i, l1d, l2 } = warm;
         Self {
             config,
-            l1i: Cache::new(config.l1i),
-            l1d: Cache::new(config.l1d),
-            l2: Cache::new(config.l2),
+            l1i,
+            l1d,
+            l2,
             wb: WriteBuffer::new(config.write_buffer_entries),
             now: 0,
             pc: 0x1000,
@@ -304,16 +318,6 @@ impl SteppedSim {
             awaiting_resume: false,
             pending_read_at: 0,
         }
-    }
-
-    /// Creates a core whose caches start from `warm` (see
-    /// [`Simulator::warm_caches`]).
-    pub fn warmed(config: SimConfig, warm: WarmState) -> Self {
-        let mut core = Self::new(config);
-        core.l1i = warm.l1i;
-        core.l1d = warm.l1d;
-        core.l2 = warm.l2;
-        core
     }
 
     /// Cycle the core has reached.
