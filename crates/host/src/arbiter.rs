@@ -27,9 +27,9 @@
 //! When every active tenant carries the same weight, weighted fairness
 //! *is* round-robin fairness — so the arbiter short-circuits its credit
 //! rank to a constant and the composite rank collapses to exactly the
-//! legacy rotation rank. `tests/fairness_replay.rs` pins byte-identical
-//! serve logs for that case, as `SchedulerKind::Merge` is kept as a
-//! bit-exact reference for the calendar scheduler.
+//! legacy rotation rank. `tests/fairness_replay.rs` pins the serve log,
+//! traces and ledger for that case against digests recorded from the
+//! pre-WDRR rotation arbiter.
 
 use otc_dram::Cycle;
 
@@ -45,23 +45,6 @@ const PPM: i64 = 1_000_000;
 /// can be slow).
 const BANK_ROUNDS: i64 = 4;
 
-/// Which contended-port tie-break the host runs. The two produce
-/// identical serve logs whenever all active tenants carry equal weights
-/// (pinned by the replay suite); they differ only when a mixed-weight
-/// fleet contends for the port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArbiterKind {
-    /// The legacy rotating round-robin tie-break — the bit-exact
-    /// pre-WDRR reference (mirroring `SchedulerKind::Merge` and
-    /// `PipelineKind::Serial` as equivalence anchors).
-    Rotation,
-    /// Weighted deficit round-robin: same-cycle ties go to the tenant
-    /// with the largest unspent credit (weight = admitted capacity
-    /// share), rotation rank as the final deterministic tie-break.
-    #[default]
-    Wdrr,
-}
-
 /// Deterministic WDRR credit state, indexed by dense tenant id.
 ///
 /// The host owns one of these; admission registers a tenant's weight
@@ -72,7 +55,6 @@ pub enum ArbiterKind {
 /// per-slot cost.
 #[derive(Debug, Clone)]
 pub(crate) struct WdrrArbiter {
-    kind: ArbiterKind,
     /// Per-tenant weight in ppm of one shard (0 = inactive).
     weight_ppm: Vec<i64>,
     /// Per-tenant unspent credit in cycle·ppm. Positive = under-served
@@ -85,10 +67,9 @@ pub(crate) struct WdrrArbiter {
 }
 
 impl WdrrArbiter {
-    /// An empty arbiter running `kind`.
-    pub(crate) fn new(kind: ArbiterKind) -> Self {
+    /// An empty arbiter.
+    pub(crate) fn new() -> Self {
         Self {
-            kind,
             weight_ppm: Vec::new(),
             credit: Vec::new(),
             uniform: true,
@@ -161,11 +142,11 @@ impl WdrrArbiter {
     /// The credit component of the scheduling rank for `tenant`. The
     /// host composes `(Reverse(credit_rank), rotation_rank)`: the
     /// largest credit wins a same-cycle tie, rotation order settles
-    /// exact credit ties. Constant (0) under [`ArbiterKind::Rotation`]
-    /// or a uniform-weight fleet, which collapses the composite rank to
-    /// exactly the legacy rotation order.
+    /// exact credit ties. Constant (0) under a uniform-weight fleet,
+    /// which collapses the composite rank to exactly the legacy
+    /// rotation order.
     pub(crate) fn credit_rank(&self, tenant: usize) -> i64 {
-        if self.kind == ArbiterKind::Rotation || self.uniform {
+        if self.uniform {
             return 0;
         }
         self.credit.get(tenant).copied().unwrap_or(0)
@@ -182,19 +163,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rotation_kind_always_ranks_flat() {
-        let mut a = WdrrArbiter::new(ArbiterKind::Rotation);
-        a.set_weight(0, 0.8);
-        a.set_weight(1, 0.1);
-        a.replenish(1_000);
-        a.charge(1, 5_000);
-        assert_eq!(a.credit_rank(0), 0);
-        assert_eq!(a.credit_rank(1), 0);
-    }
-
-    #[test]
     fn uniform_weights_short_circuit_to_the_legacy_rank() {
-        let mut a = WdrrArbiter::new(ArbiterKind::Wdrr);
+        let mut a = WdrrArbiter::new();
         a.set_weight(0, 0.25);
         a.set_weight(1, 0.25);
         a.replenish(1_000);
@@ -213,7 +183,7 @@ mod tests {
 
     #[test]
     fn credits_accrue_by_weight_and_spend_by_cadence() {
-        let mut a = WdrrArbiter::new(ArbiterKind::Wdrr);
+        let mut a = WdrrArbiter::new();
         a.set_weight(0, 0.6);
         a.set_weight(1, 0.2);
         a.replenish(10_000);
@@ -231,7 +201,7 @@ mod tests {
 
     #[test]
     fn bank_is_capped_and_eviction_forfeits_it() {
-        let mut a = WdrrArbiter::new(ArbiterKind::Wdrr);
+        let mut a = WdrrArbiter::new();
         a.set_weight(0, 0.5);
         a.set_weight(1, 0.1);
         for _ in 0..100 {
@@ -246,7 +216,7 @@ mod tests {
 
     #[test]
     fn charge_saturates_instead_of_overflowing() {
-        let mut a = WdrrArbiter::new(ArbiterKind::Wdrr);
+        let mut a = WdrrArbiter::new();
         a.set_weight(0, 0.9);
         a.set_weight(1, 0.1);
         for _ in 0..1_000 {
@@ -259,7 +229,7 @@ mod tests {
 
     #[test]
     fn re_price_keeps_the_credit_balance() {
-        let mut a = WdrrArbiter::new(ArbiterKind::Wdrr);
+        let mut a = WdrrArbiter::new();
         a.set_weight(0, 0.3);
         a.set_weight(1, 0.6);
         a.replenish(1_000);

@@ -152,7 +152,7 @@ use otc_dram::DdrConfig;
 use otc_host::{
     parse_bench, parse_churn_script, parse_scenario, parse_scheme, render, EventOutcome, HostError,
     HostReport, MultiTenantHost, PerfSession, ScenarioAction, ScenarioEvent, ScenarioHost,
-    ScenarioSpec, ScenarioTenant, ServeEnd, SessionFile, TrafficModel,
+    ScenarioSpec, ScenarioTenant, ServeEnd, TrafficModel,
 };
 use otc_oram::OramTiming;
 use otc_workloads::SpecBenchmark;
@@ -1122,8 +1122,9 @@ fn cmd_bench(o: &Opts) {
 /// The default view is the timeline report (stage occupancy, eviction
 /// queue depth, calendar entries, shard utilization, per-tenant SLO
 /// attainment); `--jsonl` emits the line-delimited export instead. Both
-/// read through [`SessionFile`], exercising the on-disk index the same
-/// way an external consumer would.
+/// decode through [`PerfSession::from_bytes`], so a malformed file,
+/// including one whose footer index disagrees with its frames, exits 1
+/// with one line on stderr and prints nothing.
 fn cmd_report(o: &Opts) {
     let Some(path) = &o.session else {
         eprintln!("otc report needs --session FILE (record one with --perf-session)");
@@ -1133,27 +1134,14 @@ fn cmd_report(o: &Opts) {
         eprintln!("otc report: cannot read {path}: {e}");
         std::process::exit(1);
     });
-    let file = SessionFile::from_bytes(bytes).unwrap_or_else(|e| {
+    let session = PerfSession::from_bytes(&bytes).unwrap_or_else(|e| {
         eprintln!("otc report: {path}: {e}");
         std::process::exit(1);
     });
     if o.jsonl {
-        match file.export_jsonl() {
-            Ok(jsonl) => print!("{jsonl}"),
-            Err(e) => {
-                eprintln!("otc report: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        print!("{}", session.export_jsonl());
         return;
     }
-    let session = match file.into_session() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("otc report: {path}: {e}");
-            std::process::exit(1);
-        }
-    };
     let slo_cycles = SLO_OLATS * session.meta.olat;
     print!(
         "{}",

@@ -56,7 +56,7 @@
 //!    Eviction returns its capacity to the pool.
 
 use crate::adversary::{AdversaryKind, AdversaryState, ObservedSlot};
-use crate::arbiter::{ArbiterKind, WdrrArbiter};
+use crate::arbiter::WdrrArbiter;
 use crate::calendar::CalendarQueue;
 use crate::ledger::LeakageLedger;
 use crate::parallel::{LaneRequest, ShardExecutor, Ticket};
@@ -243,11 +243,6 @@ pub struct HostConfig {
     /// [`HostConfig::pipeline`]; non-empty overrides both and
     /// instantiates shard `i` from `shard_mix[i % shard_mix.len()]`.
     pub shard_mix: Vec<ShardClass>,
-    /// Contended-port tie-break (see [`ArbiterKind`]): `Rotation` is
-    /// the bit-exact legacy round-robin reference; `Wdrr` (the default)
-    /// weights same-cycle ties by admitted capacity share and is
-    /// byte-identical to `Rotation` whenever all weights are equal.
-    pub arbiter: ArbiterKind,
 }
 
 impl Default for HostConfig {
@@ -268,7 +263,6 @@ impl Default for HostConfig {
             calendar_buckets: 256,
             parallel: ParallelKind::Serial,
             shard_mix: Vec::new(),
-            arbiter: ArbiterKind::Wdrr,
         }
     }
 }
@@ -440,12 +434,6 @@ impl HostConfigBuilder {
     /// homogeneous pool.
     pub fn shard_mix(mut self, mix: Vec<ShardClass>) -> Self {
         self.mix = Some(mix);
-        self
-    }
-
-    /// Contended-port tie-break.
-    pub fn arbiter(mut self, arbiter: ArbiterKind) -> Self {
-        self.cfg.arbiter = arbiter;
         self
     }
 
@@ -795,8 +783,8 @@ pub struct MultiTenantHost {
     /// says: inline, or on persistent worker threads spawned as rounds
     /// first need them (per-round spawns would dominate the shard work).
     executor: ShardExecutor,
-    /// WDRR credit state for the contended-port tie-break (see
-    /// [`ArbiterKind`]); weights track admission/eviction/resize.
+    /// WDRR credit state for the contended-port tie-break; weights
+    /// track admission/eviction/resize.
     arbiter: WdrrArbiter,
     /// Reusable round-loop buffers (see [`RoundScratch`]).
     scratch: RoundScratch,
@@ -830,7 +818,7 @@ impl MultiTenantHost {
         .map_err(HostError::Build)?;
         let directory = TenantDirectory::new(cfg.leakage_limit_bits, cfg.seed);
         let calendar = CalendarQueue::new(cfg.calendar_bucket_width, cfg.calendar_buckets);
-        let arbiter = WdrrArbiter::new(cfg.arbiter);
+        let arbiter = WdrrArbiter::new();
         let executor = ShardExecutor::new(cfg.parallel);
         Ok(Self {
             cfg,
@@ -1396,7 +1384,7 @@ impl MultiTenantHost {
         pending_fb.resize(n, None);
         loop {
             // Composite tie-break: biggest unspent WDRR credit first
-            // (constant under uniform weights or ArbiterKind::Rotation),
+            // (constant under uniform weights),
             // the legacy rotating rank as the deterministic settlement.
             // Charging happens at post time in spine order, so the
             // credit evolution is the same under every executor.

@@ -75,7 +75,6 @@ mod timeq;
 mod traffic;
 
 pub use adversary::{AdversaryKind, ObservedSlot};
-pub use arbiter::ArbiterKind;
 pub use calendar::{round_slot_capacity, CalendarQueue};
 pub use host::{
     HostConfig, HostConfigBuilder, HostError, HostReport, MultiTenantHost, ParallelKind,

@@ -5,10 +5,10 @@
 //! # Open loop (the default)
 //!
 //! The open-loop frontend is a lightweight replica of the simulator's
-//! cache hierarchy (same Table 1 [`CacheConfig`](otc_sim::CacheConfig)s,
-//! same [`Cache`] model): it retires instructions, filters loads/stores
-//! through L1/L2, and yields one [`Request`] per LLC miss or dirty
-//! writeback. A miss charges a **fixed assumed stall**
+//! core over the same cache hierarchy ([`WarmState`]: the Table 1
+//! caches and their one inclusion rule): it retires instructions,
+//! filters loads/stores through L1/L2, and yields one [`Request`] per
+//! LLC miss or dirty writeback. A miss charges a **fixed assumed stall**
 //! ([`TenantTraffic::DEFAULT_MISS_STALL`]) instead of the actual
 //! (rate-dependent) service time, so a tenant's arrival process is a pure
 //! function of its own program — never of other tenants or of rate
@@ -41,18 +41,27 @@
 //! times that turns the rate-periodic miss stream into bursty (on/off
 //! Markov), diurnal (phase-shifted sinusoid), or trace-replay arrival
 //! processes. Shaping is **delay-only** — a model may postpone an
-//! arrival, never advance it before the program produced it — which
-//! keeps arrival times monotone and preserves the closed-loop invariant
-//! that a service completion never precedes its request. All shaping
+//! arrival, never advance it before the program produced it, nor
+//! before the previous shaped arrival — which keeps shaped arrival
+//! times non-decreasing and preserves the closed-loop invariant that a
+//! service completion never precedes its request. All shaping
 //! randomness comes from the model's own seed, so a shaped open-loop
 //! tenant's arrivals remain a pure function of its own configuration:
 //! the isolation argument is unchanged, and shaped runs are
 //! byte-replayable at any thread count.
+//!
+//! # Arrival order
+//!
+//! Open-loop and shaped arrivals are non-decreasing in pull order. An
+//! unshaped closed-loop frontend's can step back: the stepped core
+//! stamps a store's write-buffer drain ahead of its own clock, so a
+//! request pulled after the drain's may arrive earlier. The host never
+//! reorders them: it serves each tenant's requests in pull order.
 
 use otc_crypto::SplitMix64;
 use otc_dram::Cycle;
 use otc_sim::{
-    AccessKind, Cache, CoreConfig, Instr, InstructionStream, SimConfig, StepEvent, SteppedSim,
+    AccessKind, CoreConfig, Instr, InstructionStream, SimConfig, StepEvent, SteppedSim, WarmState,
 };
 use otc_workloads::{SpecBenchmark, SyntheticWorkload};
 
@@ -341,12 +350,9 @@ enum Mode {
 struct OpenLoop {
     workload: SyntheticWorkload,
     core: CoreConfig,
-    l1i: Cache,
-    l1d: Cache,
-    l2: Cache,
+    caches: WarmState,
     cycle: Cycle,
     pc: u64,
-    miss_stall: Cycle,
     budget: u64,
     retired: u64,
     // One miss can yield several requests (demand fill, the L2 victim's
@@ -399,23 +405,15 @@ impl TenantTraffic {
     /// Builds the open-loop frontend for `bench`, retiring at most
     /// `instructions`.
     pub fn new(bench: SpecBenchmark, instructions: u64) -> Self {
-        Self::with_miss_stall(bench, instructions, Self::DEFAULT_MISS_STALL)
-    }
-
-    /// As [`TenantTraffic::new`] with an explicit per-miss stall.
-    pub fn with_miss_stall(bench: SpecBenchmark, instructions: u64, miss_stall: Cycle) -> Self {
         let cfg = SimConfig::default();
         Self {
             shaper: None,
             mode: Mode::Open(Box::new(OpenLoop {
                 workload: bench.workload(instructions),
                 core: cfg.core,
-                l1i: Cache::new(cfg.l1i),
-                l1d: Cache::new(cfg.l1d),
-                l2: Cache::new(cfg.l2),
+                caches: WarmState::cold(&cfg),
                 cycle: 0,
                 pc: 0x1000,
-                miss_stall,
                 budget: instructions,
                 retired: 0,
                 queued: std::collections::VecDeque::new(),
@@ -543,8 +541,9 @@ impl TenantTraffic {
     }
 
     /// Pulls the next LLC-level request, or reports why none is
-    /// available. Arrival times are strictly non-decreasing (shaped or
-    /// not).
+    /// available. Open-loop and shaped arrivals are non-decreasing; an
+    /// unshaped closed-loop frontend's can step back (see the module
+    /// docs' "Arrival order"), and the host serves them in pull order.
     pub fn poll(&mut self) -> TrafficPull {
         if self.shaper.as_ref().is_some_and(|s| s.done) {
             return TrafficPull::Exhausted;
@@ -640,41 +639,13 @@ impl ClosedLoop {
 }
 
 impl OpenLoop {
-    /// Pushes an L1D dirty victim down into L2 — the open-loop analog of
-    /// the simulator's `handle_l1d_victim`. Normally the inclusive L2
-    /// still holds the line and just turns dirty; on the rare concurrent
-    /// eviction the fill re-installs it (dirty) and only the fill's own
-    /// eviction traffic reaches memory.
-    fn push_l1_victim(&mut self, victim: u64) {
-        let l2 = self.l2.access(victim, true);
-        if !l2.hit {
-            self.process_l2_eviction(l2.evicted, l2.writeback);
-        }
-    }
-
-    /// Inclusive-hierarchy bookkeeping for an L2 fill — the open-loop
-    /// analog of the simulator's `process_l2_eviction`: back-invalidate
-    /// L1 copies of the evicted line (a dirty L1 copy writes back to
-    /// memory), and emit the dirty LLC victim's writeback.
-    fn process_l2_eviction(&mut self, evicted: Option<u64>, writeback: Option<u64>) {
-        let at = self.cycle;
-        if let Some(y) = evicted {
-            if let Some(l1_dirty) = self.l1d.invalidate(y) {
-                if l1_dirty && writeback.is_none() {
-                    self.queued.push_back(Request {
-                        at,
-                        line_addr: y,
-                        kind: AccessKind::Write,
-                    });
-                    return;
-                }
-            }
-            self.l1i.invalidate(y);
-        }
-        if let Some(v) = writeback {
+    /// Queues a write-back of the line the inclusion rule (on
+    /// [`WarmState`], shared with the stepped core) handed back, if any.
+    fn write_back(&mut self, line: Option<u64>) {
+        if let Some(line_addr) = line {
             self.queued.push_back(Request {
-                at,
-                line_addr: v,
+                at: self.cycle,
+                line_addr,
                 kind: AccessKind::Write,
             });
         }
@@ -709,20 +680,21 @@ impl OpenLoop {
                     if taken {
                         self.cycle += self.core.taken_branch_penalty;
                         self.pc = target;
-                        let outcome = self.l1i.access(Self::line(self.pc), false);
+                        let outcome = self.caches.l1i.access(Self::line(self.pc), false);
                         if !outcome.hit {
-                            let l2 = self.l2.access(Self::line(self.pc), false);
+                            let l2 = self.caches.l2.access(Self::line(self.pc), false);
                             if l2.hit {
-                                self.cycle += self.l2.config().hit_latency;
+                                self.cycle += self.caches.l2.config().hit_latency;
                             } else {
-                                self.cycle += self.miss_stall;
+                                self.cycle += TenantTraffic::DEFAULT_MISS_STALL;
                                 let at = self.cycle;
                                 self.queued.push_back(Request {
                                     at,
                                     line_addr: Self::line(self.pc),
                                     kind: AccessKind::Read,
                                 });
-                                self.process_l2_eviction(l2.evicted, l2.writeback);
+                                let line = self.caches.process_l2_eviction(&l2);
+                                self.write_back(line);
                                 return self.queued.pop_front();
                             }
                         }
@@ -730,10 +702,11 @@ impl OpenLoop {
                 }
                 Instr::Load { addr } | Instr::Store { addr } => {
                     let write = matches!(instr, Instr::Store { .. });
-                    self.cycle += self.l1d.config().hit_latency;
-                    let l1 = self.l1d.access(Self::line(addr), write);
+                    self.cycle += self.caches.l1d.config().hit_latency;
+                    let l1 = self.caches.l1d.access(Self::line(addr), write);
                     if let Some(victim) = l1.writeback {
-                        self.push_l1_victim(victim);
+                        let line = self.caches.push_l1d_victim(victim);
+                        self.write_back(line);
                     }
                     if l1.hit {
                         if let Some(r) = self.queued.pop_front() {
@@ -741,22 +714,23 @@ impl OpenLoop {
                         }
                         continue;
                     }
-                    let l2 = self.l2.access(Self::line(addr), write);
+                    let l2 = self.caches.l2.access(Self::line(addr), write);
                     if l2.hit {
-                        self.cycle += self.l2.config().hit_latency;
+                        self.cycle += self.caches.l2.config().hit_latency;
                         if let Some(r) = self.queued.pop_front() {
                             return Some(r);
                         }
                         continue;
                     }
-                    self.cycle += self.miss_stall;
+                    self.cycle += TenantTraffic::DEFAULT_MISS_STALL;
                     let at = self.cycle;
                     self.queued.push_back(Request {
                         at,
                         line_addr: Self::line(addr),
                         kind: AccessKind::Read,
                     });
-                    self.process_l2_eviction(l2.evicted, l2.writeback);
+                    let line = self.caches.process_l2_eviction(&l2);
+                    self.write_back(line);
                     return self.queued.pop_front();
                 }
             }
@@ -871,6 +845,43 @@ mod tests {
         // write-buffer background time instead).
         assert_eq!(t.feedback_cycles(), reads * 2_000);
         assert!(t.cycle() > 0);
+    }
+
+    /// Drains `t`, completing each closed-loop read 1,500 cycles after
+    /// it arrives, and counts the requests that arrive earlier than one
+    /// pulled before them.
+    fn step_backs(mut t: TenantTraffic) -> usize {
+        let (mut latest, mut back) = (0, 0);
+        loop {
+            match t.poll() {
+                TrafficPull::Request(r) => {
+                    back += usize::from(r.at < latest);
+                    latest = latest.max(r.at);
+                    if r.kind == AccessKind::Read && t.is_closed_loop() {
+                        t.complete(r.at + 1_500);
+                    }
+                }
+                TrafficPull::AwaitingService => unreachable!("completed above"),
+                TrafficPull::Exhausted => return back,
+            }
+        }
+    }
+
+    #[test]
+    fn only_an_unshaped_closed_loop_steps_back() {
+        // The stepped core stamps a store drain ahead of its own clock,
+        // so a later pull can arrive earlier; the open-loop core and the
+        // shaper never go back. The host serves in pull order either way.
+        let bursty = TrafficModel::Bursty {
+            mean_on: 20_000,
+            mean_off: 60_000,
+            seed: 7,
+        };
+        let (mcf, n) = (SpecBenchmark::Mcf, 50_000);
+        assert_eq!(step_backs(TenantTraffic::new(mcf, n)), 0);
+        let shaped = TenantTraffic::with_model(mcf, n, LoopMode::Closed, bursty);
+        assert_eq!(step_backs(shaped), 0);
+        assert!(step_backs(TenantTraffic::closed_loop(mcf, n)) > 0);
     }
 
     fn collect_shaped(model: TrafficModel) -> Vec<Request> {

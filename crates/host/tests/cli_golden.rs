@@ -190,3 +190,68 @@ fn meaningless_bench_flags_are_usage_errors() {
         assert!(stderr.contains(needle), "otc {args:?}: {stderr}");
     }
 }
+
+#[test]
+fn report_refuses_corrupt_sessions() {
+    // A session recorded by the binary, then three corrupt copies: one
+    // byte short, two round entries of the footer index trading offsets
+    // (their ordinals still sorted), and a trailer pointing at a round
+    // frame instead of the index. Each, rendered or exported, is a
+    // runtime error: exit 1, one line naming the file, nothing printed.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let good = dir.join("cli_report_good.otcp");
+    let good_path = good.to_str().expect("UTF-8 path");
+    let out = otc(&[
+        "run",
+        "--tenants",
+        "2",
+        "--accesses",
+        "200",
+        "--oram",
+        "small",
+        "--seed",
+        "7",
+        "--perf-session",
+        good_path,
+    ]);
+    assert!(out.status.success(), "recording failed: {out:?}");
+    let bytes = std::fs::read(&good).expect("the session was written");
+    let n = bytes.len();
+    let trailer = n - 16; // index offset u64, then an 8-byte magic
+    let read_u64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    // Index payload: meta and summary offsets, entry count, then
+    // entries of round u64, offset u64, len u32.
+    let index = read_u64(trailer) as usize + 5;
+    assert!(read_u64(index + 16) >= 3, "too few rounds to corrupt");
+    let entry = |i: usize| index + 24 + 20 * i;
+    let mut swapped = bytes.clone();
+    let (a, b) = (entry(1) + 8, entry(2) + 8);
+    swapped[a..a + 12].copy_from_slice(&bytes[b..b + 12]);
+    swapped[b..b + 12].copy_from_slice(&bytes[a..a + 12]);
+    let mut misdirected = bytes.clone();
+    misdirected[trailer..trailer + 8].copy_from_slice(&bytes[entry(1) + 8..entry(1) + 16]);
+    for (name, corrupt) in [
+        ("truncated", bytes[..n - 1].to_vec()),
+        ("swapped", swapped),
+        ("misdirected", misdirected),
+    ] {
+        let path = dir.join(format!("cli_report_{name}.otcp"));
+        std::fs::write(&path, corrupt).expect("writes");
+        let path = path.to_str().expect("UTF-8 path");
+        for jsonl in [false, true] {
+            let mut args = vec!["report", "--session", path];
+            if jsonl {
+                args.push("--jsonl");
+            }
+            let out = otc(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "otc {args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "otc {args:?} printed to stdout");
+            assert_eq!(stderr.lines().count(), 1, "otc {args:?}: {stderr}");
+            assert!(
+                stderr.starts_with(&format!("otc report: {path}: ")),
+                "otc {args:?}: {stderr}"
+            );
+        }
+    }
+}

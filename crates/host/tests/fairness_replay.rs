@@ -2,16 +2,16 @@
 //! analogue of the pipeline and capacity replay suites):
 //!
 //! 1. **Equal weights replay the legacy scheduler bit for bit** — a
-//!    fleet of identically-priced tenants under `ArbiterKind::Wdrr`
-//!    produces byte-identical serve logs, slot traces, and ledger sums
-//!    to `ArbiterKind::Rotation` (the pre-WDRR rotating round-robin),
-//!    across schedulers, pipelines, mixed pools, and churn. Uniform
-//!    weighted fairness *is* round-robin fairness, so the arbiter must
-//!    vanish from the observables.
+//!    fleet of identically-priced tenants under WDRR produces the serve
+//!    log, slot traces, and ledger sums of the pre-WDRR rotating
+//!    round-robin arbiter (digests recorded from it), across both
+//!    schedulers, a mixed pool, and churn. Uniform weighted fairness
+//!    *is* round-robin fairness, so the arbiter must vanish from the
+//!    observables.
 //! 2. **The arbiter reorders, never re-serves** — whatever the weights,
 //!    every tenant's slot grid (and hence its served-slot count) is
-//!    pure stream state; mixed weights may permute same-cycle port
-//!    ties but cannot add or remove service.
+//!    pure stream state, equal to a stream served alone; mixed weights
+//!    may permute same-cycle port ties but cannot add or remove service.
 //! 3. **64-case saturating property sweep** — random tenant mixes
 //!    admitted to saturation on random (including heterogeneous) pools:
 //!    every tenant's served-slot share stays within one scheduling
@@ -23,11 +23,11 @@
 //! CI replays this suite with fixed seeds; nondeterminism in the credit
 //! arithmetic would show up as a diff between runs.
 
-use otc_core::RatePolicy;
+use otc_core::{RatePolicy, SlotRecord, SlotStream};
 use otc_dram::Cycle;
 use otc_host::{
-    ArbiterKind, CapacityKind, HostConfig, HostError, HostReport, LoopMode, MultiTenantHost,
-    PipelineConfig, SchedulerKind, ShardClass, TenantSpec,
+    CapacityKind, HostConfig, HostError, HostReport, LoopMode, MultiTenantHost, PipelineConfig,
+    SchedulerKind, ShardClass, TenantSpec,
 };
 use otc_oram::{OramConfig, TreeGeometry};
 
@@ -98,54 +98,79 @@ fn share_deviations(report: &HostReport, quantum: Cycle, olat: Cycle) -> Vec<(f6
         .collect()
 }
 
+/// What an arbiter can touch, digested: the serve log (cross-tenant
+/// order), each tenant's slot trace, and the ledger's bits. FNV-1a over
+/// the same serve-log bytes `golden/mixed_pool.golden` digests.
+fn observables(host: &MultiTenantHost) -> String {
+    let report = host.report();
+    let log = host.serve_log();
+    let log_digest = util::fnv1a(log.iter().flat_map(|s| {
+        (s.tenant as u64)
+            .to_le_bytes()
+            .into_iter()
+            .chain(s.start.to_le_bytes())
+            .chain([u8::from(s.real)])
+    }));
+    let traces: Vec<String> = report
+        .tenants
+        .iter()
+        .map(|t| {
+            let trace = host.tenant_trace(t.id);
+            let digest = util::fnv1a(
+                trace
+                    .iter()
+                    .flat_map(|s| s.start.to_le_bytes().into_iter().chain([u8::from(s.real)])),
+            );
+            format!("{} {digest:016x}", trace.len())
+        })
+        .collect();
+    format!(
+        "log {} {log_digest:016x}, traces [{}], spent {:016x}, budget {:016x}",
+        log.len(),
+        traces.join(", "),
+        report.fleet_spent_bits.to_bits(),
+        report.fleet_budget_bits.to_bits()
+    )
+}
+
+/// [`observables`] of the equal-weight fleet below, served by the
+/// pre-WDRR rotating round-robin arbiter under either scheduler. Recorded
+/// before that arbiter was removed; it was the bit-exact reference.
+const ROTATION_OBSERVABLES: &str = "log 1007 b1970c5d5af7b081, \
+    traces [403 68f871537b303e5b, 201 28cd5cae31786518, 403 68f871537b303e5b], \
+    spent 0000000000000000, budget 0000000000000000";
+
 #[test]
 fn equal_weight_wdrr_replays_the_rotation_arbiter_bit_for_bit() {
-    // Same fleet, same script, both arbiters: with every tenant priced
-    // identically the WDRR credit rank must short-circuit and the serve
-    // logs — cross-tenant *order*, the one thing the arbiter can touch —
-    // must match byte for byte. Exercised over both schedulers and a
-    // heterogeneous pool, with an eviction mid-run (the survivor fleet
-    // is still uniform).
+    // With every tenant priced identically the WDRR credit rank must
+    // short-circuit, so the serve log — cross-tenant *order*, the one
+    // thing the arbiter can touch — matches the rotation arbiter's byte
+    // for byte. Exercised over both schedulers and a heterogeneous pool,
+    // with an eviction mid-run (the survivor fleet is still uniform).
     for scheduler in [SchedulerKind::Calendar, SchedulerKind::Merge] {
-        let build = |arbiter: ArbiterKind| {
-            let cfg = HostConfig {
-                record_traces: true,
-                scheduler,
-                shard_mix: mixed_classes(),
-                capacity: CapacityKind::Cadence,
-                arbiter,
-                ..HostConfig::small()
-            };
-            let mut host = MultiTenantHost::new(cfg).expect("builds");
-            for i in 0..3 {
-                // Identical policies => identical worst-case shares.
-                host.admit(
-                    &spec(&format!("t{i}"), RatePolicy::Static { rate: 900 }),
-                    LoopMode::Open,
-                )
-                .expect("admit");
-            }
-            host.run_for(1 << 18);
-            host.evict(1).expect("evict");
-            host.run_for(1 << 18);
-            host
+        let cfg = HostConfig {
+            record_traces: true,
+            scheduler,
+            shard_mix: mixed_classes(),
+            capacity: CapacityKind::Cadence,
+            ..HostConfig::small()
         };
-        let legacy = build(ArbiterKind::Rotation);
-        let wdrr = build(ArbiterKind::Wdrr);
-        assert!(!legacy.serve_log().is_empty());
-        assert_eq!(
-            legacy.serve_log(),
-            wdrr.serve_log(),
-            "{scheduler:?}: equal weights must replay the legacy order"
-        );
-        for id in 0..3 {
-            assert_eq!(legacy.tenant_trace(id), wdrr.tenant_trace(id));
+        let mut host = MultiTenantHost::new(cfg).expect("builds");
+        for i in 0..3 {
+            // Identical policies => identical worst-case shares.
+            host.admit(
+                &spec(&format!("t{i}"), RatePolicy::Static { rate: 900 }),
+                LoopMode::Open,
+            )
+            .expect("admit");
         }
-        let (rl, rw) = (legacy.report(), wdrr.report());
-        assert_eq!(rl.fleet_spent_bits.to_bits(), rw.fleet_spent_bits.to_bits());
+        host.run_for(1 << 18);
+        host.evict(1).expect("evict");
+        host.run_for(1 << 18);
         assert_eq!(
-            rl.fleet_budget_bits.to_bits(),
-            rw.fleet_budget_bits.to_bits()
+            observables(&host),
+            ROTATION_OBSERVABLES,
+            "{scheduler:?}: equal weights must replay the rotation order"
         );
     }
 }
@@ -154,39 +179,42 @@ fn equal_weight_wdrr_replays_the_rotation_arbiter_bit_for_bit() {
 fn arbiter_reorders_ties_but_never_moves_a_grid() {
     // Mixed weights on a contended pool: the arbiter may permute
     // same-cycle port ties, but every tenant's slot trace is pure
-    // stream state — identical under both arbiters — and so is its
-    // served-slot count.
-    let build = |arbiter: ArbiterKind| {
-        let cfg = HostConfig {
-            record_traces: true,
-            n_shards: 1, // one port: every same-cycle tie contends
-            capacity: CapacityKind::Cadence,
-            arbiter,
-            ..HostConfig::small()
-        };
-        let mut host = MultiTenantHost::new(cfg).expect("builds");
-        for (i, rate) in [400u64, 1_300, 2_600].into_iter().enumerate() {
-            host.admit(
-                &spec(&format!("t{i}"), RatePolicy::Static { rate }),
-                LoopMode::Open,
-            )
-            .expect("admit");
-        }
-        host.run_for(1 << 19);
-        host
+    // stream state: the starts and the count of a stream on the same
+    // policy and origin, served alone up to the host's clock.
+    let cfg = HostConfig {
+        record_traces: true,
+        n_shards: 1, // one port: every same-cycle tie contends
+        capacity: CapacityKind::Cadence,
+        ..HostConfig::small()
     };
-    let legacy = build(ArbiterKind::Rotation);
-    let wdrr = build(ArbiterKind::Wdrr);
-    let (rl, rw) = (legacy.report(), wdrr.report());
-    for (l, w) in rl.tenants.iter().zip(&rw.tenants) {
-        assert_eq!(l.slots_served, w.slots_served, "{}", l.name);
-        assert!(l.slots_served > 50, "{} barely served — weak test", l.name);
+    let mut host = MultiTenantHost::new(cfg).expect("builds");
+    for (i, rate) in [400u64, 1_300, 2_600].into_iter().enumerate() {
+        host.admit(
+            &spec(&format!("t{i}"), RatePolicy::Static { rate }),
+            LoopMode::Open,
+        )
+        .expect("admit");
     }
-    for id in 0..3 {
-        assert_eq!(legacy.tenant_trace(id), wdrr.tenant_trace(id));
+    let report = host.run_for(1 << 19);
+    let starts = |trace: &[SlotRecord]| trace.iter().map(|s| s.start).collect::<Vec<_>>();
+    for t in &report.tenants {
+        let stream = host.tenant_stream(t.id);
+        let mut alone =
+            SlotStream::starting_at(stream.olat(), stream.policy().clone(), stream.origin());
+        while alone.next_slot() < host.clock() {
+            alone.serve(None);
+        }
+        assert_eq!(t.slots_served, alone.slots_served(), "{}", t.name);
+        assert!(t.slots_served > 50, "{} barely served — weak test", t.name);
+        assert_eq!(
+            starts(host.tenant_trace(t.id)),
+            starts(alone.trace()),
+            "{}",
+            t.name
+        );
     }
     // The weights really were mixed: shares differ tenant to tenant.
-    let shares: Vec<f64> = rw.tenants.iter().map(|t| t.capacity_share).collect();
+    let shares: Vec<f64> = report.tenants.iter().map(|t| t.capacity_share).collect();
     assert!(shares.windows(2).any(|p| p[0] != p[1]));
 }
 

@@ -28,6 +28,8 @@ use otc_oram::{OramConfig, OramTiming};
 use otc_workloads::SpecBenchmark;
 use std::fmt::Write as _;
 
+mod util;
+
 /// Fleet size `otc bench --spine` gates on.
 const K: usize = 1024;
 /// Shard pool size matching the spine bench.
@@ -275,13 +277,6 @@ fn clock_past_2_pow_32_stays_sound() {
     );
 }
 
-/// FNV-1a (64-bit) over `bytes`.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// Slot records printed per tenant (`otc run --trace 50`).
 const GOLDEN_TRACE: usize = 50;
 
@@ -363,7 +358,7 @@ fn mixed_pool_transcript(parallel: ParallelKind) -> String {
         out,
         "serve log: {} entries, fnv1a {:016x}",
         log.len(),
-        fnv1a(log_bytes)
+        util::fnv1a(log_bytes)
     )
     .unwrap();
     let bytes = session.to_bytes();
@@ -371,7 +366,7 @@ fn mixed_pool_transcript(parallel: ParallelKind) -> String {
         out,
         "session: {} bytes, fnv1a {:016x}",
         bytes.len(),
-        fnv1a(bytes.iter().copied())
+        util::fnv1a(bytes.iter().copied())
     )
     .unwrap();
     out

@@ -18,6 +18,14 @@ pub fn static_slots_before(t: Cycle, origin: Cycle, rate: Cycle, olat: Cycle) ->
     }
 }
 
+/// FNV-1a (64-bit) over `bytes`: the digest the golden transcripts
+/// record for long logs and session bytes.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// Asserts that `got` is `want` byte for byte. On a mismatch it names
 /// `name` and the first line that differs, and prints `got` in full so
 /// a change meant to move the text can re-record it from the failure.

@@ -14,8 +14,9 @@
 //!
 //! The index frame holds the absolute offsets of the meta and summary
 //! frames plus one `{round, offset, payload_len}` entry per round frame,
-//! sorted by round — so a reader seeks any round range, then decodes
-//! only those frames. Strings are `u16` length-prefixed UTF-8; `f64`s
+//! sorted by round. [`PerfSession::from_bytes`](crate::PerfSession::from_bytes),
+//! the only decoder, reads the frames in order and requires the trailer
+//! and the index to describe exactly the frames it read. Strings are `u16` length-prefixed UTF-8; `f64`s
 //! are stored as IEEE-754 bit patterns; `bool`s as one byte. Nothing in
 //! the layout depends on platform endianness or map iteration order, so
 //! equal sessions serialize to equal bytes.

@@ -19,10 +19,10 @@
 //! - [`SessionRecorder`] / [`PerfSession`] — the in-memory sampler and
 //!   the finished session (meta + rounds + summary).
 //! - The on-disk format ([`PerfSession::to_bytes`] /
-//!   [`SessionFile`]) — framed, length-prefixed binary records behind a
-//!   versioned header, with a footer index that makes the file a small
-//!   trace DB: seek by round range, shard id, or tenant id without
-//!   decoding the whole stream. [`codec`] documents the layout.
+//!   [`PerfSession::from_bytes`]) — framed, length-prefixed binary
+//!   records behind a versioned header, closed by a footer index. The
+//!   one decoder reads every frame in order and refuses a file whose
+//!   footer disagrees with them. [`codec`] documents the layout.
 //! - JSONL export ([`PerfSession::export_jsonl`]) — one line per record,
 //!   for diffing two sessions with plain `diff`.
 //! - [`report::render_session`] — stage-occupancy / queue-depth /
@@ -36,16 +36,16 @@
 //! JSONL export across a double run to pin this.
 //!
 //! ```
-//! use otc_perf::{RoundSample, SessionFile, SessionMeta, SessionRecorder, SessionSummary};
+//! use otc_perf::{PerfSession, RoundSample, SessionMeta, SessionRecorder, SessionSummary};
 //!
 //! let meta = SessionMeta { label: "doc".into(), seed: 7, ..SessionMeta::default() };
 //! let mut rec = SessionRecorder::new(meta);
 //! rec.push(RoundSample { round: 1, clock: 65_536, ..RoundSample::default() });
 //! let session = rec.finish(SessionSummary::default());
 //! let bytes = session.to_bytes();
-//! let db = SessionFile::from_bytes(bytes)?;
-//! assert_eq!(db.len(), 1);
-//! assert_eq!(db.round(0)?.clock, 65_536);
+//! let back = PerfSession::from_bytes(&bytes)?;
+//! assert_eq!(back.rounds[0].clock, 65_536);
+//! assert_eq!(back, session);
 //! # Ok::<(), otc_perf::CodecError>(())
 //! ```
 

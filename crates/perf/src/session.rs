@@ -1,9 +1,7 @@
-//! Session recording, the on-disk container, and the indexed reader.
+//! Session recording, the on-disk container, and its one decoder.
 
 use crate::codec::{self, kind, CodecError, IndexEntry, SessionIndex, FILE_MAGIC, INDEX_MAGIC};
-use crate::schema::{
-    PerfSink, RoundSample, SessionMeta, SessionSummary, ShardSample, TenantSample,
-};
+use crate::schema::{PerfSink, RoundSample, SessionMeta, SessionSummary};
 
 /// A sink that records nothing. Its empty `#[inline]` impl monomorphizes
 /// to zero instructions, so code paths instrumented against [`PerfSink`]
@@ -103,36 +101,50 @@ impl PerfSession {
         buf
     }
 
-    /// Decodes a session by walking every frame in order, verifying the
-    /// footer index agrees with the frames it points at.
+    /// Decodes a session: the only reader of the format. It walks the
+    /// frames in order (meta, rounds, summary, index, nothing after)
+    /// and requires the footer to describe exactly what it read: the
+    /// trailer must point at the index frame, and the index's meta and
+    /// summary offsets and every round entry (ordinal, offset, length)
+    /// must match the frames themselves.
     ///
     /// # Errors
     ///
-    /// Any [`CodecError`]: bad magic/version, truncation, an index that
-    /// disagrees with the frame stream, or malformed frames.
+    /// Any [`CodecError`]: bad magic/version, truncation, frames out of
+    /// order, malformed frames, or a footer that disagrees with the
+    /// frame stream.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let body = check_envelope(bytes)?;
+        let (body, trailer_offset) = split_envelope(bytes)?;
         let mut r = codec::Reader::new(body);
-        let (k, payload) = r.frame()?;
+        let mut next = || -> Result<(u64, u8, &[u8]), CodecError> {
+            let offset = (HEADER_LEN + r.pos()) as u64;
+            let (k, payload) = r.frame()?;
+            Ok((offset, k, payload))
+        };
+        let (meta_offset, k, payload) = next()?;
         if k != kind::META {
             return Err(CodecError::BadKind(k));
         }
         let meta = codec::decode_meta(payload)?;
         let mut rounds = Vec::new();
-        let mut offsets = Vec::new();
-        let summary = loop {
-            let offset = (HEADER_LEN + r.pos()) as u64;
-            let (k, payload) = r.frame()?;
+        let mut entries = Vec::new();
+        let (summary_offset, summary) = loop {
+            let (offset, k, payload) = next()?;
             match k {
                 kind::ROUND => {
-                    offsets.push((offset, payload.len() as u32));
-                    rounds.push(codec::decode_round(payload)?);
+                    let round = codec::decode_round(payload)?;
+                    entries.push(IndexEntry {
+                        round: round.round,
+                        offset,
+                        len: payload.len() as u32,
+                    });
+                    rounds.push(round);
                 }
-                kind::SUMMARY => break codec::decode_summary(payload)?,
+                kind::SUMMARY => break (offset, codec::decode_summary(payload)?),
                 other => return Err(CodecError::BadKind(other)),
             }
         };
-        let (k, payload) = r.frame()?;
+        let (index_offset, k, payload) = next()?;
         if k != kind::INDEX {
             return Err(CodecError::BadKind(k));
         }
@@ -140,13 +152,16 @@ impl PerfSession {
         if !r.is_done() {
             return Err(CodecError::TrailingBytes);
         }
-        if index.rounds.len() != rounds.len() {
-            return Err(CodecError::BadIndex("entry count mismatch"));
+        if trailer_offset != index_offset {
+            return Err(CodecError::BadIndex("trailer does not point at the index"));
         }
-        for ((entry, round), (offset, len)) in index.rounds.iter().zip(&rounds).zip(&offsets) {
-            if entry.round != round.round || entry.offset != *offset || entry.len != *len {
-                return Err(CodecError::BadIndex("entry disagrees with frame"));
-            }
+        let read = SessionIndex {
+            meta_offset,
+            summary_offset,
+            rounds: entries,
+        };
+        if index != read {
+            return Err(CodecError::BadIndex("index disagrees with the frames"));
         }
         Ok(Self {
             meta,
@@ -172,225 +187,44 @@ impl PerfSession {
 const HEADER_LEN: usize = FILE_MAGIC.len() + 4;
 const TRAILER_LEN: usize = 8 + INDEX_MAGIC.len();
 
-/// Validates magic/version/trailer and returns the frame region.
-fn check_envelope(bytes: &[u8]) -> Result<&[u8], CodecError> {
+/// Checks the magics and the version, returning the frame region and
+/// the index offset the trailer records.
+fn split_envelope(bytes: &[u8]) -> Result<(&[u8], u64), CodecError> {
     if bytes.len() < HEADER_LEN + TRAILER_LEN {
         return Err(CodecError::Truncated);
     }
-    if &bytes[..FILE_MAGIC.len()] != FILE_MAGIC {
+    let (header, rest) = bytes.split_at(HEADER_LEN);
+    let (body, trailer) = rest.split_at(rest.len() - TRAILER_LEN);
+    if &header[..FILE_MAGIC.len()] != FILE_MAGIC || &trailer[8..] != INDEX_MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let version = u32::from_le_bytes(
-        bytes[FILE_MAGIC.len()..HEADER_LEN]
-            .try_into()
-            .expect("len 4"),
-    );
+    let version = u32::from_le_bytes(header[FILE_MAGIC.len()..].try_into().expect("len 4"));
     if version != codec::FORMAT_VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    if &bytes[bytes.len() - INDEX_MAGIC.len()..] != INDEX_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    Ok(&bytes[HEADER_LEN..bytes.len() - TRAILER_LEN])
+    let index_offset = u64::from_le_bytes(trailer[..8].try_into().expect("len 8"));
+    Ok((body, index_offset))
 }
 
-/// An on-disk session opened as a small trace DB: the footer index is
-/// decoded eagerly, round frames lazily — [`SessionFile::rounds_in`],
-/// [`SessionFile::shard_series`], and [`SessionFile::tenant_series`]
-/// decode only the frames a query touches.
+/// The name perfbench decodes a session through: a forward to
+/// [`PerfSession::from_bytes`].
 #[derive(Debug, Clone)]
-pub struct SessionFile {
-    bytes: Vec<u8>,
-    index: SessionIndex,
-    meta: SessionMeta,
-    summary: SessionSummary,
-}
+pub struct SessionFile(PerfSession);
 
 impl SessionFile {
-    /// Opens a serialized session, decoding only the envelope, the
-    /// footer index, and the meta/summary frames.
+    /// Decodes `bytes` with [`PerfSession::from_bytes`].
     ///
     /// # Errors
     ///
-    /// Any [`CodecError`] in the envelope, trailer, index, meta, or
-    /// summary.
+    /// As [`PerfSession::from_bytes`].
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, CodecError> {
-        check_envelope(&bytes)?;
-        let trailer = &bytes[bytes.len() - TRAILER_LEN..];
-        let index_offset = u64::from_le_bytes(trailer[..8].try_into().expect("len 8")) as usize;
-        let frames_end = bytes.len() - TRAILER_LEN;
-        if index_offset < HEADER_LEN || index_offset >= frames_end {
-            return Err(CodecError::BadIndex("index offset out of bounds"));
-        }
-        let (k, payload) = codec::Reader::new(&bytes[index_offset..frames_end]).frame()?;
-        if k != kind::INDEX {
-            return Err(CodecError::BadKind(k));
-        }
-        let index = codec::decode_index(payload)?;
-        let meta = codec::decode_meta(Self::frame_at(
-            &bytes,
-            index.meta_offset,
-            kind::META,
-            frames_end,
-        )?)?;
-        let summary = codec::decode_summary(Self::frame_at(
-            &bytes,
-            index.summary_offset,
-            kind::SUMMARY,
-            frames_end,
-        )?)?;
-        Ok(Self {
-            bytes,
-            index,
-            meta,
-            summary,
-        })
+        PerfSession::from_bytes(&bytes).map(Self)
     }
 
-    fn frame_at(
-        bytes: &[u8],
-        offset: u64,
-        expect: u8,
-        frames_end: usize,
-    ) -> Result<&[u8], CodecError> {
-        let offset = offset as usize;
-        if offset < HEADER_LEN || offset >= frames_end {
-            return Err(CodecError::BadIndex("frame offset out of bounds"));
-        }
-        let (k, payload) = codec::Reader::new(&bytes[offset..frames_end]).frame()?;
-        if k != expect {
-            return Err(CodecError::BadKind(k));
-        }
-        Ok(payload)
-    }
-
-    /// Session-wide context.
-    pub fn meta(&self) -> &SessionMeta {
-        &self.meta
-    }
-
-    /// End-of-run aggregate.
-    pub fn summary(&self) -> &SessionSummary {
-        &self.summary
-    }
-
-    /// Number of recorded rounds.
-    pub fn len(&self) -> usize {
-        self.index.rounds.len()
-    }
-
-    /// Whether the session recorded no rounds.
-    pub fn is_empty(&self) -> bool {
-        self.index.rounds.is_empty()
-    }
-
-    /// Decodes the `i`-th round frame (0-based position, not round
-    /// ordinal).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::BadIndex`] if `i` is out of range; decode errors if
-    /// the frame is corrupt.
-    pub fn round(&self, i: usize) -> Result<RoundSample, CodecError> {
-        let entry = self
-            .index
-            .rounds
-            .get(i)
-            .ok_or(CodecError::BadIndex("round position out of range"))?;
-        self.round_at(entry)
-    }
-
-    fn round_at(&self, entry: &IndexEntry) -> Result<RoundSample, CodecError> {
-        let frames_end = self.bytes.len() - TRAILER_LEN;
-        let payload = Self::frame_at(&self.bytes, entry.offset, kind::ROUND, frames_end)?;
-        if payload.len() != entry.len as usize {
-            return Err(CodecError::BadIndex("entry length disagrees with frame"));
-        }
-        codec::decode_round(payload)
-    }
-
-    /// Seeks by round range: decodes exactly the frames whose round
-    /// ordinal lies in `[lo, hi]` (binary search over the index).
-    ///
-    /// # Errors
-    ///
-    /// Decode errors if a selected frame is corrupt.
-    pub fn rounds_in(&self, lo: u64, hi: u64) -> Result<Vec<RoundSample>, CodecError> {
-        let start = self.index.rounds.partition_point(|e| e.round < lo);
-        let end = self.index.rounds.partition_point(|e| e.round <= hi);
-        self.index.rounds[start..end]
-            .iter()
-            .map(|e| self.round_at(e))
-            .collect()
-    }
-
-    /// Seeks by shard id: `(round, sample)` for every round where shard
-    /// `shard` existed (a round misses it only across a shrink).
-    ///
-    /// # Errors
-    ///
-    /// Decode errors if any frame is corrupt.
-    pub fn shard_series(&self, shard: usize) -> Result<Vec<(u64, ShardSample)>, CodecError> {
-        let mut out = Vec::new();
-        for e in &self.index.rounds {
-            let mut r = self.round_at(e)?;
-            if shard < r.shards.len() {
-                out.push((r.round, r.shards.swap_remove(shard)));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Seeks by tenant id: `(round, sample)` for every round where the
-    /// tenant had a row.
-    ///
-    /// # Errors
-    ///
-    /// Decode errors if any frame is corrupt.
-    pub fn tenant_series(&self, tenant: u32) -> Result<Vec<(u64, TenantSample)>, CodecError> {
-        let mut out = Vec::new();
-        for e in &self.index.rounds {
-            let r = self.round_at(e)?;
-            if let Some(t) = r.tenants.into_iter().find(|t| t.id == tenant) {
-                out.push((r.round, t));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Decodes every frame back into an in-memory [`PerfSession`].
-    ///
-    /// # Errors
-    ///
-    /// Decode errors if any frame is corrupt.
+    /// The decoded session; always `Ok`, since
+    /// [`SessionFile::from_bytes`] decoded it.
     pub fn into_session(self) -> Result<PerfSession, CodecError> {
-        let rounds = self
-            .index
-            .rounds
-            .iter()
-            .map(|e| self.round_at(e))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PerfSession {
-            meta: self.meta,
-            rounds,
-            summary: self.summary,
-        })
-    }
-
-    /// JSONL export via the index — byte-identical to
-    /// [`PerfSession::export_jsonl`] on the same session.
-    ///
-    /// # Errors
-    ///
-    /// Decode errors if any frame is corrupt.
-    pub fn export_jsonl(&self) -> Result<String, CodecError> {
-        let mut out = String::new();
-        jsonl_meta(&mut out, &self.meta);
-        for e in &self.index.rounds {
-            jsonl_round(&mut out, &self.round_at(e)?);
-        }
-        jsonl_summary(&mut out, &self.summary);
-        Ok(out)
+        Ok(self.0)
     }
 }
 
@@ -565,11 +399,8 @@ mod tests {
         let s = session(9);
         let bytes = s.to_bytes();
         assert_eq!(PerfSession::from_bytes(&bytes).expect("decodes"), s);
-        let db = SessionFile::from_bytes(bytes).expect("opens");
-        assert_eq!(db.len(), 9);
-        assert_eq!(db.meta(), &s.meta);
-        assert_eq!(db.summary(), &s.summary);
-        assert_eq!(db.clone().into_session().expect("decodes"), s);
+        let file = SessionFile::from_bytes(bytes).expect("decodes");
+        assert_eq!(file.into_session().expect("decoded"), s);
     }
 
     #[test]
@@ -581,46 +412,14 @@ mod tests {
     fn jsonl_exports_agree_between_memory_and_file_paths() {
         let s = session(5);
         let direct = s.export_jsonl();
-        let via_file = SessionFile::from_bytes(s.to_bytes())
-            .expect("opens")
-            .export_jsonl()
-            .expect("exports");
+        let via_file = PerfSession::from_bytes(&s.to_bytes())
+            .expect("decodes")
+            .export_jsonl();
         assert_eq!(direct, via_file);
         assert_eq!(direct.lines().count(), 1 + 5 + 1);
         assert!(direct.starts_with("{\"type\":\"meta\""));
         assert!(direct.contains("\\\"quoted\\\""));
         assert!(direct.ends_with("]}}\n"));
-    }
-
-    #[test]
-    fn rounds_in_seeks_exactly_the_requested_range() {
-        let s = session(10);
-        let db = SessionFile::from_bytes(s.to_bytes()).expect("opens");
-        let mid = db.rounds_in(4, 7).expect("seeks");
-        assert_eq!(
-            mid.iter().map(|r| r.round).collect::<Vec<_>>(),
-            vec![4, 5, 6, 7]
-        );
-        assert_eq!(mid, s.rounds[3..7].to_vec());
-        assert!(db.rounds_in(11, 20).expect("seeks").is_empty());
-        assert_eq!(db.rounds_in(1, 100).expect("seeks"), s.rounds);
-    }
-
-    #[test]
-    fn shard_and_tenant_series_filter_correctly() {
-        let s = session(6);
-        let db = SessionFile::from_bytes(s.to_bytes()).expect("opens");
-        let shard1 = db.shard_series(1).expect("seeks");
-        assert_eq!(shard1.len(), 6);
-        assert!(shard1
-            .iter()
-            .zip(&s.rounds)
-            .all(|((round, sample), r)| *round == r.round && *sample == r.shards[1]));
-        assert!(db.shard_series(5).expect("seeks").is_empty());
-        let t2 = db.tenant_series(2).expect("seeks");
-        assert_eq!(t2.len(), 6);
-        assert!(t2.iter().all(|(_, t)| t.id == 2));
-        assert!(db.tenant_series(9).expect("seeks").is_empty());
     }
 
     #[test]
@@ -645,7 +444,70 @@ mod tests {
         let mut bad_trailer = bytes.clone();
         let n = bad_trailer.len();
         bad_trailer[n - 1] = 0;
-        assert!(SessionFile::from_bytes(bad_trailer).is_err());
+        assert_eq!(
+            PerfSession::from_bytes(&bad_trailer),
+            Err(CodecError::BadMagic)
+        );
+    }
+
+    #[test]
+    fn footers_that_disagree_with_the_frames_are_rejected() {
+        // Every row leaves each frame well-formed and changes only where
+        // the footer says a frame is, or what a round frame holds, so
+        // only the cross-check of footer against frames can refuse it.
+        let bytes = session(4).to_bytes();
+        let n = bytes.len();
+        let trailer = n - TRAILER_LEN;
+        let index_offset = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap());
+        let payload = index_offset as usize + 5; // past the kind byte and length
+        let index = codec::decode_index(&bytes[payload..trailer]).expect("decodes");
+        let round = |i: usize| index.rounds[i].offset;
+        // Entry i of the index: round u64, then offset u64 and len u32.
+        let location = |i: usize| {
+            let at = payload + 24 + 20 * i + 8;
+            (at, bytes[at..at + 12].to_vec())
+        };
+        let le = |v: u64| v.to_le_bytes().to_vec();
+        let (first, second) = (location(1), location(2));
+        let rows = [
+            (
+                "trailer offset one byte early",
+                vec![(trailer, le(index_offset - 1))],
+            ),
+            (
+                "trailer points at a round frame",
+                vec![(trailer, le(round(1)))],
+            ),
+            (
+                "index meta offset +1",
+                vec![(payload, le(index.meta_offset + 1))],
+            ),
+            (
+                "index summary offset points at a round frame",
+                vec![(payload + 8, le(round(2)))],
+            ),
+            (
+                // The ordinals stay sorted, so the index alone looks valid.
+                "round entries 1 and 2 swapped",
+                vec![(first.0, second.1), (second.0, first.1)],
+            ),
+            (
+                "last round's ordinal rewritten 4 -> 99",
+                vec![(round(3) as usize + 5, le(99))],
+            ),
+        ];
+        for (what, patches) in rows {
+            let mut bad = bytes.clone();
+            for (at, patch) in patches {
+                bad[at..at + patch.len()].copy_from_slice(&patch);
+            }
+            assert_ne!(bad, bytes, "{what}: the corruption changed nothing");
+            let got = PerfSession::from_bytes(&bad);
+            assert!(
+                matches!(got, Err(CodecError::BadIndex(_))),
+                "{what}: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! schema-shaped value, not just the ones the host happens to emit.
 
 use otc_perf::{
-    CalendarSample, Histogram, PerfSession, RoundSample, SessionFile, SessionMeta, SessionRecorder,
+    CalendarSample, Histogram, PerfSession, RoundSample, SessionMeta, SessionRecorder,
     SessionSummary, ShardSample, TenantSample,
 };
 use proptest::prelude::*;
@@ -150,40 +150,11 @@ proptest::proptest! {
     }
 
     #[test]
-    fn indexed_reads_match_sequential(s in session()) {
-        let bytes = s.to_bytes();
-        let file = SessionFile::from_bytes(bytes).expect("opens");
-        prop_assert_eq!(file.len(), s.rounds.len());
-        for (i, want) in s.rounds.iter().enumerate() {
-            let got = file.round(i).expect("seeks");
-            prop_assert_eq!(&got, want);
-        }
-        // JSONL export through the index agrees with the in-memory path.
-        prop_assert_eq!(file.export_jsonl().expect("exports"), s.export_jsonl());
-        prop_assert_eq!(&file.into_session().expect("rebuilds"), &s);
-    }
-
-    #[test]
-    fn range_seek_matches_filter(s in session(), lo in 0u64..8, span in 0u64..8) {
-        let file = SessionFile::from_bytes(s.to_bytes()).expect("opens");
-        let hi = lo + span;
-        let got = file.rounds_in(lo, hi).expect("range seek");
-        let want: Vec<_> = s
-            .rounds
-            .iter()
-            .filter(|r| (lo..=hi).contains(&r.round))
-            .cloned()
-            .collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
     fn truncated_files_never_decode(s in session(), cut in 1usize..64) {
         let bytes = s.to_bytes();
         prop_assume!(cut < bytes.len());
         let truncated = &bytes[..bytes.len() - cut];
         prop_assert!(PerfSession::from_bytes(truncated).is_err());
-        prop_assert!(SessionFile::from_bytes(truncated.to_vec()).is_err());
     }
 
     #[test]

@@ -75,14 +75,54 @@ pub struct Simulator {
     config: SimConfig,
 }
 
-/// Warm microarchitectural state carried from a fast-forward pass into a
-/// measured run (the paper fast-forwards 1–20 billion instructions before
-/// measuring, §9.1.1; this is the scaled equivalent).
+/// The inclusive three-cache hierarchy (L1 I, L1 D, unified L2) and the
+/// one copy of its inclusion rule, shared by [`SteppedSim`] and the
+/// open-loop tenant frontends in `otc-host`. It is also the warm state a
+/// fast-forward pass carries into a measured run (the paper
+/// fast-forwards 1–20 billion instructions before measuring, §9.1.1;
+/// this is the scaled equivalent).
+///
+/// The two rule methods return the line to write back below the LLC, if
+/// any; each caller emits it and counts its own stats.
 #[derive(Debug)]
 pub struct WarmState {
-    l1i: Cache,
-    l1d: Cache,
-    l2: Cache,
+    /// L1 instruction cache.
+    pub l1i: Cache,
+    /// L1 data cache.
+    pub l1d: Cache,
+    /// Unified L2, the LLC; inclusive of both L1s.
+    pub l2: Cache,
+}
+
+impl WarmState {
+    /// Empty caches shaped by `config`.
+    pub fn cold(config: &SimConfig) -> Self {
+        Self {
+            l1i: Cache::new(config.l1i),
+            l1d: Cache::new(config.l1d),
+            l2: Cache::new(config.l2),
+        }
+    }
+
+    /// Drains a dirty L1 D victim into L2 (eviction buffers, Table 1).
+    /// The inclusive L2 normally still holds the line and just turns
+    /// dirty; if it was evicted concurrently, the drain re-installs it
+    /// and the line that fill evicts goes through
+    /// [`WarmState::process_l2_eviction`].
+    pub fn push_l1d_victim(&mut self, victim: u64) -> Option<u64> {
+        let outcome = self.l2.access(victim, true);
+        self.process_l2_eviction(&outcome)
+    }
+
+    /// Inclusion bookkeeping after an L2 fill: back-invalidates both L1
+    /// copies of the line L2 evicted, and returns it for write-back if
+    /// either L2's copy or the L1 D copy was dirty.
+    pub fn process_l2_eviction(&mut self, outcome: &AccessOutcome) -> Option<u64> {
+        let evicted = outcome.evicted?;
+        self.l1i.invalidate(evicted);
+        let l1d_dirty = self.l1d.invalidate(evicted) == Some(true);
+        (outcome.writeback.is_some() || l1d_dirty).then_some(evicted)
+    }
 }
 
 impl Simulator {
@@ -256,9 +296,7 @@ enum Fill {
 #[derive(Debug)]
 pub struct SteppedSim {
     config: SimConfig,
-    l1i: Cache,
-    l1d: Cache,
-    l2: Cache,
+    caches: WarmState,
     wb: WriteBuffer,
     now: Cycle,
     pc: u64,
@@ -285,26 +323,16 @@ pub struct SteppedSim {
 impl SteppedSim {
     /// Creates a cold core with `config`.
     pub fn new(config: SimConfig) -> Self {
-        Self::warmed(
-            config,
-            WarmState {
-                l1i: Cache::new(config.l1i),
-                l1d: Cache::new(config.l1d),
-                l2: Cache::new(config.l2),
-            },
-        )
+        Self::warmed(config, WarmState::cold(&config))
     }
 
     /// Creates a core whose caches start from `warm` (see
     /// [`Simulator::warm_caches`]).
     pub fn warmed(config: SimConfig, warm: WarmState) -> Self {
         let line = config.l1i.line_bytes;
-        let WarmState { l1i, l1d, l2 } = warm;
         Self {
             config,
-            l1i,
-            l1d,
-            l2,
+            caches: warm,
             wb: WriteBuffer::new(config.write_buffer_entries),
             now: 0,
             pc: 0x1000,
@@ -460,11 +488,7 @@ impl SteppedSim {
 
     /// Extracts the warmed cache state (fast-forward pass).
     pub fn into_warm_state(self) -> WarmState {
-        WarmState {
-            l1i: self.l1i,
-            l1d: self.l1d,
-            l2: self.l2,
-        }
+        self.caches
     }
 
     // ----- execution (one instruction, possibly across suspensions) -----
@@ -478,7 +502,7 @@ impl SteppedSim {
         if line != self.current_fetch_line {
             self.current_fetch_line = line;
             self.stats.components.fetch_buffer_reads += 2;
-            let outcome = self.l1i.access(line, false);
+            let outcome = self.caches.l1i.access(line, false);
             if outcome.hit {
                 self.stats.components.l1i_hits += 1;
                 // Overlapped with execute: no stall on a hit.
@@ -550,7 +574,7 @@ impl SteppedSim {
         self.wb.retire_completed(self.now);
         let line = addr / self.config.l1d.line_bytes;
         let start = self.now;
-        let outcome = self.l1d.access(line, false);
+        let outcome = self.caches.l1d.access(line, false);
         if outcome.hit {
             self.stats.components.l1d_hits += 1;
             self.retire(instr, self.config.l1d.hit_latency);
@@ -593,7 +617,7 @@ impl SteppedSim {
         let line = addr / self.config.l1d.line_bytes;
         // The drain uses the cache port once the previous drain finished.
         let drain_start = issue.max(self.drain_port_free);
-        let outcome = self.l1d.access(line, true);
+        let outcome = self.caches.l1d.access(line, true);
         if outcome.hit {
             self.stats.components.l1d_hits += 1;
             self.finish_store(instr, issue, drain_start + self.config.l1d.hit_latency);
@@ -646,16 +670,12 @@ impl SteppedSim {
     }
 
     fn handle_l1d_victim(&mut self, outcome: &AccessOutcome) {
-        // Dirty L1 victims drain into L2 (eviction buffers, Table 1);
-        // charged as an L2 access for energy, overlapped for timing.
+        // Dirty L1 victims drain into L2; charged as an L2 access for
+        // energy, overlapped for timing.
         if let Some(victim) = outcome.writeback {
             self.stats.components.l2_accesses += 1;
-            let out = self.l2.access(victim, true);
-            if !out.hit {
-                // Inclusive hierarchy: the line must have been in L2; a
-                // miss here means it was evicted concurrently — the fill
-                // created above will write it back. Account the traffic:
-                self.process_l2_eviction(&out, self.now);
+            if let Some(line) = self.caches.push_l1d_victim(victim) {
+                self.emit_writeback(line, self.now);
             }
         }
     }
@@ -667,7 +687,7 @@ impl SteppedSim {
     /// when the completion time is known).
     fn try_l2_fill(&mut self, line: u64, write: bool, t: Cycle) -> Fill {
         self.stats.components.l2_accesses += 1;
-        let outcome = self.l2.access(line, write);
+        let outcome = self.caches.l2.access(line, write);
         let t = t + self.config.l2.hit_latency;
         if outcome.hit {
             return Fill::Done(t);
@@ -685,21 +705,10 @@ impl SteppedSim {
     }
 
     fn process_l2_eviction(&mut self, outcome: &AccessOutcome, when: Cycle) {
-        if let Some(evicted) = outcome.evicted {
-            // Inclusive L2: back-invalidate L1 copies.
-            if let Some(l1_dirty) = self.l1d.invalidate(evicted) {
-                // A dirty L1 copy makes the L2 line dirty on eviction.
-                if l1_dirty && outcome.writeback.is_none() {
-                    self.emit_writeback(evicted, when);
-                    return;
-                }
-            }
-            self.l1i.invalidate(evicted);
-        }
-        if let Some(victim) = outcome.writeback {
-            // Dirty LLC eviction → ORAM/DRAM write-back (§3.1). Queued
-            // after the demand miss; does not stall the core.
-            self.emit_writeback(victim, when);
+        // Dirty LLC eviction → ORAM/DRAM write-back (§3.1). Queued after
+        // the demand miss; does not stall the core.
+        if let Some(line) = self.caches.process_l2_eviction(outcome) {
+            self.emit_writeback(line, when);
         }
     }
 
@@ -969,5 +978,27 @@ mod tests {
             core.now()
         };
         assert!(total(2_000) > total(40));
+    }
+
+    #[test]
+    fn l2_eviction_drops_the_l1i_copy_of_a_line_dirty_in_l1d() {
+        // One line in both L1s, dirty in L1 D and clean in L2. Evicting
+        // it from L2 must write back the dirty L1 D copy and drop both
+        // L1 copies: an L1 I copy left behind would break inclusion.
+        let config = SimConfig::default();
+        let mut caches = WarmState::cold(&config);
+        let line = 0x40;
+        caches.l1i.access(line, false);
+        caches.l1d.access(line, true);
+        caches.l2.access(line, false);
+        let sets = config.l2.sets() as u64;
+        let outcome = (1..)
+            .map(|k| caches.l2.access(line + k * sets, false))
+            .find(|o| o.evicted == Some(line))
+            .expect("filling the set evicts the line");
+        assert_eq!(outcome.writeback, None, "L2's copy was clean");
+        assert_eq!(caches.process_l2_eviction(&outcome), Some(line));
+        assert!(!caches.l1d.probe(line));
+        assert!(!caches.l1i.probe(line), "L1 I kept a line L2 dropped");
     }
 }
