@@ -49,6 +49,7 @@ impl Prf {
     }
 
     /// Evaluates the PRF on `input`.
+    #[inline]
     pub fn eval(&self, input: u64) -> u64 {
         // Two rounds of a mix similar to SplitMix's finalizer, keyed.
         let mut z = input ^ self.k0;
@@ -68,6 +69,7 @@ impl Prf {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn eval_below(&self, input: u64, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         ((self.eval(input) as u128 * bound as u128) >> 64) as u64

@@ -29,6 +29,7 @@ impl SplitMix64 {
     }
 
     /// Returns the next 64-bit pseudo-random value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -42,6 +43,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         // Multiply-shift reduction; bias is negligible for simulation use.

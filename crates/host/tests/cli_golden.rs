@@ -193,11 +193,13 @@ fn meaningless_bench_flags_are_usage_errors() {
 
 #[test]
 fn report_refuses_corrupt_sessions() {
-    // A session recorded by the binary, then three corrupt copies: one
+    // A session recorded by the binary, then four corrupt copies: one
     // byte short, two round entries of the footer index trading offsets
-    // (their ordinals still sorted), and a trailer pointing at a round
-    // frame instead of the index. Each, rendered or exported, is a
-    // runtime error: exit 1, one line naming the file, nothing printed.
+    // (their ordinals still sorted), a trailer pointing at a round
+    // frame instead of the index, and a summary frame whose histogram
+    // width is zeroed. Each, rendered or exported, is a runtime error:
+    // exit 1, one line naming the file, nothing printed. The summary's
+    // line names the frame, not the index.
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     let good = dir.join("cli_report_good.otcp");
     let good_path = good.to_str().expect("UTF-8 path");
@@ -230,10 +232,19 @@ fn report_refuses_corrupt_sessions() {
     swapped[b..b + 12].copy_from_slice(&bytes[a..a + 12]);
     let mut misdirected = bytes.clone();
     misdirected[trailer..trailer + 8].copy_from_slice(&bytes[entry(1) + 8..entry(1) + 16]);
-    for (name, corrupt) in [
-        ("truncated", bytes[..n - 1].to_vec()),
-        ("swapped", swapped),
-        ("misdirected", misdirected),
+    // Summary payload: six u64 counters, then the histogram's width.
+    let width = read_u64(index + 8) as usize + 5 + 48;
+    let mut widthless = bytes.clone();
+    widthless[width..width + 8].fill(0);
+    for (name, corrupt, names) in [
+        ("truncated", bytes[..n - 1].to_vec(), None),
+        ("swapped", swapped, None),
+        ("misdirected", misdirected, None),
+        (
+            "widthless",
+            widthless,
+            Some("corrupt session frame: summary histogram shape"),
+        ),
     ] {
         let path = dir.join(format!("cli_report_{name}.otcp"));
         std::fs::write(&path, corrupt).expect("writes");
@@ -252,6 +263,9 @@ fn report_refuses_corrupt_sessions() {
                 stderr.starts_with(&format!("otc report: {path}: ")),
                 "otc {args:?}: {stderr}"
             );
+            if let Some(what) = names {
+                assert!(stderr.contains(what), "otc {args:?}: {stderr}");
+            }
         }
     }
 }

@@ -5,7 +5,7 @@
 //!    fleet of identically-priced tenants under WDRR produces the serve
 //!    log, slot traces, and ledger sums of the pre-WDRR rotating
 //!    round-robin arbiter (digests recorded from it), across both
-//!    schedulers, a mixed pool, and churn. Uniform weighted fairness
+//!    schedulers, a mixed pool, churn, and static and dynamic seats. Uniform weighted fairness
 //!    *is* round-robin fairness, so the arbiter must vanish from the
 //!    observables.
 //! 2. **The arbiter reorders, never re-serves** — whatever the weights,
@@ -140,38 +140,64 @@ const ROTATION_OBSERVABLES: &str = "log 1007 b1970c5d5af7b081, \
     traces [403 68f871537b303e5b, 201 28cd5cae31786518, 403 68f871537b303e5b], \
     spent 0000000000000000, budget 0000000000000000";
 
+/// As [`ROTATION_OBSERVABLES`], for the fleet of three `dynamic_R4_E4`
+/// seats below. They are served past their first epoch, so each
+/// learner picks a rate and the ledger's spent bits (6 of a 96-bit
+/// budget) are not zero. Recorded from the rotation arbiter, with the
+/// same fleet and [`observables`], before that arbiter was removed.
+const ROTATION_DYNAMIC_OBSERVABLES: &str = "log 11485 bbadee127a3c0d3c, \
+    traces [4894 cfe3961f4da6c243, 1697 ba63919b162c3627, 4894 cfe3961f4da6c243], \
+    spent 4018000000000000, budget 4058000000000000";
+
 #[test]
 fn equal_weight_wdrr_replays_the_rotation_arbiter_bit_for_bit() {
     // With every tenant priced identically the WDRR credit rank must
     // short-circuit, so the serve log — cross-tenant *order*, the one
     // thing the arbiter can touch — matches the rotation arbiter's byte
     // for byte. Exercised over both schedulers and a heterogeneous pool,
-    // with an eviction mid-run (the survivor fleet is still uniform).
-    for scheduler in [SchedulerKind::Calendar, SchedulerKind::Merge] {
-        let cfg = HostConfig {
-            record_traces: true,
-            scheduler,
-            shard_mix: mixed_classes(),
-            capacity: CapacityKind::Cadence,
-            ..HostConfig::small()
-        };
-        let mut host = MultiTenantHost::new(cfg).expect("builds");
-        for i in 0..3 {
-            // Identical policies => identical worst-case shares.
-            host.admit(
-                &spec(&format!("t{i}"), RatePolicy::Static { rate: 900 }),
-                LoopMode::Open,
-            )
-            .expect("admit");
-        }
-        host.run_for(1 << 18);
-        host.evict(1).expect("evict");
-        host.run_for(1 << 18);
-        assert_eq!(
-            observables(&host),
+    // with an eviction mid-run (the survivor fleet is still uniform),
+    // for a static fleet and for a dynamic one on a larger pool whose
+    // rate changes give the ledger bits to compare.
+    let fleets = [
+        (
+            RatePolicy::Static { rate: 900 },
+            2,
+            1 << 18,
             ROTATION_OBSERVABLES,
-            "{scheduler:?}: equal weights must replay the rotation order"
-        );
+        ),
+        (
+            RatePolicy::dynamic_paper(4, 4),
+            4,
+            1 << 21,
+            ROTATION_DYNAMIC_OBSERVABLES,
+        ),
+    ];
+    for (policy, n_shards, run, recorded) in fleets {
+        for scheduler in [SchedulerKind::Calendar, SchedulerKind::Merge] {
+            let cfg = HostConfig {
+                record_traces: true,
+                scheduler,
+                shard_mix: mixed_classes(),
+                n_shards,
+                capacity: CapacityKind::Cadence,
+                ..HostConfig::small()
+            };
+            let mut host = MultiTenantHost::new(cfg).expect("builds");
+            for i in 0..3 {
+                // Identical policies => identical worst-case shares.
+                host.admit(&spec(&format!("t{i}"), policy.clone()), LoopMode::Open)
+                    .expect("admit");
+            }
+            host.run_for(run);
+            host.evict(1).expect("evict");
+            host.run_for(run);
+            assert_eq!(
+                observables(&host),
+                recorded,
+                "{} {scheduler:?}: equal weights must replay the rotation order",
+                policy.label()
+            );
+        }
     }
 }
 

@@ -1,4 +1,7 @@
-//! Buckets: the fixed-size tree nodes stored in untrusted DRAM.
+//! Buckets as [`crate::TreeOram`] stored them before its flat records:
+//! each bucket a vector of blocks that own their payloads. Test-only —
+//! the reference storage `tree.rs`'s property tests check the flat
+//! storage against.
 
 use crate::types::{BlockId, Leaf};
 

@@ -5,10 +5,12 @@
 //! # What lives here
 //!
 //! * [`TreeGeometry`] / [`TreeOram`] — one binary-tree ORAM: buckets in
-//!   (simulated) untrusted DRAM — a dense tree-top array, and below it
-//!   only the buckets that hold blocks — an on-chip [`stash`](Stash)
-//!   kept sorted by block id, greedy path eviction, and probabilistic
-//!   re-encryption of every bucket a path touches.
+//!   (simulated) untrusted DRAM — a dense tree-top array of fixed-size
+//!   buckets, and below it only the buckets that hold blocks — an
+//!   on-chip stash kept sorted by block id, greedy path eviction, and
+//!   probabilistic re-encryption of every bucket a path touches. Blocks
+//!   move as fixed-size records; each tree keeps every payload in one
+//!   arena, so a warmed-up access allocates nothing.
 //! * [`RecursivePathOram`] — the full controller: a data ORAM plus three
 //!   recursive position-map ORAMs (§9.1.2), an on-chip final position
 //!   map, and indistinguishable dummy accesses.
@@ -43,25 +45,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
 mod bucket;
 mod config;
 mod geometry;
 mod integrity;
 mod posmap;
 mod recursive;
+#[cfg(test)]
 mod stash;
 mod stats;
 mod timing;
 mod tree;
 pub mod types;
 
-pub use bucket::{Bucket, StoredBlock};
 pub use config::{OramConfig, POSMAP_ENTRY_BYTES};
 pub use geometry::TreeGeometry;
 pub use integrity::{Digest, IntegrityTree, Verification};
 pub use posmap::SparseLeafMap;
 pub use recursive::RecursivePathOram;
-pub use stash::Stash;
 pub use stats::OramStats;
 pub use timing::{AccessPlan, CapacityKind, CapacityModel, OramTiming};
 pub use tree::{DefaultPayload, TreeOram, TreeStats};

@@ -49,9 +49,10 @@ impl SparseLeafMap {
     /// Panics if `leaf` is out of range.
     pub fn set(&mut self, id: BlockId, leaf: Leaf) -> Leaf {
         assert!(leaf.0 < self.leaf_count, "leaf out of range");
-        let old = self.get(id);
-        self.overrides.insert(id, leaf);
-        old
+        // One hash of `id`: the insert hands back any earlier override.
+        self.overrides
+            .insert(id, leaf)
+            .unwrap_or_else(|| Leaf(self.prf.eval_below(id.0, self.leaf_count)))
     }
 
     /// Number of entries that have ever been remapped (host-memory

@@ -151,7 +151,7 @@ impl RecursivePathOram {
     /// Panics if `addr` exceeds [`OramConfig::data_block_capacity`].
     pub fn read(&mut self, addr: u64) -> Vec<u8> {
         let mut out = Vec::new();
-        self.access(addr, |p| out.clone_from(p));
+        self.access(addr, |p| out.extend_from_slice(p));
         out
     }
 
@@ -266,7 +266,7 @@ impl RecursivePathOram {
     /// the same timing and DRAM image with zero payload allocation.
     fn access<F>(&mut self, addr: u64, update: F)
     where
-        F: FnOnce(&mut Vec<u8>),
+        F: FnOnce(&mut [u8]),
     {
         assert!(
             addr < self.config.data_block_capacity(),

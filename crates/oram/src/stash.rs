@@ -1,11 +1,11 @@
-//! The on-chip stash.
+//! The on-chip stash as [`crate::TreeOram`] kept it before its flat
+//! records: a sorted vector of blocks that own their payloads, filled
+//! one insert at a time. Test-only — the reference storage `tree.rs`'s
+//! property tests check the flat storage against.
 //!
 //! Blocks read off a path that cannot be immediately evicted back wait in
 //! a small on-chip memory ([26] sizes it at 128 KB and the power model
-//! charges stash reads/writes per 16 B chunk, Table 2). Path ORAM's
-//! security argument requires the stash occupancy to stay small with
-//! overwhelming probability; the property tests in `tree.rs` exercise
-//! this.
+//! charges stash reads/writes per 16 B chunk, Table 2).
 
 use crate::bucket::StoredBlock;
 use crate::types::{BlockId, Leaf};

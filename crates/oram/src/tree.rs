@@ -6,17 +6,32 @@
 //! leaf it is being remapped to, mirroring how a hardware controller's
 //! datapath is driven by the position-map lookup pipeline.
 //!
-//! Storage is split at [`DENSE_LEVELS`]. The tree-top is a flat array of
-//! buckets with their encryption counters. Below it only the buckets that
-//! hold blocks are stored: a path read removes them, a write-back inserts
-//! only the buckets it filled, and a deep bucket's encryption counter is
-//! derived from a log of written-back leaves. An empty deep bucket — all
-//! dummies — costs no host memory, so paper-scale trees (2^25 leaves) are
-//! cheap to instantiate and their path accesses are array work.
+//! # Storage
+//!
+//! A block moves as a 24-byte [`Record`]: its id, its leaf, and the cell
+//! of the tree's payload arena that holds its bytes. A block's cell is
+//! appended when the block is first synthesized and never moves or frees
+//! (a block never leaves the ORAM), so buckets, the stash, the path
+//! buffer and eviction copy records only.
+//!
+//! Buckets are split at [`DENSE_LEVELS`]. The tree-top is one flat,
+//! zero-initialized array of fixed-size buckets: an encryption counter,
+//! an occupancy, then `Z` record slots. Below it only the buckets that
+//! hold blocks are stored, each as a chunk of one record slab: a path
+//! read returns its chunks to a free list and a write-back reuses them.
+//! A deep bucket's encryption counter is derived from a log of
+//! written-back leaves. An empty deep bucket — all dummies — costs no
+//! host memory, so paper-scale trees (2^25 leaves) are cheap to
+//! instantiate.
+//!
+//! A path read gathers the path's records into a buffer sorted by id. An
+//! inline write-back merges that buffer with the id-sorted stash in one
+//! pass and places each record greedily ([`evict_merged`]); a deferred
+//! access merges the buffer into the stash instead. Once the arena, the
+//! slab and the scratch buffers have grown to a run's working size, an
+//! access allocates nothing.
 
-use crate::bucket::{Bucket, StoredBlock};
 use crate::geometry::{PathTable, TreeGeometry};
-use crate::stash::Stash;
 use crate::types::{BlockId, Leaf, NodeIndex};
 use otc_crypto::Prf;
 use std::collections::HashMap;
@@ -61,21 +76,19 @@ impl std::fmt::Debug for DefaultPayload {
 }
 
 impl DefaultPayload {
-    fn synthesize(&self, id: BlockId, block_bytes: usize) -> Vec<u8> {
-        match self {
-            DefaultPayload::Zeros => vec![0u8; block_bytes],
-            DefaultPayload::PosmapPrf {
-                prf,
-                entries_per_block,
-                child_leaf_count,
-            } => {
-                let mut out = vec![0u8; block_bytes];
-                for j in 0..*entries_per_block {
-                    let idx = id.0 * *entries_per_block as u64 + j as u64;
-                    let pos = prf.eval_below(idx, *child_leaf_count) as u32;
-                    out[j * 4..j * 4 + 4].copy_from_slice(&pos.to_le_bytes());
-                }
-                out
+    /// Writes the default payload of `id` into `cell`, which the arena
+    /// has just zero-filled.
+    fn synthesize_into(&self, id: BlockId, cell: &mut [u8]) {
+        if let DefaultPayload::PosmapPrf {
+            prf,
+            entries_per_block,
+            child_leaf_count,
+        } = self
+        {
+            for j in 0..*entries_per_block {
+                let idx = id.0 * *entries_per_block as u64 + j as u64;
+                let pos = prf.eval_below(idx, *child_leaf_count) as u32;
+                cell[j * 4..j * 4 + 4].copy_from_slice(&pos.to_le_bytes());
             }
         }
     }
@@ -92,15 +105,127 @@ pub struct TreeStats {
     pub stash_peak: usize,
 }
 
-/// Tree levels held in the dense top-of-tree array. Every access
-/// rewrites its path's top levels, so these buckets are hot on *every*
-/// access and (for any realistic access count) all hold blocks or
-/// counters anyway; storing them as a flat heap-indexed array turns the
-/// hottest `DENSE_LEVELS` of every path read/write into direct indexing
-/// with no hashing and no probing. 2^14 − 1 buckets ≈ 0.5 MB per tree —
-/// the on-chip tree-top buffer of the Ren et al. \[26\] controller designs,
-/// in host-memory form. Levels below it store only block-holding buckets.
-const DENSE_LEVELS: u32 = 14;
+/// Tree levels held in the dense tree-top array: 2^12 − 1 = 4,095
+/// buckets. Every access rewrites its path's top levels, so these
+/// buckets are hot on *every* access, and a flat heap-indexed array
+/// makes the top of every path read and write-back direct indexing with
+/// no hashing and no probing — the on-chip tree-top buffer of the Ren et
+/// al. \[26\] controller designs, in host-memory form.
+///
+/// A bucket is `2 + 3Z` words — 88 B at Z = 3 — so the array takes
+/// about 352 KiB per tree. It is zero-initialized, so a page of it costs
+/// memory only once a path touches it. Two more levels would take
+/// 1.4 MiB per tree, and the paths of a short run touch nearly all of
+/// it, although blocks settle near the leaves and seldom rest that high.
+/// Below the dense top a bucket costs memory only while it holds blocks.
+const DENSE_LEVELS: u32 = 12;
+
+/// Words of one record slot in a tree-top bucket: id, leaf, cell.
+const RECORD_WORDS: usize = 3;
+
+/// Words of a tree-top bucket's header: encryption counter, occupancy.
+const HEADER_WORDS: usize = 2;
+
+/// A block as the tree moves it. Its payload stays in the tree's arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    id: BlockId,
+    /// The leaf the block is currently mapped to.
+    leaf: Leaf,
+    /// The block's payload cell in the arena.
+    cell: u32,
+}
+
+impl Record {
+    /// Filler for record slots that hold no block.
+    const EMPTY: Record = Record {
+        id: BlockId(0),
+        leaf: Leaf(0),
+        cell: 0,
+    };
+
+    /// The record as a tree-top bucket slot stores it.
+    fn to_words(self) -> [u64; RECORD_WORDS] {
+        [self.id.0, self.leaf.0, u64::from(self.cell)]
+    }
+
+    /// The record a tree-top bucket slot holds.
+    fn from_words(slot: &[u64]) -> Self {
+        Record {
+            id: BlockId(slot[0]),
+            leaf: Leaf(slot[1]),
+            cell: slot[2] as u32,
+        }
+    }
+}
+
+/// Where a deep bucket's records sit: slots `index * Z..index * Z + len`
+/// of the record slab.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    index: u32,
+    len: u32,
+}
+
+/// The records of two id-sorted slices, merged in id order.
+fn merged<'a>(a: &'a [Record], b: &'a [Record]) -> impl Iterator<Item = Record> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || match (a.get(i), b.get(j)) {
+        (Some(x), Some(y)) if x.id < y.id => {
+            i += 1;
+            Some(*x)
+        }
+        (Some(x), None) => {
+            i += 1;
+            Some(*x)
+        }
+        (_, Some(y)) => {
+            j += 1;
+            Some(*y)
+        }
+        (None, None) => None,
+    })
+}
+
+/// Greedy Path ORAM eviction of one path. The id-ordered union of
+/// `stash` and `path` (each sorted by id) is placed lowest id first:
+/// each record goes to the deepest level `<= deepest(leaf)` whose bucket
+/// still has a free slot, or to `kept` when every level it may use is
+/// full. Level `l`'s placements land in `slots[l * z..l * z + fill[l]]`,
+/// in ascending id order; `fill` holds one count per level, root first.
+///
+/// This places exactly as the per-bucket procedure does — fill the
+/// buckets one at a time from the leaf upward, each with the first `z`
+/// eligible records of an id-ordered scan — in O(records + levels)
+/// instead of O(records × levels). The two agree because eviction
+/// legality is prefix-closed (a record eligible at level `l` is eligible
+/// at every level above it), so both greedily match the same lowest-id
+/// records to the deepest buckets.
+fn evict_merged(
+    stash: &[Record],
+    path: &[Record],
+    z: usize,
+    deepest: impl Fn(Leaf) -> usize,
+    fill: &mut [usize],
+    slots: &mut [Record],
+    kept: &mut Vec<Record>,
+) {
+    fill.fill(0);
+    let top = fill.len() - 1;
+    for record in merged(stash, path) {
+        let d = deepest(record.leaf).min(top);
+        // Deepest-first: levels fill monotonically, so this scan is O(1)
+        // amortized — it only walks levels that are already full, and
+        // each level fills once per pass.
+        match (0..=d).rev().find(|&level| fill[level] < z) {
+            Some(level) => {
+                slots[level * z + fill[level]] = record;
+                fill[level] += 1;
+            }
+            None => kept.push(record),
+        }
+    }
+}
 
 /// Fast node-index hasher for the map of resident deep buckets.
 ///
@@ -150,25 +275,48 @@ pub struct TreeOram {
     /// path read/write hot loops index this instead of re-deriving
     /// bucket indices per access.
     path: PathTable,
-    /// Top [`DENSE_LEVELS`] levels, heap-indexed (`node.0` directly):
-    /// the tree-top buffer. Always allocated, `encryption_counter == 0`
-    /// means "never written".
-    dense: Vec<Bucket>,
-    /// The blocks of every bucket below the dense levels that holds any.
-    /// A path read removes its buckets and a write-back inserts only the
-    /// ones it filled, so an empty deep bucket has no entry.
-    resident: HashMap<NodeIndex, Vec<StoredBlock>, BuildNodeIndexHasher>,
+    /// Levels held in `dense`: `min(levels, DENSE_LEVELS)`.
+    dense_levels: usize,
+    /// The tree-top buckets, heap-indexed (`node.0` directly), each
+    /// `HEADER_WORDS + Z * RECORD_WORDS` words: the encryption counter
+    /// (0 = never written), the occupancy, then `Z` record slots.
+    dense: Vec<u64>,
+    /// The chunk of every bucket below the dense levels that holds
+    /// blocks. A path read removes its buckets and a write-back inserts
+    /// only the ones it filled, so an empty deep bucket has no entry.
+    resident: HashMap<NodeIndex, Chunk, BuildNodeIndexHasher>,
+    /// Record slab of the deep buckets, `Z` slots per chunk.
+    slab: Vec<Record>,
+    /// Chunks of `slab` that no bucket holds, reused by write-backs.
+    free_chunks: Vec<u32>,
     /// Leaf of every path write-back, oldest first, kept only when the
     /// tree has levels below the dense top: a deep bucket's encryption
     /// counter is the number of these paths that pass through it (see
     /// [`TreeOram::bucket_fingerprint`]). 8 B per write-back.
     write_backs: Vec<Leaf>,
-    stash: Stash,
-    /// Per-level eviction scratch (root first), recycled across
-    /// accesses: the single-pass stash eviction fills these, then each
-    /// dense level's contents move into its path bucket and each filled
-    /// deep level's vector moves into `resident` whole.
-    evict_scratch: Vec<Vec<StoredBlock>>,
+    /// The on-chip stash: records awaiting eviction, strictly ascending
+    /// by id, so eviction's lowest-id tie-break is a plain scan and the
+    /// DRAM image is bit-reproducible however deferred evictions
+    /// interleave. \[26\] sizes it at 128 KB, and the power model charges
+    /// its reads and writes per 16 B chunk (Table 2). Path ORAM's
+    /// security argument needs its occupancy to stay small with
+    /// overwhelming probability; the property tests exercise this.
+    stash: Vec<Record>,
+    /// Largest on-chip occupancy ever observed: the stash plus the path
+    /// being accessed (reported by experiments; the paper's hardware
+    /// provisions a fixed-size stash).
+    stash_peak: usize,
+    /// The records of the path being accessed, sorted by id once read.
+    path_buf: Vec<Record>,
+    /// The next stash a write-back or deferral builds (recycled).
+    spare: Vec<Record>,
+    /// One write-back's placements: `fill[l]` records at level `l`, in
+    /// `placed[l * Z..]`.
+    fill: Vec<usize>,
+    placed: Vec<Record>,
+    /// Payload arena: cell `c` is bytes `c * block_bytes..(c + 1) *
+    /// block_bytes`.
+    payloads: Vec<u8>,
     default_payload: DefaultPayload,
     /// Fingerprint PRF: models what ciphertext an adversary would see for
     /// a bucket (changes on every write-back).
@@ -190,17 +338,25 @@ impl std::fmt::Debug for TreeOram {
 impl TreeOram {
     /// Creates an empty tree.
     pub fn new(geom: TreeGeometry, default_payload: DefaultPayload, fingerprint_prf: Prf) -> Self {
+        let levels = geom.levels() as usize;
+        let dense_levels = geom.levels().min(DENSE_LEVELS);
+        let dense_buckets = (1usize << dense_levels) - 1;
         Self {
             geom,
             path: geom.path_table(),
-            dense: {
-                let levels = geom.levels().min(DENSE_LEVELS);
-                vec![Bucket::empty(); ((1u64 << levels) - 1) as usize]
-            },
+            dense_levels: dense_levels as usize,
+            dense: vec![0; dense_buckets * (HEADER_WORDS + geom.z() * RECORD_WORDS)],
             resident: HashMap::default(),
+            slab: Vec::new(),
+            free_chunks: Vec::new(),
             write_backs: Vec::new(),
-            stash: Stash::new(),
-            evict_scratch: Vec::new(),
+            stash: Vec::new(),
+            stash_peak: 0,
+            path_buf: Vec::new(),
+            spare: Vec::new(),
+            fill: vec![0; levels],
+            placed: vec![Record::EMPTY; levels * geom.z()],
+            payloads: Vec::new(),
             default_payload,
             fingerprint_prf,
             accesses: 0,
@@ -214,11 +370,11 @@ impl TreeOram {
 
     /// Performs one real access.
     ///
-    /// Reads the path to `leaf` into the stash, applies `update` to the
-    /// payload of `id` (synthesizing a default payload if the block was
-    /// never written) and remaps the block to `new_leaf`. The payload is
-    /// read or written only through `update`, so an access whose result
-    /// nobody consumes allocates nothing.
+    /// Reads the path to `leaf`, applies `update` to the payload of `id`
+    /// (synthesizing a default payload if the block was never written)
+    /// and remaps the block to `new_leaf`. The payload is read or written
+    /// only through `update`, in place: an access whose result nobody
+    /// consumes copies no payload.
     ///
     /// Unless `defer`, the path is then evicted and written back. With
     /// `defer` the path's blocks stay in the stash and the caller must
@@ -230,33 +386,34 @@ impl TreeOram {
     ///
     /// # Panics
     ///
-    /// Panics if `leaf`/`new_leaf` are out of range, or if the invariant
-    /// "the block is on the claimed path or in the stash" is violated —
-    /// which would mean the caller's position map is inconsistent.
+    /// Panics if `leaf`/`new_leaf` are out of range, or if the payload
+    /// arena outgrows `u32::MAX` cells.
     pub fn access<F>(&mut self, id: BlockId, leaf: Leaf, new_leaf: Leaf, defer: bool, update: F)
     where
-        F: FnOnce(&mut Vec<u8>),
+        F: FnOnce(&mut [u8]),
     {
         assert!(new_leaf.0 < self.geom.leaf_count(), "new_leaf out of range");
-        self.read_path_into_stash(leaf);
-
-        // The block must now be in the stash: either it came off the path,
-        // it was already waiting in the stash, or it has never been
-        // written and we synthesize it.
-        if !self.stash.contains(id) {
-            let payload = self.default_payload.synthesize(id, self.geom.block_bytes());
-            self.stash.insert(StoredBlock { id, leaf, payload });
-        }
-
-        let block = self.stash.get_mut(id).expect("block staged in stash");
-        block.leaf = new_leaf;
-        update(&mut block.payload);
+        self.read_path(leaf);
+        // The block came off the path, was already waiting in the
+        // stash, or has never been written: then it is synthesized onto
+        // the path buffer, at its place in id order.
+        let record = match self.path_buf.binary_search_by_key(&id, |r| r.id) {
+            Ok(i) => &mut self.path_buf[i],
+            Err(i) => match self.stash.binary_search_by_key(&id, |r| r.id) {
+                Ok(j) => &mut self.stash[j],
+                Err(_) => {
+                    let cell = self.synthesize(id);
+                    self.path_buf.insert(i, Record { id, leaf, cell });
+                    &mut self.path_buf[i]
+                }
+            },
+        };
+        record.leaf = new_leaf;
+        let cell = record.cell as usize;
+        let bytes = self.geom.block_bytes();
+        update(&mut self.payloads[cell * bytes..(cell + 1) * bytes]);
         self.accesses += 1;
-        if !defer {
-            // The read just emptied the path's buckets, so the immediate
-            // write-back is exactly the serial eviction.
-            self.write_path_from_stash(leaf);
-        }
+        self.finish_path(leaf, defer);
     }
 
     /// Performs a dummy access: reads the path to `leaf` without touching
@@ -266,20 +423,18 @@ impl TreeOram {
     /// re-encrypted. A deferred dummy leaves the write-back to a later
     /// [`TreeOram::evict_path`], as a deferred real access does.
     pub fn dummy_access(&mut self, leaf: Leaf, defer: bool) {
-        self.read_path_into_stash(leaf);
+        self.read_path(leaf);
         self.accesses += 1;
-        if !defer {
-            self.write_path_from_stash(leaf);
-        }
+        self.finish_path(leaf, defer);
     }
 
     /// Completes a deferred eviction: gathers the current contents of the
-    /// path to `leaf` back into the stash (interleaved earlier evictions
-    /// may have re-filled shared buckets — the root is on every path) and
-    /// writes the path back with greedy eviction. Exactly one bucket
-    /// re-encryption per path bucket, the same as the write-back half of
-    /// a serial access, so ciphertext fingerprints after all pending
-    /// evictions drain match serial mode bit for bit.
+    /// path to `leaf` (interleaved earlier evictions may have re-filled
+    /// shared buckets — the root is on every path) and writes the path
+    /// back with greedy eviction. Exactly one bucket re-encryption per
+    /// path bucket, the same as the write-back half of a serial access,
+    /// so ciphertext fingerprints after all pending evictions drain
+    /// match serial mode bit for bit.
     ///
     /// Timing-model note: the gather is *functional bookkeeping*, not
     /// modeled DRAM traffic — callers charge a drain the path-write cost
@@ -294,8 +449,8 @@ impl TreeOram {
     /// is optimistic by the shared suffix; bytes_moved accounting is
     /// unaffected (each access still moves read + write once).
     pub fn evict_path(&mut self, leaf: Leaf) {
-        self.read_path_into_stash(leaf);
-        self.write_path_from_stash(leaf);
+        self.read_path(leaf);
+        self.finish_path(leaf, false);
     }
 
     /// The ciphertext fingerprint of a bucket, as an adversary snapshotting
@@ -307,8 +462,9 @@ impl TreeOram {
     /// in the tree's write-backs. The §3.2 probe target, the root, is
     /// always in the tree-top.
     pub fn bucket_fingerprint(&self, node: NodeIndex) -> u64 {
-        let counter = if node.0 < self.dense.len() as u64 {
-            self.dense[node.0 as usize].encryption_counter
+        let stride = self.dense_stride();
+        let counter = if node.0 < (self.dense.len() / stride) as u64 {
+            self.dense[node.0 as usize * stride]
         } else if node.0 >= self.geom.bucket_count() {
             // Past the last level: no such bucket, never written.
             0
@@ -343,88 +499,128 @@ impl TreeOram {
         TreeStats {
             path_accesses: self.accesses,
             bytes_moved: self.accesses * 2 * self.geom.path_bytes(),
-            stash_peak: self.stash.peak(),
+            stash_peak: self.stash_peak,
         }
     }
 
-    /// Number of buckets that hold host memory beyond the pre-allocated
-    /// tree-top array (footprint diagnostic): dense buckets that have
-    /// been written — their block vectors keep an allocation — plus the
-    /// deep buckets that currently hold blocks.
+    /// Number of buckets below the tree-top array that currently hold
+    /// blocks, each in a chunk of the record slab (footprint diagnostic).
+    /// The tree-top buckets live in their pre-allocated array whether or
+    /// not they hold blocks, and a deep bucket costs memory only while it
+    /// holds one.
     pub fn materialized_buckets(&self) -> usize {
-        let dense_written = self
-            .dense
-            .iter()
-            .filter(|b| b.encryption_counter > 0)
-            .count();
-        dense_written + self.resident.len()
+        self.resident.len()
     }
 
-    fn read_path_into_stash(&mut self, leaf: Leaf) {
+    /// Words per tree-top bucket.
+    fn dense_stride(&self) -> usize {
+        HEADER_WORDS + self.geom.z() * RECORD_WORDS
+    }
+
+    /// Appends a cell for `id`'s default payload to the arena.
+    fn synthesize(&mut self, id: BlockId) -> u32 {
+        let bytes = self.geom.block_bytes();
+        let start = self.payloads.len();
+        let cell = u32::try_from(start / bytes.max(1))
+            .expect("payload arena holds at most u32::MAX blocks per tree");
+        self.payloads.resize(start + bytes, 0);
+        self.default_payload
+            .synthesize_into(id, &mut self.payloads[start..]);
+        cell
+    }
+
+    /// Moves the records of the path to `leaf` into the path buffer,
+    /// sorted by id, emptying the path's buckets and freeing its chunks.
+    fn read_path(&mut self, leaf: Leaf) {
         self.path.assert_leaf(leaf);
-        let dense_levels = self.dense_levels();
-        for level in 0..dense_levels {
-            let node = self.path.node_at(leaf, level);
-            // Drain in place: the bucket keeps its block vector's
-            // allocation for the write-back half of the access.
-            for block in self.dense[node.0 as usize].blocks.drain(..) {
-                self.stash.insert(block);
+        self.path_buf.clear();
+        let stride = self.dense_stride();
+        for level in 0..self.dense_levels {
+            let base = self.path.node_at(leaf, level).0 as usize * stride;
+            let len = std::mem::take(&mut self.dense[base + 1]) as usize;
+            let slots = &self.dense[base + HEADER_WORDS..][..len * RECORD_WORDS];
+            self.path_buf
+                .extend(slots.chunks_exact(RECORD_WORDS).map(Record::from_words));
+        }
+        let z = self.geom.z();
+        for level in self.dense_levels..self.path.levels() {
+            if let Some(chunk) = self.resident.remove(&self.path.node_at(leaf, level)) {
+                let start = chunk.index as usize * z;
+                self.path_buf
+                    .extend_from_slice(&self.slab[start..start + chunk.len as usize]);
+                self.free_chunks.push(chunk.index);
             }
         }
-        for level in dense_levels..self.path.levels() {
-            let node = self.path.node_at(leaf, level);
-            if let Some(blocks) = self.resident.remove(&node) {
-                for block in blocks {
-                    self.stash.insert(block);
-                }
+        self.path_buf.sort_unstable_by_key(|r| r.id);
+    }
+
+    /// Ends an access to the path to `leaf`, whose records (and any
+    /// synthesized block) are in the path buffer: writes the path back,
+    /// or with `defer` merges the buffer into the stash.
+    fn finish_path(&mut self, leaf: Leaf, defer: bool) {
+        // Mid-access the controller holds the stash and the whole path.
+        self.stash_peak = self.stash_peak.max(self.stash.len() + self.path_buf.len());
+        let mut next = std::mem::take(&mut self.spare);
+        next.clear();
+        if defer {
+            next.extend(merged(&self.stash, &self.path_buf));
+        } else {
+            let geom = self.geom;
+            evict_merged(
+                &self.stash,
+                &self.path_buf,
+                geom.z(),
+                |block_leaf| geom.deepest_shared_level(leaf, block_leaf) as usize,
+                &mut self.fill,
+                &mut self.placed,
+                &mut next,
+            );
+            self.store_path(leaf);
+        }
+        self.spare = std::mem::replace(&mut self.stash, next);
+    }
+
+    /// Writes the placements of [`evict_merged`] into the buckets of the
+    /// path to `leaf`, which its read emptied, and re-encrypts every one:
+    /// a tree-top bucket bumps its counter, the deep ones log the path.
+    fn store_path(&mut self, leaf: Leaf) {
+        let z = self.geom.z();
+        let stride = self.dense_stride();
+        for level in 0..self.dense_levels {
+            let base = self.path.node_at(leaf, level).0 as usize * stride;
+            let placed = &self.placed[level * z..][..self.fill[level]];
+            let bucket = &mut self.dense[base..base + stride];
+            debug_assert_eq!(bucket[1], 0, "path was read before write");
+            bucket[0] += 1;
+            bucket[1] = placed.len() as u64;
+            for (slot, record) in bucket[HEADER_WORDS..]
+                .chunks_exact_mut(RECORD_WORDS)
+                .zip(placed)
+            {
+                slot.copy_from_slice(&record.to_words());
             }
         }
-    }
-
-    /// How many of this tree's levels live in the dense top array.
-    #[inline]
-    fn dense_levels(&self) -> usize {
-        self.geom.levels().min(DENSE_LEVELS) as usize
-    }
-
-    fn write_path_from_stash(&mut self, leaf: Leaf) {
-        // Evict greedily from the leaf upward: deeper placements free more
-        // stash space and are strictly harder to satisfy, so fill them
-        // first (standard Path ORAM eviction). The whole path is filled
-        // in ONE id-ordered stash pass — placements provably identical
-        // to the per-bucket reference scan (see
-        // [`Stash::evict_path_into`]) at O(stash + levels) instead of
-        // O(stash x levels) per access.
-        let geom = self.geom;
-        let levels = self.path.levels();
-        if self.evict_scratch.len() != levels {
-            self.evict_scratch.resize_with(levels, Vec::new);
-        }
-        self.stash.evict_path_into(
-            geom.z(),
-            |block_leaf| geom.deepest_shared_level(leaf, block_leaf) as usize,
-            &mut self.evict_scratch,
-        );
-        let dense_levels = self.dense_levels();
-        for level in 0..dense_levels {
-            let node = self.path.node_at(leaf, level);
-            let bucket = &mut self.dense[node.0 as usize];
-            debug_assert!(bucket.blocks.is_empty(), "path was read before write");
-            bucket.blocks.append(&mut self.evict_scratch[level]);
-            // Probabilistic re-encryption of every bucket on the path.
-            bucket.encryption_counter += 1;
-        }
-        for level in dense_levels..levels {
-            if self.evict_scratch[level].is_empty() {
+        for level in self.dense_levels..self.path.levels() {
+            let len = self.fill[level];
+            if len == 0 {
                 continue;
             }
-            let node = self.path.node_at(leaf, level);
-            let blocks = std::mem::take(&mut self.evict_scratch[level]);
-            let stale = self.resident.insert(node, blocks);
+            let index = self.free_chunks.pop().unwrap_or_else(|| {
+                let index = u32::try_from(self.slab.len() / z)
+                    .expect("record slab holds at most u32::MAX buckets per tree");
+                self.slab.resize(self.slab.len() + z, Record::EMPTY);
+                index
+            });
+            let start = index as usize * z;
+            self.slab[start..start + len].copy_from_slice(&self.placed[level * z..][..len]);
+            let chunk = Chunk {
+                index,
+                len: len as u32,
+            };
+            let stale = self.resident.insert(self.path.node_at(leaf, level), chunk);
             debug_assert!(stale.is_none(), "path was read before write");
         }
-        // The deep buckets' re-encryption: one logged path.
-        if levels > dense_levels {
+        if self.path.levels() > self.dense_levels {
             self.write_backs.push(leaf);
         }
     }
@@ -435,30 +631,40 @@ impl TreeOram {
     ///
     /// # Panics
     ///
-    /// Panics (with a diagnostic) if the invariant is violated. Intended
-    /// for tests and debug assertions, not production paths.
+    /// Panics (with a diagnostic) if the invariant is violated, a bucket
+    /// is over capacity, or the stash is not strictly ordered by id.
+    /// Intended for tests and debug assertions, not production paths.
     pub fn check_invariant(&self) -> usize {
+        let z = self.geom.z();
         let mut checked = 0;
-        let dense = self
-            .dense
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (NodeIndex(i as u64), &b.blocks));
-        for (node, blocks) in dense.chain(self.resident.iter().map(|(n, b)| (*n, b))) {
+        let mut check = |node: NodeIndex, record: Record| {
+            let on_path = self.geom.path_nodes(record.leaf).any(|n| n == node);
             assert!(
-                blocks.len() <= self.geom.z(),
-                "bucket {node:?} over capacity"
+                on_path,
+                "block {} mapped to {} stored off-path at node {:?}",
+                record.id, record.leaf, node
             );
-            for block in blocks {
-                let on_path = self.geom.path_nodes(block.leaf).any(|n| n == node);
-                assert!(
-                    on_path,
-                    "block {} mapped to {} stored off-path at node {:?}",
-                    block.id, block.leaf, node
-                );
-                checked += 1;
+            checked += 1;
+        };
+        for (node, bucket) in self.dense.chunks_exact(self.dense_stride()).enumerate() {
+            let len = bucket[1] as usize;
+            assert!(len <= z, "bucket {node} over capacity");
+            for slot in bucket[HEADER_WORDS..][..len * RECORD_WORDS].chunks_exact(RECORD_WORDS) {
+                check(NodeIndex(node as u64), Record::from_words(slot));
             }
         }
+        for (&node, chunk) in &self.resident {
+            let len = chunk.len as usize;
+            assert!(len > 0 && len <= z, "bucket {node:?} holds {len} blocks");
+            let start = chunk.index as usize * z;
+            for &record in &self.slab[start..start + len] {
+                check(node, record);
+            }
+        }
+        assert!(
+            self.stash.windows(2).all(|w| w[0].id < w[1].id),
+            "stash not strictly ordered by id"
+        );
         checked + self.stash.len()
     }
 }
@@ -466,8 +672,10 @@ impl TreeOram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use otc_crypto::{Prf, SymmetricKey};
+    use otc_crypto::{Prf, SplitMix64, SymmetricKey};
     use proptest::prelude::*;
+    use reference::RefTree;
+    use std::collections::{BTreeMap, VecDeque};
 
     fn test_tree(levels: u32) -> TreeOram {
         let key = SymmetricKey::from_seed(1234);
@@ -481,7 +689,7 @@ mod tests {
     /// The payload of `id` after an access that only reads it.
     fn read(t: &mut TreeOram, id: BlockId, leaf: Leaf, new_leaf: Leaf) -> Vec<u8> {
         let mut out = Vec::new();
-        t.access(id, leaf, new_leaf, false, |p| out.clone_from(p));
+        t.access(id, leaf, new_leaf, false, |p| out = p.to_vec());
         out
     }
 
@@ -491,8 +699,133 @@ mod tests {
 
     /// Deterministic "random" leaf sequence for tests.
     fn leaf_seq(geom: &TreeGeometry, seed: u64) -> impl FnMut() -> Leaf + '_ {
-        let mut rng = otc_crypto::SplitMix64::new(seed);
+        let mut rng = SplitMix64::new(seed);
         move || Leaf(rng.next_below(geom.leaf_count()))
+    }
+
+    /// The storage the flat records replaced, kept as the oracle they
+    /// must match observable for observable: every block a
+    /// [`StoredBlock`] owning its payload vector, every bucket its own
+    /// block vector and encryption counter, and a path read that inserts
+    /// block by block into the sorted [`Stash`], whose peak is the
+    /// largest length an insert left.
+    mod reference {
+        use super::super::{DefaultPayload, TreeStats};
+        use crate::bucket::{Bucket, StoredBlock};
+        use crate::geometry::TreeGeometry;
+        use crate::stash::Stash;
+        use crate::types::{BlockId, Leaf, NodeIndex};
+        use otc_crypto::Prf;
+        use std::collections::HashMap;
+
+        pub struct RefTree {
+            geom: TreeGeometry,
+            /// Every bucket ever written back.
+            buckets: HashMap<NodeIndex, Bucket>,
+            stash: Stash,
+            default_payload: DefaultPayload,
+            fingerprint_prf: Prf,
+            accesses: u64,
+        }
+
+        impl RefTree {
+            pub fn new(geom: TreeGeometry, default_payload: DefaultPayload, prf: Prf) -> Self {
+                Self {
+                    geom,
+                    buckets: HashMap::new(),
+                    stash: Stash::new(),
+                    default_payload,
+                    fingerprint_prf: prf,
+                    accesses: 0,
+                }
+            }
+
+            pub fn access<F>(&mut self, id: BlockId, leaf: Leaf, new: Leaf, defer: bool, update: F)
+            where
+                F: FnOnce(&mut Vec<u8>),
+            {
+                self.read_path_into_stash(leaf);
+                if !self.stash.contains(id) {
+                    let mut payload = vec![0u8; self.geom.block_bytes()];
+                    self.default_payload.synthesize_into(id, &mut payload);
+                    self.stash.insert(StoredBlock { id, leaf, payload });
+                }
+                let block = self.stash.get_mut(id).expect("block staged in stash");
+                block.leaf = new;
+                update(&mut block.payload);
+                self.accesses += 1;
+                if !defer {
+                    self.write_path_from_stash(leaf);
+                }
+            }
+
+            pub fn dummy_access(&mut self, leaf: Leaf, defer: bool) {
+                self.read_path_into_stash(leaf);
+                self.accesses += 1;
+                if !defer {
+                    self.write_path_from_stash(leaf);
+                }
+            }
+
+            pub fn evict_path(&mut self, leaf: Leaf) {
+                self.read_path_into_stash(leaf);
+                self.write_path_from_stash(leaf);
+            }
+
+            pub fn bucket_fingerprint(&self, node: NodeIndex) -> u64 {
+                let counter = self.buckets.get(&node).map_or(0, |b| b.encryption_counter);
+                self.fingerprint_prf.eval2(node.0, counter)
+            }
+
+            pub fn stash_len(&self) -> usize {
+                self.stash.len()
+            }
+
+            pub fn stats(&self) -> TreeStats {
+                TreeStats {
+                    path_accesses: self.accesses,
+                    bytes_moved: self.accesses * 2 * self.geom.path_bytes(),
+                    stash_peak: self.stash.peak(),
+                }
+            }
+
+            pub fn check_invariant(&self) -> usize {
+                let mut checked = 0;
+                for (node, bucket) in &self.buckets {
+                    assert!(bucket.occupancy() <= self.geom.z());
+                    for block in &bucket.blocks {
+                        assert!(self.geom.path_nodes(block.leaf).any(|n| n == *node));
+                        checked += 1;
+                    }
+                }
+                checked + self.stash.len()
+            }
+
+            fn read_path_into_stash(&mut self, leaf: Leaf) {
+                for node in self.geom.path_nodes(leaf) {
+                    if let Some(bucket) = self.buckets.get_mut(&node) {
+                        for block in bucket.blocks.drain(..) {
+                            self.stash.insert(block);
+                        }
+                    }
+                }
+            }
+
+            fn write_path_from_stash(&mut self, leaf: Leaf) {
+                let geom = self.geom;
+                let mut out = vec![Vec::new(); geom.levels() as usize];
+                self.stash.evict_path_into(
+                    geom.z(),
+                    |block_leaf| geom.deepest_shared_level(leaf, block_leaf) as usize,
+                    &mut out,
+                );
+                for (node, blocks) in geom.path_nodes(leaf).zip(out) {
+                    let bucket = self.buckets.entry(node).or_default();
+                    bucket.blocks = blocks;
+                    bucket.encryption_counter += 1;
+                }
+            }
+        }
     }
 
     #[test]
@@ -568,7 +901,8 @@ mod tests {
             entries_per_block: 8,
             child_leaf_count: 16,
         };
-        let payload = dp.synthesize(BlockId(2), 32);
+        let mut payload = [0u8; 32];
+        dp.synthesize_into(BlockId(2), &mut payload);
         for j in 0..8usize {
             let v = u32::from_le_bytes(payload[j * 4..j * 4 + 4].try_into().expect("4 bytes"));
             assert_eq!(u64::from(v), prf.eval_below(2 * 8 + j as u64, 16));
@@ -578,8 +912,8 @@ mod tests {
 
     #[test]
     fn paper_scale_tree_is_cheap_to_instantiate() {
-        // 26 levels = 2^26-1 buckets; only the written path's tree-top
-        // buckets and the deep buckets holding blocks cost memory.
+        // 26 levels = 2^26-1 buckets; beyond the tree-top array only the
+        // deep bucket holding the written block costs memory.
         let mut t = test_tree(26);
         let geom = *t.geometry();
         let (l, l2) = {
@@ -588,25 +922,32 @@ mod tests {
         };
         assert!(l.0 < geom.leaf_count());
         write(&mut t, BlockId(123_456), l, l2, &[1u8; 64]);
-        assert!(t.materialized_buckets() <= 26);
+        assert!(t.materialized_buckets() <= 1);
     }
 
     #[test]
     fn deep_bucket_holds_a_block_only_while_resident() {
         // A block remapped onto the path it was read from settles in
-        // that path's leaf bucket, 20 levels below the dense top.
+        // that path's leaf bucket, 22 levels below the dense top.
         let mut t = test_tree(34);
         let leaf = Leaf(0x1_2345_6789);
         write(&mut t, BlockId(9), leaf, leaf, &[4u8; 64]);
         assert_eq!(t.resident.len(), 1, "one deep bucket holds the block");
         let node = t.geometry().node_at(leaf, 33);
-        assert!(t.resident[&node].iter().any(|b| b.id == BlockId(9)));
-        // Reading the path takes the bucket out of the map; the write-back
-        // puts it (or a shallower one) back.
+        let chunk = t.resident[&node];
+        let z = t.geometry().z();
+        let slots = &t.slab[chunk.index as usize * z..][..chunk.len as usize];
+        assert!(slots.iter().any(|r| r.id == BlockId(9)));
+        // Reading the path takes the bucket out of the map and frees its
+        // chunk; the write-back reuses the chunk for this (or a
+        // shallower) bucket.
         t.dummy_access(leaf, true);
         assert_eq!(t.resident.len(), 0);
+        assert_eq!(t.free_chunks, [chunk.index]);
         t.evict_path(leaf);
         assert_eq!(t.resident.len(), 1);
+        assert!(t.free_chunks.is_empty(), "the write-back reused the chunk");
+        assert_eq!(t.slab.len(), z, "one chunk was ever allocated");
         assert_eq!(read(&mut t, BlockId(9), leaf, Leaf(3)), vec![4u8; 64]);
         assert_eq!(t.check_invariant(), 1);
         let prf = &t.fingerprint_prf;
@@ -629,10 +970,9 @@ mod tests {
         fn prop_read_your_writes(seed in any::<u64>(), ops in 1usize..60) {
             let mut t = test_tree(5); // 16 leaves
             let geom = *t.geometry();
-            let mut rng = otc_crypto::SplitMix64::new(seed);
+            let mut rng = SplitMix64::new(seed);
             // Model of truth: block id -> (expected payload, current leaf).
-            let mut model: std::collections::HashMap<u64, (Vec<u8>, Leaf)> =
-                std::collections::HashMap::new();
+            let mut model: HashMap<u64, (Vec<u8>, Leaf)> = HashMap::new();
             for step in 0..ops {
                 let id = rng.next_below(12); // ≤ 12 distinct blocks in 16-leaf tree
                 let new_leaf = Leaf(rng.next_below(geom.leaf_count()));
@@ -669,7 +1009,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Re-encryption counts below the dense tree-top: an 18-level
-        /// tree puts its last four levels under the dense array. Random
+        /// tree puts its last six levels under the dense array. Random
         /// reads, writes and dummies — each immediate or deferred, with
         /// deferred write-backs drained oldest-first at random points —
         /// are checked against a model that counts write-backs per node.
@@ -684,15 +1024,15 @@ mod tests {
             let mut t = test_tree(18);
             let geom = *t.geometry();
             prop_assert!(geom.levels() > DENSE_LEVELS, "tree must reach below the dense top");
-            let mut rng = otc_crypto::SplitMix64::new(seed);
+            let mut rng = SplitMix64::new(seed);
             // Block id -> (expected payload, current leaf).
             let mut model: HashMap<u64, (Vec<u8>, Leaf)> = HashMap::new();
             // Node index -> write-backs that re-encrypted it.
             let mut writes: HashMap<u64, u64> = HashMap::new();
             let mut touched: Vec<Leaf> = Vec::new();
-            let mut pending: std::collections::VecDeque<Leaf> = Default::default();
+            let mut pending: VecDeque<Leaf> = VecDeque::new();
             let cluster = rng.next_below(geom.leaf_count() / 8) * 8;
-            let draw_leaf = move |rng: &mut otc_crypto::SplitMix64| match rng.next_below(2) {
+            let draw_leaf = move |rng: &mut SplitMix64| match rng.next_below(2) {
                 0 => Leaf(cluster + rng.next_below(8)),
                 _ => Leaf(rng.next_below(geom.leaf_count())),
             };
@@ -729,7 +1069,7 @@ mod tests {
                             if let Some(w) = &written {
                                 p.copy_from_slice(w);
                             }
-                            got.clone_from(p);
+                            got = p.to_vec();
                         });
                         let now = written.unwrap_or(expect);
                         prop_assert_eq!(&got, &now, "block {} read back wrong", id);
@@ -764,6 +1104,190 @@ mod tests {
                 }
                 t.check_invariant();
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The flat storage against [`RefTree`], the storage it replaced,
+        /// driven alike: random reads, writes and dummies — each immediate
+        /// or deferred, with deferred write-backs drained oldest-first at
+        /// random points — on a 5-level tree (all tree-top), a 13-level
+        /// tree (one level below it) and an 18-level tree (six), with
+        /// zero or position-map default payloads. Half the leaves come
+        /// from a cluster of eight neighbours, so blocks settle deep.
+        /// After every step both must agree on the payload read, the
+        /// stash length, the stats (stash peak included), the invariant
+        /// check's block count, and the fingerprint of every bucket on
+        /// every path touched so far.
+        #[test]
+        fn prop_matches_reference_storage(
+            seed in any::<u64>(),
+            levels in proptest::sample::select(vec![5u32, 13, 18]),
+            posmap in any::<bool>(),
+            ops in 1usize..80,
+        ) {
+            let geom = TreeGeometry::new(levels, 3, 32, 16);
+            let key = SymmetricKey::from_seed(seed);
+            let default_payload = if posmap {
+                DefaultPayload::PosmapPrf {
+                    prf: Prf::new(key, b"posmap"),
+                    entries_per_block: 8,
+                    child_leaf_count: 1 << 20,
+                }
+            } else {
+                DefaultPayload::Zeros
+            };
+            let fingerprint = Prf::new(key, b"fingerprint");
+            let mut flat = TreeOram::new(geom, default_payload.clone(), fingerprint);
+            let mut reference = RefTree::new(geom, default_payload, fingerprint);
+            let mut rng = SplitMix64::new(seed);
+            let cluster = rng.next_below(geom.leaf_count() / 8) * 8;
+            let draw_leaf = move |rng: &mut SplitMix64| match rng.next_below(2) {
+                0 => Leaf(cluster + rng.next_below(8)),
+                _ => Leaf(rng.next_below(geom.leaf_count())),
+            };
+            // Block id -> the leaf it is mapped to.
+            let mut leaves: HashMap<u64, Leaf> = HashMap::new();
+            let mut touched: Vec<Leaf> = Vec::new();
+            let mut pending: VecDeque<Leaf> = VecDeque::new();
+            for step in 0..ops {
+                let defer = rng.next_below(2) == 0;
+                let access = match rng.next_below(5) {
+                    0 => {
+                        if let Some(leaf) = pending.pop_front() {
+                            flat.evict_path(leaf);
+                            reference.evict_path(leaf);
+                        }
+                        None
+                    }
+                    1 => {
+                        let leaf = draw_leaf(&mut rng);
+                        flat.dummy_access(leaf, defer);
+                        reference.dummy_access(leaf, defer);
+                        Some(leaf)
+                    }
+                    op => {
+                        let id = rng.next_below(24);
+                        let new_leaf = draw_leaf(&mut rng);
+                        let leaf = match leaves.get(&id) {
+                            Some(&leaf) => leaf,
+                            None => draw_leaf(&mut rng),
+                        };
+                        let value = (op == 2).then_some(step as u8 ^ 0x5A);
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        flat.access(BlockId(id), leaf, new_leaf, defer, |p| {
+                            if let Some(v) = value {
+                                p.fill(v);
+                            }
+                            got = p.to_vec();
+                        });
+                        reference.access(BlockId(id), leaf, new_leaf, defer, |p| {
+                            if let Some(v) = value {
+                                p.fill(v);
+                            }
+                            want = p.clone();
+                        });
+                        prop_assert_eq!(&got, &want, "block {} at step {}", id, step);
+                        leaves.insert(id, new_leaf);
+                        Some(leaf)
+                    }
+                };
+                if let Some(leaf) = access {
+                    if !touched.contains(&leaf) {
+                        touched.push(leaf);
+                    }
+                    if defer {
+                        pending.push_back(leaf);
+                    }
+                }
+                while pending.len() > 4 {
+                    let oldest = pending.pop_front().expect("non-empty");
+                    flat.evict_path(oldest);
+                    reference.evict_path(oldest);
+                }
+                prop_assert_eq!(flat.stash_len(), reference.stash_len(), "step {}", step);
+                prop_assert_eq!(flat.stats(), reference.stats(), "step {}", step);
+                prop_assert_eq!(
+                    flat.check_invariant(),
+                    reference.check_invariant(),
+                    "step {}", step
+                );
+                for &path in &touched {
+                    for node in geom.path_nodes(path) {
+                        prop_assert_eq!(
+                            flat.bucket_fingerprint(node),
+                            reference.bucket_fingerprint(node),
+                            "node {} after step {}", node.0, step
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// [`evict_merged`] against the per-bucket procedure: fill the
+        /// path's buckets from the leaf upward, each with the first `z`
+        /// eligible records of an id-ordered scan. Each block is either
+        /// waiting in the stash or read off the path; the two sorted
+        /// halves must be placed, level by level and in the same order,
+        /// as that scan places their union, and keep the same rest.
+        #[test]
+        fn prop_merge_eviction_matches_per_bucket(
+            levels in 1u32..6,
+            z in 1usize..4,
+            path_leaf in any::<u64>(),
+            blocks in proptest::collection::vec((0u64..48, any::<u64>(), any::<bool>()), 0..32),
+        ) {
+            let geom = TreeGeometry::new(levels, z, 64, 16);
+            let path_leaf = Leaf(path_leaf % geom.leaf_count());
+            let (mut stash, mut path) = (BTreeMap::new(), BTreeMap::new());
+            for &(id, leaf, on_path) in &blocks {
+                if stash.contains_key(&id) || path.contains_key(&id) {
+                    continue;
+                }
+                let record = Record {
+                    id: BlockId(id),
+                    leaf: Leaf(leaf % geom.leaf_count()),
+                    cell: id as u32,
+                };
+                let side = if on_path { &mut path } else { &mut stash };
+                side.insert(id, record);
+            }
+            let mut rest: Vec<Record> = stash.values().chain(path.values()).copied().collect();
+            rest.sort_by_key(|r| r.id);
+            let n = levels as usize;
+            let mut want = vec![Vec::new(); n];
+            for level in (0..n).rev() {
+                rest.retain(|r| {
+                    let fits = want[level].len() < z
+                        && geom.paths_share_level(path_leaf, r.leaf, level as u32);
+                    if fits {
+                        want[level].push(r.id);
+                    }
+                    !fits
+                });
+            }
+            let stash: Vec<Record> = stash.into_values().collect();
+            let path: Vec<Record> = path.into_values().collect();
+            let (mut fill, mut slots, mut kept) = (vec![0; n], vec![Record::EMPTY; n * z], Vec::new());
+            evict_merged(
+                &stash,
+                &path,
+                z,
+                |block_leaf| geom.deepest_shared_level(path_leaf, block_leaf) as usize,
+                &mut fill,
+                &mut slots,
+                &mut kept,
+            );
+            for (level, want) in want.iter().enumerate() {
+                let placed: Vec<BlockId> =
+                    slots[level * z..][..fill[level]].iter().map(|r| r.id).collect();
+                prop_assert_eq!(&placed, want, "level {} placements diverged", level);
+            }
+            prop_assert_eq!(kept, rest, "kept records diverged");
         }
     }
 }

@@ -83,6 +83,8 @@ pub enum CodecError {
     BadKind(u8),
     /// A string field held invalid UTF-8.
     BadString,
+    /// A frame's fields decoded but describe no valid value.
+    BadFrame(&'static str),
     /// The footer index disagrees with the frames it points at.
     BadIndex(&'static str),
     /// A frame decoded without consuming its whole payload.
@@ -97,6 +99,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadVersion(v) => write!(f, "unsupported session format version {v}"),
             CodecError::BadKind(k) => write!(f, "unexpected frame kind {k}"),
             CodecError::BadString => write!(f, "invalid UTF-8 in session string"),
+            CodecError::BadFrame(what) => write!(f, "corrupt session frame: {what}"),
             CodecError::BadIndex(what) => write!(f, "corrupt session index: {what}"),
             CodecError::TrailingBytes => write!(f, "frame payload has trailing bytes"),
         }
@@ -377,7 +380,7 @@ pub(crate) fn decode_summary(payload: &[u8]) -> Result<SessionSummary, CodecErro
     let width = r.u64()?;
     let n = r.u32()? as usize;
     if width == 0 || n == 0 {
-        return Err(CodecError::BadIndex("summary histogram shape"));
+        return Err(CodecError::BadFrame("summary histogram shape"));
     }
     let mut counts = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
@@ -514,6 +517,35 @@ mod tests {
             service_hist: hist,
         };
         assert_eq!(decode_summary(&encode_summary(&s)).expect("decodes"), s);
+    }
+
+    #[test]
+    fn summary_with_an_empty_histogram_is_a_bad_frame() {
+        let s = SessionSummary {
+            rounds: 1,
+            clock: 64,
+            accesses: 1,
+            service_cycles: 100,
+            queueing_cycles: 0,
+            eviction_drains: 0,
+            service_hist: Histogram::new(78, 4),
+        };
+        let good = encode_summary(&s);
+        // Six u64 counters, then the width (u64) and bucket count (u32).
+        for (field, range) in [("width", 48..56), ("bucket count", 56..60)] {
+            let mut bad = good.clone();
+            bad[range].fill(0);
+            let err = decode_summary(&bad).expect_err(field);
+            assert_eq!(
+                err,
+                CodecError::BadFrame("summary histogram shape"),
+                "{field}"
+            );
+            assert_eq!(
+                err.to_string(),
+                "corrupt session frame: summary histogram shape"
+            );
+        }
     }
 
     #[test]

@@ -24,10 +24,13 @@ pub struct AccessOutcome {
 /// The ways live set-major in three flat arrays — way `w` of set `s` is
 /// index `s * ways + w` of each — so a cache is three zeroed allocations
 /// whatever its size. The set count is a power of two: a line's set is
-/// its low bits, its tag the rest.
+/// its low bits, its tag the rest. So is the line size: a byte address's
+/// line is a shift away.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)`: a byte address's line is `addr >> line_shift`.
+    line_shift: u32,
     /// `sets - 1`: a line's set is `line_addr & set_mask`.
     set_mask: u64,
     /// `log2(sets)`: a line's tag is `line_addr >> set_bits`.
@@ -48,8 +51,13 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the configuration yields zero sets or ways, or a set
-    /// count that is not a power of two.
+    /// count or line size that is not a power of two.
     pub fn new(config: CacheConfig) -> Self {
+        assert!(
+            config.line_bytes.is_power_of_two(),
+            "cache line size {} is not a power of two",
+            config.line_bytes
+        );
         let sets = config.sets();
         assert!(sets > 0 && config.ways > 0, "degenerate cache geometry");
         assert!(
@@ -59,6 +67,7 @@ impl Cache {
         let n = sets * config.ways;
         Self {
             config,
+            line_shift: config.line_bytes.trailing_zeros(),
             set_mask: sets as u64 - 1,
             set_bits: sets.trailing_zeros(),
             tags: vec![0; n],
@@ -73,6 +82,12 @@ impl Cache {
     /// The cache's configuration.
     pub fn config(&self) -> &CacheConfig {
         &self.config
+    }
+
+    /// The line holding byte address `addr` (`addr / line_bytes`).
+    #[inline]
+    pub(crate) fn line_of(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
     }
 
     /// The indices of `line_addr`'s set's ways, and its tag.
@@ -94,6 +109,7 @@ impl Cache {
     /// Looks up `line_addr` (a *line* address, i.e. byte address / line
     /// size). On a miss, fills the line, evicting the LRU way. Marks the
     /// line dirty when `write` is set.
+    #[inline]
     pub fn access(&mut self, line_addr: u64, write: bool) -> AccessOutcome {
         self.tick += 1;
         let (set, tag) = self.locate(line_addr);
@@ -434,5 +450,25 @@ mod tests {
     #[should_panic(expected = "not a power of two")]
     fn non_power_of_two_set_count_panics() {
         tiny(1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "line size 48 is not a power of two")]
+    fn non_power_of_two_line_size_panics() {
+        Cache::new(CacheConfig {
+            capacity_bytes: 48 * 4,
+            ways: 1,
+            line_bytes: 48,
+            hit_latency: 1,
+            miss_extra: 0,
+        });
+    }
+
+    #[test]
+    fn line_of_divides_by_the_line_size() {
+        let c = tiny(2, 8);
+        for addr in [0u64, 63, 64, 0x1000, 0x1234_5678, u64::MAX] {
+            assert_eq!(c.line_of(addr), addr / 64);
+        }
     }
 }

@@ -329,14 +329,14 @@ impl SteppedSim {
     /// Creates a core whose caches start from `warm` (see
     /// [`Simulator::warm_caches`]).
     pub fn warmed(config: SimConfig, warm: WarmState) -> Self {
-        let line = config.l1i.line_bytes;
+        let fetch_line = warm.l1i.line_of(0x1000);
         Self {
             config,
             caches: warm,
             wb: WriteBuffer::new(config.write_buffer_entries),
             now: 0,
             pc: 0x1000,
-            current_fetch_line: 0x1000 / line,
+            current_fetch_line: fetch_line,
             drain_port_free: 0,
             stats: SimStats::default(),
             next_window: config.window_instructions.unwrap_or(u64::MAX),
@@ -498,7 +498,7 @@ impl SteppedSim {
         // One fetch-buffer read per 256-bit (32 B) group → every 8
         // instructions on average; modeled per line crossing for
         // simplicity (2 groups per 64 B line).
-        let line = self.pc / self.config.l1i.line_bytes;
+        let line = self.caches.l1i.line_of(self.pc);
         if line != self.current_fetch_line {
             self.current_fetch_line = line;
             self.stats.components.fetch_buffer_reads += 2;
@@ -572,7 +572,7 @@ impl SteppedSim {
     fn execute_load(&mut self, instr: Instr, addr: u64) {
         self.stats.loads += 1;
         self.wb.retire_completed(self.now);
-        let line = addr / self.config.l1d.line_bytes;
+        let line = self.caches.l1d.line_of(addr);
         let start = self.now;
         let outcome = self.caches.l1d.access(line, false);
         if outcome.hit {
@@ -614,7 +614,7 @@ impl SteppedSim {
             issue = free_at;
             self.wb.retire_completed(free_at);
         }
-        let line = addr / self.config.l1d.line_bytes;
+        let line = self.caches.l1d.line_of(addr);
         // The drain uses the cache port once the previous drain finished.
         let drain_start = issue.max(self.drain_port_free);
         let outcome = self.caches.l1d.access(line, true);

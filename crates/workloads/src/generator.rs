@@ -8,7 +8,7 @@
 //! footprint (which drives the L1 I model).
 
 use crate::addr::{AddressPattern, AddressSampler};
-use crate::mix::{InstructionMix, SampledClass};
+use crate::mix::{ClassTable, InstructionMix, SampledClass};
 use otc_crypto::SplitMix64;
 use otc_sim::instr::{Instr, InstructionStream};
 
@@ -89,6 +89,7 @@ impl WorkloadSpec {
         SyntheticWorkload {
             spec: self.clone(),
             boundaries,
+            classes: self.phases.iter().map(|p| p.mix.table()).collect(),
             samplers,
             rng: SplitMix64::new(self.seed),
             issued: 0,
@@ -104,6 +105,8 @@ pub struct SyntheticWorkload {
     spec: WorkloadSpec,
     /// Instruction index at which each phase ends.
     boundaries: Vec<u64>,
+    /// Each phase's instruction-class table, built once.
+    classes: Vec<ClassTable>,
     samplers: Vec<AddressSampler>,
     rng: SplitMix64,
     issued: u64,
@@ -153,8 +156,7 @@ impl InstructionStream for SyntheticWorkload {
             return Instr::Branch { taken, target };
         }
 
-        let mix = self.spec.phases[self.phase].mix;
-        match mix.sample(&mut self.rng) {
+        match self.classes[self.phase].sample(&mut self.rng) {
             SampledClass::IntAlu => Instr::IntAlu,
             SampledClass::IntMul => Instr::IntMul,
             SampledClass::IntDiv => Instr::IntDiv,

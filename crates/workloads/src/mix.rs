@@ -52,6 +52,45 @@ pub enum SampledClass {
     Store,
 }
 
+/// The classes in sampling order.
+const CLASSES: [SampledClass; 8] = [
+    SampledClass::IntAlu,
+    SampledClass::IntMul,
+    SampledClass::IntDiv,
+    SampledClass::FpAlu,
+    SampledClass::FpMul,
+    SampledClass::FpDiv,
+    SampledClass::Load,
+    SampledClass::Store,
+];
+
+/// A mix's classes with their cumulative weights. Sampling draws
+/// `next_below(total)` and takes the first class whose cumulative weight
+/// exceeds the draw, which is the class a walk subtracting each weight
+/// in turn reaches: the same draw picks the same class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClassTable {
+    /// `bounds[i]` is the sum of the weights of classes `0..=i`; the
+    /// last is the mix's total.
+    bounds: [u32; CLASSES.len()],
+}
+
+impl ClassTable {
+    /// Samples one class.
+    #[inline]
+    pub(crate) fn sample(&self, rng: &mut SplitMix64) -> SampledClass {
+        let total = self.bounds[CLASSES.len() - 1];
+        self.class_of(rng.next_below(u64::from(total)) as u32)
+    }
+
+    /// The class of draw `x`, which is below the total.
+    #[inline]
+    fn class_of(&self, x: u32) -> SampledClass {
+        let class = self.bounds.iter().position(|&bound| x < bound);
+        CLASSES[class.expect("draw below the total")]
+    }
+}
+
 impl InstructionMix {
     /// An integer-heavy mix typical of control-flow-bound SPEC-int code.
     pub fn int_heavy() -> Self {
@@ -115,24 +154,34 @@ impl InstructionMix {
 
     /// Samples one class.
     pub fn sample(&self, rng: &mut SplitMix64) -> SampledClass {
-        let mut x = rng.next_below(self.total() as u64) as u32;
-        let classes = [
-            (self.int_alu, SampledClass::IntAlu),
-            (self.int_mul, SampledClass::IntMul),
-            (self.int_div, SampledClass::IntDiv),
-            (self.fp_alu, SampledClass::FpAlu),
-            (self.fp_mul, SampledClass::FpMul),
-            (self.fp_div, SampledClass::FpDiv),
-            (self.load, SampledClass::Load),
-            (self.store, SampledClass::Store),
+        self.table().sample(rng)
+    }
+
+    /// The mix's class table. A generator builds one per phase, once,
+    /// and samples it on every instruction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if all weights are zero.
+    pub(crate) fn table(&self) -> ClassTable {
+        let weights = [
+            self.int_alu,
+            self.int_mul,
+            self.int_div,
+            self.fp_alu,
+            self.fp_mul,
+            self.fp_div,
+            self.load,
+            self.store,
         ];
-        for (w, c) in classes {
-            if x < w {
-                return c;
-            }
-            x -= w;
+        let mut bounds = [0; CLASSES.len()];
+        let mut sum = 0;
+        for (bound, weight) in bounds.iter_mut().zip(weights) {
+            sum += weight;
+            *bound = sum;
         }
-        unreachable!("sample within total")
+        assert!(sum > 0, "mix must have at least one non-zero weight");
+        ClassTable { bounds }
     }
 
     /// Fraction of sampled instructions that touch memory.
@@ -179,6 +228,52 @@ mod tests {
                 c,
                 SampledClass::FpAlu | SampledClass::FpMul | SampledClass::FpDiv
             ));
+        }
+    }
+
+    #[test]
+    fn table_picks_the_class_the_weight_walk_picks() {
+        // The walk the table replaced: subtract each weight in turn
+        // until the draw falls inside one.
+        fn walk(mix: &InstructionMix, mut x: u32) -> SampledClass {
+            let weights = [
+                mix.int_alu,
+                mix.int_mul,
+                mix.int_div,
+                mix.fp_alu,
+                mix.fp_mul,
+                mix.fp_div,
+                mix.load,
+                mix.store,
+            ];
+            for (w, c) in weights.into_iter().zip(CLASSES) {
+                if x < w {
+                    return c;
+                }
+                x -= w;
+            }
+            unreachable!("draw within total")
+        }
+        let sparse = InstructionMix {
+            int_alu: 0,
+            int_mul: 3,
+            int_div: 0,
+            fp_alu: 0,
+            fp_mul: 1,
+            fp_div: 0,
+            load: 0,
+            store: 2,
+        };
+        for mix in [
+            InstructionMix::int_heavy(),
+            InstructionMix::memory_heavy(),
+            InstructionMix::fp_compute(),
+            sparse,
+        ] {
+            let table = mix.table();
+            for x in 0..mix.total() {
+                assert_eq!(table.class_of(x), walk(&mix, x), "{mix:?} draw {x}");
+            }
         }
     }
 
