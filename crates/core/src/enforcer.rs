@@ -35,6 +35,7 @@
 use crate::epoch::EpochSchedule;
 use crate::learner::{DividerImpl, PerfCounters, RatePredictor};
 use crate::rate::RateSet;
+use crate::session::LeakageParams;
 use otc_dram::{Cycle, DdrConfig};
 use otc_oram::{OramConfig, OramTiming, RecursivePathOram};
 use otc_sim::{AccessKind, BackendEnergyProfile, MemoryBackend};
@@ -130,6 +131,24 @@ impl RatePolicy {
                 initial_rate,
                 ..
             } => rates.slowest().max(*initial_rate),
+        }
+    }
+
+    /// The leakage parameters this policy implies, the ones admission
+    /// authorizes: a static scheme is one rate (0 bits over the ORAM
+    /// timing channel), a dynamic one leaks up to `|E|·lg|R|`.
+    pub fn leakage_params(&self) -> LeakageParams {
+        match self {
+            RatePolicy::Static { .. } => LeakageParams {
+                rate_count: 1,
+                schedule: EpochSchedule::scaled(4),
+            },
+            RatePolicy::Dynamic {
+                rates, schedule, ..
+            } => LeakageParams {
+                rate_count: rates.len(),
+                schedule: *schedule,
+            },
         }
     }
 

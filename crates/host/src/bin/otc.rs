@@ -1,13 +1,12 @@
 //! `otc` — drive the multi-tenant ORAM appliance from the command line.
 //!
 //! ```text
-//! otc run     [opts]   drive a workload mix through the full stack;
-//!                      --scenario FILE runs a declarative scenario
+//! otc run     [opts]   serve one scenario through the full stack: the
+//!                      fleet the flags spell, or --scenario FILE
 //!                      (typed tenants, traffic models, adversary
-//!                      seats, churn events) instead of the flag soup
+//!                      seats, churn events); --churn-script adds
+//!                      online admit/evict/resize events to a flag run
 //! otc tenants [opts]   K-tenant saturation sweep (throughput/waste per K)
-//! otc churn   [opts]   drive a fleet through a churn script (admit/evict/
-//!                      resize online) and report the outcome
 //! otc bench   [opts]   one wall-clock sweep, --spine or --wallclock
 //!                      (below), printed as its JSON record
 //! otc report  [opts]   render a recorded perf session: stage-occupancy
@@ -76,9 +75,9 @@
 //!                    tenant (otc run only; used by the CI determinism
 //!                    diff — ignored with a warning elsewhere)
 //! --churn-script S   online churn events applied at round boundaries
-//!                    while the fleet serves (otc run, otc churn and
-//!                    otc tenants; ignored with a warning elsewhere and
-//!                    with --scenario, whose @-lines are its events)
+//!                    while the fleet serves (otc run and otc tenants;
+//!                    ignored with a warning elsewhere and with
+//!                    --scenario, whose @-lines are its events)
 //! --scenario FILE    otc run only: load a declarative scenario file —
 //!                    host line, tenant roster (per-tenant traffic
 //!                    models and adversary seats), churn events — and
@@ -89,8 +88,8 @@
 //!                    of one file)
 //! --perf-session F   record a structured perf session (per-round
 //!                    samples + summary, framed binary format) to F
-//!                    (otc run/tenants/churn; tenants keeps the
-//!                    largest fleet's session)
+//!                    (otc run/tenants; tenants keeps the largest
+//!                    fleet's session, and exits 1 if none served)
 //! --session F        otc report only: the session file to render
 //! --jsonl            otc report only: emit the JSONL export instead of
 //!                    the timeline report
@@ -104,14 +103,16 @@
 //! scenario `host` keys under other names (`--shards`, `--oram`,
 //! `--pipeline`, `--capacity`, `--shard-mix`, `--limit`, `--seed`,
 //! `--accesses` = `slots`) and parse through the same keyword tables;
-//! `run`, `churn`, `tenants` (once per K) and the `bench` sweeps compile
-//! them to an in-memory [`ScenarioSpec`] whose seats `t0..` cycle the
-//! benchmark list on `--scheme`, and hand it to the one driver:
-//! [`ScenarioSpec::admit_roster`], then [`ScenarioSpec::serve`]. This
-//! binary only prints — headers, event lines, the report, traces and
-//! adversary estimates. A run stops when every event has fired and
-//! every active tenant has served its slots; a run the driver's bound
-//! cuts short says so in a `NOTE:` line.
+//! `run` without `--scenario`, `tenants` (once per K) and the `bench`
+//! sweeps compile them to an in-memory [`ScenarioSpec`] whose seats
+//! `t0..` cycle the benchmark list on `--scheme`, and hand it to the one
+//! driver: [`ScenarioSpec::admit_roster`], then [`ScenarioSpec::serve`].
+//! This binary only prints, and `otc run` prints a flag-built scenario
+//! exactly as it prints a file: a header, one `admitted` line per seat,
+//! the event lines, the report, traces and adversary estimates. A run
+//! stops when every event has fired and every active tenant has served
+//! its slots; a run the driver's bound cuts short says so in a `NOTE:`
+//! line.
 //!
 //! # Churn scripts
 //!
@@ -124,12 +125,12 @@
 //! @<round> shards <n>                        resize the backend pool
 //! ```
 //!
-//! Example: `--churn-script '@8 admit mcf dynamic_R4_E4; @16 evict 0;
-//! @24 shards 8'`. Events apply at the *start* of their round — a public
-//! time boundary — and rejected events (saturation, unknown ids) are
-//! reported and skipped deterministically, so seeded re-runs emit
-//! byte-identical output (the CI churn-determinism job diffs exactly
-//! that). The flag parses through the scenario event parser
+//! Example: `otc run --churn-script '@8 admit mcf dynamic_R4_E4; @16
+//! evict 0; @24 shards 8'`. Events apply at the *start* of their round —
+//! a public time boundary — and rejected events (saturation, unknown
+//! ids) are reported and skipped deterministically, so seeded re-runs
+//! emit byte-identical output (the CI churn-determinism job diffs
+//! exactly that). The flag parses through the scenario event parser
 //! (`otc_host::parse_churn_script`) — same grammar, same diagnostics as
 //! `@`-lines in a scenario file.
 //!
@@ -146,8 +147,18 @@
 //! tenants: they saturate their own slot grid, observe only their own
 //! queueing, and the run ends with each adversary's rate/phase estimate
 //! of the victims, printed deterministically.
+//!
+//! # Wall-clock sweeps
+//!
+//! `otc bench --spine` and `--wallclock` share one measurement loop and
+//! one record printer. Each run builds a fresh host and times only the
+//! serve; every run of a fleet size, across repetitions and executors,
+//! must reach the same seeded digest (exit 1 otherwise), and the
+//! fastest run is the one recorded.
 
-use otc_core::{EpochSchedule, LeakageModel, RatePolicy};
+use std::time::Instant;
+
+use otc_core::LeakageModel;
 use otc_dram::DdrConfig;
 use otc_host::{
     parse_bench, parse_churn_script, parse_scenario, parse_scheme, render, EventOutcome, HostError,
@@ -169,15 +180,14 @@ fn usage() -> ! {
         "otc — multi-tenant ORAM serving appliance (HPCA'14 reproduction)\n\
          \n\
          subcommands:\n\
-         \x20 otc run      drive a workload mix through the full stack\n\
+         \x20 otc run      serve a workload mix (the flags, or --scenario FILE)\n\
          \x20 otc tenants  K-tenant saturation sweep with per-tenant throughput/waste\n\
-         \x20 otc churn    drive a fleet through an online churn script\n\
          \x20 otc bench    wall-clock sweep as a JSON record (--spine | --wallclock)\n\
          \x20 otc report   render a recorded perf session (--session FILE [--jsonl])\n\
          \x20 otc leakage  leakage budget report\n\
          \n\
-         run, churn, tenants and bench compile their flags to one scenario and\n\
-         serve it with one driver; every tenant without its own budget gets\n\
+         run, tenants and bench compile their flags to one scenario and serve\n\
+         it with one driver; every tenant without its own budget gets\n\
          --instructions, else 50 per slot of the slot target.\n\
          \n\
          options: --tenants N --accesses N --shards N --scheme S --oram small|paper\n\
@@ -187,7 +197,7 @@ fn usage() -> ! {
          \x20        --capacity olat|cadence --spine --wallclock --gate X (finite, >= 0)\n\
          \x20        --perf-session FILE --session FILE --jsonl --width N\n\
          \x20        --churn-script '@R admit <bench> <scheme> [closed]; @R evict <id>;\n\
-         \x20                        @R shards <n>; ...' (otc run, churn, tenants)\n\
+         \x20                        @R shards <n>; ...' (otc run, tenants)\n\
          \x20        --scenario FILE (otc run: drive a declarative scenario file)\n\
          schemes: static_<1..=2^32> | dynamic_R<2..=32513>_E<power of two ≥ 2>\n"
     );
@@ -384,28 +394,12 @@ fn build_host(spec: &ScenarioSpec, o: &Opts, who: &str) -> MultiTenantHost {
     })
 }
 
-/// [`build_host`] with the whole roster admitted; a refused seat ends
-/// the run (exit 1).
-fn fleet(spec: &ScenarioSpec, o: &Opts, who: &str) -> MultiTenantHost {
-    let mut host = build_host(spec, o, who);
-    if let Err((_, e)) = spec.admit_roster(&mut host, instructions(o, spec)) {
-        eprintln!("{who}: {e}");
-        std::process::exit(1);
-    }
-    host
-}
-
 /// Serves `spec` on `host` to the driver's stop rule, printing one line
 /// per fired event (the CI churn-determinism job diffs them), and a
 /// `NOTE:` when the bound cut the run short, so a truncated report
 /// can't pass for a completed one (on stderr when `stdout_is_record`,
 /// as under `otc bench`, whose stdout is the JSON record).
-fn serve(
-    o: &Opts,
-    spec: &ScenarioSpec,
-    host: &mut MultiTenantHost,
-    stdout_is_record: bool,
-) -> HostReport {
+fn serve(o: &Opts, spec: &ScenarioSpec, host: &mut MultiTenantHost, stdout_is_record: bool) {
     let end = spec.serve(host, instructions(o, spec), |ev, clock, outcome| {
         println!(
             "@{} clock {clock}: {}",
@@ -434,7 +428,6 @@ fn serve(
             println!("{note}");
         }
     }
-    host.report()
 }
 
 /// A fired event's outcome as its event line prints it.
@@ -472,57 +465,6 @@ fn loop_label(closed: bool) -> &'static str {
     }
 }
 
-/// Serves a built fleet, recording a perf session labelled `label` when
-/// `--perf-session` asks for one, then prints the report and the traces
-/// `--trace` asks for.
-fn serve_and_report(
-    o: &Opts,
-    spec: &ScenarioSpec,
-    host: &mut MultiTenantHost,
-    label: &str,
-) -> HostReport {
-    if o.perf_session.is_some() {
-        host.record_perf_session(label);
-    }
-    let report = serve(o, spec, host, false);
-    if let Some(path) = &o.perf_session {
-        let session = host.take_perf_session().expect("recording was enabled");
-        write_session(path, &session);
-    }
-    print!("{}", render(&report));
-    if o.trace > 0 {
-        print_traces(host, &report, o.trace);
-    }
-    report
-}
-
-fn cmd_churn(o: &Opts) {
-    require_tenants(o);
-    let Some(script) = &o.churn_script else {
-        eprintln!("otc churn needs --churn-script (see --help for the grammar)");
-        std::process::exit(2);
-    };
-    let spec = flag_spec(o, o.tenants);
-    let mut host = fleet(&spec, o, "otc churn");
-    println!(
-        "otc churn: {} initial tenants, {} shards, scheme {}, {} slots/tenant, {} loop, {} events",
-        o.tenants,
-        o.host.shards,
-        o.scheme,
-        o.host.slots,
-        loop_label(o.closed_loop),
-        script.len()
-    );
-    let label = format!(
-        "churn tenants={} scheme={} accesses={} events={}",
-        o.tenants,
-        o.scheme,
-        o.host.slots,
-        script.len()
-    );
-    serve_and_report(o, &spec, &mut host, &label);
-}
-
 /// Writes a recorded perf session to `path` in the framed binary
 /// format (`otc report --session <path>` reads it back). The notice
 /// goes to stderr so stdout stays byte-stable for the CI determinism
@@ -545,34 +487,48 @@ fn require_tenants(o: &Opts) {
     }
 }
 
-/// `otc run --scenario FILE`: parse the scenario, admit its roster
-/// (printing each seat), serve it while firing its churn events, and
-/// report — ending with each adversary's rate/phase estimate of the
-/// victim fleet. Everything on stdout is deterministic, so the CI
-/// scenario-smoke job can diff a doubled run and a serial-vs-threaded
-/// pair byte for byte.
-fn cmd_run_scenario(o: &Opts, path: &str) {
-    let who = format!("otc run: {path}");
+/// Reads and parses `otc run --scenario FILE`: an unreadable file is a
+/// runtime error (exit 1), a malformed or empty one a usage error
+/// (exit 2). `--threads` overrides the file's `threads=`, so CI can pit
+/// serial against threaded runs of one scenario file.
+fn load_scenario(o: &Opts, path: &str) -> ScenarioSpec {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("otc run: cannot read scenario {path}: {e}");
         std::process::exit(1);
     });
     let mut spec = parse_scenario(&text).unwrap_or_else(|e| {
-        eprintln!("{who}: {e}");
+        eprintln!("otc run: {path}: {e}");
         std::process::exit(2);
     });
     if spec.tenants.is_empty() {
-        eprintln!("{who}: scenario has no tenants");
+        eprintln!("otc run: {path}: scenario has no tenants");
         std::process::exit(2);
     }
-    // --threads on the command line overrides the file's `threads=`, so
-    // CI can pit serial against threaded runs of one scenario file.
     if let Some(n) = o.threads {
         spec.host.threads = n;
     }
+    spec
+}
+
+/// `otc run`: serves one scenario, the `--scenario` file's or the one
+/// the flags spell, and prints it: a header naming the source, one
+/// line per seat admitted, one per fired event, the report (recording
+/// a perf session on the way when `--perf-session` asks), the traces
+/// `--trace` asks for, and each adversary seat's rate/phase estimate of
+/// the victims. Everything on stdout is deterministic, so CI diffs a
+/// doubled run and a serial-vs-threaded pair byte for byte.
+fn cmd_run(o: &Opts) {
+    let (spec, source) = match &o.scenario {
+        Some(path) => (load_scenario(o, path), format!("scenario {path}")),
+        None => {
+            require_tenants(o);
+            (flag_spec(o, o.tenants), "flags".into())
+        }
+    };
+    let who = format!("otc run: {source}");
     let mut host = build_host(&spec, o, &who);
     println!(
-        "otc run: scenario {path}: {} tenants, {} shards, {} slots/tenant, {} events",
+        "otc run: {source}: {} tenants, {} shards, {} slots/tenant, {} events",
         spec.tenants.len(),
         spec.host.shards,
         spec.host.slots,
@@ -597,35 +553,42 @@ fn cmd_run_scenario(o: &Opts, path: &str) {
         eprintln!("{who}: admitting {}: {e}", spec.tenants[seat].name);
         std::process::exit(1);
     }
-    let label = format!(
-        "scenario tenants={} slots={} events={}",
-        spec.tenants.len(),
-        spec.host.slots,
-        spec.events.len()
-    );
-    let report = serve_and_report(o, &spec, &mut host, &label);
+    if o.perf_session.is_some() {
+        host.record_perf_session(&format!(
+            "scenario tenants={} slots={} events={}",
+            spec.tenants.len(),
+            spec.host.slots,
+            spec.events.len()
+        ));
+    }
+    serve(o, &spec, &mut host, false);
+    if let Some(path) = &o.perf_session {
+        let session = host.take_perf_session().expect("recording was enabled");
+        write_session(path, &session);
+    }
+    let report = host.report();
+    print!("{}", render(&report));
+    if o.trace > 0 {
+        print_traces(&host, &report, o.trace);
+    }
     let candidates = spec.victim_rates();
     for t in &report.tenants {
         let Some(kind) = host.adversary_kind(t.id) else {
             continue;
         };
         let observed = host.adversary_observations(t.id).len();
-        match host.adversary_estimate(t.id, &candidates) {
-            Some(est) => println!(
-                "adversary {} ({}): {observed} observed slots -> victim rate estimate {} \
-                 (phase bin {}, score {:.3})",
-                t.name,
-                kind.label(),
-                est.rate,
-                est.phase,
-                est.score
+        let reading = match host.adversary_estimate(t.id, &candidates) {
+            Some(est) => format!(
+                "victim rate estimate {} (phase bin {}, score {:.3})",
+                est.rate, est.phase, est.score
             ),
-            None => println!(
-                "adversary {} ({}): {observed} observed slots -> no estimate",
-                t.name,
-                kind.label()
-            ),
-        }
+            None => "no estimate".into(),
+        };
+        println!(
+            "adversary {} ({}): {observed} observed slots -> {reading}",
+            t.name,
+            kind.label()
+        );
     }
 }
 
@@ -642,28 +605,6 @@ fn print_traces(host: &MultiTenantHost, report: &HostReport, n: usize) {
             .collect();
         println!("{}: {}", t.name, slots.join(" "));
     }
-}
-
-fn cmd_run(o: &Opts) {
-    if let Some(path) = o.scenario.as_deref() {
-        return cmd_run_scenario(o, path);
-    }
-    require_tenants(o);
-    let spec = flag_spec(o, o.tenants);
-    let mut host = fleet(&spec, o, "otc run");
-    println!(
-        "otc run: {} tenants, {} shards, scheme {}, {} slots/tenant, {} loop",
-        o.tenants,
-        o.host.shards,
-        o.scheme,
-        o.host.slots,
-        loop_label(o.closed_loop)
-    );
-    let label = format!(
-        "run tenants={} scheme={} accesses={}",
-        o.tenants, o.scheme, o.host.slots
-    );
-    serve_and_report(o, &spec, &mut host, &label);
 }
 
 fn cmd_tenants(o: &Opts) {
@@ -730,7 +671,8 @@ fn cmd_tenants(o: &Opts) {
         if events > 0 {
             println!("-- K={k} churn log --");
         }
-        let report = serve(o, &spec, &mut host, false);
+        serve(o, &spec, &mut host, false);
+        let report = host.report();
         if o.perf_session.is_some() {
             last_session = host.take_perf_session();
         }
@@ -769,9 +711,123 @@ fn cmd_tenants(o: &Opts) {
         println!("\nfinal fleet detail:");
         print!("{}", render(&report));
     }
-    if let (Some(path), Some(session)) = (&o.perf_session, &last_session) {
+    if let Some(path) = &o.perf_session {
+        let Some(session) = &last_session else {
+            // K=1 saturated, so no fleet served and nothing was sampled:
+            // a missing file must not pass for a written one.
+            eprintln!("otc: failed to write perf session {path}: K=1 saturated, no fleet served");
+            std::process::exit(1);
+        };
         write_session(path, session);
     }
+}
+
+/// A timed run's seeded outcome, field by field in record order. Every
+/// run of one fleet size, across repetitions and executors, must reach
+/// the same digest: a time bought by divergence measures nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Digest([(&'static str, u64); 6]);
+
+impl Digest {
+    fn of(report: &HostReport) -> Self {
+        let spent_bits_milli = (report.fleet_spent_bits * 1000.0).round() as u64;
+        Self([
+            ("slots", report.tenants.iter().map(|t| t.slots_served).sum()),
+            ("real", report.tenants.iter().map(|t| t.real_served).sum()),
+            ("clock", report.horizon),
+            ("queueing_cycles", report.shard_queueing_cycles),
+            ("p99_service_cycles", report.p99_service_cycles),
+            ("spent_bits_milli", spent_bits_milli),
+        ])
+    }
+
+    fn slots(&self) -> u64 {
+        self.0[0].1
+    }
+
+    /// The record's `digest` object; the spine record predates the two
+    /// service-time fields and leaves them out.
+    fn json(&self, service_times: bool) -> String {
+        let fields: Vec<String> = self
+            .0
+            .iter()
+            .filter(|(k, _)| {
+                service_times || !matches!(*k, "queueing_cycles" | "p99_service_cycles")
+            })
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+}
+
+/// The one measurement loop of `otc bench`: serves each of `specs` (one
+/// fleet of `k` tenants under different executors) `reps` times, each
+/// run on a fresh host with only `serve` timed. Exits 1 when a run's
+/// digest differs from the first run's; returns that digest and each
+/// spec's fastest time in ms. Shared-host noise only ever adds time, so
+/// the fastest of several runs converges on the code's real cost.
+fn measure(
+    o: &Opts,
+    k: usize,
+    specs: &[ScenarioSpec],
+    reps: usize,
+    serve: impl Fn(&ScenarioSpec, &mut MultiTenantHost),
+) -> (Digest, Vec<f64>) {
+    let who = format!("otc bench: K={k}");
+    let mut first = None;
+    let mut fastest = vec![f64::INFINITY; specs.len()];
+    for (spec, best) in specs.iter().zip(&mut fastest) {
+        for _ in 0..reps {
+            let mut host = build_host(spec, o, &who);
+            if let Err((_, e)) = spec.admit_roster(&mut host, instructions(o, spec)) {
+                eprintln!("{who}: {e}");
+                std::process::exit(1);
+            }
+            let start = Instant::now();
+            serve(spec, &mut host);
+            *best = best.min(start.elapsed().as_secs_f64() * 1e3);
+            let digest = Digest::of(&host.report());
+            let want = *first.get_or_insert(digest);
+            if digest != want {
+                eprintln!(
+                    "{who}: threads={} diverged from the first run — the seeded sweep \
+                     must be deterministic:\n  first {want:?}\n  this  {digest:?}",
+                    spec.host.threads
+                );
+                std::process::exit(1);
+            }
+        }
+    }
+    (first.expect("a sweep point runs at least once"), fastest)
+}
+
+/// The body of a JSON object: one `"key": value` line per field at
+/// `indent`, the values already formatted.
+fn json_lines(indent: &str, fields: &[(&str, String)]) -> String {
+    let lines: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("{indent}\"{k}\": {v}"))
+        .collect();
+    lines.join(",\n")
+}
+
+/// A record's `sweep` array: one object per fleet size.
+fn json_rows(rows: &[Vec<(&str, String)>]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|row| format!("    {{\n{}\n    }}", json_lines("      ", row)))
+        .collect();
+    format!("[\n{}\n  ]", rows.join(",\n"))
+}
+
+/// Prints a sweep's JSON record, one top-level field per line.
+fn print_record(fields: &[(&str, String)]) {
+    println!("{{\n{}\n}}", json_lines("  ", fields));
+}
+
+/// `value` to `decimals` places, or `null` when absent.
+fn json_opt(value: Option<f64>, decimals: usize) -> String {
+    value.map_or("null".into(), |v| format!("{v:.decimals$}"))
 }
 
 /// `otc bench --spine`: the single-threaded serving-spine sweep behind
@@ -779,17 +835,17 @@ fn cmd_tenants(o: &Opts) {
 /// rates cycle a fixed spread of OLAT multiples so the config scales
 /// with the geometry — serves exactly `SPINE_ROUNDS` scheduling
 /// rounds on the serial spine (`ParallelKind::Serial`, calendar
-/// scheduler) at each K in `SPINE_KS`, and the real elapsed time of
-/// the round loop is measured. Unlike `--wallclock` (which degrades to
-/// a no-regression check on the single-core CI host, where a threading
-/// speedup is physically unavailable), rounds/sec of the serial spine
-/// is a real single-core figure: `--gate PCT` holds the measured
-/// rounds/sec at K=1024 at least PCT% above
-/// `SPINE_BASELINE_K1024_ROUNDS_PER_SEC`, the pre-optimization
+/// scheduler) at each K in `SPINE_KS`, timed by [`measure`]. Unlike
+/// `--wallclock` (which degrades to a no-regression check on a
+/// single-core host, where a threading speedup is physically
+/// unavailable), rounds/sec of the serial spine is a real single-core
+/// figure: `--gate PCT` holds the measured rounds/sec at K=1024 at
+/// least PCT% above `SPINE_BASELINE_RPS`, the pre-optimization
 /// baseline recorded with this same harness. All simulated fields
 /// (slots, clock, ledger bits) are bit-deterministic — the CI diff
-/// filters only the timing-derived lines.
-fn cmd_bench_spine(o: &Opts) {
+/// filters only the timing-derived lines. Returns whether the gate
+/// passed, with the measurement it judged.
+fn bench_spine(o: &Opts) -> Option<(bool, String)> {
     /// Fleet sizes swept; the gate holds at the largest.
     const SPINE_KS: [usize; 3] = [64, 256, 1024];
     /// Scheduling rounds served (and timed) per fleet size.
@@ -808,12 +864,10 @@ fn cmd_bench_spine(o: &Opts) {
     /// policy) interleaved with post-optimization runs so both sides
     /// saw the same machine conditions. The `--gate` floor is relative
     /// to this figure.
-    const SPINE_BASELINE_K1024_ROUNDS_PER_SEC: f64 = 40.2;
-    /// Repetitions per fleet size, each on a fresh host; the reported
-    /// time is the minimum. Shared-container noise only ever *adds*
-    /// time, so min-of-reps converges on the code's real cost while a
-    /// single sample can be off by 2x either way. The digest must be
-    /// identical across reps — a free determinism check on every run.
+    const SPINE_BASELINE_RPS: f64 = 40.2;
+    /// Repetitions per fleet size, each on a fresh host; the fastest is
+    /// recorded, and the digest must be identical across reps — a free
+    /// determinism check on every run.
     const SPINE_REPS: usize = 3;
     let mut opts = o.clone();
     opts.host.shards = SPINE_SHARDS;
@@ -825,7 +879,6 @@ fn cmd_bench_spine(o: &Opts) {
     // the spine) stays a bounded prefix of the run.
     opts.instructions = Some(o.instructions.unwrap_or(20_000));
     let olat = OramTiming::derive(&opts.host.oram.config(), &DdrConfig::default()).latency;
-    let quantum = opts.host.quantum;
     let mut roster = flag_spec(&opts, SPINE_KS[SPINE_KS.len() - 1]);
     for (i, t) in roster.tenants.iter_mut().enumerate() {
         t.scheme = format!(
@@ -833,133 +886,67 @@ fn cmd_bench_spine(o: &Opts) {
             SPINE_RATE_OLATS[i % SPINE_RATE_OLATS.len()] * olat
         );
     }
-    let run_once = |k: usize| -> (u64, u64, u64, u64, f64) {
-        let mut spec = roster.clone();
-        spec.tenants.truncate(k);
-        let mut host = fleet(&spec, &opts, &format!("otc bench: K={k}"));
-        let start = std::time::Instant::now();
-        for _ in 0..SPINE_ROUNDS {
-            host.step_round();
-        }
-        let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        let report = host.report();
-        let slots: u64 = report.tenants.iter().map(|t| t.slots_served).sum();
-        let real: u64 = report.tenants.iter().map(|t| t.real_served).sum();
-        let bits_milli = (report.fleet_spent_bits * 1000.0).round() as u64;
-        (slots, real, report.horizon, bits_milli, elapsed_ms)
-    };
-    let run = |k: usize| -> (u64, u64, u64, u64, f64) {
-        let mut best: Option<(u64, u64, u64, u64, f64)> = None;
-        for _ in 0..SPINE_REPS {
-            let rep = run_once(k);
-            if let Some(prev) = best {
-                if (rep.0, rep.1, rep.2, rep.3) != (prev.0, prev.1, prev.2, prev.3) {
-                    eprintln!(
-                        "otc bench: K={k}: digest diverged across repetitions \
-                         ({:?} vs {:?}) — the seeded spine must be deterministic",
-                        (rep.0, rep.1, rep.2, rep.3),
-                        (prev.0, prev.1, prev.2, prev.3)
-                    );
-                    std::process::exit(1);
-                }
-                if rep.4 < prev.4 {
-                    best = Some(rep);
-                }
-            } else {
-                best = Some(rep);
-            }
-        }
-        best.expect("SPINE_REPS >= 1")
-    };
-    let sweep: Vec<(usize, u64, u64, u64, u64, f64)> = SPINE_KS
+    let mut gate_rps = 0.0;
+    let rows: Vec<_> = SPINE_KS
         .iter()
         .map(|&k| {
-            let (slots, real, clock, bits_milli, elapsed_ms) = run(k);
-            (k, slots, real, clock, bits_milli, elapsed_ms)
+            let mut spec = roster.clone();
+            spec.tenants.truncate(k);
+            let (digest, ms) = measure(&opts, k, &[spec], SPINE_REPS, |_, host| {
+                for _ in 0..SPINE_ROUNDS {
+                    host.step_round();
+                }
+            });
+            let secs = (ms[0] / 1e3).max(1e-9);
+            gate_rps = SPINE_ROUNDS as f64 / secs; // K=1024, the last row, is gated
+            let slots_per_sec = digest.slots() as f64 / secs;
+            vec![
+                ("tenants", k.to_string()),
+                ("digest", digest.json(false)),
+                ("elapsed_ms", format!("{:.1}", ms[0])),
+                ("rounds_per_sec", format!("{gate_rps:.1}")),
+                ("slots_per_sec", format!("{slots_per_sec:.0}")),
+            ]
         })
         .collect();
-    let rps = |elapsed_ms: f64| -> f64 {
-        if elapsed_ms > 0.0 {
-            SPINE_ROUNDS as f64 / (elapsed_ms / 1e3)
-        } else {
-            0.0
-        }
-    };
-    let gate_run = sweep.last().expect("sweep is nonempty");
-    let gate_rps = rps(gate_run.5);
-    let improvement = (gate_rps / SPINE_BASELINE_K1024_ROUNDS_PER_SEC - 1.0) * 100.0;
+    let improvement = (gate_rps / SPINE_BASELINE_RPS - 1.0) * 100.0;
     let passed = o.gate.is_none_or(|g| improvement >= g);
-    println!("{{");
-    println!("  \"bench\": \"spine_sweep\",");
-    println!(
-        "  \"config\": {{\"seed\": {}, \"shards\": {SPINE_SHARDS}, \"oram\": \"{}\", \
-         \"olat\": {olat}, \"quantum\": {quantum}, \"rounds\": {SPINE_ROUNDS}, \
-         \"reps\": {SPINE_REPS}, \"rate_olats\": [64, 96, 128, 192], \
-         \"open_loop\": true, \"threads\": 0}},",
+    let config = format!(
+        "{{\"seed\": {}, \"shards\": {SPINE_SHARDS}, \"oram\": \"{}\", \"olat\": {olat}, \
+         \"quantum\": {}, \"rounds\": {SPINE_ROUNDS}, \"reps\": {SPINE_REPS}, \
+         \"rate_olats\": [64, 96, 128, 192], \"open_loop\": true, \"threads\": 0}}",
         o.host.seed,
-        o.host.oram.label()
+        o.host.oram.label(),
+        opts.host.quantum
     );
-    println!("  \"sweep\": [");
-    for (i, (k, slots, real, clock, bits_milli, elapsed_ms)) in sweep.iter().enumerate() {
-        println!("    {{");
-        println!("      \"tenants\": {k},");
-        println!(
-            "      \"digest\": {{\"slots\": {slots}, \"real\": {real}, \"clock\": {clock}, \
-             \"spent_bits_milli\": {bits_milli}}},"
+    print_record(&[
+        ("bench", "\"spine_sweep\"".into()),
+        ("config", config),
+        ("sweep", json_rows(&rows)),
+        (
+            "baseline_rounds_per_sec",
+            format!("{SPINE_BASELINE_RPS:.1}"),
+        ),
+        ("improvement_pct", format!("{improvement:.1}")),
+        ("gate_pct", json_opt(o.gate, 1)),
+        ("gate_passed", passed.to_string()),
+    ]);
+    o.gate.map(|g| {
+        let judged = format!(
+            "{gate_rps:.1} rounds/sec at K=1024 is {improvement:.1}% over the \
+             {SPINE_BASELINE_RPS:.1} baseline (floor {g:.0}%)"
         );
-        println!("      \"elapsed_ms\": {elapsed_ms:.1},");
-        println!("      \"rounds_per_sec\": {:.1},", rps(*elapsed_ms));
-        println!(
-            "      \"slots_per_sec\": {:.0}",
-            *slots as f64 / (elapsed_ms / 1e3).max(1e-9)
-        );
-        println!("    }}{}", if i + 1 < sweep.len() { "," } else { "" });
-    }
-    println!("  ],");
-    println!("  \"baseline_rounds_per_sec\": {SPINE_BASELINE_K1024_ROUNDS_PER_SEC:.1},");
-    println!("  \"improvement_pct\": {improvement:.1},");
-    println!(
-        "  \"gate_pct\": {},",
-        o.gate.map_or("null".into(), |g| format!("{g:.1}"))
-    );
-    println!("  \"gate_passed\": {passed}");
-    println!("}}");
-    if let Some(g) = o.gate {
-        if !passed {
-            eprintln!(
-                "SPINE GATE FAILED: {gate_rps:.1} rounds/sec at K=1024 is {improvement:.1}% over \
-                 the {SPINE_BASELINE_K1024_ROUNDS_PER_SEC:.1} baseline (floor {g:.0}%)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "spine gate passed: {gate_rps:.1} rounds/sec at K=1024, {improvement:.1}% >= {g:.0}% \
-             over the pre-optimization baseline"
-        );
-    }
-}
-
-/// One run's deterministic outcome in the wall-clock sweep: the serial
-/// and threaded executions must agree on every field here or the sweep
-/// aborts — a speedup bought by divergence is not a speedup.
-#[derive(Debug, PartialEq, Eq)]
-struct WallclockDigest {
-    slots: u64,
-    real: u64,
-    clock: u64,
-    queueing_cycles: u64,
-    p99_service_cycles: u64,
-    spent_bits_milli: u64,
+        (passed, judged)
+    })
 }
 
 /// `otc bench --wallclock`: the seeded K-sweep behind the CI wall-clock
-/// gate. Each fleet size runs twice — `ParallelKind::Serial` against
-/// `ParallelKind::Threads(--threads, default 4)` — with identical
-/// seeds, and the *real elapsed time* of the serve loop is measured
-/// (host construction excluded). Simulated results are cross-checked
-/// field by field ([`WallclockDigest`]); `--gate X` holds a speedup
-/// floor at the largest K. The timing fields are nondeterministic — the
-/// CI diff filters the `elapsed_ms`/`speedup`/`host_parallelism`/
+/// gate. Each fleet size is served once under `ParallelKind::Serial`
+/// and once under `ParallelKind::Threads(--threads, default 4)` with
+/// identical seeds, timed by [`measure`], which cross-checks the
+/// [`Digest`] field by field; `--gate X` holds a speedup floor at the
+/// largest K. The timing fields are nondeterministic — the CI diff
+/// filters the `elapsed_ms`/`speedup`/`host_parallelism`/
 /// `applied_gate`/`gate_passed` lines and pins the rest.
 ///
 /// The gate is parallelism-aware: a wall-clock speedup requires the
@@ -968,74 +955,48 @@ struct WallclockDigest {
 /// to `SINGLE_CORE_FLOOR` — a no-regression check that the threaded
 /// path's synchronization overhead stays bounded. The JSON records
 /// which floor applied, so a single-core run can never masquerade as a
-/// multi-core speedup measurement.
-fn cmd_bench_wallclock(o: &Opts) {
+/// multi-core speedup measurement. Returns whether the gate passed,
+/// with the measurement it judged.
+fn bench_wallclock(o: &Opts) -> Option<(bool, String)> {
     /// Floor applied instead of `--gate` when only one CPU is visible:
     /// threaded must finish within 2x of serial (speedup >= 0.5).
     const SINGLE_CORE_FLOOR: f64 = 0.5;
-    let threads = match o.threads {
-        None | Some(0) => 4,
-        Some(n) => n,
-    };
+    let threads = o.threads.filter(|&n| n > 0).unwrap_or(4);
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut ks = vec![(o.tenants / 4).max(1), o.tenants];
     ks.dedup();
-    let run = |k: usize, threads: Option<usize>| -> (WallclockDigest, f64) {
-        let mut opts = o.clone();
-        opts.threads = threads;
-        let spec = flag_spec(&opts, k);
-        let mut host = fleet(&spec, &opts, &format!("otc bench: K={k}"));
-        let start = std::time::Instant::now();
-        let report = serve(&opts, &spec, &mut host, true);
-        let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        let digest = WallclockDigest {
-            slots: report.tenants.iter().map(|t| t.slots_served).sum(),
-            real: report.tenants.iter().map(|t| t.real_served).sum(),
-            clock: report.horizon,
-            queueing_cycles: report.shard_queueing_cycles,
-            p99_service_cycles: report.p99_service_cycles,
-            spent_bits_milli: (report.fleet_spent_bits * 1000.0).round() as u64,
-        };
-        (digest, elapsed_ms)
-    };
-    let sweep: Vec<(usize, WallclockDigest, f64, f64)> = ks
+    let mut gate_speedup = 0.0;
+    let rows: Vec<_> = ks
         .iter()
         .map(|&k| {
-            let (digest, serial_ms) = run(k, None);
-            let (threaded_digest, threaded_ms) = run(k, Some(threads));
-            if digest != threaded_digest {
-                eprintln!(
-                    "WALLCLOCK BENCH ABORTED: Threads({threads}) diverged from Serial at \
-                     K={k}:\n  serial   {digest:?}\n  threaded {threaded_digest:?}"
-                );
-                std::process::exit(1);
-            }
-            (k, digest, serial_ms, threaded_ms)
+            let mut serial = flag_spec(o, k);
+            serial.host.threads = 0;
+            let mut threaded = serial.clone();
+            threaded.host.threads = threads;
+            let (digest, ms) = measure(o, k, &[serial, threaded], 1, |spec, host| {
+                serve(o, spec, host, true)
+            });
+            // The last row, the largest K, is gated.
+            gate_speedup = if ms[1] > 0.0 { ms[0] / ms[1] } else { 0.0 };
+            vec![
+                ("tenants", k.to_string()),
+                ("digest", digest.json(true)),
+                ("elapsed_ms_serial", format!("{:.1}", ms[0])),
+                ("elapsed_ms_threads", format!("{:.1}", ms[1])),
+                ("speedup", format!("{gate_speedup:.2}")),
+            ]
         })
         .collect();
-    let speedup_at = |serial_ms: f64, threaded_ms: f64| -> f64 {
-        if threaded_ms > 0.0 {
-            serial_ms / threaded_ms
-        } else {
-            0.0
-        }
+    let floor_cap = if host_parallelism >= 2 {
+        f64::INFINITY
+    } else {
+        SINGLE_CORE_FLOOR
     };
-    let (_, _, gate_serial, gate_threaded) = sweep.last().expect("sweep is nonempty");
-    let gate_speedup = speedup_at(*gate_serial, *gate_threaded);
-    let applied_gate = o.gate.map(|g| {
-        if host_parallelism >= 2 {
-            g
-        } else {
-            g.min(SINGLE_CORE_FLOOR)
-        }
-    });
+    let applied_gate = o.gate.map(|g| g.min(floor_cap));
     let passed = applied_gate.is_none_or(|g| gate_speedup >= g);
-    println!("{{");
-    println!("  \"bench\": \"wallclock_sweep\",");
-    println!(
-        "  \"config\": {{\"seed\": {}, \"shards\": {}, \"oram\": \"{}\", \
-         \"scheme\": \"{}\", \"slots_per_tenant\": {}, \"threads\": {threads}, \
-         \"closed_loop\": {}}},",
+    let config = format!(
+        "{{\"seed\": {}, \"shards\": {}, \"oram\": \"{}\", \"scheme\": \"{}\", \
+         \"slots_per_tenant\": {}, \"threads\": {threads}, \"closed_loop\": {}}}",
         o.host.seed,
         o.host.shards,
         o.host.oram.label(),
@@ -1043,77 +1004,46 @@ fn cmd_bench_wallclock(o: &Opts) {
         o.host.slots,
         o.closed_loop
     );
-    println!("  \"sweep\": [");
-    for (i, (k, digest, serial_ms, threaded_ms)) in sweep.iter().enumerate() {
-        println!("    {{");
-        println!("      \"tenants\": {k},");
-        println!(
-            "      \"digest\": {{\"slots\": {}, \"real\": {}, \"clock\": {}, \
-             \"queueing_cycles\": {}, \"p99_service_cycles\": {}, \
-             \"spent_bits_milli\": {}}},",
-            digest.slots,
-            digest.real,
-            digest.clock,
-            digest.queueing_cycles,
-            digest.p99_service_cycles,
-            digest.spent_bits_milli
+    print_record(&[
+        ("bench", "\"wallclock_sweep\"".into()),
+        ("config", config),
+        ("sweep", json_rows(&rows)),
+        ("host_parallelism", host_parallelism.to_string()),
+        ("gate_speedup", json_opt(o.gate, 2)),
+        ("applied_gate", json_opt(applied_gate, 2)),
+        ("gate_passed", passed.to_string()),
+    ]);
+    o.gate.zip(applied_gate).map(|(requested, g)| {
+        let judged = format!(
+            "Threads({threads}) speedup {gate_speedup:.2}x at K={} against a {g:.2}x floor \
+             (--gate {requested:.2}, {host_parallelism} CPU(s) visible)",
+            ks[ks.len() - 1]
         );
-        println!("      \"elapsed_ms_serial\": {serial_ms:.1},");
-        println!("      \"elapsed_ms_threads\": {threaded_ms:.1},");
-        println!(
-            "      \"speedup\": {:.2}",
-            speedup_at(*serial_ms, *threaded_ms)
-        );
-        println!("    }}{}", if i + 1 < sweep.len() { "," } else { "" });
-    }
-    println!("  ],");
-    println!("  \"host_parallelism\": {host_parallelism},");
-    println!(
-        "  \"gate_speedup\": {},",
-        o.gate.map_or("null".into(), |g| format!("{g:.2}"))
-    );
-    println!(
-        "  \"applied_gate\": {},",
-        applied_gate.map_or("null".into(), |g| format!("{g:.2}"))
-    );
-    println!("  \"gate_passed\": {passed}");
-    println!("}}");
-    if let Some(g) = applied_gate {
-        let requested = o.gate.expect("applied_gate implies --gate");
-        let floor = if (g - requested).abs() > f64::EPSILON {
-            format!("{g:.2}x single-core no-regression floor (requested {requested:.2}x)")
-        } else {
-            format!("{g:.2}x floor")
-        };
-        if !passed {
-            eprintln!(
-                "WALLCLOCK GATE FAILED: Threads({threads}) speedup {gate_speedup:.2}x at \
-                 K={} is under the {floor}",
-                ks.last().expect("nonempty")
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wallclock gate passed: {gate_speedup:.2}x >= {floor} at K={}",
-            ks.last().expect("nonempty")
-        );
-    }
+        (passed, judged)
+    })
 }
 
 /// `otc bench`: one of the two wall-clock sweeps, `--spine` or
-/// `--wallclock`. Each prints its JSON record on stdout and, under
-/// `--gate`, exits 1 below the floor. The seeded pipeline, admission
-/// and fairness gates count simulated cycles, so tier-1 tests hold
-/// them against their records (`pipeline_equivalence`,
-/// `capacity_replay`, `fairness_replay`).
+/// `--wallclock`. Each prints its JSON record on stdout; under `--gate`
+/// the verdict goes to stderr, and a run below the floor exits 1. The
+/// seeded pipeline, admission and fairness gates count simulated
+/// cycles, so tier-1 tests hold them against their records
+/// (`pipeline_equivalence`, `capacity_replay`, `fairness_replay`).
 fn cmd_bench(o: &Opts) {
     require_tenants(o);
-    match (o.spine, o.wallclock) {
-        (true, false) => cmd_bench_spine(o),
-        (false, true) => cmd_bench_wallclock(o),
+    let verdict = match (o.spine, o.wallclock) {
+        (true, false) => bench_spine(o),
+        (false, true) => bench_wallclock(o),
         _ => {
             eprintln!("otc bench needs exactly one of --spine and --wallclock");
             std::process::exit(2);
+        }
+    };
+    if let Some((passed, judged)) = verdict {
+        let word = if passed { "passed" } else { "FAILED" };
+        eprintln!("otc bench: gate {word}: {judged}");
+        if !passed {
+            std::process::exit(1);
         }
     }
 }
@@ -1149,21 +1079,18 @@ fn cmd_report(o: &Opts) {
     );
 }
 
+/// `otc leakage`: the budget `--scheme` implies, read from the same
+/// policy-to-parameters mapping admission authorizes.
 fn cmd_leakage(o: &Opts) {
     let policy = parse_scheme(&o.scheme).expect("--scheme is checked when the flags parse");
-    let (rate_count, schedule) = match &policy {
-        RatePolicy::Static { .. } => (1, EpochSchedule::scaled(4)),
-        RatePolicy::Dynamic {
-            rates, schedule, ..
-        } => (rates.len(), *schedule),
-    };
-    let model = LeakageModel::new(rate_count, schedule);
+    let params = policy.leakage_params();
+    let model = LeakageModel::new(params.rate_count, params.schedule);
     println!("otc leakage: scheme {} × {} tenants", o.scheme, o.tenants);
     println!(
         "  per-tenant ORAM-timing budget : {:>8.1} bits (|E|={} epochs × lg|R|={:.1})",
         model.oram_timing_bits(),
-        schedule.total_epochs(),
-        (rate_count as f64).log2()
+        params.schedule.total_epochs(),
+        (params.rate_count as f64).log2()
     );
     println!(
         "  per-tenant termination channel: {:>8.1} bits (lg Tmax)",
@@ -1194,6 +1121,18 @@ fn main() {
     let Some((cmd, rest)) = args.split_first() else {
         usage()
     };
+    let command: fn(&Opts) = match cmd.as_str() {
+        "run" => cmd_run,
+        "tenants" => cmd_tenants,
+        "bench" => cmd_bench,
+        "report" => cmd_report,
+        "leakage" => cmd_leakage,
+        "--help" | "-h" => usage(),
+        other => {
+            eprintln!("otc: unknown subcommand {other:?}");
+            usage()
+        }
+    };
     let mut opts = parse_opts(rest);
     // Only `otc run` prints traces; recording them elsewhere would just
     // grow per-tenant SlotRecord vectors nobody reads.
@@ -1212,27 +1151,16 @@ fn main() {
         eprintln!("--scenario only applies to `otc run`; ignoring");
         opts.scenario = None;
     }
-    if opts.churn_script.is_some() && !matches!(cmd.as_str(), "run" | "churn" | "tenants") {
+    if opts.churn_script.is_some()
+        && (opts.scenario.is_some() || !matches!(cmd.as_str(), "run" | "tenants"))
+    {
         eprintln!(
-            "--churn-script only applies to `otc run`, `otc churn` and `otc tenants`; ignoring"
+            "--churn-script only applies to `otc run` without --scenario (whose @-lines are \
+             the events) and `otc tenants`; ignoring"
         );
         opts.churn_script = None;
     }
-    if opts.churn_script.is_some() && opts.scenario.is_some() {
-        eprintln!(
-            "--churn-script does not apply with --scenario (its @-lines are the events); ignoring"
-        );
-        opts.churn_script = None;
-    }
-    match cmd.as_str() {
-        "run" => cmd_run(&opts),
-        "tenants" => cmd_tenants(&opts),
-        "churn" => cmd_churn(&opts),
-        "bench" => cmd_bench(&opts),
-        "report" => cmd_report(&opts),
-        "leakage" => cmd_leakage(&opts),
-        _ => usage(),
-    }
+    command(&opts);
 }
 
 #[cfg(test)]

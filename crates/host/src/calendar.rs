@@ -16,34 +16,43 @@
 //! removal are O(1) bucket ops, and a round costs O(slots due +
 //! quantum/width), independent of K.
 //!
-//! # Bucket-width choice
+//! # Geometry
 //!
 //! Each tenant has exactly one entry (its next slot time), and
 //! reinsertions always move forward by one slot period (`rate + OLAT`).
-//! Two regimes matter:
+//! The host's ring is fixed: [`BUCKETS`] buckets of [`BUCKET_WIDTH`]
+//! cycles.
 //!
 //! * `width` too small → many empty buckets scanned per round (cost
 //!   quantum/width); `width` too large → each bucket holds many due
 //!   entries and the per-bucket min-scan degrades toward the k-way
-//!   merge. A width of `quantum / 16` keeps the empty-bucket overhead
-//!   at a constant 16 visits per round while leaving buckets sparse for
-//!   any fleet the admission controller can accept.
-//! * The ring span (`n_buckets × width`) should exceed the longest slot
-//!   period a tenant can have (slowest candidate rate + OLAT, ≈ 34k
-//!   cycles for the paper's rate set — see `RateSet::paper` — plus the
-//!   10k-cycle dynamic warm-up rate). Entries beyond one span alias
-//!   onto the ring ("next year") and are skipped by the pass check at
-//!   scan time — correct, but each aliased entry costs a skip per pass,
-//!   so the default span (256 buckets × 4096 cycles ≈ 1M cycles) keeps
-//!   every sane period under one span. Only a user-supplied static rate
-//!   in the hundreds of thousands of cycles aliases, and then only that
-//!   tenant pays.
+//!   merge. 4,096 cycles is 16 empty-bucket visits per 65,536-cycle
+//!   round, with buckets sparse for any fleet admission can accept.
+//! * The ring span (`n_buckets × width`, 2^20 cycles for the host) is
+//!   above every slot period the paper's schemes produce: the slowest
+//!   candidate rate is 32,768 cycles (§9.2), the dynamic warm-up rate
+//!   10,000, and the spine sweep's slowest static rate 192 OLAT =
+//!   285,696 cycles. An entry beyond one span aliases onto the ring
+//!   ("next year") and the pass check skips it at scan time until its
+//!   own pass comes round. That is correct, and only the slow tenants
+//!   pay. Measured on 1,024 tenants at staggered phases (release build,
+//!   2 vCPUs), a pop and its re-insert cost ~80 ns at spine-like
+//!   periods and ~200 ns with every period at 2^24–2^25 cycles, where
+//!   each pass skips the aliased entries. Parking such entries in a
+//!   second, overflow ring halves that far-future cost but slows every
+//!   within-span pop (~110 ns at spine-like periods), and both figures
+//!   are far below one shard access (several µs at paper geometry).
 //!
 //! Ties (two tenants due the same cycle) are broken by a caller-supplied
 //! rank so the host can reproduce the k-way merge's rotating round-robin
 //! tie-break exactly — `churn_props.rs` holds the equivalence property.
 
 use otc_dram::Cycle;
+
+/// Width in cycles of each bucket of the host's calendar.
+pub(crate) const BUCKET_WIDTH: Cycle = 1 << 12;
+/// Buckets on the host's calendar ring: a span of 2^20 cycles.
+pub(crate) const BUCKETS: usize = 256;
 
 /// Slots one scheduling round can sustainably serve: each entry of
 /// `cadences` is one shard's service port initiating an access per that
@@ -86,44 +95,14 @@ struct Entry {
 /// Calendar-queue priority queue mapping tenant keys to their next slot
 /// time. At most one entry per key (enforced by the caller: a tenant is
 /// reinserted only after its previous slot is popped or removed).
-///
-/// # Two-level wheel
-///
-/// The queue is a hierarchical timing wheel. Level 0 is the classic
-/// calendar ring: `n_buckets` buckets of `width` cycles, spanning
-/// `width × n_buckets` cycles from the cursor. An entry within one span
-/// of the cursor lands directly in its level-0 bucket — for such
-/// workloads (every default configuration) the structure behaves
-/// bit-identically to the single-level wheel, occupancy statistics
-/// included.
-///
-/// Entries *beyond* one span used to alias onto the ring and cost a
-/// pass-check skip in every scan of their bucket until their span came
-/// around — O(aliased entries) per round, which is exactly the regime a
-/// K≥1024 fleet with million-cycle periods hits. Those entries now park
-/// in a level-1 overflow ring whose buckets each cover one full level-0
-/// span; when the cursor enters a new span, that one overflow bucket
-/// *cascades* into level 0 (amortized O(1) per entry). Entries beyond
-/// even the level-1 horizon (span² × width cycles) alias within the
-/// overflow ring and are filtered at cascade time by the same pass
-/// check — correctness is unconditional, only the far-future pays.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue {
     buckets: Vec<Vec<Entry>>,
-    /// Level-1 overflow ring: bucket `j % overflow.len()` holds entries
-    /// whose level-0 span index (`abs_bucket / buckets.len()`) is `j`.
-    overflow: Vec<Vec<Entry>>,
     width: Cycle,
     /// Absolute (non-wrapped) index of the earliest bucket that may hold
     /// an entry; advances monotonically except when an insert lands
     /// earlier.
     cursor: u64,
-    /// Smallest level-0 span index whose overflow bucket has not yet
-    /// cascaded into level 0. Every overflow entry's span is
-    /// `>= next_cascade`.
-    next_cascade: u64,
-    /// Entries currently parked in the overflow ring.
-    overflow_len: usize,
     len: usize,
 }
 
@@ -138,11 +117,8 @@ impl CalendarQueue {
         assert!(n_buckets > 0, "calendar needs at least one bucket");
         Self {
             buckets: vec![Vec::new(); n_buckets],
-            overflow: vec![Vec::new(); n_buckets],
             width,
             cursor: 0,
-            next_cascade: 0,
-            overflow_len: 0,
             len: 0,
         }
     }
@@ -162,34 +138,19 @@ impl CalendarQueue {
         self.width
     }
 
-    fn abs_bucket(&self, time: Cycle) -> u64 {
-        time / self.width
+    /// The ring bucket `time` hashes to.
+    fn ring(&self, time: Cycle) -> usize {
+        (time / self.width % self.buckets.len() as u64) as usize
     }
 
     /// Schedules `key` at `time`. O(1).
     pub fn insert(&mut self, key: usize, time: Cycle) {
-        let abs = self.abs_bucket(time);
-        let n = self.buckets.len() as u64;
-        if self.is_empty() {
-            // Fresh start: the overflow ring is necessarily empty, so
-            // the cascade watermark may jump to the new cursor's span.
-            self.cursor = abs;
-            self.next_cascade = abs / n;
-        } else if abs < self.cursor {
+        let abs = time / self.width;
+        if self.is_empty() || abs < self.cursor {
             self.cursor = abs;
         }
-        let span = abs / n;
-        if span < self.next_cascade || abs.saturating_sub(self.cursor) < n {
-            // Within one ring span of the cursor (or in a span that
-            // already cascaded): level 0, exactly as the single-level
-            // wheel placed it.
-            let ring = (abs % n) as usize;
-            self.buckets[ring].push(Entry { time, key });
-        } else {
-            let ring = (span % self.overflow.len() as u64) as usize;
-            self.overflow[ring].push(Entry { time, key });
-            self.overflow_len += 1;
-        }
+        let ring = self.ring(time);
+        self.buckets[ring].push(Entry { time, key });
         self.len += 1;
     }
 
@@ -197,60 +158,15 @@ impl CalendarQueue {
     /// what was inserted). O(bucket size). Returns whether an entry was
     /// removed.
     pub fn remove(&mut self, key: usize, time: Cycle) -> bool {
-        let abs = self.abs_bucket(time);
-        let n = self.buckets.len() as u64;
-        let ring = (abs % n) as usize;
+        let ring = self.ring(time);
         let bucket = &mut self.buckets[ring];
-        if let Some(i) = bucket.iter().position(|e| e.key == key && e.time == time) {
-            bucket.swap_remove(i);
-            self.len -= 1;
-            return true;
-        }
-        // Not resident in level 0: it may still be parked in overflow.
-        let oring = (abs / n % self.overflow.len() as u64) as usize;
-        let obucket = &mut self.overflow[oring];
-        match obucket.iter().position(|e| e.key == key && e.time == time) {
+        match bucket.iter().position(|e| e.key == key && e.time == time) {
             Some(i) => {
-                obucket.swap_remove(i);
-                self.overflow_len -= 1;
+                bucket.swap_remove(i);
                 self.len -= 1;
                 true
             }
             None => false,
-        }
-    }
-
-    /// Moves every overflow entry whose span the cursor has reached into
-    /// its level-0 bucket. Amortized O(1) per entry per span crossing:
-    /// each overflow bucket is visited once per span, and an entry
-    /// cascades exactly once (aliased far-future entries excepted — they
-    /// are skipped by the span check and pay one skip per level-1 pass,
-    /// the same bound the single-level wheel paid *per round*).
-    fn cascade_due_spans(&mut self) {
-        let n = self.buckets.len() as u64;
-        let current_span = self.cursor / n;
-        while self.next_cascade <= current_span {
-            if self.overflow_len == 0 {
-                // Nothing parked anywhere: fast-forward the watermark.
-                self.next_cascade = current_span + 1;
-                return;
-            }
-            let span = self.next_cascade;
-            let oring = (span % self.overflow.len() as u64) as usize;
-            let mut i = 0;
-            while i < self.overflow[oring].len() {
-                let e = self.overflow[oring][i];
-                if self.abs_bucket(e.time) / n == span {
-                    self.overflow[oring].swap_remove(i);
-                    self.overflow_len -= 1;
-                    let ring = (self.abs_bucket(e.time) % n) as usize;
-                    self.buckets[ring].push(e);
-                } else {
-                    // Aliased from a later level-1 pass; stays parked.
-                    i += 1;
-                }
-            }
-            self.next_cascade += 1;
         }
     }
 
@@ -279,10 +195,6 @@ impl CalendarQueue {
             if self.cursor.saturating_mul(self.width) >= frontier {
                 return None;
             }
-            // Entries for the cursor's span must be in level 0 before
-            // the bucket scan sees them (one compare in the steady
-            // state, a bucket drain on each span crossing).
-            self.cascade_due_spans();
             let ring = (self.cursor % n) as usize;
             let mut best: Option<(usize, Entry)> = None;
             for (i, e) in self.buckets[ring].iter().enumerate() {
@@ -333,50 +245,27 @@ impl CalendarQueue {
     }
 
     /// Iterates all scheduled `(key, time)` pairs in arbitrary order
-    /// (diagnostics and tests), both wheel levels included.
+    /// (diagnostics and tests).
     pub fn iter(&self) -> impl Iterator<Item = (usize, Cycle)> + '_ {
         self.buckets
             .iter()
-            .chain(self.overflow.iter())
             .flat_map(|b| b.iter().map(|e| (e.key, e.time)))
     }
 
-    /// Entries currently parked in the level-1 overflow ring — zero for
-    /// any workload whose periods fit one level-0 span (the degenerate
-    /// single-level case).
-    pub fn overflow_resident(&self) -> usize {
-        self.overflow_len
-    }
-
     /// Bucket-occupancy statistics: `(entries, occupied buckets, max
-    /// bucket length)`, counted across both wheel levels (for a
-    /// within-span workload the overflow ring is empty, so the figures
-    /// equal the single-level wheel's). A max bucket length creeping
-    /// toward the entry count means the hash degraded to the k-way
-    /// merge this structure replaces — the regression perf sessions
-    /// watch for.
+    /// bucket length)`. A max bucket length creeping toward the entry
+    /// count means the hash degraded to the k-way merge this structure
+    /// replaces — the regression perf sessions watch for.
     pub fn occupancy(&self) -> (usize, usize, usize) {
-        let occupied = self
-            .buckets
-            .iter()
-            .chain(self.overflow.iter())
-            .filter(|b| !b.is_empty())
-            .count();
-        let max_len = self
-            .buckets
-            .iter()
-            .chain(self.overflow.iter())
-            .map(Vec::len)
-            .max()
-            .unwrap_or(0);
+        let occupied = self.buckets.iter().filter(|b| !b.is_empty()).count();
+        let max_len = self.buckets.iter().map(Vec::len).max().unwrap_or(0);
         (self.len, occupied, max_len)
     }
-}
 
-impl otc_perf::PerfSink for CalendarQueue {
-    /// Contributes the calendar bucket statistics (all zero when the
-    /// merge scheduler runs — it keeps no calendar entries).
-    fn sample_into(&self, sample: &mut otc_perf::RoundSample) {
+    /// Writes the bucket statistics into a perf-session round sample
+    /// (all zero when the merge scheduler runs — it keeps no calendar
+    /// entries).
+    pub(crate) fn sample_into(&self, sample: &mut otc_perf::RoundSample) {
         let (entries, occupied, max_len) = self.occupancy();
         sample.calendar = otc_perf::CalendarSample {
             entries: entries as u32,
@@ -602,79 +491,67 @@ mod tests {
 
     #[test]
     fn within_span_workloads_never_touch_overflow() {
-        // The degenerate (single-level) case: every period fits one ring
-        // span, so the overflow ring stays empty and occupancy is what
-        // the single-level wheel reported.
+        // Every period fits one ring span, so no entry ever aliases:
+        // each round pops the four keys in slot-time order.
         let mut q = CalendarQueue::new(64, 8); // span = 512
         let mut t = 0u64;
         for round in 0..50u64 {
             for key in 0..4usize {
                 q.insert(key, t + key as u64 * 7);
             }
-            assert_eq!(q.overflow_resident(), 0, "round {round}");
-            while q.pop_due(t + 512, |k| k).is_some() {}
+            let want: Vec<_> = (0..4usize).map(|k| (k, t + k as u64 * 7)).collect();
+            assert_eq!(drain(&mut q, t + 512), want, "round {round}");
             t += 300; // cursor advances, reinsertions stay within a span
         }
     }
 
     #[test]
     fn far_future_entries_park_in_overflow_and_cascade() {
-        // Span is 8 × 64 = 512; entries whole spans ahead park in the
-        // level-1 ring and must cascade out exactly when the cursor
-        // reaches their span — in time order, ties by rank.
+        // Span is 8 × 64 = 512; entries whole spans ahead alias onto the
+        // ring and must pop exactly when the cursor reaches their own
+        // pass — in time order, ties by rank.
         let mut q = CalendarQueue::new(64, 8);
-        q.insert(0, 20); // level 0
-        q.insert(1, 20 + 512); // one span ahead: overflow
-        q.insert(2, 40 + 3 * 512); // three spans ahead: overflow
+        q.insert(0, 20);
+        q.insert(1, 20 + 512); // one span ahead
+        q.insert(2, 40 + 3 * 512); // three spans ahead
         q.insert(3, 30 + 512); // same far span as key 1
-        assert_eq!(q.overflow_resident(), 3);
         assert_eq!(q.len(), 4);
         assert_eq!(drain(&mut q, 512), vec![(0, 20)]);
-        assert_eq!(q.overflow_resident(), 3, "future spans stay parked");
         assert_eq!(drain(&mut q, 2 * 512), vec![(1, 532), (3, 542)]);
-        assert_eq!(q.overflow_resident(), 1);
         assert_eq!(drain(&mut q, 4 * 512), vec![(2, 40 + 3 * 512)]);
-        assert_eq!(q.overflow_resident(), 0);
         assert!(q.is_empty());
     }
 
     #[test]
     fn overflow_entries_beyond_level_one_horizon_alias_correctly() {
-        // Entries beyond even the level-1 horizon (span² = 8 spans of
-        // 512 = 4096 cycles here) alias within the overflow ring; the
-        // cascade's span check must hold them back until their own
-        // level-1 pass.
+        // Span 1 and span 9 share a ring slot with span 0's entries; the
+        // pass check must hold each back until its own pass.
         let mut q = CalendarQueue::new(64, 8);
         q.insert(0, 100);
         q.insert(1, 100 + 512); // span 1
-        q.insert(2, 100 + 512 + 8 * 512); // span 9: same overflow slot as span 1
-        assert_eq!(q.overflow_resident(), 2);
+        q.insert(2, 100 + 512 + 8 * 512); // span 9
         assert_eq!(drain(&mut q, 2 * 512), vec![(0, 100), (1, 612)]);
-        // Span 9's entry is still parked (one alias skip per pass, like
-        // the single-level wheel paid per *round*).
-        assert_eq!(q.overflow_resident(), 1);
         assert_eq!(drain(&mut q, 16 * 512), vec![(2, 100 + 9 * 512)]);
         assert!(q.is_empty());
     }
 
     #[test]
     fn remove_reaches_overflow_entries() {
+        // An entry whole spans ahead of the cursor is removable by key
+        // and time.
         let mut q = CalendarQueue::new(64, 8);
         q.insert(0, 100);
-        q.insert(1, 100 + 2 * 512); // overflow
-        assert_eq!(q.overflow_resident(), 1);
+        q.insert(1, 100 + 2 * 512);
         assert!(q.remove(1, 100 + 2 * 512));
         assert!(!q.remove(1, 100 + 2 * 512), "double remove reports false");
-        assert_eq!(q.overflow_resident(), 0);
         assert_eq!(q.len(), 1);
         assert_eq!(drain(&mut q, 4 * 512), vec![(0, 100)]);
     }
 
     #[test]
     fn empty_overflow_fast_forwards_the_cascade_watermark() {
-        // After the queue empties, an insert far ahead jumps the cursor
-        // whole spans forward; the cascade must fast-forward (overflow
-        // is empty) rather than walk every intervening span.
+        // After the queue empties, an insert far ahead moves the cursor
+        // straight to it rather than walking every intervening span.
         let mut q = CalendarQueue::new(64, 8);
         q.insert(0, 100);
         assert_eq!(drain(&mut q, 512), vec![(0, 100)]);
@@ -686,7 +563,7 @@ mod tests {
     #[test]
     fn interleaved_insert_pop_matches_naive_merge_across_spans() {
         // Randomized mini-model with reinsertion jumps of up to several
-        // ring spans, so entries continually cross the level boundary.
+        // ring spans, so entries continually alias onto later passes.
         let mut rng = otc_crypto::SplitMix64::new(0x2CA1E);
         for _ in 0..100 {
             let width = 1 + rng.next_below(64);

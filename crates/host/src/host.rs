@@ -57,19 +57,19 @@
 
 use crate::adversary::{AdversaryKind, AdversaryState, ObservedSlot};
 use crate::arbiter::WdrrArbiter;
-use crate::calendar::CalendarQueue;
+use crate::calendar::{self, CalendarQueue};
 use crate::ledger::LeakageLedger;
 use crate::parallel::{LaneRequest, ShardExecutor, Ticket};
 use crate::shard::{LaneOp, PipelineConfig, PipelineKind, ShardClass, ShardedOram};
 use crate::tenant::TenantDirectory;
 use crate::traffic::{LoopMode, Request, TenantTraffic, TrafficModel, TrafficPull};
 use otc_attacks::RateEstimate;
-use otc_core::{EpochSchedule, LeakageParams, RatePolicy, SessionError, SlotStream};
+use otc_core::{RatePolicy, SessionError, SlotStream};
 use otc_crypto::SplitMix64;
 use otc_dram::{Cycle, DdrConfig};
 use otc_oram::{CapacityKind, CapacityModel, OramConfig};
 use otc_perf::{
-    PerfSession, PerfSink, RoundSample, SessionMeta, SessionRecorder, SessionSummary, TenantSample,
+    PerfSession, RoundSample, SessionMeta, SessionRecorder, SessionSummary, TenantSample,
 };
 use otc_sim::AccessKind;
 use otc_workloads::SpecBenchmark;
@@ -225,14 +225,6 @@ pub struct HostConfig {
     /// Slot grids (and hence the timing channel) are identical under
     /// both: only the admission ceiling moves.
     pub capacity: CapacityKind,
-    /// Calendar bucket width in cycles. The default (`quantum / 16`)
-    /// bounds empty-bucket scans at 16 per round; see the `calendar`
-    /// module docs for the width/rate-period trade-off.
-    pub calendar_bucket_width: Cycle,
-    /// Calendar ring size in buckets. The default span (256 × 4096 ≈ 1M
-    /// cycles) exceeds every slot period the paper's rate sets produce,
-    /// so entries almost never alias onto a later pass of the ring.
-    pub calendar_buckets: usize,
     /// Where shard accesses run (see [`ParallelKind`]): inline under
     /// `Serial`, on worker threads under `Threads(n)`. The round loop
     /// is the same, so the observable state (serve logs, ledgers, perf
@@ -259,8 +251,6 @@ impl Default for HostConfig {
             scheduler: SchedulerKind::Calendar,
             pipeline: PipelineConfig::serial(),
             capacity: CapacityKind::Olat,
-            calendar_bucket_width: 1 << 12,
-            calendar_buckets: 256,
             parallel: ParallelKind::Serial,
             shard_mix: Vec::new(),
         }
@@ -317,12 +307,6 @@ impl HostConfig {
                 "leakage limit of {} bits is outside the sane range [1, 2^20]",
                 self.leakage_limit_bits
             ));
-        }
-        if self.calendar_bucket_width == 0 {
-            return fail("calendar bucket width must be > 0".into());
-        }
-        if self.calendar_buckets == 0 {
-            return fail("calendar needs at least one bucket".into());
         }
         Ok(())
     }
@@ -407,13 +391,6 @@ impl HostConfigBuilder {
         self
     }
 
-    /// Calendar geometry (bucket width in cycles, ring size in buckets).
-    pub fn calendar(mut self, bucket_width: Cycle, buckets: usize) -> Self {
-        self.cfg.calendar_bucket_width = bucket_width;
-        self.cfg.calendar_buckets = buckets;
-        self
-    }
-
     /// Round execution mode.
     pub fn parallel(mut self, parallel: ParallelKind) -> Self {
         self.cfg.parallel = parallel;
@@ -471,24 +448,6 @@ pub struct TenantSpec {
 }
 
 impl TenantSpec {
-    /// The leakage parameters this policy implies (static schemes leak 0
-    /// bits over the ORAM timing channel; dynamic schemes leak up to
-    /// `|E|·lg|R|`).
-    pub fn leakage_params(&self) -> LeakageParams {
-        match &self.policy {
-            RatePolicy::Static { .. } => LeakageParams {
-                rate_count: 1,
-                schedule: EpochSchedule::scaled(4),
-            },
-            RatePolicy::Dynamic {
-                rates, schedule, ..
-            } => LeakageParams {
-                rate_count: rates.len(),
-                schedule: *schedule,
-            },
-        }
-    }
-
     /// Worst-case fraction of one shard this tenant can demand: slots
     /// at its fastest candidate rate (one per `rate + OLAT` cycles —
     /// the grid period is observable stream state and never moves with
@@ -817,7 +776,7 @@ impl MultiTenantHost {
         }
         .map_err(HostError::Build)?;
         let directory = TenantDirectory::new(cfg.leakage_limit_bits, cfg.seed);
-        let calendar = CalendarQueue::new(cfg.calendar_bucket_width, cfg.calendar_buckets);
+        let calendar = CalendarQueue::new(calendar::BUCKET_WIDTH, calendar::BUCKETS);
         let arbiter = WdrrArbiter::new();
         let executor = ShardExecutor::new(cfg.parallel);
         Ok(Self {
@@ -983,7 +942,7 @@ impl MultiTenantHost {
                 pricing: capacity_model.kind(),
             });
         }
-        let params = spec.leakage_params();
+        let params = spec.policy.leakage_params();
         let id = match self.directory.register(&spec.name, params) {
             Ok(id) => id,
             Err(e) => {
@@ -1694,13 +1653,10 @@ impl MultiTenantHost {
             fleet_spent_bits: self.ledger.fleet_spent_bits(),
         }
     }
-}
 
-impl PerfSink for MultiTenantHost {
     /// Assembles one complete round sample: host-level fields (round
     /// ordinal, clock, denials, ledger capacity share, per-tenant rows),
-    /// then delegates to the shard pool's and calendar queue's own
-    /// [`PerfSink`] impls for their portions.
+    /// then the shard pool's and calendar queue's portions.
     fn sample_into(&self, sample: &mut RoundSample) {
         sample.round = self.rounds;
         sample.clock = self.clock;
@@ -2302,11 +2258,11 @@ mod tests {
 
     #[test]
     fn both_front_doors_refuse_every_invalid_field() {
-        // A struct literal used to skip every check but the calendar's:
-        // `quantum: 0` built a host whose clock never moved, and a NaN
-        // utilization cap admitted any fleet.
+        // A struct literal used to skip every check: `quantum: 0` built
+        // a host whose clock never moved, and a NaN utilization cap
+        // admitted any fleet.
         type Break = fn(&mut HostConfig);
-        let cases: [(&str, Break); 10] = [
+        let cases: [(&str, Break); 8] = [
             ("zero shards", |c| c.n_shards = 0),
             ("zero quantum", |c| c.quantum = 0),
             ("zero threads", |c| c.parallel = ParallelKind::Threads(0)),
@@ -2317,8 +2273,6 @@ mod tests {
             ("limit over 2^20 bits", |c| {
                 c.leakage_limit_bits = (1 << 20) + 1
             }),
-            ("zero bucket width", |c| c.calendar_bucket_width = 0),
-            ("zero buckets", |c| c.calendar_buckets = 0),
         ];
         for (what, break_it) in cases {
             let mut c = HostConfig::small();
@@ -2330,7 +2284,6 @@ mod tests {
                 .parallel(c.parallel)
                 .max_shard_utilization(c.max_shard_utilization)
                 .leakage_limit_bits(c.leakage_limit_bits)
-                .calendar(c.calendar_bucket_width, c.calendar_buckets)
                 .build();
             assert!(
                 matches!(built, Err(HostError::Build(_))),

@@ -111,6 +111,5 @@ pub use otc_oram::{CapacityKind, CapacityModel};
 // Re-exported so downstream code (CLI, benches, tests) can record and
 // read perf sessions without a direct otc-perf dependency.
 pub use otc_perf::{
-    CodecError, Histogram, PerfSession, PerfSink, RoundSample, SessionFile, SessionMeta,
-    SessionSummary,
+    CodecError, Histogram, PerfSession, RoundSample, SessionFile, SessionMeta, SessionSummary,
 };

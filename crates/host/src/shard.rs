@@ -69,7 +69,7 @@ use otc_dram::{Cycle, DdrConfig};
 use otc_oram::{
     AccessPlan, CapacityKind, CapacityModel, OramConfig, OramTiming, RecursivePathOram,
 };
-use otc_perf::{Histogram, PerfSink, RoundSample, ShardSample};
+use otc_perf::{Histogram, RoundSample, ShardSample};
 
 /// Buckets of the per-access service-time histogram (each
 /// [`SERVICE_HIST_OLAT_FRACTION`]th of `OLAT` wide; the last bucket
@@ -996,13 +996,12 @@ impl ShardedOram {
     pub fn stash_len(&self, shard: usize) -> usize {
         self.lanes[shard].oram.total_stash_len()
     }
-}
 
-impl PerfSink for ShardedOram {
-    /// Contributes the per-shard rows and the retired-access counter:
-    /// cumulative accesses, eviction-queue depth, stash occupancy, and
-    /// per-unit stage busy cycles for every live shard.
-    fn sample_into(&self, sample: &mut RoundSample) {
+    /// Writes the per-shard rows and the retired-access counter into a
+    /// perf-session round sample: cumulative accesses, eviction-queue
+    /// depth, stash occupancy, and per-unit stage busy cycles for every
+    /// live shard.
+    pub(crate) fn sample_into(&self, sample: &mut RoundSample) {
         sample.retired_accesses = self.retired_accesses;
         sample.shards = (0..self.lanes.len())
             .map(|s| ShardSample {

@@ -6,9 +6,10 @@
 //! these can. A change meant to move the output re-records the file and
 //! says why.
 //!
-//! The degenerate-scheme and bench-flag cases pin that bad external
-//! input is a usage error (exit 2) with a message, never a panic (101),
-//! an aborting allocation (134) or a run that means nothing.
+//! The degenerate-scheme, bench-flag and subcommand cases pin that bad
+//! external input is a usage error (exit 2) with a message, never a
+//! panic (101), an aborting allocation (134) or a run that means
+//! nothing.
 
 use std::process::{Command, Output};
 
@@ -61,7 +62,7 @@ fn closed_loop_run_with_traces() {
 fn churn_script_with_a_rejected_event() {
     assert_golden(
         &[
-            "churn",
+            "run",
             "--tenants",
             "2",
             "--accesses",
@@ -143,7 +144,7 @@ fn degenerate_schemes_are_usage_errors() {
                 scheme,
             ][..],
             &["leakage", "--scheme", scheme][..],
-            &["churn", "--oram", "small", "--churn-script", &script][..],
+            &["run", "--oram", "small", "--churn-script", &script][..],
         ] {
             let out = otc(args);
             let stderr = String::from_utf8_lossy(&out.stderr);
@@ -189,6 +190,58 @@ fn meaningless_bench_flags_are_usage_errors() {
         assert_eq!(out.status.code(), Some(2), "otc {args:?}: {stderr}");
         assert!(stderr.contains(needle), "otc {args:?}: {stderr}");
     }
+}
+
+#[test]
+fn unknown_subcommands_are_usage_errors() {
+    // Online churn is `otc run --churn-script`; `churn` is no subcommand.
+    for args in [
+        &["churn", "--tenants", "2", "--oram", "small"][..],
+        &["churn", "--churn-script", "@1 shards 2"][..],
+        &["serve"][..],
+    ] {
+        let out = otc(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "otc {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("otc: unknown subcommand {:?}\n", args[0])),
+            "otc {args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "otc {args:?} printed to stdout");
+    }
+}
+
+#[test]
+fn tenants_sweep_that_serves_no_fleet_writes_no_session() {
+    // K=1 saturates, so no fleet serves and nothing is sampled: the
+    // sweep must say that it wrote no session and fail, as a failed
+    // write does, rather than exit 0 with no file.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_saturated.otcp");
+    let _ = std::fs::remove_file(&path);
+    let path_str = path.to_str().expect("UTF-8 path");
+    let out = otc(&[
+        "tenants",
+        "--tenants",
+        "2",
+        "--shards",
+        "1",
+        "--scheme",
+        "static_1",
+        "--perf-session",
+        path_str,
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("SATURATED"),
+        "the K=1 row reports the saturation"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("otc: failed to write perf session {path_str}: ")),
+        "{stderr}"
+    );
+    assert!(!path.exists(), "a session file was written");
 }
 
 #[test]

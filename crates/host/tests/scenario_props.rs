@@ -250,7 +250,7 @@ proptest! {
                 policy: policy.clone(),
                 instructions: 1_000,
             };
-            prop_assert!(spec.leakage_params().rate_count >= 1, "{}", scheme);
+            prop_assert!(policy.leakage_params().rate_count >= 1, "{}", scheme);
             for kind in [CapacityKind::Olat, CapacityKind::Cadence] {
                 let pool = CapacityModel::from_parts(kind, 1_300, 700);
                 let share = spec.worst_case_utilization(&pool);

@@ -11,11 +11,10 @@
 //!
 //! # Pieces
 //!
-//! - [`PerfSink`] — the cheap collection trait the host-side components
-//!   (`MultiTenantHost`, `ShardedOram`, the calendar queue) implement:
-//!   each contributes its fields to an in-flight [`RoundSample`]. The
-//!   [`NoopSink`] impl is empty and `#[inline]`, so a disabled session
-//!   compiles out of the hot path entirely.
+//! - [`RoundSample`] — the per-round schema. The host fills one per
+//!   round while a session records (its shard pool and calendar queue
+//!   each write their own fields); a host that records nothing pays one
+//!   branch per round.
 //! - [`SessionRecorder`] / [`PerfSession`] — the in-memory sampler and
 //!   the finished session (meta + rounds + summary).
 //! - The on-disk format ([`PerfSession::to_bytes`] /
@@ -61,6 +60,6 @@ mod session;
 pub use codec::CodecError;
 pub use hist::Histogram;
 pub use schema::{
-    CalendarSample, PerfSink, RoundSample, SessionMeta, SessionSummary, ShardSample, TenantSample,
+    CalendarSample, RoundSample, SessionMeta, SessionSummary, ShardSample, TenantSample,
 };
-pub use session::{NoopSink, PerfSession, SessionFile, SessionRecorder};
+pub use session::{PerfSession, SessionFile, SessionRecorder};

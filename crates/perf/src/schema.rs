@@ -183,14 +183,3 @@ impl SessionSummary {
         }
     }
 }
-
-/// The collection trait: each instrumented component contributes its
-/// fields to an in-flight [`RoundSample`]. Implemented by
-/// `MultiTenantHost` (round clock, tenants, denials, capacity share),
-/// `ShardedOram` (per-shard occupancy/queues/stash), and the calendar
-/// queue (bucket stats); [`crate::NoopSink`]'s empty impl compiles to
-/// nothing, so a disabled session costs one branch per round.
-pub trait PerfSink {
-    /// Write this component's view of the current round into `sample`.
-    fn sample_into(&self, sample: &mut RoundSample);
-}

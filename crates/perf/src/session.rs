@@ -1,18 +1,7 @@
 //! Session recording, the on-disk container, and its one decoder.
 
 use crate::codec::{self, kind, CodecError, IndexEntry, SessionIndex, FILE_MAGIC, INDEX_MAGIC};
-use crate::schema::{PerfSink, RoundSample, SessionMeta, SessionSummary};
-
-/// A sink that records nothing. Its empty `#[inline]` impl monomorphizes
-/// to zero instructions, so code paths instrumented against [`PerfSink`]
-/// cost nothing when perf sessions are disabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl PerfSink for NoopSink {
-    #[inline]
-    fn sample_into(&self, _sample: &mut RoundSample) {}
-}
+use crate::schema::{RoundSample, SessionMeta, SessionSummary};
 
 /// Accumulates [`RoundSample`]s during a run.
 #[derive(Debug, Clone)]
@@ -508,12 +497,5 @@ mod tests {
                 "{what}: {got:?}"
             );
         }
-    }
-
-    #[test]
-    fn noop_sink_records_nothing() {
-        let mut sample = RoundSample::default();
-        NoopSink.sample_into(&mut sample);
-        assert_eq!(sample, RoundSample::default());
     }
 }
