@@ -12,9 +12,9 @@
 //! (it compensates for burstiness); the sophisticated predictor "chooses
 //! similar rates" at |R| = 4.
 
-use otc_bench::{instruction_budget, print_table, run_pair, RunConfig};
+use otc_bench::{instruction_budget, perf_overhead, print_table, run_pair, run_policy, RunConfig};
 use otc_core::{
-    DividerImpl, EpochSchedule, OverheadPredictor, PerfCounters, RatePredictor, RateSet, Scheme,
+    DividerImpl, OverheadPredictor, PerfCounters, RatePolicy, RatePredictor, RateSet, Scheme,
 };
 use otc_workloads::SpecBenchmark;
 
@@ -37,11 +37,15 @@ fn main() {
         let base = run_pair(bench, &Scheme::BaseDram, &cfg);
         let mut cells = Vec::new();
         for divider in [DividerImpl::ShiftRegister, DividerImpl::Exact] {
-            // Scheme::Dynamic uses the shifter; build the exact variant
-            // via a custom run below. Reuse run_pair by swapping in the
-            // enforcer directly:
-            let r = run_with_divider(bench, divider, &cfg);
-            cells.push(format!("{:.2}", r / base.stats.cycles as f64));
+            // The catalog's dynamic_R4_E4 with only its divider swapped.
+            let mut policy = Scheme::dynamic(4, 4)
+                .policy()
+                .expect("a dynamic scheme enforces a rate policy");
+            if let RatePolicy::Dynamic { divider: d, .. } = &mut policy {
+                *d = divider;
+            }
+            let r = run_policy(&mut bench.workload(cfg.instructions), policy, &cfg);
+            cells.push(format!("{:.2}", perf_overhead(&r, &base)));
         }
         rows.push((bench.full_name().to_string(), cells));
     }
@@ -87,32 +91,4 @@ fn main() {
          mid-load choices toward slower (power-saving) rates — the paper's \
          performance/power trade-off dial (§7.3)."
     );
-    let _ = EpochSchedule::scaled(4); // (schedule constant across ablations)
-}
-
-/// Runs one benchmark with the dynamic scheme using `divider`, returning
-/// total cycles.
-fn run_with_divider(bench: SpecBenchmark, divider: DividerImpl, cfg: &RunConfig) -> f64 {
-    use otc_core::{RateLimitedOramBackend, RatePolicy};
-    use otc_dram::DdrConfig;
-    use otc_sim::{SimConfig, Simulator};
-
-    let ddr = DdrConfig::default();
-    let mut wl = bench.workload(cfg.instructions);
-    let sim = Simulator::new(SimConfig::default());
-    let warm = sim.warm_caches(&mut wl, cfg.warmup_instructions);
-    let mut backend = RateLimitedOramBackend::new(
-        cfg.oram.clone(),
-        &ddr,
-        RatePolicy::Dynamic {
-            rates: RateSet::paper(4),
-            schedule: EpochSchedule::scaled(4),
-            divider,
-            initial_rate: 10_000,
-        },
-    )
-    .expect("valid config");
-    backend.set_trace_recording(false);
-    let stats = sim.run_warm(&mut wl, &mut backend, cfg.instructions, warm);
-    stats.cycles as f64
 }

@@ -15,7 +15,6 @@ fn main() {
     let cfg = RunConfig {
         instructions,
         window_instructions: Some(instructions / windows),
-        ..Default::default()
     };
 
     println!(

@@ -28,7 +28,6 @@ fn main() {
     let cfg = RunConfig {
         instructions,
         window_instructions: Some(instructions / 8),
-        ..Default::default()
     };
     // Lg-spaced sweep 2^5..2^17, matching the figure's x-axis range.
     let rates: Vec<u64> = (5..=17).map(|p| 1u64 << p).collect();

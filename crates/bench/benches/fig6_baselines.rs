@@ -5,117 +5,53 @@
 //! claim rows (dynamic-vs-oracle gap, static break-even costs, dummy
 //! fraction).
 
-use otc_bench::{geomean, instruction_budget, mean, print_table, run_pair, RunConfig, RunResult};
+use otc_bench::{geomean, instruction_budget, lineup, mean, RunConfig};
 use otc_core::Scheme;
-use otc_workloads::SpecBenchmark;
 
 fn main() {
     let cfg = RunConfig {
         instructions: instruction_budget(2_000_000),
         ..Default::default()
     };
-    let benches = SpecBenchmark::figure6_lineup();
-    let schemes = Scheme::figure6_lineup();
 
     println!(
         "Figure 6 reproduction: {} instructions per run (set OTC_BENCH_INSTRUCTIONS to scale)",
         cfg.instructions
     );
 
-    // Run everything (plus the base_dram normalizer).
-    let mut perf_rows = Vec::new();
-    let mut power_rows = Vec::new();
-    let mut per_scheme_perf: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    let mut per_scheme_power: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    let mut per_scheme_dummy: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-
-    for bench in &benches {
-        let base = run_pair(*bench, &Scheme::BaseDram, &cfg);
-        let mut perf_cells = Vec::new();
-        let mut power_cells = Vec::new();
-        for (si, scheme) in schemes.iter().enumerate() {
-            let r: RunResult = run_pair(*bench, scheme, &cfg);
-            let overhead = otc_bench::perf_overhead(&r, &base);
-            per_scheme_perf[si].push(overhead);
-            per_scheme_power[si].push(r.power.total_watts());
-            per_scheme_dummy[si].push(r.dummy_fraction);
-            perf_cells.push(format!("{overhead:.2}"));
-            power_cells.push(format!("{:.3}", r.power.total_watts()));
-        }
-        perf_rows.push((bench.short_name().to_string(), perf_cells));
-        power_rows.push((bench.short_name().to_string(), power_cells));
-    }
-
-    let labels: Vec<String> = schemes.iter().map(|s| s.label()).collect();
-    let columns: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
-
-    perf_rows.push((
-        "Avg".into(),
-        per_scheme_perf
-            .iter()
-            .map(|v| format!("{:.2}", geomean(v)))
-            .collect(),
-    ));
-    print_table(
-        "Figure 6 (top): performance overhead, x vs base_dram",
-        &columns,
-        &perf_rows,
-    );
+    let l = lineup(&Scheme::figure6_lineup(), &cfg);
+    l.print_overhead("Figure 6 (top): performance overhead, x vs base_dram");
     println!(
         "paper Avg: base_oram 3.35x | dynamic_R4_E4 4.03x | static_300 3.80x \
          (static_500/static_1300 bracket the dynamic point)"
     );
-
-    power_rows.push((
-        "Avg".into(),
-        per_scheme_power
-            .iter()
-            .map(|v| format!("{:.3}", mean(v)))
-            .collect(),
-    ));
-    print_table("Figure 6 (bottom): power, Watts", &columns, &power_rows);
+    l.print_power("Figure 6 (bottom): power, Watts");
     println!(
         "paper Avg power ratios vs base_dram: base_oram 5.27x | dynamic_R4_E4 5.89x | static_300 8.68x"
     );
 
     // §9.3 derived claims.
-    let perf = |label: &str| {
-        let i = labels
-            .iter()
-            .position(|l| l == label)
-            .expect("scheme present");
-        geomean(&per_scheme_perf[i])
-    };
-    let power = |label: &str| {
-        let i = labels
-            .iter()
-            .position(|l| l == label)
-            .expect("scheme present");
-        mean(&per_scheme_power[i])
-    };
+    let perf = |label: &str| geomean(&l.overhead[l.column(label)]);
+    let power = |label: &str| mean(&l.power[l.column(label)]);
     let dynamic_vs_oracle_perf = (perf("dynamic_R4_E4") / perf("base_oram") - 1.0) * 100.0;
     let dynamic_vs_oracle_power = (power("dynamic_R4_E4") / power("base_oram") - 1.0) * 100.0;
     let static500_power = (power("static_500") / power("dynamic_R4_E4") - 1.0) * 100.0;
     let static1300_perf = (perf("static_1300") / perf("dynamic_R4_E4") - 1.0) * 100.0;
     let static300_power = (power("static_300") / power("dynamic_R4_E4") - 1.0) * 100.0;
-    let dyn_idx = labels
-        .iter()
-        .position(|l| l == "dynamic_R4_E4")
-        .expect("present");
-    let dummy_avg = mean(&per_scheme_dummy[dyn_idx]) * 100.0;
+    let dummy_avg = mean(&l.dummy[l.column("dynamic_R4_E4")]) * 100.0;
 
     println!("\n== Section 9.3 derived claims (measured vs paper) ==");
     println!(
-        "dynamic_R4_E4 vs base_oram:  perf +{dynamic_vs_oracle_perf:.0}% (paper +20%), \
-         power +{dynamic_vs_oracle_power:.0}% (paper +12%)"
+        "dynamic_R4_E4 vs base_oram:  perf {dynamic_vs_oracle_perf:+.0}% (paper +20%), \
+         power {dynamic_vs_oracle_power:+.0}% (paper +12%)"
     );
     println!(
-        "static_500  vs dynamic:      power +{static500_power:.0}% (paper +34%, perf break-even)"
+        "static_500  vs dynamic:      power {static500_power:+.0}% (paper +34%, perf break-even)"
     );
     println!(
-        "static_1300 vs dynamic:      perf  +{static1300_perf:.0}% (paper +30%, power break-even)"
+        "static_1300 vs dynamic:      perf  {static1300_perf:+.0}% (paper +30%, power break-even)"
     );
-    println!("static_300  vs dynamic:      power +{static300_power:.0}% (paper +47%)");
+    println!("static_300  vs dynamic:      power {static300_power:+.0}% (paper +47%)");
     println!(
         "dynamic dummy-access fraction: {dummy_avg:.0}% (paper: 34% average, footnote in §11)"
     );

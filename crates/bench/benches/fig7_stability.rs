@@ -20,7 +20,6 @@ fn main() {
     let cfg = RunConfig {
         instructions,
         window_instructions: Some(instructions / windows),
-        ..Default::default()
     };
     let schemes = [
         Scheme::BaseOram,

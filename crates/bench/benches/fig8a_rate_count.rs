@@ -6,74 +6,30 @@
 //! the leakage, and that R2 hurts mid-range benchmarks (neither extreme
 //! rate fits them).
 
-use otc_bench::{geomean, instruction_budget, mean, print_table, run_pair, RunConfig};
+use otc_bench::{instruction_budget, lineup, RunConfig};
 use otc_core::Scheme;
-use otc_workloads::SpecBenchmark;
 
 fn main() {
     let cfg = RunConfig {
         instructions: instruction_budget(1_500_000),
         ..Default::default()
     };
-    let rate_counts = [16usize, 8, 4, 2];
-    let benches = SpecBenchmark::figure6_lineup();
+    let schemes: Vec<Scheme> = [16usize, 8, 4, 2]
+        .into_iter()
+        .map(|rc| Scheme::dynamic(rc, 2))
+        .collect();
 
     println!(
         "Figure 8a reproduction: {} instructions per run",
         cfg.instructions
     );
 
-    let mut perf_rows = Vec::new();
-    let mut power_rows = Vec::new();
-    let mut per_cfg_perf: Vec<Vec<f64>> = vec![Vec::new(); rate_counts.len()];
-    let mut per_cfg_power: Vec<Vec<f64>> = vec![Vec::new(); rate_counts.len()];
-
-    for bench in &benches {
-        let base = run_pair(*bench, &Scheme::BaseDram, &cfg);
-        let mut perf_cells = Vec::new();
-        let mut power_cells = Vec::new();
-        for (ci, &rc) in rate_counts.iter().enumerate() {
-            let r = run_pair(*bench, &Scheme::dynamic(rc, 2), &cfg);
-            let overhead = otc_bench::perf_overhead(&r, &base);
-            per_cfg_perf[ci].push(overhead);
-            per_cfg_power[ci].push(r.power.total_watts());
-            perf_cells.push(format!("{overhead:.2}"));
-            power_cells.push(format!("{:.3}", r.power.total_watts()));
-        }
-        perf_rows.push((bench.short_name().to_string(), perf_cells));
-        power_rows.push((bench.short_name().to_string(), power_cells));
-    }
-
-    let labels: Vec<String> = rate_counts
-        .iter()
-        .map(|rc| format!("dynamic_R{rc}_E2"))
-        .collect();
-    let columns: Vec<&str> = labels.iter().map(|s| s.as_str()).collect();
-
-    perf_rows.push((
-        "Avg".into(),
-        per_cfg_perf
-            .iter()
-            .map(|v| format!("{:.2}", geomean(v)))
-            .collect(),
-    ));
-    power_rows.push((
-        "Avg".into(),
-        per_cfg_power
-            .iter()
-            .map(|v| format!("{:.3}", mean(v)))
-            .collect(),
-    ));
-    print_table(
-        "Figure 8a (top): perf overhead x vs base_dram, varying |R|",
-        &columns,
-        &perf_rows,
-    );
-    print_table("Figure 8a (bottom): power, Watts", &columns, &power_rows);
+    let l = lineup(&schemes, &cfg);
+    l.print_overhead("Figure 8a (top): perf overhead x vs base_dram, varying |R|");
+    l.print_power("Figure 8a (bottom): power, Watts");
 
     println!("\nleakage bound per configuration (scaled schedule preserves paper epoch counts):");
-    for &rc in &rate_counts {
-        let s = Scheme::dynamic(rc, 2);
+    for s in &schemes {
         println!(
             "  {:<16} {:>6.0} bits",
             s.label(),

@@ -3,9 +3,19 @@
 //! Each `benches/*.rs` target (run via `cargo bench`) regenerates one
 //! table or figure from the paper's evaluation (§9), printing the
 //! reproduction's rows next to the paper's reference numbers. This crate
-//! holds the common machinery: building a (benchmark, scheme) pair,
-//! running it on the cycle-level simulator, and extracting the metrics
-//! the paper reports.
+//! holds the common machinery: one run path that warms a benchmark's
+//! caches and runs it under a scheme on the cycle-level simulator
+//! ([`run_stream`], or [`run_policy`] for a rate policy outside the
+//! catalog), the metrics the paper reports, and one sweep of a scheme
+//! lineup over the Fig. 6 benchmarks ([`lineup`]) behind Figs. 6, 8a and
+//! 8b. Schemes, their policies and their backends come from
+//! [`Scheme`]'s catalog.
+//!
+//! Every run uses the paper's machine: its ORAM geometry, a 1 MiB LLC
+//! ([`SimConfig::default`]), and a 1 M-instruction warm-up over flat
+//! DRAM before measurement (the paper fast-forwards 1-20 B instructions
+//! to get out of initialization, §9.1.1). No run records its observable
+//! trace.
 //!
 //! Scale note (`DESIGN.md` §2): instruction budgets default to a few
 //! million per run so `cargo bench --workspace` completes in minutes; set
@@ -16,12 +26,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use otc_core::{EpochTransition, RateLimitedOramBackend, Scheme, UnprotectedOramBackend};
+use otc_core::{EpochTransition, RateLimitedOramBackend, RatePolicy, Scheme};
 use otc_dram::DdrConfig;
-use otc_oram::OramConfig;
+use otc_oram::{OramConfig, OramTiming};
 use otc_power::{PowerModel, PowerReport};
-use otc_sim::{DramBackend, SimConfig, SimStats, Simulator};
+use otc_sim::{InstructionStream, MemoryBackend, SimConfig, SimStats, Simulator};
 use otc_workloads::SpecBenchmark;
+
+/// Instructions every run fast-forwards over flat DRAM before it is
+/// measured.
+const WARMUP_INSTRUCTIONS: u64 = 1_000_000;
 
 /// Instruction budget per run: `OTC_BENCH_INSTRUCTIONS` or the default.
 pub fn instruction_budget(default: u64) -> u64 {
@@ -31,24 +45,15 @@ pub fn instruction_budget(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// One (benchmark, scheme) experiment configuration.
+/// What a figure sets for its runs: the instruction budget and window
+/// sampling. The machine, the warm-up and trace recording are fixed
+/// (see the crate docs).
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Instructions to retire.
     pub instructions: u64,
     /// Record a window sample every this many instructions (None = off).
     pub window_instructions: Option<u64>,
-    /// LLC capacity in bytes (paper default 1 MB).
-    pub llc_bytes: u64,
-    /// ORAM geometry (paper default).
-    pub oram: OramConfig,
-    /// Whether the backend should record its observable trace (memory-
-    /// hungry on long runs; off for sweeps).
-    pub record_trace: bool,
-    /// Fast-forward instructions before measurement (the paper
-    /// fast-forwards 1-20B instructions to get out of initialization,
-    /// §9.1.1; this is the scaled equivalent and runs over flat DRAM).
-    pub warmup_instructions: u64,
 }
 
 impl Default for RunConfig {
@@ -56,10 +61,6 @@ impl Default for RunConfig {
         Self {
             instructions: 2_000_000,
             window_instructions: None,
-            llc_bytes: 1 << 20,
-            oram: OramConfig::paper(),
-            record_trace: false,
-            warmup_instructions: 1_000_000,
         }
     }
 }
@@ -99,77 +100,62 @@ pub fn run_pair(bench: SpecBenchmark, scheme: &Scheme, cfg: &RunConfig) -> RunRe
 /// malicious-program experiments, which are not SPEC-shaped).
 pub fn run_stream<S>(workload: &mut S, scheme: &Scheme, cfg: &RunConfig) -> RunResult
 where
-    S: otc_sim::InstructionStream + ?Sized,
+    S: InstructionStream + ?Sized,
 {
-    let mut sim_cfg = SimConfig::default().with_llc_capacity(cfg.llc_bytes);
-    sim_cfg.window_instructions = cfg.window_instructions;
-    let sim = Simulator::new(sim_cfg);
-    let ddr = DdrConfig::default();
+    match scheme.policy() {
+        Some(policy) => run_policy(workload, policy, cfg),
+        None => {
+            let mut backend = scheme
+                .build_backend(&OramConfig::paper(), &DdrConfig::default())
+                .expect("valid ORAM config");
+            warm_then_run(workload, backend.as_mut(), cfg)
+        }
+    }
+}
 
-    let timing = otc_oram::OramTiming::derive(&cfg.oram, &ddr);
+/// Runs `workload` on a rate-limited ORAM enforcing `policy`: a
+/// catalog scheme's ([`Scheme::policy`]), or one varied from it (the
+/// learner ablation swaps its divider).
+pub fn run_policy<S>(workload: &mut S, policy: RatePolicy, cfg: &RunConfig) -> RunResult
+where
+    S: InstructionStream + ?Sized,
+{
+    let mut backend =
+        RateLimitedOramBackend::new(OramConfig::paper(), &DdrConfig::default(), policy)
+            .expect("valid ORAM config");
+    backend.set_trace_recording(false);
+    let run = warm_then_run(workload, &mut backend, cfg);
+    RunResult {
+        dummy_fraction: backend.dummy_fraction(),
+        transitions: backend.transitions().to_vec(),
+        ..run
+    }
+}
+
+/// The one run path: warms the caches over flat DRAM, runs
+/// `cfg.instructions` on `backend`, and prices the run's power.
+fn warm_then_run<S, B>(workload: &mut S, backend: &mut B, cfg: &RunConfig) -> RunResult
+where
+    S: InstructionStream + ?Sized,
+    B: MemoryBackend + ?Sized,
+{
+    let sim = Simulator::new(SimConfig {
+        window_instructions: cfg.window_instructions,
+        ..SimConfig::default()
+    });
+    let timing = OramTiming::derive(&OramConfig::paper(), &DdrConfig::default());
     let power_model =
         PowerModel::paper().with_oram_access(timing.chunks_per_access(), timing.dram_cycles);
-
     let benchmark = workload.name().to_string();
-    let warm = sim.warm_caches(workload, cfg.warmup_instructions);
-    let (stats, dummy_fraction, transitions) = match scheme {
-        Scheme::BaseDram => {
-            let mut backend = DramBackend::new();
-            let stats = sim.run_warm(workload, &mut backend, cfg.instructions, warm);
-            (stats, 0.0, Vec::new())
-        }
-        Scheme::BaseOram => {
-            let mut backend =
-                UnprotectedOramBackend::new(cfg.oram.clone(), &ddr).expect("valid ORAM config");
-            backend.set_trace_recording(cfg.record_trace);
-            let stats = sim.run_warm(workload, &mut backend, cfg.instructions, warm);
-            (stats, 0.0, Vec::new())
-        }
-        Scheme::Static { rate } => {
-            let mut backend = RateLimitedOramBackend::new(
-                cfg.oram.clone(),
-                &ddr,
-                otc_core::RatePolicy::Static { rate: *rate },
-            )
-            .expect("valid ORAM config");
-            backend.set_trace_recording(cfg.record_trace);
-            let stats = sim.run_warm(workload, &mut backend, cfg.instructions, warm);
-            (stats, backend.dummy_fraction(), Vec::new())
-        }
-        Scheme::Dynamic {
-            rate_count,
-            schedule,
-            ..
-        } => {
-            let mut backend = RateLimitedOramBackend::new(
-                cfg.oram.clone(),
-                &ddr,
-                otc_core::RatePolicy::Dynamic {
-                    rates: otc_core::RateSet::paper(*rate_count),
-                    schedule: *schedule,
-                    divider: otc_core::DividerImpl::ShiftRegister,
-                    initial_rate: 10_000,
-                },
-            )
-            .expect("valid ORAM config");
-            backend.set_trace_recording(cfg.record_trace);
-            let stats = sim.run_warm(workload, &mut backend, cfg.instructions, warm);
-            (
-                stats,
-                backend.dummy_fraction(),
-                backend.transitions().to_vec(),
-            )
-        }
-    };
-
-    let power = power_model.power(&stats);
+    let warm = sim.warm_caches(workload, WARMUP_INSTRUCTIONS);
+    let stats = sim.run_warm(workload, backend, cfg.instructions, warm);
     RunResult {
-        scheme: scheme.label(),
+        scheme: backend.label(),
         benchmark,
+        power: power_model.power(&stats),
         stats,
-        power,
-        dummy_fraction,
-        transitions,
+        dummy_fraction: 0.0,
+        transitions: Vec::new(),
     }
 }
 
@@ -177,6 +163,83 @@ where
 /// benchmark: cycles ratio (same instruction count on both sides).
 pub fn perf_overhead(run: &RunResult, base: &RunResult) -> f64 {
     run.stats.cycles as f64 / base.stats.cycles.max(1) as f64
+}
+
+/// A scheme lineup swept over [`SpecBenchmark::figure6_lineup`], each
+/// benchmark's runs normalized to its `base_dram` run. Column `s` of
+/// every table is `schemes[s]`, row `b` the `b`-th benchmark.
+#[derive(Debug, Clone)]
+pub struct Lineup {
+    /// Column labels ([`Scheme::label`]).
+    labels: Vec<String>,
+    /// Row labels (benchmark short names).
+    benches: Vec<String>,
+    /// `overhead[s][b]`: performance overhead, × vs `base_dram`.
+    pub overhead: Vec<Vec<f64>>,
+    /// `power[s][b]`: total power, Watts.
+    pub power: Vec<Vec<f64>>,
+    /// `dummy[s][b]`: fraction of ORAM slots that were dummies.
+    pub dummy: Vec<Vec<f64>>,
+}
+
+/// The one sweep behind Figs. 6, 8a and 8b: per benchmark, the
+/// `base_dram` normalizer and then each of `schemes`.
+pub fn lineup(schemes: &[Scheme], cfg: &RunConfig) -> Lineup {
+    let benches = SpecBenchmark::figure6_lineup();
+    let mut l = Lineup {
+        labels: schemes.iter().map(Scheme::label).collect(),
+        benches: benches.iter().map(|b| b.short_name().to_string()).collect(),
+        overhead: vec![Vec::new(); schemes.len()],
+        power: vec![Vec::new(); schemes.len()],
+        dummy: vec![Vec::new(); schemes.len()],
+    };
+    for bench in benches {
+        let base = run_pair(bench, &Scheme::BaseDram, cfg);
+        for (s, scheme) in schemes.iter().enumerate() {
+            let r = run_pair(bench, scheme, cfg);
+            l.overhead[s].push(perf_overhead(&r, &base));
+            l.power[s].push(r.power.total_watts());
+            l.dummy[s].push(r.dummy_fraction);
+        }
+    }
+    l
+}
+
+impl Lineup {
+    /// Column of the scheme labelled `label`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no scheme of the lineup carries that label.
+    pub fn column(&self, label: &str) -> usize {
+        self.labels
+            .iter()
+            .position(|l| l == label)
+            .unwrap_or_else(|| panic!("{label} is not in the lineup"))
+    }
+
+    /// Prints the overhead table; its `Avg` row is the geometric mean.
+    pub fn print_overhead(&self, title: &str) {
+        self.print(title, &self.overhead, geomean, 2);
+    }
+
+    /// Prints the power table; its `Avg` row is the arithmetic mean.
+    pub fn print_power(&self, title: &str) {
+        self.print(title, &self.power, mean, 3);
+    }
+
+    fn print(&self, title: &str, table: &[Vec<f64>], avg: fn(&[f64]) -> f64, digits: usize) {
+        let cells = |values: Vec<f64>| values.iter().map(|v| format!("{v:.digits$}")).collect();
+        let mut rows: Vec<(String, Vec<String>)> = self
+            .benches
+            .iter()
+            .enumerate()
+            .map(|(b, bench)| (bench.clone(), cells(table.iter().map(|c| c[b]).collect())))
+            .collect();
+        rows.push(("Avg".into(), cells(table.iter().map(|c| avg(c)).collect())));
+        let columns: Vec<&str> = self.labels.iter().map(String::as_str).collect();
+        print_table(title, &columns, &rows);
+    }
 }
 
 /// Pretty-prints a table: header row + rows of (label, values).

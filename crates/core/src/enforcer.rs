@@ -35,6 +35,7 @@
 use crate::epoch::EpochSchedule;
 use crate::learner::{DividerImpl, PerfCounters, RatePredictor};
 use crate::rate::RateSet;
+use crate::scheme::Scheme;
 use crate::session::LeakageParams;
 use otc_dram::{Cycle, DdrConfig};
 use otc_oram::{OramConfig, OramTiming, RecursivePathOram};
@@ -98,14 +99,12 @@ pub enum RatePolicy {
 
 impl RatePolicy {
     /// The paper's dynamic configuration `dynamic_R{n}_E{g}` at the
-    /// reproduction's scaled epoch schedule.
+    /// reproduction's scaled epoch schedule ([`Scheme::dynamic`]'s
+    /// policy).
     pub fn dynamic_paper(rate_count: usize, growth: u32) -> Self {
-        RatePolicy::Dynamic {
-            rates: RateSet::paper(rate_count),
-            schedule: EpochSchedule::scaled(growth),
-            divider: DividerImpl::ShiftRegister,
-            initial_rate: 10_000,
-        }
+        Scheme::dynamic(rate_count, growth)
+            .policy()
+            .expect("a dynamic scheme enforces a rate policy")
     }
 
     /// The fastest rate this policy can ever put in force (admission
@@ -161,6 +160,47 @@ impl RatePolicy {
             } => format!("dynamic_R{}_E{}", rates.len(), schedule.growth()),
         }
     }
+}
+
+/// The largest rate a `static_<rate>` scheme may name: 2^32 cycles, far
+/// beyond any rate the paper sweeps (its slowest candidate is 32768),
+/// and small enough that every period, horizon and pricing sum built
+/// from it stays well inside `u64`.
+pub const MAX_STATIC_RATE: u64 = 1 << 32;
+
+/// Parses a [`RatePolicy::label`] — `dynamic_R4_E4`, `static_1300` —
+/// back into its policy (the one scheme parser shared by the `otc`
+/// flags, churn scripts and scenario files). Total: it returns `None`
+/// for every scheme whose `|E|·lg|R|` leakage bound is undefined — rate
+/// 0, fewer than two candidate rates, an epoch growth that is not a
+/// power of two ≥ 2 — for a static rate above [`MAX_STATIC_RATE`], and
+/// for a rate count [`RateSet::paper`] cannot build as that many whole
+/// cycle counts (every `n` from 1246 up), so an accepted scheme never
+/// panics or stalls downstream and is served under the name it was
+/// given.
+pub fn parse_scheme(s: &str) -> Option<RatePolicy> {
+    if let Some(rest) = s.strip_prefix("static_") {
+        let rate: u64 = rest
+            .parse()
+            .ok()
+            .filter(|r| (1..=MAX_STATIC_RATE).contains(r))?;
+        return Scheme::Static { rate }.policy();
+    }
+    let (r, e) = s.strip_prefix("dynamic_R")?.split_once("_E")?;
+    // At most one candidate per cycle count between the paper set's
+    // extremes, checked before any set is built.
+    let span = RateSet::paper(2);
+    let max_count = (span.slowest() - span.fastest() + 1) as usize;
+    let rate_count: usize = r.parse().ok().filter(|n| (2..=max_count).contains(n))?;
+    let growth: u32 = e
+        .parse()
+        .ok()
+        .filter(|g: &u32| *g >= 2 && g.is_power_of_two())?;
+    // Flooring to whole cycles merges neighbouring lg-spaced rates once
+    // the set is dense enough.
+    Scheme::dynamic(rate_count, growth)
+        .policy()
+        .filter(|p| p.leakage_params().rate_count == rate_count)
 }
 
 /// What [`SlotStream::serve`] did for one slot.

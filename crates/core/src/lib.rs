@@ -55,8 +55,8 @@ mod session;
 
 pub use bignat::BigNat;
 pub use enforcer::{
-    EpochTransition, RateLimitedOramBackend, RatePolicy, SlotOutcome, SlotRecord, SlotStream,
-    UnprotectedOramBackend,
+    parse_scheme, EpochTransition, RateLimitedOramBackend, RatePolicy, SlotOutcome, SlotRecord,
+    SlotStream, UnprotectedOramBackend, MAX_STATIC_RATE,
 };
 pub use epoch::EpochSchedule;
 pub use leakage::{

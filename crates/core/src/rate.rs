@@ -151,6 +151,16 @@ mod tests {
     }
 
     #[test]
+    fn paper_sets_hold_every_rate_up_to_1245() {
+        // Flooring to whole cycles first merges two neighbours at 1246
+        // candidates; `parse_scheme` refuses every count from there up.
+        for count in 2..=1245 {
+            assert_eq!(RateSet::paper(count).len(), count, "|R| = {count}");
+        }
+        assert_eq!(RateSet::paper(1246).len(), 1245);
+    }
+
+    #[test]
     fn discretize_picks_nearest() {
         let r = RateSet::paper(4);
         assert_eq!(r.discretize(0), 256);

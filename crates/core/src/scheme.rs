@@ -1,9 +1,9 @@
 //! The five evaluated memory-system configurations (§9.1.6) as a single
-//! catalog, so benches and examples build backends uniformly.
+//! catalog: each scheme's name, rate policy, backend and leakage bound
+//! come from here, so benches, examples and the host build them alike.
 
 use crate::enforcer::{RateLimitedOramBackend, RatePolicy, UnprotectedOramBackend};
 use crate::epoch::EpochSchedule;
-use crate::leakage::LeakageModel;
 use crate::learner::DividerImpl;
 use crate::rate::RateSet;
 use otc_dram::{Cycle, DdrConfig};
@@ -24,13 +24,13 @@ pub enum Scheme {
         /// The fixed rate in cycles.
         rate: Cycle,
     },
-    /// The paper's dynamic leakage-bounded scheme.
+    /// The paper's dynamic leakage-bounded scheme; build it with
+    /// [`Scheme::dynamic`].
     Dynamic {
         /// `|R|` candidates (lg-spaced 256–32768, §9.2).
         rate_count: usize,
-        /// Per-epoch growth factor (2, 4, 8 or 16; §9.5).
-        epoch_growth: u32,
-        /// Epoch schedule scale; `EpochSchedule::scaled` by default.
+        /// Epoch schedule; its growth factor (2, 4, 8 or 16; §9.5) is
+        /// the scheme's `E`.
         schedule: EpochSchedule,
     },
 }
@@ -53,26 +53,41 @@ impl Scheme {
     pub fn dynamic(rate_count: usize, epoch_growth: u32) -> Scheme {
         Scheme::Dynamic {
             rate_count,
-            epoch_growth,
             schedule: EpochSchedule::scaled(epoch_growth),
+        }
+    }
+
+    /// The rate policy enforcing this scheme (`None` for the two
+    /// baselines, which enforce no rate). A dynamic scheme runs §9.2's
+    /// learner: the paper's lg-spaced `R`, Algorithm 1's shift-register
+    /// divider, and 10000 cycles in the first epoch.
+    pub fn policy(&self) -> Option<RatePolicy> {
+        match *self {
+            Scheme::BaseDram | Scheme::BaseOram => None,
+            Scheme::Static { rate } => Some(RatePolicy::Static { rate }),
+            Scheme::Dynamic {
+                rate_count,
+                schedule,
+            } => Some(RatePolicy::Dynamic {
+                rates: RateSet::paper(rate_count),
+                schedule,
+                divider: DividerImpl::ShiftRegister,
+                initial_rate: 10_000,
+            }),
         }
     }
 
     /// Paper-style label (`base_dram`, `static_300`, `dynamic_R4_E4`, …).
     pub fn label(&self) -> String {
-        match self {
-            Scheme::BaseDram => "base_dram".into(),
-            Scheme::BaseOram => "base_oram".into(),
-            Scheme::Static { rate } => format!("static_{rate}"),
-            Scheme::Dynamic {
-                rate_count,
-                epoch_growth,
-                ..
-            } => format!("dynamic_R{rate_count}_E{epoch_growth}"),
+        match (self, self.policy()) {
+            (_, Some(policy)) => policy.label(),
+            (Scheme::BaseOram, None) => "base_oram".into(),
+            _ => "base_dram".into(),
         }
     }
 
-    /// Builds the memory backend implementing this scheme.
+    /// Builds the memory backend implementing this scheme. The box hides
+    /// the backend's observable trace, so none is recorded.
     ///
     /// # Errors
     ///
@@ -82,46 +97,31 @@ impl Scheme {
         oram_config: &OramConfig,
         ddr: &DdrConfig,
     ) -> Result<Box<dyn MemoryBackend>, String> {
-        Ok(match self {
-            Scheme::BaseDram => Box::new(DramBackend::new()),
-            Scheme::BaseOram => Box::new(UnprotectedOramBackend::new(oram_config.clone(), ddr)?),
-            Scheme::Static { rate } => Box::new(RateLimitedOramBackend::new(
-                oram_config.clone(),
-                ddr,
-                RatePolicy::Static { rate: *rate },
-            )?),
-            Scheme::Dynamic {
-                rate_count,
-                epoch_growth: _,
-                schedule,
-            } => Box::new(RateLimitedOramBackend::new(
-                oram_config.clone(),
-                ddr,
-                RatePolicy::Dynamic {
-                    rates: RateSet::paper(*rate_count),
-                    schedule: *schedule,
-                    divider: DividerImpl::ShiftRegister,
-                    initial_rate: 10_000,
-                },
-            )?),
+        Ok(match (self, self.policy()) {
+            (_, Some(policy)) => {
+                let mut backend = RateLimitedOramBackend::new(oram_config.clone(), ddr, policy)?;
+                backend.set_trace_recording(false);
+                Box::new(backend)
+            }
+            (Scheme::BaseOram, None) => {
+                let mut backend = UnprotectedOramBackend::new(oram_config.clone(), ddr)?;
+                backend.set_trace_recording(false);
+                Box::new(backend)
+            }
+            _ => Box::new(DramBackend::new()),
         })
     }
 
     /// Worst-case ORAM-timing leakage of this scheme in bits (§9.1.5's
     /// accounting; termination leakage is separate and common to all).
     pub fn oram_timing_leakage_bits(&self) -> f64 {
-        match self {
-            // base_dram has no ORAM; base_oram leaks unboundedly (the
-            // trace count is astronomical — see
-            // `leakage::unprotected_trace_count`).
-            Scheme::BaseDram => 0.0,
-            Scheme::BaseOram => f64::INFINITY,
-            Scheme::Static { .. } => 0.0,
-            Scheme::Dynamic {
-                rate_count,
-                schedule,
-                ..
-            } => LeakageModel::new(*rate_count, *schedule).oram_timing_bits(),
+        match (self, self.policy()) {
+            (_, Some(policy)) => policy.leakage_params().oram_timing_bits(),
+            // base_oram leaks unboundedly (the trace count is
+            // astronomical — see `leakage::unprotected_trace_count`).
+            (Scheme::BaseOram, None) => f64::INFINITY,
+            // base_dram has no ORAM.
+            _ => 0.0,
         }
     }
 }

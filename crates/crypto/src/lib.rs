@@ -18,7 +18,6 @@
 //! * [`Mac`] — a fixed-length message authentication code.
 //! * [`keys`] — session-key negotiation and the run-once key register that
 //!   defeats replay attacks (§8).
-//! * [`latency`] — the fixed cycle costs charged for each primitive.
 //!
 //! # Security disclaimer
 //!
@@ -56,7 +55,6 @@ mod prob;
 mod rng;
 
 pub mod keys;
-pub mod latency;
 
 pub use cipher::{Block, BlockCipher};
 pub use keys::{KeyRegister, ProcessorKeyPair, SealedKey, SymmetricKey};

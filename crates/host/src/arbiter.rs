@@ -151,11 +151,6 @@ impl WdrrArbiter {
         }
         self.credit.get(tenant).copied().unwrap_or(0)
     }
-
-    /// Per-tenant weights in ppm (diagnostics/reporting; 0 = inactive).
-    pub(crate) fn weights_ppm(&self) -> &[i64] {
-        &self.weight_ppm
-    }
 }
 
 #[cfg(test)]

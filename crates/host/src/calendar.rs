@@ -133,11 +133,6 @@ impl CalendarQueue {
         self.len == 0
     }
 
-    /// Bucket width in cycles.
-    pub fn bucket_width(&self) -> Cycle {
-        self.width
-    }
-
     /// The ring bucket `time` hashes to.
     fn ring(&self, time: Cycle) -> usize {
         (time / self.width % self.buckets.len() as u64) as usize

@@ -80,6 +80,10 @@ use std::collections::VecDeque;
 /// per-stream trace cap in `otc-core`).
 const SERVE_LOG_CAP: usize = 4_000_000;
 
+/// Admission cap on worst-case per-shard utilization: the active fleet
+/// may demand at most this share of each shard.
+pub const MAX_SHARD_UTILIZATION: f64 = 0.9;
+
 /// Host-level errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HostError {
@@ -203,8 +207,6 @@ pub struct HostConfig {
     pub quantum: Cycle,
     /// The processor's per-tenant leakage limit `L` (bits).
     pub leakage_limit_bits: u64,
-    /// Admission cap on worst-case per-shard utilization (0, 1].
-    pub max_shard_utilization: f64,
     /// Seed for the directory's protocol randomness.
     pub seed: u64,
     /// Whether tenant slot traces and the global serve log are recorded
@@ -245,7 +247,6 @@ impl Default for HostConfig {
             n_shards: 4,
             quantum: 1 << 16,
             leakage_limit_bits: 64,
-            max_shard_utilization: 0.9,
             seed: 0x07C0_57ED,
             record_traces: false,
             scheduler: SchedulerKind::Calendar,
@@ -292,13 +293,6 @@ impl HostConfig {
                 "parallel rounds need at least one worker thread (use Serial for none)".into(),
             );
         }
-        // Written so NaN fails too: every comparison with NaN is false.
-        if !(self.max_shard_utilization > 0.0 && self.max_shard_utilization <= 1.0) {
-            return fail(format!(
-                "max shard utilization must be in (0, 1], got {}",
-                self.max_shard_utilization
-            ));
-        }
         // A zero limit admits nothing dynamic and an astronomically
         // large one defeats the point of authorization; both are
         // configuration mistakes, not policies.
@@ -331,12 +325,6 @@ impl HostConfigBuilder {
         self
     }
 
-    /// DRAM channel model.
-    pub fn ddr(mut self, ddr: DdrConfig) -> Self {
-        self.cfg.ddr = ddr;
-        self
-    }
-
     /// Number of ORAM shards.
     pub fn shards(mut self, n: usize) -> Self {
         self.cfg.n_shards = n;
@@ -352,12 +340,6 @@ impl HostConfigBuilder {
     /// Per-tenant leakage limit `L` (bits).
     pub fn leakage_limit_bits(mut self, bits: u64) -> Self {
         self.cfg.leakage_limit_bits = bits;
-        self
-    }
-
-    /// Admission cap on worst-case per-shard utilization.
-    pub fn max_shard_utilization(mut self, cap: f64) -> Self {
-        self.cfg.max_shard_utilization = cap;
         self
     }
 
@@ -473,14 +455,14 @@ enum TenantState {
 struct TenantRuntime {
     id: usize,
     benchmark: SpecBenchmark,
+    /// The tenant's slot grid. Its origin is the host clock at
+    /// admission, which also anchors the frontend's tenant-local
+    /// arrival clock.
     stream: SlotStream,
     traffic: TenantTraffic,
     lookahead: Option<Request>,
     pending: VecDeque<Request>,
     state: TenantState,
-    /// Host clock at admission; the stream's grid and the frontend's
-    /// tenant-local arrival clock are both anchored here.
-    origin: Cycle,
     /// Per-tenant address tag: a SplitMix64 draw XORed onto line
     /// addresses so each tenant's miss stream spreads across shards
     /// uniformly and decorrelated from other tenants'. This is *routing*
@@ -493,9 +475,6 @@ struct TenantRuntime {
     /// no pattern distinguishing them from real accesses, and no state is
     /// shared between tenants).
     rng: SplitMix64,
-    /// Fastest candidate rate of the tenant's policy, kept so a resize
-    /// can re-price `worst_case_util` under the new pool's model.
-    fastest_rate: Cycle,
     worst_case_util: f64,
     /// Shard queueing attributed to this tenant's slot accesses (real +
     /// dummy). In closed-loop mode these cycles are actually *felt* by
@@ -504,10 +483,6 @@ struct TenantRuntime {
     /// Denied operations attributed to this tenant (a rejected
     /// re-admission of its name after eviction). Perf sessions sample it.
     denied: u64,
-    /// Arrival process shaping the tenant's frontend (kept alongside the
-    /// frontend for reporting; [`TrafficModel::Workload`] is the
-    /// unshaped default).
-    traffic_model: TrafficModel,
     /// `Some` when this seat runs an attacks-crate adversary; the round
     /// loop appends its observations in its own slot order under every
     /// executor.
@@ -524,7 +499,7 @@ impl TenantRuntime {
     fn traffic_label(&self) -> &'static str {
         match &self.adversary {
             Some(a) => a.kind.label(),
-            None => self.traffic_model.label(),
+            None => self.traffic.model().label(),
         }
     }
 
@@ -533,7 +508,7 @@ impl TenantRuntime {
     fn traffic_tag(&self) -> u8 {
         match &self.adversary {
             Some(a) => a.kind.tag(),
-            None => self.traffic_model.tag(),
+            None => self.traffic.model().tag(),
         }
     }
 }
@@ -837,7 +812,7 @@ impl MultiTenantHost {
 
     /// Shard-equivalents available under the admission cap.
     pub fn capacity(&self) -> f64 {
-        self.sharded.n_shards() as f64 * self.cfg.max_shard_utilization
+        self.sharded.n_shards() as f64 * MAX_SHARD_UTILIZATION
     }
 
     /// Admits an open-loop tenant (online: works at any host clock).
@@ -954,8 +929,8 @@ impl MultiTenantHost {
         self.ledger
             .add_tenant(id, params.rate_count, params.schedule, util);
         self.arbiter.set_weight(id, util);
-        let origin = self.clock;
-        let mut stream = SlotStream::starting_at(self.sharded.olat(), spec.policy.clone(), origin);
+        let mut stream =
+            SlotStream::starting_at(self.sharded.olat(), spec.policy.clone(), self.clock);
         stream.set_trace_recording(self.cfg.record_traces);
         let mut rng = SplitMix64::new(self.cfg.seed ^ (id as u64 + 1));
         let addr_tag = rng.next_u64();
@@ -966,23 +941,15 @@ impl MultiTenantHost {
             id,
             benchmark: spec.benchmark,
             stream,
-            traffic: TenantTraffic::with_model(
-                spec.benchmark,
-                spec.instructions,
-                mode,
-                model.clone(),
-            ),
+            traffic: TenantTraffic::with_model(spec.benchmark, spec.instructions, mode, model),
             lookahead: None,
             pending: VecDeque::new(),
             state: TenantState::Active,
-            origin,
             addr_tag,
             rng,
-            fastest_rate: spec.policy.fastest_rate(),
             worst_case_util: util,
             queueing_cycles: 0,
             denied: 0,
-            traffic_model: model,
             adversary,
         });
         Ok(id)
@@ -1130,9 +1097,9 @@ impl MultiTenantHost {
             .tenants
             .iter()
             .filter(|t| t.is_active())
-            .map(|t| model.slot_utilization(t.fastest_rate))
+            .map(|t| model.slot_utilization(t.stream.policy().fastest_rate()))
             .sum::<f64>();
-        let available = n_shards as f64 * self.cfg.max_shard_utilization;
+        let available = n_shards as f64 * MAX_SHARD_UTILIZATION;
         if demanded > available {
             self.note_denial(None);
             return Err(HostError::Saturated {
@@ -1143,7 +1110,6 @@ impl MultiTenantHost {
             });
         }
         self.sharded.resize(n_shards).map_err(HostError::Build)?;
-        self.cfg.n_shards = n_shards;
         self.scratch.shard_cost_stale = true;
         // Re-price every active row under the new pool's model. Rows
         // admitted before the resize otherwise keep a `capacity_share`
@@ -1155,7 +1121,7 @@ impl MultiTenantHost {
             if !t.is_active() {
                 continue;
             }
-            let util = model.slot_utilization(t.fastest_rate);
+            let util = model.slot_utilization(t.stream.policy().fastest_rate());
             t.worst_case_util = util;
             self.ledger.reprice(t.id, util);
             self.arbiter.set_weight(t.id, util);
@@ -1202,14 +1168,6 @@ impl MultiTenantHost {
         &self.ledger
     }
 
-    /// Per-tenant WDRR weights in parts-per-million of one shard
-    /// (indexed by tenant id; 0 = evicted/inactive). These are the
-    /// admitted capacity shares the arbiter settles contended-port ties
-    /// by — the fairness suite checks served-slot shares against them.
-    pub fn arbiter_weights_ppm(&self) -> &[i64] {
-        self.arbiter.weights_ppm()
-    }
-
     /// A tenant's observable slot trace (empty unless
     /// [`HostConfig::record_traces`] is set).
     pub fn tenant_trace(&self, id: usize) -> &[otc_core::SlotRecord] {
@@ -1238,7 +1196,7 @@ impl MultiTenantHost {
                 rt.lookahead = match rt.traffic.poll() {
                     TrafficPull::Request(mut r) => {
                         r.line_addr ^= rt.addr_tag;
-                        r.at += rt.origin;
+                        r.at += rt.stream.origin();
                         Some(r)
                     }
                     TrafficPull::AwaitingService | TrafficPull::Exhausted => None,
@@ -1365,7 +1323,7 @@ impl MultiTenantHost {
             // arrival pull below re-polls it.
             if let Some(ticket) = pending_fb[idx].take() {
                 rt.traffic
-                    .complete(executor.completion(ticket).completion - rt.origin);
+                    .complete(executor.completion(ticket).completion - rt.stream.origin());
             }
             // Lazy arrival pull: everything that arrived by this slot's
             // start decides real-vs-dummy; later arrivals wait for the
@@ -1434,7 +1392,7 @@ impl MultiTenantHost {
         for (rt, fb) in tenants.iter_mut().zip(pending_fb.iter_mut()) {
             if let Some(ticket) = fb.take() {
                 rt.traffic
-                    .complete(executor.completion(ticket).completion - rt.origin);
+                    .complete(executor.completion(ticket).completion - rt.stream.origin());
             }
         }
         // Churn-safe lag check (debug builds only): every *active*
@@ -1492,11 +1450,6 @@ impl MultiTenantHost {
             },
         };
         self.perf = Some(SessionRecorder::new(meta));
-    }
-
-    /// Whether a perf-session recorder is attached.
-    pub fn perf_recording(&self) -> bool {
-        self.perf.is_some()
     }
 
     /// Detaches the recorder and closes it with the end-of-run summary
@@ -1589,8 +1542,8 @@ impl MultiTenantHost {
                 // the global horizon — a tenant admitted late or evicted
                 // early would otherwise report a diluted rate.
                 let lifetime = match t.state {
-                    TenantState::Active => horizon.saturating_sub(t.origin),
-                    TenantState::Evicted { at } => at.saturating_sub(t.origin),
+                    TenantState::Active => horizon.saturating_sub(t.stream.origin()),
+                    TenantState::Evicted { at } => at.saturating_sub(t.stream.origin()),
                 }
                 .max(1);
                 TenantReport {
@@ -1617,7 +1570,7 @@ impl MultiTenantHost {
                     closed_loop: t.traffic.is_closed_loop(),
                     queueing_cycles: t.queueing_cycles,
                     feedback_cycles: t.traffic.feedback_cycles(),
-                    admitted_at: t.origin,
+                    admitted_at: t.stream.origin(),
                     evicted_at: match t.state {
                         TenantState::Active => None,
                         TenantState::Evicted { at } => Some(at),
@@ -2259,16 +2212,12 @@ mod tests {
     #[test]
     fn both_front_doors_refuse_every_invalid_field() {
         // A struct literal used to skip every check: `quantum: 0` built
-        // a host whose clock never moved, and a NaN utilization cap
-        // admitted any fleet.
+        // a host whose clock never moved.
         type Break = fn(&mut HostConfig);
-        let cases: [(&str, Break); 8] = [
+        let cases: [(&str, Break); 5] = [
             ("zero shards", |c| c.n_shards = 0),
             ("zero quantum", |c| c.quantum = 0),
             ("zero threads", |c| c.parallel = ParallelKind::Threads(0)),
-            ("NaN utilization", |c| c.max_shard_utilization = f64::NAN),
-            ("zero utilization", |c| c.max_shard_utilization = 0.0),
-            ("utilization over 1", |c| c.max_shard_utilization = 1.5),
             ("0-bit leakage limit", |c| c.leakage_limit_bits = 0),
             ("limit over 2^20 bits", |c| {
                 c.leakage_limit_bits = (1 << 20) + 1
@@ -2282,7 +2231,6 @@ mod tests {
                 .shards(c.n_shards)
                 .quantum(c.quantum)
                 .parallel(c.parallel)
-                .max_shard_utilization(c.max_shard_utilization)
                 .leakage_limit_bits(c.leakage_limit_bits)
                 .build();
             assert!(

@@ -78,16 +78,15 @@ pub use adversary::{AdversaryKind, ObservedSlot};
 pub use calendar::{round_slot_capacity, CalendarQueue};
 pub use host::{
     HostConfig, HostConfigBuilder, HostError, HostReport, MultiTenantHost, ParallelKind,
-    SchedulerKind, ServedSlot, TenantReport, TenantSpec,
+    SchedulerKind, ServedSlot, TenantReport, TenantSpec, MAX_SHARD_UTILIZATION,
 };
 pub use ledger::{within_budget_bits, LeakageLedger, LedgerEntry};
 pub use report::{
     capacity_summary, fairness_table, leakage_summary, render, shard_summary, tenant_table,
 };
 pub use scenario::{
-    parse_bench, parse_churn_script, parse_scenario, parse_scheme, EventOutcome, OramChoice,
-    ScenarioAction, ScenarioError, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant,
-    ServeEnd, MAX_STATIC_RATE,
+    parse_bench, parse_churn_script, parse_scenario, EventOutcome, OramChoice, ScenarioAction,
+    ScenarioError, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant, ServeEnd,
 };
 pub use shard::{PipelineConfig, PipelineKind, ShardClass, ShardService, ShardedOram};
 pub use tenant::{TenantDirectory, TenantEntry};
@@ -101,8 +100,8 @@ pub use otc_attacks::{
 };
 
 // Re-exported so downstream code (CLI, benches) can name the stream type
-// without a direct otc-core dependency.
-pub use otc_core::{SlotRecord, SlotStream};
+// and parse schemes without a direct otc-core dependency.
+pub use otc_core::{parse_scheme, SlotRecord, SlotStream, MAX_STATIC_RATE};
 
 // Re-exported so downstream code can name the capacity pricing without a
 // direct otc-oram dependency (the model itself lives beside AccessPlan).

@@ -33,12 +33,13 @@
 //! * `tenant NAME` keys: `bench`, `scheme`, `traffic`, `adversary`
 //!   (`probe|distinguisher`), `instructions`; the bare word `closed`
 //!   selects the closed-loop frontend.
-//! * Schemes (§9 of the paper): `static_<rate>` with
-//!   `1 ≤ rate ≤ 2^32` ([`MAX_STATIC_RATE`]), or `dynamic_R<n>_E<g>`
-//!   with `2 ≤ n ≤ 32513` candidate rates (one per cycle count in `R`'s
-//!   256..=32768 span) and an epoch growth `g` that is a power of two
-//!   ≥ 2 — the parameters for which the `|E|·lg|R|` leakage bound is
-//!   defined.
+//! * Schemes (§9 of the paper, parsed by [`parse_scheme`]):
+//!   `static_<rate>` with `1 ≤ rate ≤ 2^32`
+//!   ([`MAX_STATIC_RATE`](crate::MAX_STATIC_RATE)), or
+//!   `dynamic_R<n>_E<g>` with `2 ≤ n ≤ 1245` candidate rates (the most
+//!   `R`'s 256..=32768 span holds as distinct lg-spaced whole cycle
+//!   counts) and an epoch growth `g` that is a power of two ≥ 2 — the
+//!   parameters for which the `|E|·lg|R|` leakage bound is defined.
 //! * Traffic syntax: `workload`,
 //!   `bursty:on=<cycles>,off=<cycles>,seed=<n>`,
 //!   `diurnal:period=<cycles>,amplitude=<ppm>,phase=<ppm>`,
@@ -59,7 +60,7 @@ use crate::adversary::AdversaryKind;
 use crate::host::{HostConfig, HostError, MultiTenantHost, SchedulerKind, TenantSpec};
 use crate::shard::{PipelineConfig, PipelineKind, ShardClass};
 use crate::traffic::{LoopMode, TrafficModel};
-use otc_core::{DividerImpl, EpochSchedule, RatePolicy, RateSet};
+use otc_core::{parse_scheme, RatePolicy};
 use otc_dram::Cycle;
 use otc_oram::{CapacityKind, OramConfig};
 use otc_workloads::SpecBenchmark;
@@ -546,45 +547,6 @@ impl ScenarioSpec {
     }
 }
 
-/// The largest rate a `static_<rate>` scheme may name: 2^32 cycles, far
-/// beyond any rate the paper sweeps (its slowest candidate is 32768),
-/// and small enough that every period, horizon and pricing sum built
-/// from it stays well inside `u64`.
-pub const MAX_STATIC_RATE: u64 = 1 << 32;
-
-/// Parses `dynamic_R4_E4` / `static_1300` into a rate policy (the one
-/// scheme parser shared by the CLI flags, churn scripts, and scenario
-/// files). Total: it returns `None` for every scheme whose `|E|·lg|R|`
-/// leakage bound is undefined — rate 0, fewer than two candidate
-/// rates, more candidates than `R`'s cycle span holds, or an epoch
-/// growth that is not a power of two ≥ 2 — and for a static rate above
-/// [`MAX_STATIC_RATE`], so an accepted scheme never panics or stalls
-/// downstream.
-pub fn parse_scheme(s: &str) -> Option<RatePolicy> {
-    if let Some(rest) = s.strip_prefix("static_") {
-        let rate: u64 = rest
-            .parse()
-            .ok()
-            .filter(|r| (1..=MAX_STATIC_RATE).contains(r))?;
-        return Some(RatePolicy::Static { rate });
-    }
-    let (r, e) = s.strip_prefix("dynamic_R")?.split_once("_E")?;
-    // One candidate per cycle count between the paper set's extremes.
-    let span = RateSet::paper(2);
-    let max_count = (span.slowest() - span.fastest() + 1) as usize;
-    let rate_count: usize = r.parse().ok().filter(|n| (2..=max_count).contains(n))?;
-    let growth: u32 = e
-        .parse()
-        .ok()
-        .filter(|g: &u32| *g >= 2 && g.is_power_of_two())?;
-    Some(RatePolicy::Dynamic {
-        rates: RateSet::paper(rate_count),
-        schedule: EpochSchedule::scaled(growth),
-        divider: DividerImpl::ShiftRegister,
-        initial_rate: 10_000,
-    })
-}
-
 /// Looks a benchmark up by full or short name (the one bench parser
 /// shared by the CLI flags, churn scripts, and scenario files).
 pub fn parse_bench(name: &str) -> Option<SpecBenchmark> {
@@ -734,7 +696,7 @@ fn checked_scheme(scheme: &str, line: usize, col: usize) -> Result<String, Scena
             col,
             format!(
                 "bad scheme {scheme:?} (want static_<1..=2^32> or \
-                 dynamic_R<2..=32513>_E<power of two ≥ 2>)"
+                 dynamic_R<2..=1245>_E<power of two ≥ 2>)"
             ),
         )),
     }
@@ -1148,7 +1110,7 @@ mod tests {
             "static_1",
             "static_4294967296",
             "dynamic_R2_E2",
-            "dynamic_R32513_E2147483648",
+            "dynamic_R1245_E2147483648",
         ] {
             parse_scenario(&format!("tenant a bench=mcf scheme={scheme}\n")).expect(scheme);
         }
@@ -1156,9 +1118,10 @@ mod tests {
 
     /// Schemes outside the paper's grammar that the parser once accepted
     /// and otc-core then rejected with a panic (or, for the huge |R|, an
-    /// aborting allocation), and static rates past [`MAX_STATIC_RATE`],
-    /// which overflowed admission pricing or stalled the serve bound.
-    const DEGENERATE_SCHEMES: [&str; 11] = [
+    /// aborting allocation), static rates past [`MAX_STATIC_RATE`],
+    /// which overflowed admission pricing or stalled the serve bound,
+    /// and an |R| whose paper set holds fewer rates than it names.
+    const DEGENERATE_SCHEMES: [&str; 12] = [
         "static_0",
         "static_4294967297",
         "static_10000000000000000000",
@@ -1168,6 +1131,7 @@ mod tests {
         "dynamic_R4_E0",
         "dynamic_R4_E3",
         "dynamic_R4_E99",
+        "dynamic_R1246_E4",
         "dynamic_R32514_E4",
         "dynamic_R100000000000_E4",
     ];

@@ -938,11 +938,6 @@ impl ShardedOram {
         merged
     }
 
-    /// One live shard's service-time histogram (instrumentation only).
-    pub fn shard_service_histogram(&self, shard: usize) -> &Histogram {
-        &self.lanes[shard].hist
-    }
-
     /// Median per-access service time (cycles) so far, as the upper edge
     /// of the bucket holding the median access. 0 when idle.
     pub fn p50_service_cycles(&self) -> Cycle {

@@ -25,7 +25,7 @@
 use otc_core::RatePolicy;
 use otc_host::{
     CapacityKind, HostConfig, HostError, HostReport, LoopMode, MultiTenantHost, PipelineConfig,
-    ScenarioSpec, TenantSpec,
+    ScenarioSpec, TenantSpec, MAX_SHARD_UTILIZATION,
 };
 use otc_oram::{AccessPlan, OramConfig, OramTiming};
 
@@ -49,13 +49,12 @@ fn serial_olat_admission_decisions_bit_identical_to_pre_refactor() {
     // Hand-rolled model of the pre-CapacityModel admission control:
     // worst-case utilization olat/(fastest + olat) per tenant, fleet
     // demand summed over *active* tenants, denial iff demand exceeds
-    // n_shards × max_shard_utilization. Replayed over a seeded
+    // n_shards × MAX_SHARD_UTILIZATION. Replayed over a seeded
     // admit/evict script against the default (serial pipeline, olat
     // pricing) host; every decision and every denial float must match
     // exactly.
     let cfg = HostConfig::small();
     let n_shards = cfg.n_shards;
-    let max_util = cfg.max_shard_utilization;
     let mut host = MultiTenantHost::new(cfg).expect("builds");
     let olat = OramTiming::derive(&OramConfig::small(), &otc_dram::DdrConfig::default()).latency;
     let mut rng = otc_crypto::SplitMix64::new(0x0CAD_ECE5);
@@ -85,7 +84,7 @@ fn serial_olat_admission_decisions_bit_identical_to_pre_refactor() {
         let fastest = policy.fastest_rate();
         let util = olat as f64 / (fastest + olat) as f64;
         let model_demanded: f64 = model_utils.iter().flatten().sum::<f64>() + util;
-        let model_available = n_shards as f64 * max_util;
+        let model_available = n_shards as f64 * MAX_SHARD_UTILIZATION;
         let outcome = host.admit(&spec(&format!("t{step}"), policy), LoopMode::Open);
         decisions += 1;
         if model_demanded > model_available {

@@ -122,7 +122,8 @@ fn example_scenario_with_traces() {
 #[test]
 fn degenerate_schemes_are_usage_errors() {
     // The two huge static rates once hung `otc run` (the serve bound
-    // saturated) or overflowed admission pricing.
+    // saturated) or overflowed admission pricing; dynamic_R1246_E4 was
+    // served with only 1245 candidate rates.
     for scheme in [
         "static_0",
         "static_10000000000000000000",
@@ -130,6 +131,7 @@ fn degenerate_schemes_are_usage_errors() {
         "dynamic_R0_E4",
         "dynamic_R1_E4",
         "dynamic_R4_E3",
+        "dynamic_R1246_E4",
         "dynamic_R100000000000_E4",
     ] {
         let script = format!("@1 admit mcf {scheme}");

@@ -14,8 +14,10 @@
 //!    pinned legacy script exactly as the pre-shim parser did
 //!    (`tests/golden/churn_script.golden`).
 //! 4. **Accepted schemes are sound** — every scheme `parse_scheme`
-//!    accepts builds a `SlotStream` and its leakage parameters, and
-//!    prices at admission, without panicking, including near the
+//!    accepts builds a `SlotStream` and its leakage parameters, prices
+//!    at admission without panicking, and labels its policy with the
+//!    string it was parsed from (so `|R|` is what the name says),
+//!    including near the
 //!    grammar's edges (|R| of 0..3, epoch growths that are not powers
 //!    of two, rate 0, rates at and past `MAX_STATIC_RATE` and at the
 //!    top of `u64`).
@@ -226,6 +228,7 @@ proptest! {
     /// Whatever `parse_scheme` accepts, otc-core can run and admission
     /// can price: the stream and the leakage parameters build, and the
     /// worst-case share of a shard is a finite fraction, without a panic.
+    /// The policy is served under the name it was parsed from.
     #[test]
     fn accepted_schemes_build_streams_and_leakage_params(
         scheme in prop_oneof![
@@ -250,6 +253,7 @@ proptest! {
                 policy: policy.clone(),
                 instructions: 1_000,
             };
+            prop_assert_eq!(policy.label(), scheme.clone());
             prop_assert!(policy.leakage_params().rate_count >= 1, "{}", scheme);
             for kind in [CapacityKind::Olat, CapacityKind::Cadence] {
                 let pool = CapacityModel::from_parts(kind, 1_300, 700);

@@ -84,11 +84,6 @@ impl TreeGeometry {
         self.levels as u64 * self.bucket_bytes()
     }
 
-    /// Total DRAM footprint of the tree.
-    pub fn total_bytes(&self) -> u64 {
-        self.bucket_count() * self.bucket_bytes()
-    }
-
     /// Node index of the bucket at `level` on the path to `leaf`.
     ///
     /// # Panics

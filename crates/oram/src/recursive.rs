@@ -10,11 +10,9 @@
 use crate::config::{OramConfig, POSMAP_ENTRY_BYTES};
 use crate::posmap::SparseLeafMap;
 use crate::stats::OramStats;
-use crate::timing::AccessPlan;
 use crate::tree::{DefaultPayload, TreeOram};
 use crate::types::{BlockId, Leaf, NodeIndex};
 use otc_crypto::{Prf, SplitMix64, SymmetricKey};
-use otc_dram::DdrConfig;
 use std::collections::VecDeque;
 
 /// A complete Path ORAM with recursive position maps.
@@ -251,13 +249,6 @@ impl RecursivePathOram {
     /// stashes drain inline and contribute only transient occupancy.
     pub fn total_stash_len(&self) -> usize {
         self.data.stash_len() + self.posmaps.iter().map(|p| p.stash_len()).sum::<usize>()
-    }
-
-    /// The staged timing decomposition of one access of this ORAM over
-    /// `ddr` (see [`AccessPlan`]): per-posmap-level costs in recursion
-    /// order, data-path read, and the (deferrable) eviction stage.
-    pub fn access_plan(&self, ddr: &DdrConfig) -> AccessPlan {
-        AccessPlan::derive(&self.config, ddr)
     }
 
     /// One full recursive access, applying `update` to the data block's
