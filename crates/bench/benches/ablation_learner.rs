@@ -1,5 +1,5 @@
-//! **Ablation study** (extension; DESIGN.md §5): design choices inside
-//! the rate learner.
+//! **Ablation study** (an extension beyond the paper's figures): design
+//! choices inside the rate learner.
 //!
 //! 1. Divider implementation (§7.2): Algorithm 1's shift-register divide
 //!    (rounds AccessCount up to the next power of two, undersetting the

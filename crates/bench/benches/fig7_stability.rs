@@ -29,7 +29,7 @@ fn main() {
 
     println!(
         "Figure 7 reproduction: {instructions} instructions per run, {windows} windows \
-         (paper plots 1B-instruction windows; DESIGN.md scale maps these to {} )",
+         (paper plots 1B-instruction windows; these are {} instructions each)",
         instructions / windows
     );
 

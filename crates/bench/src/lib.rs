@@ -17,11 +17,13 @@
 //! to get out of initialization, §9.1.1). No run records its observable
 //! trace.
 //!
-//! Scale note (`DESIGN.md` §2): instruction budgets default to a few
-//! million per run so `cargo bench --workspace` completes in minutes; set
-//! `OTC_BENCH_INSTRUCTIONS` to raise them. Epoch schedules are the scaled
-//! ones (first epoch 2^20 cycles, Tmax 2^52), which preserve the paper's
-//! epoch counts and therefore its leakage bounds exactly.
+//! Scale note: instruction budgets default to a few million per run (the
+//! paper runs billions) so `cargo bench --workspace` completes in
+//! minutes; set `OTC_BENCH_INSTRUCTIONS` to raise them. Epoch schedules
+//! are the scaled ones (first epoch 2^20 cycles, Tmax 2^52), which
+//! preserve the paper's epoch counts and therefore its leakage bounds
+//! exactly. ROADMAP item 3 records how the Fig. 6 figures move from
+//! 200 K to 20 M instructions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

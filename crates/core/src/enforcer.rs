@@ -31,6 +31,23 @@
 //!   `static_300`-style strict periodic schemes ([7]).
 //! * [`RateLimitedOramBackend`] with [`RatePolicy::Dynamic`] — the paper's
 //!   contribution: per-epoch rate selection by the on-chip learner.
+//!
+//! # The ORAM companion
+//!
+//! Neither backend's timing depends on what its ORAM does: a slot's
+//! completion is `start + OLAT` whatever path it touches. So both keep
+//! the timing (slot stream, `busy_until`, trace) on the caller's thread
+//! and hand their functional ORAM calls — `read_discard`, `write`,
+//! `dummy_access`, in the order the slots serve them — to a companion
+//! thread that owns the [`RecursivePathOram`]. When the host has a CPU
+//! to spare, the simulated core and the ORAM run side by side. The
+//! thread starts when the first batch of calls is handed over, so a
+//! backend that serves nothing spawns nothing; `finish`, `oram()` and
+//! `Drop` wait for it to drain every queued call and take the ORAM back,
+//! so every ORAM effect a caller can observe (stats, stash peak, bucket
+//! fingerprints) is what running the calls inline would have left. A
+//! panic on the companion resurfaces on the caller, with its original
+//! payload, at the next of those three.
 
 use crate::epoch::EpochSchedule;
 use crate::learner::{DividerImpl, PerfCounters, RatePredictor};
@@ -41,6 +58,8 @@ use otc_dram::{Cycle, DdrConfig};
 use otc_oram::{OramConfig, OramTiming, RecursivePathOram};
 use otc_sim::{AccessKind, BackendEnergyProfile, MemoryBackend};
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::thread::JoinHandle;
 
 /// Cap on recorded trace entries (memory guard for very long runs; the
 /// count of slots is always tracked exactly).
@@ -175,32 +194,34 @@ pub const MAX_STATIC_RATE: u64 = 1 << 32;
 /// 0, fewer than two candidate rates, an epoch growth that is not a
 /// power of two ≥ 2 — for a static rate above [`MAX_STATIC_RATE`], and
 /// for a rate count [`RateSet::paper`] cannot build as that many whole
-/// cycle counts (every `n` from 1246 up), so an accepted scheme never
-/// panics or stalls downstream and is served under the name it was
-/// given.
+/// cycle counts (every `n` from 1246 up). It also refuses every spelling
+/// but the label itself (`static_0300`, `dynamic_R+4_E4`), so an accepted
+/// scheme never panics or stalls downstream and is served under the name
+/// it was given.
 pub fn parse_scheme(s: &str) -> Option<RatePolicy> {
-    if let Some(rest) = s.strip_prefix("static_") {
+    let policy = if let Some(rest) = s.strip_prefix("static_") {
         let rate: u64 = rest
             .parse()
             .ok()
             .filter(|r| (1..=MAX_STATIC_RATE).contains(r))?;
-        return Scheme::Static { rate }.policy();
-    }
-    let (r, e) = s.strip_prefix("dynamic_R")?.split_once("_E")?;
-    // At most one candidate per cycle count between the paper set's
-    // extremes, checked before any set is built.
-    let span = RateSet::paper(2);
-    let max_count = (span.slowest() - span.fastest() + 1) as usize;
-    let rate_count: usize = r.parse().ok().filter(|n| (2..=max_count).contains(n))?;
-    let growth: u32 = e
-        .parse()
-        .ok()
-        .filter(|g: &u32| *g >= 2 && g.is_power_of_two())?;
-    // Flooring to whole cycles merges neighbouring lg-spaced rates once
-    // the set is dense enough.
-    Scheme::dynamic(rate_count, growth)
-        .policy()
-        .filter(|p| p.leakage_params().rate_count == rate_count)
+        Scheme::Static { rate }.policy()
+    } else {
+        let (r, e) = s.strip_prefix("dynamic_R")?.split_once("_E")?;
+        // At most one candidate per cycle count between the paper set's
+        // extremes, checked before any set is built.
+        let span = RateSet::paper(2);
+        let max_count = (span.slowest() - span.fastest() + 1) as usize;
+        let rate_count: usize = r.parse().ok().filter(|n| (2..=max_count).contains(n))?;
+        let growth: u32 = e
+            .parse()
+            .ok()
+            .filter(|g: &u32| *g >= 2 && g.is_power_of_two())?;
+        Scheme::dynamic(rate_count, growth).policy()
+    };
+    // Integer parsing takes a leading `0` or `+`, and flooring to whole
+    // cycles merges neighbouring lg-spaced rates once the set is dense
+    // enough; either way the policy's label differs from `s`.
+    policy.filter(|p| p.label() == s)
 }
 
 /// What [`SlotStream::serve`] did for one slot.
@@ -489,6 +510,132 @@ impl SlotStream {
     }
 }
 
+/// Calls handed to the companion per channel message. When the scheduler
+/// puts the companion on the caller's CPU, each message wakes it and
+/// preempts the caller; at this size the two trade the CPU every few
+/// hundred accesses instead of every few dozen.
+const BATCH: usize = 256;
+/// Batches in flight before the backend waits for the companion: enough
+/// to ride out its scheduling jitter, few enough to keep memory flat and
+/// the wait in `finish` short.
+const IN_FLIGHT: usize = 4;
+/// The companion's stack; ORAM accesses recurse only a few frames.
+const COMPANION_STACK: usize = 64 << 10;
+
+/// One functional ORAM call: a real access, its address already reduced
+/// to the ORAM's capacity, or a dummy.
+#[derive(Clone, Copy)]
+enum OramOp {
+    Real(AccessKind, u64),
+    Dummy,
+}
+
+impl OramOp {
+    fn apply(self, oram: &mut RecursivePathOram) {
+        match self {
+            OramOp::Real(AccessKind::Read, addr) => oram.read_discard(addr),
+            OramOp::Real(AccessKind::Write, addr) => oram.write(addr, &[0u8; 64]),
+            OramOp::Dummy => oram.dummy_access(),
+        }
+    }
+}
+
+/// Runs a backend's ORAM on a thread of its own (see the module docs).
+struct OramCompanion {
+    /// The ORAM while no thread holds it; `None` while one runs, or for
+    /// good once a companion panic has surfaced.
+    idle: Option<RecursivePathOram>,
+    /// Calls not yet sent.
+    batch: Vec<OramOp>,
+    running: Option<(SyncSender<Vec<OramOp>>, JoinHandle<RecursivePathOram>)>,
+}
+
+impl OramCompanion {
+    fn new(oram: RecursivePathOram) -> Self {
+        Self {
+            idle: Some(oram),
+            batch: Vec::with_capacity(BATCH),
+            running: None,
+        }
+    }
+
+    /// Queues `op` behind every call queued before it.
+    fn push(&mut self, op: OramOp) {
+        self.batch.push(op);
+        if self.batch.len() == BATCH {
+            self.flush();
+        }
+    }
+
+    /// Sends the partial batch, starting a companion if none runs.
+    fn flush(&mut self) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let batch = std::mem::replace(&mut self.batch, Vec::with_capacity(BATCH));
+        let (tx, _) = self.running.get_or_insert_with(|| {
+            let mut oram = self
+                .idle
+                .take()
+                .expect("the ORAM was lost to an earlier companion panic");
+            let (tx, rx) = sync_channel::<Vec<OramOp>>(IN_FLIGHT);
+            let handle = std::thread::Builder::new()
+                .name("oram-companion".into())
+                .stack_size(COMPANION_STACK)
+                .spawn(move || {
+                    for batch in rx {
+                        batch.into_iter().for_each(|op| op.apply(&mut oram));
+                    }
+                    oram
+                })
+                .expect("spawn the ORAM companion thread");
+            (tx, handle)
+        });
+        if tx.send(batch).is_err() {
+            // The companion hung up: it panicked, and the join says how.
+            self.join();
+        }
+    }
+
+    /// Waits for every call sent so far and takes the ORAM back,
+    /// resuming a companion panic on this thread.
+    fn join(&mut self) {
+        if let Some((tx, handle)) = self.running.take() {
+            drop(tx);
+            match handle.join() {
+                Ok(oram) => self.idle = Some(oram),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    }
+
+    /// Waits until every queued call has run.
+    fn wait(&mut self) {
+        self.flush();
+        self.join();
+    }
+
+    /// The ORAM once every queued call has run.
+    fn oram(&mut self) -> &RecursivePathOram {
+        self.wait();
+        self.idle
+            .as_ref()
+            .expect("the ORAM was lost to an earlier companion panic")
+    }
+}
+
+impl Drop for OramCompanion {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.wait();
+        } else if let Some((tx, handle)) = self.running.take() {
+            // A second panic would abort: wait for the thread quietly.
+            drop(tx);
+            let _ = handle.join();
+        }
+    }
+}
+
 struct Pending {
     arrival: Cycle,
     kind: AccessKind,
@@ -496,8 +643,12 @@ struct Pending {
 }
 
 /// A Path ORAM behind a slot-periodic rate enforcer.
+///
+/// The ORAM runs on a companion thread (see the module docs):
+/// [`MemoryBackend::finish`] and [`RateLimitedOramBackend::oram`] wait
+/// until it has served every slot so far.
 pub struct RateLimitedOramBackend {
-    oram: RecursivePathOram,
+    companion: OramCompanion,
     stream: SlotStream,
     pending: VecDeque<Pending>,
     requests: u64,
@@ -529,7 +680,7 @@ impl RateLimitedOramBackend {
         let capacity = oram_config.data_block_capacity();
         let oram = RecursivePathOram::new(oram_config)?;
         Ok(Self {
-            oram,
+            companion: OramCompanion::new(oram),
             stream: SlotStream::new(timing.latency, policy),
             pending: VecDeque::new(),
             requests: 0,
@@ -580,9 +731,10 @@ impl RateLimitedOramBackend {
     }
 
     /// Read access to the wrapped ORAM (for attack/bench instrumentation,
-    /// e.g. root-bucket fingerprint probes).
-    pub fn oram(&self) -> &RecursivePathOram {
-        &self.oram
+    /// e.g. root-bucket fingerprint probes), once the companion has run
+    /// every access of the slots served so far.
+    pub fn oram(&mut self) -> &RecursivePathOram {
+        self.companion.oram()
     }
 
     /// Serves exactly one slot at the stream's `next_slot`.
@@ -596,14 +748,11 @@ impl RateLimitedOramBackend {
             let p = self.pending.pop_front().expect("front exists");
             self.stream.serve(Some(p.arrival));
             // Functional access against the real ORAM.
-            let addr = p.line_addr % self.capacity;
-            match p.kind {
-                AccessKind::Read => self.oram.read_discard(addr),
-                AccessKind::Write => self.oram.write(addr, &[0u8; 64]),
-            }
+            self.companion
+                .push(OramOp::Real(p.kind, p.line_addr % self.capacity));
         } else {
             self.stream.serve(None);
-            self.oram.dummy_access();
+            self.companion.push(OramOp::Dummy);
         }
     }
 
@@ -648,8 +797,9 @@ impl MemoryBackend for RateLimitedOramBackend {
 
     fn finish(&mut self, now: Cycle) {
         // Materialize the trailing dummy slots and epoch bookkeeping up to
-        // the end of the run.
+        // the end of the run, then wait for the ORAM to serve them.
         self.drain_until(now);
+        self.companion.wait();
     }
 
     fn energy_profile(&self) -> BackendEnergyProfile {
@@ -668,8 +818,12 @@ impl MemoryBackend for RateLimitedOramBackend {
 /// `base_oram`: Path ORAM with **no** timing protection (§9.1.6) —
 /// accesses are served back-to-back on demand, so the access-time trace is
 /// data-dependent.
+///
+/// The ORAM runs on a companion thread (see the module docs):
+/// [`MemoryBackend::finish`] and [`UnprotectedOramBackend::oram`] wait
+/// until it has served every request so far.
 pub struct UnprotectedOramBackend {
-    oram: RecursivePathOram,
+    companion: OramCompanion,
     olat: Cycle,
     busy_until: Cycle,
     trace: Vec<SlotRecord>,
@@ -696,7 +850,7 @@ impl UnprotectedOramBackend {
         let timing = OramTiming::derive(&oram_config, ddr);
         let capacity = oram_config.data_block_capacity();
         Ok(Self {
-            oram: RecursivePathOram::new(oram_config)?,
+            companion: OramCompanion::new(RecursivePathOram::new(oram_config)?),
             olat: timing.latency,
             busy_until: 0,
             trace: Vec::new(),
@@ -721,9 +875,10 @@ impl UnprotectedOramBackend {
         self.olat
     }
 
-    /// Read access to the wrapped ORAM.
-    pub fn oram(&self) -> &RecursivePathOram {
-        &self.oram
+    /// Read access to the wrapped ORAM, once the companion has run every
+    /// request so far.
+    pub fn oram(&mut self) -> &RecursivePathOram {
+        self.companion.oram()
     }
 }
 
@@ -733,11 +888,8 @@ impl MemoryBackend for UnprotectedOramBackend {
         let start = now.max(self.busy_until);
         let completion = start + self.olat;
         self.busy_until = completion;
-        let addr = line_addr % self.capacity;
-        match kind {
-            AccessKind::Read => self.oram.read_discard(addr),
-            AccessKind::Write => self.oram.write(addr, &[0u8; 64]),
-        }
+        self.companion
+            .push(OramOp::Real(kind, line_addr % self.capacity));
         if self.record_trace && self.trace.len() < TRACE_CAP {
             self.trace.push(SlotRecord { start, real: true });
         }
@@ -746,6 +898,10 @@ impl MemoryBackend for UnprotectedOramBackend {
 
     fn request_count(&self) -> u64 {
         self.requests
+    }
+
+    fn finish(&mut self, _now: Cycle) {
+        self.companion.wait();
     }
 
     fn energy_profile(&self) -> BackendEnergyProfile {
@@ -910,6 +1066,90 @@ mod tests {
         assert_eq!(b.trace()[1].start, 10 + olat);
     }
 
+    /// The small geometry with 32 B data blocks, which a backend's 64 B
+    /// write cannot fill.
+    fn narrow_blocks() -> OramConfig {
+        OramConfig {
+            data: otc_oram::TreeGeometry::new(8, 3, 32, 16),
+            ..OramConfig::small()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "payload must be block-sized")]
+    fn companion_panic_resurfaces_at_finish() {
+        let mut b = RateLimitedOramBackend::new(
+            narrow_blocks(),
+            &DdrConfig::default(),
+            RatePolicy::Static { rate: 100 },
+        )
+        .expect("valid config");
+        b.request(1, AccessKind::Write, 0);
+        b.finish(10_000);
+        // Reached only if `finish` did not wait; `Drop` would.
+        std::mem::forget(b);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload must be block-sized")]
+    fn unprotected_finish_waits_for_the_companion() {
+        let mut b = UnprotectedOramBackend::new(narrow_blocks(), &DdrConfig::default())
+            .expect("valid config");
+        b.request(1, AccessKind::Write, 0);
+        b.finish(10_000);
+        std::mem::forget(b);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload must be block-sized")]
+    fn companion_panic_resurfaces_at_drop() {
+        let mut b = UnprotectedOramBackend::new(narrow_blocks(), &DdrConfig::default())
+            .expect("valid config");
+        b.request(1, AccessKind::Write, 0);
+        drop(b);
+    }
+
+    #[test]
+    #[should_panic(expected = "the caller's own panic")]
+    fn drop_while_unwinding_keeps_the_first_panic() {
+        let mut b = UnprotectedOramBackend::new(narrow_blocks(), &DdrConfig::default())
+            .expect("valid config");
+        // A full batch reaches the companion, which panics on it; a
+        // second panic from `Drop` during this unwind would abort.
+        for addr in 0..BATCH as u64 {
+            b.request(addr, AccessKind::Write, 0);
+        }
+        panic!("the caller's own panic");
+    }
+
+    #[test]
+    fn parse_scheme_refuses_non_canonical_spellings() {
+        for s in [
+            "static_+300",
+            "static_0300",
+            "dynamic_R04_E4",
+            "dynamic_R4_E04",
+            "dynamic_R+4_E4",
+        ] {
+            assert!(parse_scheme(s).is_none(), "{s} was accepted");
+        }
+        for scheme in Scheme::figure6_lineup()
+            .iter()
+            .chain(&[Scheme::dynamic(2, 2), Scheme::dynamic(16, 8)])
+            .chain(&[
+                Scheme::Static { rate: 1 },
+                Scheme::Static {
+                    rate: MAX_STATIC_RATE,
+                },
+            ])
+            .filter(|s| s.policy().is_some())
+        {
+            let label = scheme.label();
+            let policy = parse_scheme(&label).unwrap_or_else(|| panic!("{label} refused"));
+            assert_eq!(policy.label(), label);
+        }
+    }
+
     #[test]
     fn labels_match_paper_names() {
         assert_eq!(small_static(300).label(), "static_300");
@@ -1041,6 +1281,39 @@ mod tests {
             // servicing may extend slightly past the horizon for A).
             let n = trace_a.len().min(trace_b.len());
             prop_assert_eq!(&trace_a[..n], &trace_b[..n]);
+        }
+
+        /// After every `finish`, the companion has run exactly the slots
+        /// (unprotected: the requests) the timing side accounted for,
+        /// and the next request starts a fresh companion.
+        #[test]
+        fn prop_finish_leaves_the_oram_caught_up(seed in any::<u64>(), rate in 50u64..3_000) {
+            let mut limited = small_static(rate);
+            let mut plain = UnprotectedOramBackend::new(OramConfig::small(), &DdrConfig::default())
+                .expect("valid config");
+            let mut rng = otc_crypto::SplitMix64::new(seed);
+            let mut now = 0;
+            for _ in 0..6 {
+                for _ in 0..rng.next_below(80) {
+                    now += rng.next_below(2 * rate);
+                    let kind = if rng.next_below(3) == 0 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    let addr = rng.next_below(1 << 20);
+                    limited.request(addr, kind, now);
+                    plain.request(addr, kind, now);
+                }
+                now += rng.next_below(40_000);
+                limited.finish(now);
+                plain.finish(now);
+                let stats = limited.oram().stats();
+                prop_assert_eq!(stats.total_accesses(), limited.slots_served());
+                prop_assert_eq!(stats.real_accesses, limited.stream().real_served());
+                prop_assert_eq!(stats.dummy_accesses, limited.stream().dummy_served());
+                prop_assert_eq!(plain.oram().stats().total_accesses(), plain.request_count());
+            }
         }
 
         /// Completions are causally valid and slot-aligned.

@@ -65,9 +65,12 @@ impl EpochSchedule {
         Self::new(30, 2, 62).with_growth(growth)
     }
 
-    /// The reproduction's scaled default (DESIGN.md §2): first epoch 2^20
-    /// cycles, Tmax = 2^52 — same epoch count as the paper at every
-    /// growth factor, so identical leakage bounds.
+    /// The reproduction's scaled default: first epoch 2^20 cycles,
+    /// Tmax = 2^52 — 2^10 times shorter than the paper's, because runs
+    /// here retire millions of instructions rather than billions, yet the
+    /// same epoch count at every growth factor, so identical leakage
+    /// bounds. Whether the shorter epochs move the Fig. 6 figures is an
+    /// open question (ROADMAP item 3).
     pub fn scaled(growth: u32) -> Self {
         Self::new(20, 2, 52).with_growth(growth)
     }

@@ -9,12 +9,13 @@
 //!   an entire tree path (24.2 KB) through the pins, taking 1488 CPU
 //!   cycles (= 1984 DRAM cycles at the 1.334 GHz SDR-equivalent clock).
 //!
-//! The authors used DRAMSim2; we substitute a calibrated analytical model
-//! (see `DESIGN.md` §1, row 4): pin-bandwidth-bound streaming plus
-//! per-row-activation and bus-turnaround overheads. With the default
-//! parameters and the default ORAM geometry, the model reproduces the
-//! paper's 1984-DRAM-cycle access exactly (asserted in tests here and in
-//! the `tab1_timing` bench).
+//! The authors used DRAMSim2. The figures need only two numbers from it,
+//! the flat per-line latency and the per-access path transfer time, so we
+//! substitute a calibrated analytical model: pin-bandwidth-bound
+//! streaming plus per-row-activation and bus-turnaround overheads. With
+//! the default parameters and the default ORAM geometry, the model
+//! reproduces the paper's 1984-DRAM-cycle access exactly (asserted in
+//! tests here and in the `tab1_timing` bench).
 //!
 //! # Example
 //!

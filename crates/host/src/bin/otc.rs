@@ -29,7 +29,8 @@
 //!                    shard uses --oram/--pipeline
 //! --scheme S         static_<rate> with 1 ≤ rate ≤ 2^32 |
 //!                    dynamic_R<n>_E<g> with 2 ≤ n ≤ 1245 and g a
-//!                    power of two ≥ 2 (default dynamic_R4_E4);
+//!                    power of two ≥ 2 (default dynamic_R4_E4),
+//!                    numbers without a leading 0 or +;
 //!                    anything else exits 2
 //! --oram G           small | paper (default paper)
 //! --instructions N   instruction budget of every tenant without its
@@ -199,7 +200,8 @@ fn usage() -> ! {
          \x20        --churn-script '@R admit <bench> <scheme> [closed]; @R evict <id>;\n\
          \x20                        @R shards <n>; ...' (otc run, tenants)\n\
          \x20        --scenario FILE (otc run: drive a declarative scenario file)\n\
-         schemes: static_<1..=2^32> | dynamic_R<2..=1245>_E<power of two ≥ 2>\n"
+         schemes: static_<1..=2^32> | dynamic_R<2..=1245>_E<power of two ≥ 2>\n\
+         \x20        (numbers without a leading 0 or +)\n"
     );
     std::process::exit(2);
 }

@@ -39,7 +39,9 @@
 //!   `dynamic_R<n>_E<g>` with `2 ≤ n ≤ 1245` candidate rates (the most
 //!   `R`'s 256..=32768 span holds as distinct lg-spaced whole cycle
 //!   counts) and an epoch growth `g` that is a power of two ≥ 2 — the
-//!   parameters for which the `|E|·lg|R|` leakage bound is defined.
+//!   parameters for which the `|E|·lg|R|` leakage bound is defined —
+//!   each number in its canonical spelling (no leading `0` or `+`), so
+//!   a scheme is served under the name it was given.
 //! * Traffic syntax: `workload`,
 //!   `bursty:on=<cycles>,off=<cycles>,seed=<n>`,
 //!   `diurnal:period=<cycles>,amplitude=<ppm>,phase=<ppm>`,
@@ -1120,8 +1122,10 @@ mod tests {
     /// and otc-core then rejected with a panic (or, for the huge |R|, an
     /// aborting allocation), static rates past [`MAX_STATIC_RATE`],
     /// which overflowed admission pricing or stalled the serve bound,
-    /// and an |R| whose paper set holds fewer rates than it names.
-    const DEGENERATE_SCHEMES: [&str; 12] = [
+    /// an |R| whose paper set holds fewer rates than it names, and
+    /// spellings other than the scheme's label, once served under that
+    /// label.
+    const DEGENERATE_SCHEMES: [&str; 14] = [
         "static_0",
         "static_4294967297",
         "static_10000000000000000000",
@@ -1134,6 +1138,8 @@ mod tests {
         "dynamic_R1246_E4",
         "dynamic_R32514_E4",
         "dynamic_R100000000000_E4",
+        "dynamic_R04_E4",
+        "static_+300",
     ];
 
     #[test]

@@ -123,7 +123,8 @@ fn example_scenario_with_traces() {
 fn degenerate_schemes_are_usage_errors() {
     // The two huge static rates once hung `otc run` (the serve bound
     // saturated) or overflowed admission pricing; dynamic_R1246_E4 was
-    // served with only 1245 candidate rates.
+    // served with only 1245 candidate rates, and the last two under
+    // their labels `dynamic_R4_E4` and `static_300`.
     for scheme in [
         "static_0",
         "static_10000000000000000000",
@@ -133,6 +134,8 @@ fn degenerate_schemes_are_usage_errors() {
         "dynamic_R4_E3",
         "dynamic_R1246_E4",
         "dynamic_R100000000000_E4",
+        "dynamic_R04_E4",
+        "static_+300",
     ] {
         let script = format!("@1 admit mcf {scheme}");
         for args in [

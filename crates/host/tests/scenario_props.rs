@@ -244,6 +244,13 @@ proptest! {
                 prop_oneof![0u32..20, any::<u32>()],
             )
                 .prop_map(|(n, g)| format!("dynamic_R{n}_E{g}")),
+            // Non-canonical spellings integer parsing would take.
+            1 => (0u8..3, sample::select(vec!["0", "+"]), 1u32..40)
+                .prop_map(|(field, pad, n)| match field {
+                    0 => format!("static_{pad}{n}"),
+                    1 => format!("dynamic_R{pad}{n}_E4"),
+                    _ => format!("dynamic_R4_E{pad}{n}"),
+                }),
         ],
     ) {
         if let Some(policy) = parse_scheme(&scheme) {

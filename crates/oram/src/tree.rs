@@ -40,7 +40,9 @@ use std::collections::HashMap;
 ///
 /// * The data ORAM returns zeroed cache lines (fresh memory).
 /// * Recursive position-map ORAMs return PRF-derived default positions, so
-///   the position map is lazily materializable (see `DESIGN.md` §3).
+///   the position map is lazily materializable: a never-written block
+///   has a well-defined pseudorandom position, so a 4 GiB ORAM needs no
+///   up-front initialization pass and stores only the blocks touched.
 #[derive(Clone)]
 pub enum DefaultPayload {
     /// All-zero payload of the tree's block size.

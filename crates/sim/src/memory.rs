@@ -36,6 +36,10 @@ pub trait MemoryBackend {
 
     /// Informs the backend that simulation ended at `now` (lets
     /// epoch-based backends close out their final epoch's accounting).
+    /// A backend that works in the background — the ORAM backends of
+    /// `otc-core` run their ORAM on a companion thread — returns only
+    /// once that work is done, so everything a run caused has happened
+    /// by the end of [`crate::Simulator::run`].
     fn finish(&mut self, _now: Cycle) {}
 
     /// Access counts the power model needs (Table 2 energy coefficients).

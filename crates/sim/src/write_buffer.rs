@@ -15,6 +15,10 @@ use otc_dram::Cycle;
 #[derive(Debug, Clone)]
 pub struct WriteBuffer {
     completions: Vec<Cycle>,
+    /// The smallest live completion (`Cycle::MAX` when empty): the core
+    /// retires on every load and store, and before this cycle nothing
+    /// can retire.
+    earliest: Cycle,
     capacity: usize,
     peak: usize,
 }
@@ -29,6 +33,7 @@ impl WriteBuffer {
         assert!(capacity > 0, "write buffer needs at least one entry");
         Self {
             completions: Vec::with_capacity(capacity),
+            earliest: Cycle::MAX,
             capacity,
             peak: 0,
         }
@@ -36,7 +41,11 @@ impl WriteBuffer {
 
     /// Drops entries whose drains completed by `now`.
     pub fn retire_completed(&mut self, now: Cycle) {
+        if now < self.earliest {
+            return;
+        }
         self.completions.retain(|&c| c > now);
+        self.earliest = self.completions.iter().copied().min().unwrap_or(Cycle::MAX);
     }
 
     /// The earliest cycle at which an entry frees up (call only when
@@ -46,11 +55,8 @@ impl WriteBuffer {
     ///
     /// Panics if the buffer is empty.
     pub fn earliest_completion(&self) -> Cycle {
-        *self
-            .completions
-            .iter()
-            .min()
-            .expect("earliest_completion on empty buffer")
+        assert!(!self.is_empty(), "earliest_completion on empty buffer");
+        self.earliest
     }
 
     /// Whether all entries are occupied at the current instant.
@@ -67,6 +73,7 @@ impl WriteBuffer {
     pub fn push(&mut self, completion: Cycle) {
         assert!(!self.is_full(), "push into full write buffer");
         self.completions.push(completion);
+        self.earliest = self.earliest.min(completion);
         self.peak = self.peak.max(self.completions.len());
     }
 
@@ -89,6 +96,7 @@ impl WriteBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fill_then_drain() {
@@ -128,5 +136,37 @@ mod tests {
         assert!(wb.is_full());
         wb.retire_completed(10); // completes *at* 10 → free at 10
         assert!(wb.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The buffer against a plain vector of completions: every
+        /// observable agrees after any mix of pushes and retires.
+        #[test]
+        fn prop_matches_a_plain_vector(
+            capacity in 1usize..10,
+            ops in collection::vec((any::<bool>(), 0u64..200), 0..120),
+        ) {
+            let mut wb = WriteBuffer::new(capacity);
+            let mut model: Vec<Cycle> = Vec::new();
+            let mut peak = 0;
+            for (push, at) in ops {
+                if push && model.len() < capacity {
+                    wb.push(at);
+                    model.push(at);
+                    peak = peak.max(model.len());
+                } else {
+                    wb.retire_completed(at);
+                    model.retain(|&c| c > at);
+                }
+                prop_assert_eq!(wb.len(), model.len());
+                prop_assert_eq!(wb.is_full(), model.len() >= capacity);
+                prop_assert_eq!(wb.peak(), peak);
+                if let Some(&min) = model.iter().min() {
+                    prop_assert_eq!(wb.earliest_completion(), min);
+                }
+            }
+        }
     }
 }

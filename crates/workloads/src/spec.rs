@@ -4,10 +4,11 @@
 //!
 //! SPEC CPU2006 is proprietary, so each benchmark here is a generator
 //! parameterized to reproduce the *qualitative memory behaviour* the paper
-//! reports for it (see `DESIGN.md` §4 for the per-benchmark sources):
-//! footprint relative to the 1 MB LLC, phase structure, burstiness, and
-//! input-dependence. Every paper figure is a function of the resulting
-//! LLC-miss arrival process, which is what these control.
+//! reports for it (each [`SpecBenchmark`] variant's docs name the
+//! paper's figures it is calibrated against): footprint relative to the
+//! 1 MB LLC, phase structure, burstiness, and input-dependence. Every
+//! paper figure is a function of the resulting LLC-miss arrival process,
+//! which is what these control.
 //!
 //! Calibration targets: `base_dram` IPC near the paper's 0.15–0.36 band
 //! (§9.1.6), LLC-miss intervals ranging from tens of instructions (mcf,
@@ -158,7 +159,8 @@ impl SpecBenchmark {
         self.spec(nominal_instructions).build()
     }
 
-    /// The generator specification (see `DESIGN.md` §4 for rationale).
+    /// The generator specification. The comment on each benchmark's arm
+    /// gives the memory behaviour its parameters produce.
     pub fn spec(&self, nominal_instructions: u64) -> WorkloadSpec {
         let one = |mix: InstructionMix, pattern: AddressPattern| {
             vec![PhaseSpec {
