@@ -57,7 +57,6 @@ use crate::session::LeakageParams;
 use otc_dram::{Cycle, DdrConfig};
 use otc_oram::{OramConfig, OramTiming, RecursivePathOram};
 use otc_sim::{AccessKind, BackendEnergyProfile, MemoryBackend};
-use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::thread::JoinHandle;
 
@@ -636,12 +635,6 @@ impl Drop for OramCompanion {
     }
 }
 
-struct Pending {
-    arrival: Cycle,
-    kind: AccessKind,
-    line_addr: u64,
-}
-
 /// A Path ORAM behind a slot-periodic rate enforcer.
 ///
 /// The ORAM runs on a companion thread (see the module docs):
@@ -650,7 +643,6 @@ struct Pending {
 pub struct RateLimitedOramBackend {
     companion: OramCompanion,
     stream: SlotStream,
-    pending: VecDeque<Pending>,
     requests: u64,
     capacity: u64,
 }
@@ -682,7 +674,6 @@ impl RateLimitedOramBackend {
         Ok(Self {
             companion: OramCompanion::new(oram),
             stream: SlotStream::new(timing.latency, policy),
-            pending: VecDeque::new(),
             requests: 0,
             capacity,
         })
@@ -737,30 +728,11 @@ impl RateLimitedOramBackend {
         self.companion.oram()
     }
 
-    /// Serves exactly one slot at the stream's `next_slot`.
-    fn serve_slot(&mut self) {
-        // A pending request is eligible if it arrived by slot start.
-        let eligible = matches!(
-            self.pending.front(),
-            Some(p) if p.arrival <= self.stream.next_slot()
-        );
-        if eligible {
-            let p = self.pending.pop_front().expect("front exists");
-            self.stream.serve(Some(p.arrival));
-            // Functional access against the real ORAM.
-            self.companion
-                .push(OramOp::Real(p.kind, p.line_addr % self.capacity));
-        } else {
+    /// Serves every slot that starts strictly before `now` as a dummy.
+    fn drain_until(&mut self, now: Cycle) {
+        while self.stream.next_slot() < now {
             self.stream.serve(None);
             self.companion.push(OramOp::Dummy);
-        }
-    }
-
-    /// Serves every slot that starts strictly before `now` — public so an
-    /// external scheduler can drive the backend without issuing requests.
-    pub fn drain_until(&mut self, now: Cycle) {
-        while self.stream.next_slot() < now {
-            self.serve_slot();
         }
     }
 }
@@ -768,27 +740,14 @@ impl RateLimitedOramBackend {
 impl MemoryBackend for RateLimitedOramBackend {
     fn request(&mut self, line_addr: u64, kind: AccessKind, now: Cycle) -> Cycle {
         self.requests += 1;
+        // The core blocks on each request, so none is ever queued: the
+        // slots before `now` are dummies, and the first slot at or after
+        // `now` serves this request.
         self.drain_until(now);
-        self.pending.push_back(Pending {
-            arrival: now,
-            kind,
-            line_addr,
-        });
-        // Serve slots until *this* request (the back of the queue when
-        // pushed) has been served; FIFO order means it is served when the
-        // queue drains past it.
-        let target = self.pending.len();
-        let mut served = 0;
-        loop {
-            let before = self.pending.len();
-            self.serve_slot();
-            if self.pending.len() < before {
-                served += 1;
-                if served == target {
-                    return self.stream.last_completion();
-                }
-            }
-        }
+        let completion = self.stream.serve(Some(now)).completion;
+        self.companion
+            .push(OramOp::Real(kind, line_addr % self.capacity));
+        completion
     }
 
     fn request_count(&self) -> u64 {

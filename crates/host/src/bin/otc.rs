@@ -1074,7 +1074,7 @@ fn cmd_report(o: &Opts) {
         print!("{}", session.export_jsonl());
         return;
     }
-    let slo_cycles = SLO_OLATS * session.meta.olat;
+    let slo_cycles = SLO_OLATS.saturating_mul(session.meta.olat);
     print!(
         "{}",
         otc_perf::report::render_session(&session, o.width, slo_cycles)

@@ -44,8 +44,10 @@
 //!   are far below one shard access (several µs at paper geometry).
 //!
 //! Ties (two tenants due the same cycle) are broken by a caller-supplied
-//! rank so the host can reproduce the k-way merge's rotating round-robin
-//! tie-break exactly — `churn_props.rs` holds the equivalence property.
+//! rank: the host passes the WDRR credit rank, settled by a rotating
+//! round-robin rank, which reproduces the serve order of the k-way merge
+//! this queue replaced, tie-breaks included (`tests/churn_props.rs` and
+//! `tests/spine_equivalence.rs` hold digests recorded from the merge).
 
 use otc_dram::Cycle;
 
@@ -257,9 +259,7 @@ impl CalendarQueue {
         (self.len, occupied, max_len)
     }
 
-    /// Writes the bucket statistics into a perf-session round sample
-    /// (all zero when the merge scheduler runs — it keeps no calendar
-    /// entries).
+    /// Writes the bucket statistics into a perf-session round sample.
     pub(crate) fn sample_into(&self, sample: &mut otc_perf::RoundSample) {
         let (entries, occupied, max_len) = self.occupancy();
         sample.calendar = otc_perf::CalendarSample {

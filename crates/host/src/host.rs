@@ -17,9 +17,13 @@
 //!
 //! Due slots are found through a [`CalendarQueue`] keyed by global slot
 //! time, so a round costs O(slots due + quantum/bucket-width) instead of
-//! the O(K tenants) per served slot a k-way merge pays; the merge
-//! survives as [`SchedulerKind::Merge`], the reference implementation
-//! the equivalence property tests compare against.
+//! the O(K tenants) per served slot a k-way merge pays. The calendar is
+//! the host's only due-slot finder: each tenant's observable times are
+//! a function of its own rate choices alone, so no tenant can tell how
+//! the host finds the next due slot. It serves the exact order the
+//! k-way merge it replaced served, tie-breaks included;
+//! `tests/churn_props.rs` and `tests/spine_equivalence.rs` hold digests
+//! recorded from that merge.
 //!
 //! # Online churn
 //!
@@ -60,7 +64,7 @@ use crate::arbiter::WdrrArbiter;
 use crate::calendar::{self, CalendarQueue};
 use crate::ledger::LeakageLedger;
 use crate::parallel::{LaneRequest, ShardExecutor, Ticket};
-use crate::shard::{LaneOp, PipelineConfig, PipelineKind, ShardClass, ShardedOram};
+use crate::shard::{LaneOp, PipelineConfig, ShardClass, ShardedOram};
 use crate::tenant::TenantDirectory;
 use crate::traffic::{LoopMode, Request, TenantTraffic, TrafficModel, TrafficPull};
 use otc_attacks::RateEstimate;
@@ -155,19 +159,15 @@ impl From<SessionError> for HostError {
     }
 }
 
-/// Which due-slot finder the scheduler runs (identical serve order —
-/// `churn_props.rs` holds the equivalence property; they differ only in
-/// per-round cost).
+/// The due-slot finder a scenario's `scheduler=` key names. The
+/// calendar queue is the only one; the type remains because the repo
+/// benchmark's scenarios name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerKind {
     /// Calendar-queue (bucketed timing wheel): O(slots due) per round,
-    /// O(1) tenant insertion/removal. The production default.
+    /// O(1) tenant insertion/removal.
     #[default]
     Calendar,
-    /// Linear k-way merge over all tenants per served slot: O(K · slots
-    /// due) per round. Kept as the reference implementation for the
-    /// equivalence tests and the K-scaling comparison sweep.
-    Merge,
 }
 
 /// Where the host executes the shard work of one scheduling round.
@@ -212,12 +212,10 @@ pub struct HostConfig {
     /// Whether tenant slot traces and the global serve log are recorded
     /// (tests/analysis; off for long sweeps).
     pub record_traces: bool,
-    /// Due-slot finder (see [`SchedulerKind`]).
-    pub scheduler: SchedulerKind,
-    /// Shard pipeline discipline (see [`PipelineKind`]): `Serial` is the
-    /// paper's controller, one opaque `OLAT` per access; `Staged`
-    /// overlaps the stages of consecutive accesses and defers evictions
-    /// to background drains.
+    /// Shard pipeline discipline (see [`PipelineKind`](crate::PipelineKind)):
+    /// `Serial` is the paper's controller, one opaque `OLAT` per access;
+    /// `Staged` overlaps the stages of consecutive accesses and defers
+    /// evictions to background drains.
     pub pipeline: PipelineConfig,
     /// What admission prices one slot at (see [`CapacityKind`]): `Olat`
     /// charges a full `OLAT` per slot — the pre-cadence reference, bit-
@@ -249,7 +247,6 @@ impl Default for HostConfig {
             leakage_limit_bits: 64,
             seed: 0x07C0_57ED,
             record_traces: false,
-            scheduler: SchedulerKind::Calendar,
             pipeline: PipelineConfig::serial(),
             capacity: CapacityKind::Olat,
             parallel: ParallelKind::Serial,
@@ -352,12 +349,6 @@ impl HostConfigBuilder {
     /// Whether tenant slot traces and the serve log are recorded.
     pub fn record_traces(mut self, on: bool) -> Self {
         self.cfg.record_traces = on;
-        self
-    }
-
-    /// Due-slot finder.
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.cfg.scheduler = scheduler;
         self
     }
 
@@ -515,9 +506,9 @@ impl TenantRuntime {
 
 /// One entry of the global serve log (recorded when
 /// [`HostConfig::record_traces`] is on): whose slot was served at which
-/// global cycle. The cross-tenant *ordering* is what the
-/// calendar-vs-merge equivalence properties key on — per-tenant traces
-/// alone cannot distinguish tie-break order.
+/// global cycle. The cross-tenant *ordering* is what the recorded
+/// merge-order digests key on — per-tenant traces alone cannot
+/// distinguish tie-break order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServedSlot {
     /// Tenant id whose slot was served.
@@ -614,10 +605,7 @@ pub struct HostReport {
     pub shard_utilization: Vec<f64>,
     /// Cycles slots spent queued behind busy shards (internal metric).
     pub shard_queueing_cycles: u64,
-    /// Pipeline discipline the backend ran. For a heterogeneous mix this
-    /// reports class 0's discipline; see [`HostReport::pipeline_label`].
-    pub pipeline: PipelineKind,
-    /// Human-readable pipeline discipline: `"serial"`, `"staged"`, or
+    /// Pipeline discipline the shards ran: `"serial"`, `"staged"`, or
     /// `"mixed"` when the live shard classes disagree.
     pub pipeline_label: &'static str,
     /// Σ (completion − request time) over all shard accesses.
@@ -700,8 +688,7 @@ pub struct MultiTenantHost {
     directory: TenantDirectory,
     ledger: LeakageLedger,
     tenants: Vec<TenantRuntime>,
-    /// Next slot time per active tenant, keyed by tenant id. Maintained
-    /// (and consulted) only under [`SchedulerKind::Calendar`].
+    /// Next slot time per active tenant, keyed by tenant id.
     calendar: CalendarQueue,
     serve_log: Vec<ServedSlot>,
     clock: Cycle,
@@ -744,12 +731,17 @@ impl MultiTenantHost {
     /// rejects, or on invalid ORAM geometry.
     pub fn new(cfg: HostConfig) -> Result<Self, HostError> {
         cfg.validate()?;
-        let sharded = if cfg.shard_mix.is_empty() {
-            ShardedOram::with_pipeline(&cfg.oram, &cfg.ddr, cfg.n_shards, cfg.pipeline)
+        let homogeneous = [ShardClass {
+            oram: cfg.oram.clone(),
+            pipeline: cfg.pipeline,
+        }];
+        let classes = if cfg.shard_mix.is_empty() {
+            &homogeneous[..]
         } else {
-            ShardedOram::with_mix(&cfg.shard_mix, &cfg.ddr, cfg.n_shards)
-        }
-        .map_err(HostError::Build)?;
+            &cfg.shard_mix
+        };
+        let sharded =
+            ShardedOram::with_mix(classes, &cfg.ddr, cfg.n_shards).map_err(HostError::Build)?;
         let directory = TenantDirectory::new(cfg.leakage_limit_bits, cfg.seed);
         let calendar = CalendarQueue::new(calendar::BUCKET_WIDTH, calendar::BUCKETS);
         let arbiter = WdrrArbiter::new();
@@ -934,9 +926,7 @@ impl MultiTenantHost {
         stream.set_trace_recording(self.cfg.record_traces);
         let mut rng = SplitMix64::new(self.cfg.seed ^ (id as u64 + 1));
         let addr_tag = rng.next_u64();
-        if self.cfg.scheduler == SchedulerKind::Calendar {
-            self.calendar.insert(id, stream.next_slot());
-        }
+        self.calendar.insert(id, stream.next_slot());
         self.tenants.push(TenantRuntime {
             id,
             benchmark: spec.benchmark,
@@ -1026,13 +1016,11 @@ impl MultiTenantHost {
         }
         let clock = self.clock;
         let rt = &mut self.tenants[id];
-        if self.cfg.scheduler == SchedulerKind::Calendar {
-            let removed = self.calendar.remove(id, rt.stream.next_slot());
-            debug_assert!(
-                removed,
-                "calendar entry out of sync with tenant {id}'s stream"
-            );
-        }
+        let removed = self.calendar.remove(id, rt.stream.next_slot());
+        debug_assert!(
+            removed,
+            "calendar entry out of sync with tenant {id}'s stream"
+        );
         // Retire still-due slots as dummies. Under the scheduler's own
         // invariant (every due slot is served before the clock advances)
         // this loop never iterates — `churn_props.rs` asserts retired ==
@@ -1061,7 +1049,6 @@ impl MultiTenantHost {
         rt.pending.clear();
         rt.lookahead = None;
         rt.state = TenantState::Evicted { at: clock };
-        self.directory.mark_evicted(id);
         Ok(retired)
     }
 
@@ -1158,7 +1145,8 @@ impl MultiTenantHost {
         self.clock
     }
 
-    /// The tenant directory.
+    /// The tenant directory: every tenant ever admitted, evicted ones
+    /// included ([`MultiTenantHost::tenant_active`] tells them apart).
     pub fn directory(&self) -> &TenantDirectory {
         &self.directory
     }
@@ -1212,40 +1200,6 @@ impl MultiTenantHost {
         }
     }
 
-    /// Finds the next due slot via the reference k-way merge: the
-    /// earliest `next_slot < frontier` over all active tenants, the
-    /// caller-supplied rank breaking same-cycle ties (the same rank the
-    /// calendar path hands [`CalendarQueue::pop_due`], so the two
-    /// schedulers stay serve-order identical). O(K) per call — this is
-    /// exactly the cost the calendar queue removes. An associated fn
-    /// (not a method) so the round loop can call it while holding
-    /// disjoint field borrows of the host.
-    fn pick_merge_in<R: Ord>(
-        tenants: &[TenantRuntime],
-        frontier: Cycle,
-        mut rank: impl FnMut(usize) -> R,
-    ) -> Option<(usize, Cycle)> {
-        let mut pick: Option<(usize, Cycle, R)> = None;
-        for (idx, t) in tenants.iter().enumerate() {
-            if !t.is_active() {
-                continue;
-            }
-            let s = t.stream.next_slot();
-            if s >= frontier {
-                continue;
-            }
-            let r = rank(idx);
-            let better = match &pick {
-                None => true,
-                Some((_, best_s, best_r)) => (s, &r) < (*best_s, best_r),
-            };
-            if better {
-                pick = Some((idx, s, r));
-            }
-        }
-        pick.map(|(idx, s, _)| (idx, s))
-    }
-
     /// Runs one scheduling round: serves every slot due before the next
     /// quantum frontier in **global slot-time order**, pulling each
     /// tenant's arrivals lazily as its slots come due. Time-ordered
@@ -1275,7 +1229,6 @@ impl MultiTenantHost {
         let n = self.tenants.len();
         let rotation = self.rotation;
         let record = self.cfg.record_traces;
-        let scheduler = self.cfg.scheduler;
         self.arbiter.replenish(self.cfg.quantum);
         // Per-shard slot costs (stable within a round: resizes happen
         // between rounds) the arbiter spends credits against.
@@ -1305,15 +1258,11 @@ impl MultiTenantHost {
             // the legacy rotating rank as the deterministic settlement.
             // Charging happens at post time in spine order, so the
             // credit evolution is the same under every executor.
-            let pick = {
-                let a = &*arbiter;
-                let rank = |key: usize| (Reverse(a.credit_rank(key)), (key + n - rotation) % n);
-                match scheduler {
-                    SchedulerKind::Calendar => calendar.pop_due(frontier, rank),
-                    SchedulerKind::Merge => Self::pick_merge_in(tenants, frontier, rank),
-                }
+            let a = &*arbiter;
+            let rank = |key: usize| (Reverse(a.credit_rank(key)), (key + n - rotation) % n);
+            let Some((idx, slot)) = calendar.pop_due(frontier, rank) else {
+                break;
             };
-            let Some((idx, slot)) = pick else { break };
             let rt = &mut tenants[idx];
             debug_assert_eq!(rt.stream.next_slot(), slot);
             // Closed-loop feedback owed from this tenant's previous real
@@ -1366,9 +1315,7 @@ impl MultiTenantHost {
                     real,
                 });
             }
-            if scheduler == SchedulerKind::Calendar {
-                calendar.insert(idx, rt.stream.next_slot());
-            }
+            calendar.insert(idx, rt.stream.next_slot());
             // Ledger sync per served slot (transitions only move when a
             // slot is served, so untouched tenants need no sweep).
             ledger.record_transitions(rt.id, rt.stream.transitions().len() as u64);
@@ -1444,10 +1391,7 @@ impl MultiTenantHost {
                 CapacityKind::Olat => "olat".into(),
                 CapacityKind::Cadence => "cadence".into(),
             },
-            scheduler: match self.cfg.scheduler {
-                SchedulerKind::Calendar => "calendar".into(),
-                SchedulerKind::Merge => "merge".into(),
-            },
+            scheduler: "calendar".into(),
         };
         self.perf = Some(SessionRecorder::new(meta));
     }
@@ -1587,7 +1531,6 @@ impl MultiTenantHost {
             retired_shard_accesses: self.sharded.retired_accesses(),
             shard_utilization: self.sharded.utilization(self.clock),
             shard_queueing_cycles: self.sharded.queueing_cycles(),
-            pipeline: self.sharded.pipeline().kind,
             pipeline_label: self.sharded.pipeline_label(),
             shard_service_cycles: self.sharded.service_cycles(),
             mean_service_cycles: self.sharded.mean_service_cycles(),
@@ -1884,44 +1827,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_calendar_serve_identically() {
-        // Smoke-level equivalence (the full property lives in
-        // tests/churn_props.rs): same fleet, same seeds, both scheduler
-        // kinds — identical serve logs and identical traces.
-        let build = |kind: SchedulerKind| {
-            let cfg = HostConfig {
-                record_traces: true,
-                scheduler: kind,
-                ..HostConfig::small()
-            };
-            let mut host = MultiTenantHost::new(cfg).expect("builds");
-            host.add_tenant(&spec("a", SpecBenchmark::Mcf, dynamic_policy()))
-                .expect("admit");
-            host.add_tenant(&spec(
-                "b",
-                SpecBenchmark::Libquantum,
-                RatePolicy::Static { rate: 700 },
-            ))
-            .expect("admit");
-            host.add_tenant(&spec(
-                "c",
-                SpecBenchmark::Hmmer,
-                RatePolicy::Static { rate: 700 },
-            ))
-            .expect("admit");
-            host.run_for(1 << 20);
-            host
-        };
-        let cal = build(SchedulerKind::Calendar);
-        let mrg = build(SchedulerKind::Merge);
-        assert!(!cal.serve_log().is_empty());
-        assert_eq!(cal.serve_log(), mrg.serve_log());
-        for id in 0..3 {
-            assert_eq!(cal.tenant_trace(id), mrg.tenant_trace(id), "tenant {id}");
-        }
-    }
-
-    #[test]
     fn resize_shards_online_grow_and_shrink() {
         let mut host = MultiTenantHost::new(HostConfig::small()).expect("builds");
         host.add_tenant(&spec(
@@ -2173,8 +2078,8 @@ mod tests {
         };
         let serial = build(PipelineConfig::serial());
         let staged = build(PipelineConfig::staged());
-        assert_eq!(serial.pipeline, PipelineKind::Serial);
-        assert_eq!(staged.pipeline, PipelineKind::Staged);
+        assert_eq!(serial.pipeline_label, "serial");
+        assert_eq!(staged.pipeline_label, "staged");
         assert_eq!(serial.background_eviction_drains, 0);
         assert!(staged.background_eviction_drains > 0);
         assert!(

@@ -81,9 +81,7 @@ pub use host::{
     SchedulerKind, ServedSlot, TenantReport, TenantSpec, MAX_SHARD_UTILIZATION,
 };
 pub use ledger::{within_budget_bits, LeakageLedger, LedgerEntry};
-pub use report::{
-    capacity_summary, fairness_table, leakage_summary, render, shard_summary, tenant_table,
-};
+pub use report::render;
 pub use scenario::{
     parse_bench, parse_churn_script, parse_scenario, EventOutcome, OramChoice, ScenarioAction,
     ScenarioError, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant, ServeEnd,

@@ -331,12 +331,16 @@ impl Drop for ShardExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardedOram;
+    use crate::shard::{PipelineConfig, ShardClass, ShardedOram};
     use otc_dram::DdrConfig;
     use otc_oram::OramConfig;
 
     fn lanes(n: usize) -> Vec<Lane> {
-        ShardedOram::new(&OramConfig::small(), &DdrConfig::default(), n)
+        let class = ShardClass {
+            oram: OramConfig::small(),
+            pipeline: PipelineConfig::serial(),
+        };
+        ShardedOram::with_mix(&[class], &DdrConfig::default(), n)
             .expect("valid")
             .take_lanes()
     }

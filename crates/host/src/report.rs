@@ -12,7 +12,7 @@ fn fmt_f(v: f64) -> String {
 
 /// Renders the per-tenant table: lifecycle, throughput, waste, queueing,
 /// leakage. Evicted tenants keep their (frozen) rows.
-pub fn tenant_table(report: &HostReport) -> String {
+fn tenant_table(report: &HostReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<10}{:<20}{:<16}{:<14}{:>6}{:>9}{:>10}{:>10}{:>8}{:>12}{:>12}{:>8}{:>11}{:>11}{:>18}\n",
@@ -69,7 +69,7 @@ pub fn tenant_table(report: &HostReport) -> String {
 /// is gated on (`tests/fairness_replay.rs`). Evicted tenants keep their
 /// frozen share but show no attainment: their slot counts stopped at
 /// eviction while the fleet's kept growing.
-pub fn fairness_table(report: &HostReport) -> String {
+fn fairness_table(report: &HostReport) -> String {
     let active_weight: f64 = report
         .tenants
         .iter()
@@ -115,7 +115,7 @@ pub fn fairness_table(report: &HostReport) -> String {
 
 /// Renders the shard utilization line, including the pipeline
 /// discipline and the mean per-access service time it governs.
-pub fn shard_summary(report: &HostReport) -> String {
+fn shard_summary(report: &HostReport) -> String {
     let utils: Vec<String> = report
         .shard_utilization
         .iter()
@@ -154,7 +154,7 @@ pub fn shard_summary(report: &HostReport) -> String {
 /// Renders the capacity line: what admission priced one slot at, how
 /// much of the pool the active fleet's worst case claims, and the
 /// per-round slot budget that pricing implies for the scheduler.
-pub fn capacity_summary(report: &HostReport) -> String {
+fn capacity_summary(report: &HostReport) -> String {
     format!(
         "capacity: {} pricing at {} cycles/slot | fleet demand {:.2} of {:.2} \
          shard-equivalents | round capacity {:.1} slots",
@@ -168,7 +168,7 @@ pub fn capacity_summary(report: &HostReport) -> String {
 
 /// Renders the aggregate leakage line (evicted tenants' frozen rows
 /// stay in the sums — churn conserves fleet accounting).
-pub fn leakage_summary(report: &HostReport) -> String {
+fn leakage_summary(report: &HostReport) -> String {
     format!(
         "fleet leakage: {:.1} bits revealed of {:.1} budgeted across {} tenants ({} active; {})",
         report.fleet_spent_bits,

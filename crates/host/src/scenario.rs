@@ -27,7 +27,7 @@
 //!   skipped.
 //! * `host` keys: `shards`, `oram` (`small|paper`), `pipeline`
 //!   (`serial|staged`), `capacity` (`olat|cadence`), `scheduler`
-//!   (`calendar|merge`), `threads` (0 = serial), `quantum`, `limit`
+//!   (only `calendar`), `threads` (0 = serial), `quantum`, `limit`
 //!   (leakage bits), `seed`, `slots` (serve target per tenant), `mix`
 //!   (comma list of `<small|paper>:<serial|staged>` shard classes).
 //! * `tenant NAME` keys: `bench`, `scheme`, `traffic`, `adversary`
@@ -123,10 +123,7 @@ const CAPACITIES: [(&str, CapacityKind); 2] = [
     ("olat", CapacityKind::Olat),
     ("cadence", CapacityKind::Cadence),
 ];
-const SCHEDULERS: [(&str, SchedulerKind); 2] = [
-    ("calendar", SchedulerKind::Calendar),
-    ("merge", SchedulerKind::Merge),
-];
+const SCHEDULERS: [(&str, SchedulerKind); 1] = [("calendar", SchedulerKind::Calendar)];
 const ADVERSARIES: [(&str, AdversaryKind); 2] = [
     ("probe", AdversaryKind::Probe),
     ("distinguisher", AdversaryKind::Distinguisher),
@@ -147,7 +144,7 @@ pub struct ScenarioHost {
     pub pipeline: PipelineKind,
     /// Admission pricing.
     pub capacity: CapacityKind,
-    /// Due-slot finder.
+    /// Due-slot finder: always the calendar queue, the only one.
     pub scheduler: SchedulerKind,
     /// Worker threads (0 = every shard access inline).
     pub threads: usize,
@@ -171,7 +168,7 @@ impl Default for ScenarioHost {
             oram: OramChoice::Paper,
             pipeline: PipelineKind::Serial,
             capacity: d.capacity,
-            scheduler: d.scheduler,
+            scheduler: SchedulerKind::Calendar,
             threads: 0,
             quantum: d.quantum,
             limit_bits: d.leakage_limit_bits,
@@ -364,7 +361,6 @@ impl ScenarioSpec {
             .quantum(h.quantum)
             .leakage_limit_bits(h.limit_bits)
             .seed(h.seed)
-            .scheduler(h.scheduler)
             .pipeline(pipeline(h.pipeline))
             .capacity(h.capacity)
             .threads(h.threads);
@@ -1069,6 +1065,7 @@ mod tests {
     fn render_round_trips() {
         let spec = parse_scenario(EXAMPLE).expect("parses");
         let rendered = spec.render();
+        assert!(rendered.contains(" scheduler=calendar "), "{rendered}");
         let again = parse_scenario(&rendered).expect("canonical form reparses");
         assert_eq!(again, spec);
         // And the canonical form is a fixed point.
@@ -1088,6 +1085,11 @@ mod tests {
 
         let e = parse_scenario("host shards=3\nhost shards=4\n").expect_err("dup host");
         assert_eq!(e.line, 2);
+
+        // The calendar queue is the only due-slot finder.
+        let e = parse_scenario("host shards=3 scheduler=merge\n").expect_err("no merge");
+        assert_eq!((e.line, e.col), (1, 15));
+        assert_eq!(e.msg, "unknown scheduler \"merge\" (want calendar)");
     }
 
     #[test]

@@ -497,41 +497,11 @@ impl std::fmt::Debug for ShardedOram {
 }
 
 impl ShardedOram {
-    /// Builds `n_shards` ORAMs from `base` geometry, each with a
-    /// shard-unique seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`OramConfig::validate`] failures; rejects `n_shards == 0`.
-    pub fn new(base: &OramConfig, ddr: &DdrConfig, n_shards: usize) -> Result<Self, String> {
-        Self::with_pipeline(base, ddr, n_shards, PipelineConfig::serial())
-    }
-
-    /// As [`ShardedOram::new`], choosing the pipeline discipline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`OramConfig::validate`] failures; rejects `n_shards == 0`.
-    pub fn with_pipeline(
-        base: &OramConfig,
-        ddr: &DdrConfig,
-        n_shards: usize,
-        pipeline: PipelineConfig,
-    ) -> Result<Self, String> {
-        Self::with_mix(
-            &[ShardClass {
-                oram: base.clone(),
-                pipeline,
-            }],
-            ddr,
-            n_shards,
-        )
-    }
-
-    /// Builds a heterogeneous pool: shard `i` is instantiated from
-    /// `classes[i % classes.len()]`, so the mix cycles round-robin over
-    /// the shard indices and each index's class survives online
-    /// resizes. The pool `OLAT` (what slot grids are built from) is the
+    /// Builds a pool of `n_shards` ORAMs, each with a shard-unique seed:
+    /// shard `i` is instantiated from `classes[i % classes.len()]`, so
+    /// the mix cycles round-robin over the shard indices and each
+    /// index's class survives online resizes. A homogeneous pool is one
+    /// class. The pool `OLAT` (what slot grids are built from) is the
     /// maximum over *all* classes of the mix — conservative for
     /// whichever shard a slot lands on, and stable whatever subset of
     /// classes a given shard count instantiates.
@@ -1013,8 +983,17 @@ impl ShardedOram {
 mod tests {
     use super::*;
 
+    /// A homogeneous pool of `n` small-geometry shards.
+    fn pool(pipeline: PipelineConfig, n: usize) -> ShardedOram {
+        let class = ShardClass {
+            oram: OramConfig::small(),
+            pipeline,
+        };
+        ShardedOram::with_mix(&[class], &DdrConfig::default(), n).expect("valid")
+    }
+
     fn small(n: usize) -> ShardedOram {
-        ShardedOram::new(&OramConfig::small(), &DdrConfig::default(), n).expect("valid")
+        pool(PipelineConfig::serial(), n)
     }
 
     #[test]
@@ -1144,13 +1123,7 @@ mod tests {
     }
 
     fn staged(n: usize) -> ShardedOram {
-        ShardedOram::with_pipeline(
-            &OramConfig::small(),
-            &DdrConfig::default(),
-            n,
-            PipelineConfig::staged(),
-        )
-        .expect("valid")
+        pool(PipelineConfig::staged(), n)
     }
 
     #[test]
@@ -1428,39 +1401,6 @@ mod tests {
             pipeline: PipelineConfig::serial(),
         };
         assert!(ShardedOram::with_mix(&[class], &ddr, 0).is_err());
-    }
-
-    #[test]
-    fn homogeneous_mix_matches_with_pipeline_exactly() {
-        // with_pipeline is now a one-class mix; every aggregate figure
-        // must be bit-identical to the pre-mix pool.
-        let via_pipeline = staged(3);
-        let via_mix = ShardedOram::with_mix(
-            &[ShardClass {
-                oram: OramConfig::small(),
-                pipeline: PipelineConfig::staged(),
-            }],
-            &DdrConfig::default(),
-            3,
-        )
-        .expect("valid");
-        assert_eq!(via_mix.olat(), via_pipeline.olat());
-        assert_eq!(via_mix.capacity(), via_pipeline.capacity());
-        assert_eq!(
-            via_mix.effective_cadence(),
-            via_pipeline.effective_cadence()
-        );
-        assert_eq!(via_mix.pipeline_label(), "staged");
-        for kind in [CapacityKind::Olat, CapacityKind::Cadence] {
-            assert_eq!(
-                via_mix.capacity_model(kind).effective_cadence(),
-                via_pipeline.capacity_model(kind).effective_cadence()
-            );
-            assert_eq!(
-                via_mix.pricing_cadences(kind),
-                via_pipeline.pricing_cadences(kind)
-            );
-        }
     }
 
     #[test]

@@ -26,11 +26,6 @@ pub struct TenantEntry {
     /// Bits the parameters permit over the ORAM timing channel, as
     /// computed by the processor at authorization time.
     pub authorized_bits: u64,
-    /// Whether the tenant has been evicted from the host. The entry is
-    /// retained — ids are dense and never reused, and the frozen leakage
-    /// accounting still references it — but its session is dead for
-    /// serving purposes.
-    pub evicted: bool,
     processor: SecureProcessor,
     session: UserSession,
 }
@@ -83,23 +78,10 @@ impl TenantDirectory {
             name: name.to_string(),
             params,
             authorized_bits,
-            evicted: false,
             processor,
             session,
         });
         Ok(id)
-    }
-
-    /// Marks `id` as evicted (the entry itself is retained; ids are
-    /// never reused, so a returning tenant re-registers and gets a fresh
-    /// id, processor context, and session).
-    pub fn mark_evicted(&mut self, id: usize) {
-        self.entries[id].evicted = true;
-    }
-
-    /// Number of tenants not marked evicted.
-    pub fn active_len(&self) -> usize {
-        self.entries.iter().filter(|e| !e.evicted).count()
     }
 
     /// Number of registered tenants.
@@ -162,16 +144,26 @@ mod tests {
 
     #[test]
     fn eviction_marks_but_retains_the_entry() {
-        let mut d = TenantDirectory::new(32, 0xD4);
-        let a = d.register("alice", params(4, 4)).expect("register");
-        let b = d.register("bob", params(1, 4)).expect("register");
-        d.mark_evicted(a);
-        assert!(d.entry(a).evicted);
-        assert!(!d.entry(b).evicted);
-        assert_eq!(d.len(), 2, "entries are retained");
-        assert_eq!(d.active_len(), 1);
+        // The host records an eviction in its tenant state; the
+        // directory keeps the entry, since ids are dense and never
+        // reused and the frozen ledger row still names it.
+        use crate::host::{HostConfig, MultiTenantHost, TenantSpec};
+        let mut host = MultiTenantHost::new(HostConfig::small()).expect("builds");
+        let spec = |name: &str| TenantSpec {
+            name: name.into(),
+            benchmark: otc_workloads::SpecBenchmark::Mcf,
+            policy: otc_core::RatePolicy::Static { rate: 2_000 },
+            instructions: 1_000,
+        };
+        let a = host.add_tenant(&spec("alice")).expect("admit");
+        let b = host.add_tenant(&spec("bob")).expect("admit");
+        host.evict(a).expect("evict");
+        assert!(!host.tenant_active(a));
+        assert!(host.tenant_active(b));
+        assert_eq!(host.directory().len(), 2, "entries are retained");
+        assert_eq!(host.directory().entry(a).name, "alice");
         // A returning tenant gets a fresh id, never a reused one.
-        let a2 = d.register("alice", params(4, 4)).expect("re-register");
+        let a2 = host.add_tenant(&spec("alice")).expect("re-admit");
         assert_eq!(a2, 2);
     }
 

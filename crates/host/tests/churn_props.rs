@@ -1,12 +1,14 @@
 //! Property tests for the calendar-queue slot scheduler and online
 //! churn (proptest shim; deterministic per-test seeds, no shrinking).
 //!
-//! 1. **Scheduler equivalence** — for random fleet mixes (sizes, rate
-//!    policies, loop modes, seeds) *and* random mid-run churn, the
-//!    calendar-queue scheduler serves the exact same global slot order
-//!    as the reference k-way merge ([`SchedulerKind::Merge`]), tie-breaks
-//!    included. The serve log is the witness: per-tenant traces alone
-//!    cannot see cross-tenant ordering.
+//! 1. **Recorded merge order** — for 72 random fleet mixes (sizes, rate
+//!    policies, WDRR weights, loop modes, seeds) *and* random mid-run
+//!    churn, the calendar queue serves the exact global slot order the
+//!    k-way merge it replaced served, tie-breaks included. The merge
+//!    scanned every tenant per served slot; its serve logs, tenant
+//!    traces, slot counts and shard accounting, digested per case, are
+//!    `golden/merge_order.golden`. The serve log is the witness:
+//!    per-tenant traces alone cannot see cross-tenant ordering.
 //! 2. **Churn safety** — random admit/evict scripts never deadlock,
 //!    never serve a slot for an evicted tenant, and never skip a due
 //!    slot of an active tenant (every static grid is served to the
@@ -15,19 +17,20 @@
 
 use otc_core::RatePolicy;
 use otc_dram::Cycle;
-use otc_host::{HostConfig, LoopMode, MultiTenantHost, SchedulerKind, TenantSpec};
+use otc_host::{HostConfig, LoopMode, MultiTenantHost, TenantSpec};
 use otc_workloads::SpecBenchmark;
 use proptest::prelude::*;
+use proptest::TestRng;
+use std::fmt::Write as _;
 use util::static_slots_before;
 
 mod util;
 
 const QUANTUM: Cycle = 1 << 16;
 
-fn traced(kind: SchedulerKind) -> HostConfig {
+fn traced() -> HostConfig {
     HostConfig {
         record_traces: true,
-        scheduler: kind,
         ..HostConfig::small()
     }
 }
@@ -69,69 +72,100 @@ fn draw_spec(rng: &mut otc_crypto::SplitMix64, name: String) -> (TenantSpec, Loo
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(72))]
+/// The random fleets of `golden/merge_order.golden`: each case's seed,
+/// tenant count and churn flag, drawn as the property test that
+/// compared the calendar with the live merge drew them (the shim's
+/// deterministic stream for this test's name).
+fn random_fleets() -> Vec<(u64, usize, bool)> {
+    let mut rng = TestRng::deterministic(concat!(
+        module_path!(),
+        "::calendar_matches_merge_for_random_fleets"
+    ));
+    (0..72)
+        .map(|_| {
+            (
+                any::<u64>().generate(&mut rng),
+                (1usize..5).generate(&mut rng),
+                any::<bool>().generate(&mut rng),
+            )
+        })
+        .collect()
+}
 
-    /// ≥64 random fleet configurations: identical serve order (and
-    /// traces, and reports) from both scheduler kinds, including across
-    /// a mid-run admission and a mid-run eviction.
-    #[test]
-    fn calendar_matches_merge_for_random_fleets(
-        seed in any::<u64>(),
-        k in 1usize..5,
-        churn in any::<bool>(),
-    ) {
-        let run = |kind: SchedulerKind| {
-            let mut rng = otc_crypto::SplitMix64::new(seed);
-            let mut host = MultiTenantHost::new(traced(kind)).expect("builds");
-            let mut admitted = Vec::new();
-            for i in 0..k {
-                let (spec, mode) = draw_spec(&mut rng, format!("t{i}"));
-                // Saturation is config-dependent but identical across
-                // scheduler kinds; skip symmetric rejections.
-                if let Ok(id) = host.admit(&spec, mode) {
-                    admitted.push(id);
-                }
-            }
-            host.run_for(4 * QUANTUM);
-            if churn {
-                let (spec, mode) = draw_spec(&mut rng, "late".into());
-                let _ = host.admit(&spec, mode);
-                host.run_for(4 * QUANTUM);
-                if let Some(&victim) = admitted.first() {
-                    host.evict(victim).expect("evict admitted tenant");
-                }
-            }
-            host.run_for(4 * QUANTUM);
-            host
-        };
-        let cal = run(SchedulerKind::Calendar);
-        let mrg = run(SchedulerKind::Merge);
-        prop_assert!(
-            !cal.serve_log().is_empty(),
-            "degenerate case served nothing (k={k})"
-        );
-        prop_assert_eq!(
-            cal.serve_log(),
-            mrg.serve_log(),
-            "global serve order diverged (seed {seed:#x} k {k} churn {churn})"
-        );
-        for id in 0..cal.tenant_count() {
-            prop_assert_eq!(
-                cal.tenant_trace(id),
-                mrg.tenant_trace(id),
-                "tenant {id} trace diverged"
-            );
-            prop_assert_eq!(
-                cal.tenant_stream(id).slots_served(),
-                mrg.tenant_stream(id).slots_served()
-            );
+/// Serves one random fleet: up to `k` drawn tenants (saturation skips
+/// a seat), and with `churn` a mid-run admission and an eviction.
+fn serve_fleet(seed: u64, k: usize, churn: bool) -> MultiTenantHost {
+    let mut rng = otc_crypto::SplitMix64::new(seed);
+    let mut host = MultiTenantHost::new(traced()).expect("builds");
+    let mut admitted = Vec::new();
+    for i in 0..k {
+        let (spec, mode) = draw_spec(&mut rng, format!("t{i}"));
+        if let Ok(id) = host.admit(&spec, mode) {
+            admitted.push(id);
         }
-        // Shard-level accounting agrees too (same order ⇒ same queueing).
-        let (ra, rb) = (cal.report(), mrg.report());
-        prop_assert_eq!(&ra.shard_accesses, &rb.shard_accesses);
-        prop_assert_eq!(ra.shard_queueing_cycles, rb.shard_queueing_cycles);
     }
+    host.run_for(4 * QUANTUM);
+    if churn {
+        let (spec, mode) = draw_spec(&mut rng, "late".into());
+        let _ = host.admit(&spec, mode);
+        host.run_for(4 * QUANTUM);
+        if let Some(&victim) = admitted.first() {
+            host.evict(victim).expect("evict admitted tenant");
+        }
+    }
+    host.run_for(4 * QUANTUM);
+    host
+}
+
+/// One fleet's line of `golden/merge_order.golden`: the global serve
+/// order, each tenant's slot count and trace, and the shard accounting
+/// (same order, same queueing).
+fn fleet_line(host: &MultiTenantHost) -> String {
+    let log = host.serve_log();
+    let tenants: Vec<String> = (0..host.tenant_count())
+        .map(|id| {
+            let trace = host.tenant_trace(id);
+            format!(
+                "{} {:016x}",
+                host.tenant_stream(id).slots_served(),
+                util::trace_digest(trace)
+            )
+        })
+        .collect();
+    let report = host.report();
+    format!(
+        "log {} {:016x}, tenants [{}], shards {:?} queued {}",
+        log.len(),
+        util::serve_log_digest(log),
+        tenants.join(", "),
+        report.shard_accesses,
+        report.shard_queueing_cycles
+    )
+}
+
+/// 72 random fleets, churn included: the calendar serves each one in
+/// the order the merge served it.
+#[test]
+fn calendar_matches_merge_for_random_fleets() {
+    let mut got = String::new();
+    for (seed, k, churn) in random_fleets() {
+        let host = serve_fleet(seed, k, churn);
+        assert!(
+            !host.serve_log().is_empty(),
+            "degenerate case served nothing (seed {seed:#x} k {k})"
+        );
+        writeln!(
+            got,
+            "seed {seed:016x} k {k} churn {churn}: {}",
+            fleet_line(&host)
+        )
+        .unwrap();
+    }
+    util::assert_text_eq(
+        "golden/merge_order.golden",
+        &got,
+        include_str!("golden/merge_order.golden"),
+    );
 }
 
 proptest! {
@@ -145,7 +179,7 @@ proptest! {
         rounds in 8u64..24,
     ) {
         let mut rng = otc_crypto::SplitMix64::new(seed);
-        let mut host = MultiTenantHost::new(traced(SchedulerKind::Calendar)).expect("builds");
+        let mut host = MultiTenantHost::new(traced()).expect("builds");
         // Start with one tenant so the host is never trivially idle.
         let (spec, mode) = draw_spec(&mut rng, "t0".into());
         host.admit(&spec, mode).expect("first admit fits");

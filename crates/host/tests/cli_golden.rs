@@ -327,3 +327,40 @@ fn report_refuses_corrupt_sessions() {
         }
     }
 }
+
+#[test]
+fn report_renders_sessions_with_extreme_counters() {
+    // The decoder checks a session's structure, not its values. A
+    // recorded session re-encoded with an OLAT of u64::MAX still
+    // decodes, and `otc report` must render it rather than overflow
+    // pricing its SLO at 8 OLATs.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let recorded = dir.join("cli_report_recorded.otcp");
+    let recorded_path = recorded.to_str().expect("UTF-8 path");
+    let out = otc(&[
+        "run",
+        "--tenants",
+        "2",
+        "--accesses",
+        "200",
+        "--oram",
+        "small",
+        "--seed",
+        "7",
+        "--perf-session",
+        recorded_path,
+    ]);
+    assert!(out.status.success(), "recording failed: {out:?}");
+    let bytes = std::fs::read(&recorded).expect("the session was written");
+    let mut session = otc_host::PerfSession::from_bytes(&bytes).expect("the session decodes");
+    session.meta.olat = u64::MAX;
+    let extreme = dir.join("cli_report_olat_max.otcp");
+    std::fs::write(&extreme, session.to_bytes()).expect("writes");
+    let path = extreme.to_str().expect("UTF-8 path");
+    let out = otc(&["report", "--session", path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "otc report: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&format!("olat {}", u64::MAX)), "{stdout}");
+    assert!(stdout.contains("tenant SLO attainment"), "{stdout}");
+}

@@ -1,13 +1,13 @@
 //! Replay + property suite for the WDRR port arbiter (the fairness
 //! analogue of the pipeline and capacity replay suites):
 //!
-//! 1. **Equal weights replay the legacy scheduler bit for bit** — a
+//! 1. **Equal weights replay the legacy arbiter bit for bit** — a
 //!    fleet of identically-priced tenants under WDRR produces the serve
 //!    log, slot traces, and ledger sums of the pre-WDRR rotating
-//!    round-robin arbiter (digests recorded from it), across both
-//!    schedulers, a mixed pool, churn, and static and dynamic seats. Uniform weighted fairness
-//!    *is* round-robin fairness, so the arbiter must vanish from the
-//!    observables.
+//!    round-robin arbiter (digests recorded from it), across a mixed
+//!    pool, churn, and static and dynamic seats. Uniform weighted
+//!    fairness *is* round-robin fairness, so the arbiter must vanish
+//!    from the observables.
 //! 2. **The arbiter reorders, never re-serves** — whatever the weights,
 //!    every tenant's slot grid (and hence its served-slot count) is
 //!    pure stream state, equal to a stream served alone; mixed weights
@@ -27,7 +27,7 @@ use otc_core::{RatePolicy, SlotRecord, SlotStream};
 use otc_dram::Cycle;
 use otc_host::{
     CapacityKind, HostConfig, HostError, HostReport, LoopMode, MultiTenantHost, PipelineConfig,
-    SchedulerKind, ShardClass, TenantSpec,
+    ShardClass, TenantSpec,
 };
 use otc_oram::{OramConfig, TreeGeometry};
 
@@ -104,29 +104,18 @@ fn share_deviations(report: &HostReport, quantum: Cycle, olat: Cycle) -> Vec<(f6
 fn observables(host: &MultiTenantHost) -> String {
     let report = host.report();
     let log = host.serve_log();
-    let log_digest = util::fnv1a(log.iter().flat_map(|s| {
-        (s.tenant as u64)
-            .to_le_bytes()
-            .into_iter()
-            .chain(s.start.to_le_bytes())
-            .chain([u8::from(s.real)])
-    }));
     let traces: Vec<String> = report
         .tenants
         .iter()
         .map(|t| {
             let trace = host.tenant_trace(t.id);
-            let digest = util::fnv1a(
-                trace
-                    .iter()
-                    .flat_map(|s| s.start.to_le_bytes().into_iter().chain([u8::from(s.real)])),
-            );
-            format!("{} {digest:016x}", trace.len())
+            format!("{} {:016x}", trace.len(), util::trace_digest(trace))
         })
         .collect();
     format!(
-        "log {} {log_digest:016x}, traces [{}], spent {:016x}, budget {:016x}",
+        "log {} {:016x}, traces [{}], spent {:016x}, budget {:016x}",
         log.len(),
+        util::serve_log_digest(log),
         traces.join(", "),
         report.fleet_spent_bits.to_bits(),
         report.fleet_budget_bits.to_bits()
@@ -134,8 +123,9 @@ fn observables(host: &MultiTenantHost) -> String {
 }
 
 /// [`observables`] of the equal-weight fleet below, served by the
-/// pre-WDRR rotating round-robin arbiter under either scheduler. Recorded
-/// before that arbiter was removed; it was the bit-exact reference.
+/// pre-WDRR rotating round-robin arbiter (under the calendar and under
+/// the k-way merge alike). Recorded before that arbiter was removed; it
+/// was the bit-exact reference.
 const ROTATION_OBSERVABLES: &str = "log 1007 b1970c5d5af7b081, \
     traces [403 68f871537b303e5b, 201 28cd5cae31786518, 403 68f871537b303e5b], \
     spent 0000000000000000, budget 0000000000000000";
@@ -154,7 +144,7 @@ fn equal_weight_wdrr_replays_the_rotation_arbiter_bit_for_bit() {
     // With every tenant priced identically the WDRR credit rank must
     // short-circuit, so the serve log — cross-tenant *order*, the one
     // thing the arbiter can touch — matches the rotation arbiter's byte
-    // for byte. Exercised over both schedulers and a heterogeneous pool,
+    // for byte. Exercised over a heterogeneous pool,
     // with an eviction mid-run (the survivor fleet is still uniform),
     // for a static fleet and for a dynamic one on a larger pool whose
     // rate changes give the ledger bits to compare.
@@ -173,31 +163,28 @@ fn equal_weight_wdrr_replays_the_rotation_arbiter_bit_for_bit() {
         ),
     ];
     for (policy, n_shards, run, recorded) in fleets {
-        for scheduler in [SchedulerKind::Calendar, SchedulerKind::Merge] {
-            let cfg = HostConfig {
-                record_traces: true,
-                scheduler,
-                shard_mix: mixed_classes(),
-                n_shards,
-                capacity: CapacityKind::Cadence,
-                ..HostConfig::small()
-            };
-            let mut host = MultiTenantHost::new(cfg).expect("builds");
-            for i in 0..3 {
-                // Identical policies => identical worst-case shares.
-                host.admit(&spec(&format!("t{i}"), policy.clone()), LoopMode::Open)
-                    .expect("admit");
-            }
-            host.run_for(run);
-            host.evict(1).expect("evict");
-            host.run_for(run);
-            assert_eq!(
-                observables(&host),
-                recorded,
-                "{} {scheduler:?}: equal weights must replay the rotation order",
-                policy.label()
-            );
+        let cfg = HostConfig {
+            record_traces: true,
+            shard_mix: mixed_classes(),
+            n_shards,
+            capacity: CapacityKind::Cadence,
+            ..HostConfig::small()
+        };
+        let mut host = MultiTenantHost::new(cfg).expect("builds");
+        for i in 0..3 {
+            // Identical policies => identical worst-case shares.
+            host.admit(&spec(&format!("t{i}"), policy.clone()), LoopMode::Open)
+                .expect("admit");
         }
+        host.run_for(run);
+        host.evict(1).expect("evict");
+        host.run_for(run);
+        assert_eq!(
+            observables(&host),
+            recorded,
+            "{}: equal weights must replay the rotation order",
+            policy.label()
+        );
     }
 }
 
@@ -247,18 +234,16 @@ fn arbiter_reorders_ties_but_never_moves_a_grid() {
 #[test]
 fn served_slot_shares_track_weight_shares_across_64_saturating_fleets() {
     // The fairness gate as a seeded property sweep: random pools (shard
-    // count, class mix, pricing, scheduler), random static-rate tenants
+    // count, class mix, pricing), random static-rate tenants
     // admitted until the pool saturates, a multi-round run — then every
     // tenant's served-slot share must sit within one quantum's worth of
     // its own slots of its admitted weight share.
     let mut rng = otc_crypto::SplitMix64::new(0xFA1_12E55);
     for case in 0..64u64 {
         let n_shards = 1 + rng.next_below(4) as usize;
-        let scheduler = if rng.next_below(2) == 0 {
-            SchedulerKind::Calendar
-        } else {
-            SchedulerKind::Merge
-        };
+        // Once the choice between the calendar and the k-way merge; still
+        // drawn, so every case keeps the pool and fleet it always had.
+        let _scheduler_coin = rng.next_below(2);
         let capacity = if rng.next_below(2) == 0 {
             CapacityKind::Olat
         } else {
@@ -271,7 +256,6 @@ fn served_slot_shares_track_weight_shares_across_64_saturating_fleets() {
         };
         let cfg = HostConfig {
             n_shards,
-            scheduler,
             capacity,
             shard_mix,
             ..HostConfig::small()

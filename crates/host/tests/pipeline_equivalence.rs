@@ -26,7 +26,7 @@ use otc_core::RatePolicy;
 use otc_dram::{Cycle, DdrConfig};
 use otc_host::{
     HostConfig, HostReport, LoopMode, MultiTenantHost, PipelineConfig, PipelineKind, ScenarioSpec,
-    ShardedOram, TenantSpec,
+    ShardClass, ShardedOram, TenantSpec,
 };
 use otc_oram::OramConfig;
 use otc_workloads::SpecBenchmark;
@@ -74,8 +74,12 @@ fn serial_service_matches_pre_pipeline_arithmetic_bit_for_bit() {
     // against PipelineKind::Serial over a seeded pattern of reads,
     // writes and dummies with queueing collisions and idle gaps.
     const SHARDS: usize = 3;
-    let base = OramConfig::small();
-    let mut sharded = ShardedOram::new(&base, &DdrConfig::default(), SHARDS).expect("valid");
+    let serial = ShardClass {
+        oram: OramConfig::small(),
+        pipeline: PipelineConfig::serial(),
+    };
+    let mut sharded =
+        ShardedOram::with_mix(&[serial], &DdrConfig::default(), SHARDS).expect("valid");
     let olat = sharded.olat();
     let mut busy_until = [0u64; SHARDS];
     let mut accesses = [0u64; SHARDS];
@@ -158,7 +162,7 @@ fn open_loop_observables_identical_across_pipeline_modes() {
     }
     // The backends did run differently — staged deferred evictions.
     let staged_report = staged.report();
-    assert_eq!(staged_report.pipeline, PipelineKind::Staged);
+    assert_eq!(staged_report.pipeline_label, "staged");
     assert!(staged_report.background_eviction_drains > 0);
     // And the internal service metric improved even though the
     // observable grids are identical.

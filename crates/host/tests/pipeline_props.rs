@@ -26,7 +26,7 @@
 //! stage cost — growing any stage can never make a pool look cheaper.
 
 use otc_dram::{Cycle, DdrConfig};
-use otc_host::{PipelineConfig, ShardedOram};
+use otc_host::{PipelineConfig, ShardClass, ShardedOram};
 use otc_oram::{AccessPlan, CapacityKind, CapacityModel, OramConfig, OramTiming, TreeGeometry};
 use proptest::prelude::*;
 
@@ -42,9 +42,15 @@ enum Op {
 fn run_script(seed: u64, ops: usize, saturate: bool) {
     let base = OramConfig::small();
     let ddr = DdrConfig::default();
-    let mut serial = ShardedOram::new(&base, &ddr, 2).expect("valid");
-    let mut staged =
-        ShardedOram::with_pipeline(&base, &ddr, 2, PipelineConfig::staged()).expect("valid");
+    let pool = |pipeline| {
+        let class = ShardClass {
+            oram: base.clone(),
+            pipeline,
+        };
+        ShardedOram::with_mix(&[class], &ddr, 2).expect("valid")
+    };
+    let mut serial = pool(PipelineConfig::serial());
+    let mut staged = pool(PipelineConfig::staged());
     let max_deferred = staged.pipeline().max_deferred;
     let stash_bound = staged.stash_bound();
     let olat = serial.olat();

@@ -80,7 +80,6 @@ fn host_strategy() -> BoxedStrategy<ScenarioHost> {
         sample::select(vec![OramChoice::Small, OramChoice::Paper]),
         sample::select(vec![PipelineKind::Serial, PipelineKind::Staged]),
         sample::select(vec![CapacityKind::Olat, CapacityKind::Cadence]),
-        sample::select(vec![SchedulerKind::Calendar, SchedulerKind::Merge]),
     );
     let rest = (
         0usize..5,
@@ -99,7 +98,7 @@ fn host_strategy() -> BoxedStrategy<ScenarioHost> {
     (knobs, rest, mix)
         .prop_map(
             |(
-                (shards, oram, pipeline, capacity, scheduler),
+                (shards, oram, pipeline, capacity),
                 (threads, quantum, limit_bits, seed, slots),
                 mix,
             )| ScenarioHost {
@@ -107,7 +106,7 @@ fn host_strategy() -> BoxedStrategy<ScenarioHost> {
                 oram,
                 pipeline,
                 capacity,
-                scheduler,
+                scheduler: SchedulerKind::Calendar,
                 threads,
                 quantum,
                 limit_bits,

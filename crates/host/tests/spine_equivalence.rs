@@ -4,7 +4,8 @@
 //! 16-shard pool — the exact fleet shape `otc bench --spine` times —
 //! must produce byte-identical serve logs, per-tenant traces, reports,
 //! and recorded `.otcp` sessions across every `ParallelKind`, and the
-//! same service order under both `SchedulerKind`s.
+//! same service order as the k-way merge the calendar replaced
+//! (digests recorded from it).
 //!
 //! The fleet mixes rates spanning the calendar's level-0 horizon
 //! (64..192 x OLAT) with a band of slow tenants whose periods overflow
@@ -22,7 +23,7 @@
 use otc_core::RatePolicy;
 use otc_host::{
     parse_scenario, render, EventOutcome, HostConfig, LoopMode, MultiTenantHost, ParallelKind,
-    ScenarioAction, SchedulerKind, ServeEnd, TenantSpec,
+    ScenarioAction, ServeEnd, TenantSpec,
 };
 use otc_oram::{OramConfig, OramTiming};
 use otc_workloads::SpecBenchmark;
@@ -172,69 +173,55 @@ fn k1024_storm_threads_match_serial() {
     }
 }
 
-#[test]
-fn k1024_storm_merge_scheduler_threads_match_serial() {
-    let cfg = HostConfig {
-        scheduler: SchedulerKind::Merge,
-        ..spine_cfg()
-    };
-    let reference = run(cfg.clone(), ParallelKind::Serial, k1024_storm);
-    let threaded = run(cfg, ParallelKind::Threads(4), k1024_storm);
-    assert_eq!(
-        threaded, reference,
-        "Threads(4) diverged from Serial under the merge scheduler"
-    );
+/// Every serving surface of one storm [`Outcome`] but its session
+/// bytes, on one line: the serve log, every tenant's trace, the clock,
+/// the shard and service-time figures, the per-tenant counters and the
+/// ledger's bits. Each list is digested with FNV-1a.
+fn serving_surfaces(o: &Outcome) -> String {
+    let words = |v: &[u64]| util::fnv1a(v.iter().flat_map(|w| w.to_le_bytes()));
+    let traces: Vec<u64> = o.traces.iter().map(|t| util::trace_digest(t)).collect();
+    format!(
+        "log {} {:016x}, traces {:016x}, clock {} rounds {}, shards {:?} retired {}, \
+         queueing {} service {} p50 {} p99 {}, tenant slots {:016x} real {:016x} \
+         queueing {:016x}, spent milli-bits {}",
+        o.serve_log.len(),
+        util::serve_log_digest(&o.serve_log),
+        words(&traces),
+        o.clock,
+        o.rounds,
+        o.shard_accesses,
+        o.retired_accesses,
+        o.shard_queueing,
+        o.shard_service,
+        o.p50,
+        o.p99,
+        words(&o.tenant_slots),
+        words(&o.tenant_real),
+        words(&o.tenant_queueing),
+        o.fleet_spent_bits_milli
+    )
 }
+
+/// [`serving_surfaces`] of the storm served by the k-way merge the
+/// calendar replaced, which scanned every tenant per served slot.
+/// Recorded before the merge was removed.
+const MERGE_STORM_SURFACES: &str = "log 11408 2050b0e1ee298505, traces 96001a335a175235, \
+    clock 655360 rounds 10, shards [814, 825, 825, 799, 837, 809, 849, 810, 108, 118, 102, \
+    105, 114, 132, 118, 106] retired 3937, queueing 80242400 service 84805600 p50 6025 \
+    p99 25600, tenant slots 273be876dc7ff725 real 273be876dc7ff725 queueing \
+    4904f3c391d934fe, spent milli-bits 0";
 
 #[test]
 fn k1024_storm_schedulers_agree_on_every_serving_surface() {
-    // Calendar (the two-level wheel) vs Merge (the k-way reference
-    // scan) must agree on everything the spine serves: the global
-    // serve log, every tenant trace, the clock, and the full report.
-    // Session bytes are excluded *only* because `.otcp` metadata embeds
-    // the scheduler label and the calendar-occupancy samples are
-    // scheduler-local state (the merge scheduler keeps no calendar);
-    // every serving-order surface inside the session is covered by the
-    // fields compared here.
+    // The calendar (the two-level wheel) must serve the storm exactly
+    // as the k-way merge did: the global serve log, every tenant trace,
+    // the clock, and the full report. Session bytes are left out: their
+    // calendar-occupancy samples are calendar state the merge never had.
     let cal = run(spine_cfg(), ParallelKind::Serial, k1024_storm);
-    let mrg = run(
-        HostConfig {
-            scheduler: SchedulerKind::Merge,
-            ..spine_cfg()
-        },
-        ParallelKind::Serial,
-        k1024_storm,
-    );
-    assert_eq!(mrg.serve_log, cal.serve_log, "serve order diverged");
-    assert_eq!(mrg.traces, cal.traces, "tenant traces diverged");
-    assert_eq!(
-        (
-            mrg.clock,
-            mrg.rounds,
-            mrg.shard_accesses,
-            mrg.retired_accesses
-        ),
-        (
-            cal.clock,
-            cal.rounds,
-            cal.shard_accesses,
-            cal.retired_accesses
-        ),
-        "clock/shard surfaces diverged"
-    );
-    assert_eq!(
-        (mrg.shard_queueing, mrg.shard_service, mrg.p50, mrg.p99),
-        (cal.shard_queueing, cal.shard_service, cal.p50, cal.p99),
-        "service-time surfaces diverged"
-    );
-    assert_eq!(
-        (mrg.tenant_slots, mrg.tenant_real, mrg.tenant_queueing),
-        (cal.tenant_slots, cal.tenant_real, cal.tenant_queueing),
-        "per-tenant surfaces diverged"
-    );
-    assert_eq!(
-        mrg.fleet_spent_bits_milli, cal.fleet_spent_bits_milli,
-        "ledger bits diverged"
+    util::assert_text_eq(
+        "the merge's storm surfaces",
+        &serving_surfaces(&cal),
+        MERGE_STORM_SURFACES,
     );
 }
 
@@ -347,18 +334,11 @@ fn mixed_pool_transcript(parallel: ParallelKind) -> String {
         }
     }
     let log = host.serve_log();
-    let log_bytes = log.iter().flat_map(|s| {
-        (s.tenant as u64)
-            .to_le_bytes()
-            .into_iter()
-            .chain(s.start.to_le_bytes())
-            .chain([u8::from(s.real)])
-    });
     writeln!(
         out,
         "serve log: {} entries, fnv1a {:016x}",
         log.len(),
-        util::fnv1a(log_bytes)
+        util::serve_log_digest(log)
     )
     .unwrap();
     let bytes = session.to_bytes();

@@ -7,14 +7,13 @@
 //! The scripts cover the shapes that stress the merge most: open-loop
 //! saturation, closed-loop feedback (service completions re-enter
 //! tenant clocks), the staged shard pipeline (background eviction
-//! drains), churn storms (admit/evict/resize mid-run), both schedulers
-//! (calendar and the k-way merge reference), and rounds long enough to
-//! fill a worker's rings.
+//! drains), churn storms (admit/evict/resize mid-run), and rounds long
+//! enough to fill a worker's rings.
 
 use otc_core::RatePolicy;
 use otc_host::{
-    CapacityKind, HostConfig, LoopMode, MultiTenantHost, ParallelKind, PipelineConfig,
-    SchedulerKind, ShardClass, TenantSpec,
+    CapacityKind, HostConfig, LoopMode, MultiTenantHost, ParallelKind, PipelineConfig, ShardClass,
+    TenantSpec,
 };
 use otc_oram::{OramConfig, TreeGeometry};
 use otc_workloads::SpecBenchmark;
@@ -215,15 +214,6 @@ fn staged_pipeline_threads_match_serial() {
     assert_equivalent(cfg, churn_storm_script);
 }
 
-#[test]
-fn merge_scheduler_threads_match_serial() {
-    let cfg = HostConfig {
-        scheduler: SchedulerKind::Merge,
-        ..HostConfig::small()
-    };
-    assert_equivalent(cfg, churn_storm_script);
-}
-
 /// A heterogeneous two-class pool: serial small-geometry lanes
 /// interleaved with staged lanes of a shallower tree. Lanes then carry
 /// *different* per-shard timing parameters through the worker channels —
@@ -264,15 +254,6 @@ fn mixed_lane_pool_threads_match_serial() {
     assert_equivalent(mixed_pool_cfg(), open_loop_script);
     assert_equivalent(mixed_pool_cfg(), closed_loop_script);
     assert_equivalent(mixed_pool_cfg(), churn_storm_script);
-}
-
-#[test]
-fn mixed_lane_merge_scheduler_threads_match_serial() {
-    let cfg = HostConfig {
-        scheduler: SchedulerKind::Merge,
-        ..mixed_pool_cfg()
-    };
-    assert_equivalent(cfg, churn_storm_script);
 }
 
 #[test]

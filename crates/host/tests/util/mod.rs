@@ -2,7 +2,10 @@
 #![allow(dead_code)]
 
 use otc_dram::Cycle;
-use otc_host::{parse_scenario, HostError, HostReport, MultiTenantHost, ScenarioSpec, ServeEnd};
+use otc_host::{
+    parse_scenario, HostError, HostReport, MultiTenantHost, ScenarioSpec, ServeEnd, ServedSlot,
+    SlotRecord,
+};
 use otc_workloads::SpecBenchmark;
 
 /// Closed-form slot count for a static grid anchored at `origin`: slots
@@ -24,6 +27,29 @@ pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
+}
+
+/// [`fnv1a`] of the serve log: each entry's tenant id and start as
+/// little-endian `u64`s, then a real/dummy byte. The serve-log digest
+/// of `golden/mixed_pool.golden` and of every recorded serve order.
+pub fn serve_log_digest(log: &[ServedSlot]) -> u64 {
+    fnv1a(log.iter().flat_map(|s| {
+        (s.tenant as u64)
+            .to_le_bytes()
+            .into_iter()
+            .chain(s.start.to_le_bytes())
+            .chain([u8::from(s.real)])
+    }))
+}
+
+/// [`fnv1a`] of one tenant's slot trace: each slot's start as a
+/// little-endian `u64`, then a real/dummy byte.
+pub fn trace_digest(trace: &[SlotRecord]) -> u64 {
+    fnv1a(
+        trace
+            .iter()
+            .flat_map(|s| s.start.to_le_bytes().into_iter().chain([u8::from(s.real)])),
+    )
 }
 
 /// Asserts that `got` is `want` byte for byte. On a mismatch it names

@@ -104,14 +104,16 @@ impl Histogram {
             "rank {rank} out of bounds for total {}",
             self.total
         );
+        // Saturating: a decoded histogram's counts and width can be
+        // anywhere in u64.
         let mut seen = 0u64;
         for (b, &count) in self.counts.iter().enumerate() {
-            seen += count;
+            seen = seen.saturating_add(count);
             if seen >= rank {
-                return (b as u64 + 1) * self.width;
+                return (b as u64 + 1).saturating_mul(self.width);
             }
         }
-        self.counts.len() as u64 * self.width
+        (self.counts.len() as u64).saturating_mul(self.width)
     }
 
     /// Bucket width in cycles.

@@ -88,7 +88,8 @@ fn occupancy_digit(busy: u64, span: u64) -> char {
     if span == 0 {
         return '0';
     }
-    let tenths = (busy * 10 / span).min(9);
+    // In u128: a decoded session's counters can be anywhere in u64.
+    let tenths = (u128::from(busy) * 10 / u128::from(span)).min(9);
     char::from(b'0' + tenths as u8)
 }
 
@@ -217,7 +218,7 @@ fn render_tenant_table(out: &mut String, s: &PerfSession, slo_cycles: u64) {
                 continue;
             }
             considered += 1;
-            if dq <= ds * headroom {
+            if u128::from(dq) <= u128::from(ds) * u128::from(headroom) {
                 attained += 1;
             }
         }
@@ -349,6 +350,33 @@ mod tests {
         // Tenant 0 never waits; tenant 1 blows the SLO every round.
         assert!(text.contains("  0   active        48      32        0.0    100.0"));
         assert!(text.contains("  1   active        48      24      500.0      0.0"));
+    }
+
+    #[test]
+    fn large_counters_render_without_overflow() {
+        // The decoder checks a session's structure, not its values, so a
+        // decodable session can carry counters whose products overflow.
+        // Busy counters a quarter of u64 past the synthetic ones: every
+        // column is still saturated.
+        let mut busy = synthetic();
+        for r in &mut busy.rounds {
+            r.shards[0].stage_busy[0] += u64::MAX / 4;
+        }
+        let text = render_session(&busy, 8, 200);
+        assert!(text.contains("shard 0 unit 0 |99999999|"), "{text}");
+        // An SLO of u64::MAX cycles: every served round attains it.
+        let text = render_session(&synthetic(), 8, u64::MAX);
+        assert!(text.contains("  0   active        48      32        0.0    100.0"));
+        assert!(text.contains("  1   active        48      24      500.0    100.0"));
+        // Service-histogram buckets wider than half of u64, counts that
+        // sum past it: the percentiles saturate at the top edge.
+        let mut wide = synthetic();
+        wide.summary.service_hist = Histogram::from_parts(u64::MAX / 2 + 1, vec![1, u64::MAX]);
+        let text = render_session(&wide, 8, 200);
+        assert!(
+            text.contains(&format!("p50 {0} | p99 {0} |", u64::MAX)),
+            "{text}"
+        );
     }
 
     #[test]

@@ -29,7 +29,8 @@ pub struct SessionMeta {
     pub pipeline: String,
     /// Admission pricing (`"olat"` / `"cadence"`).
     pub capacity: String,
-    /// Slot scheduler (`"calendar"` / `"merge"`).
+    /// Slot scheduler: `"calendar"`, or `"merge"` in sessions recorded
+    /// before the host dropped its k-way merge.
     pub scheduler: String,
 }
 
@@ -63,8 +64,9 @@ pub struct ShardSample {
     pub stage_busy: Vec<u64>,
 }
 
-/// Calendar-queue bucket statistics at a round boundary (all zero under
-/// the merge scheduler, which maintains no calendar).
+/// Calendar-queue bucket statistics at a round boundary (all zero in
+/// sessions recorded under the former k-way merge scheduler, which kept
+/// no calendar).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CalendarSample {
     /// Slot entries currently queued.
