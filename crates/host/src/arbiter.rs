@@ -93,9 +93,9 @@ impl WdrrArbiter {
     }
 
     /// Registers (or re-prices) `tenant` at capacity share `share`
-    /// (fraction of one shard, the admission controller's
-    /// `worst_case_util`). Credit is preserved across a re-price so a
-    /// mid-run resize does not hand anyone a fresh bank.
+    /// (fraction of one shard, the tenant's ledger `capacity_share`).
+    /// Credit is preserved across a re-price so a mid-run resize does
+    /// not hand anyone a fresh bank.
     pub(crate) fn set_weight(&mut self, tenant: usize, share: f64) {
         self.ensure(tenant);
         self.weight_ppm[tenant] = (share * PPM as f64).round().max(0.0) as i64;

@@ -1055,8 +1055,8 @@ fn cmd_bench(o: &Opts) {
 /// queue depth, calendar entries, shard utilization, per-tenant SLO
 /// attainment); `--jsonl` emits the line-delimited export instead. Both
 /// decode through [`PerfSession::from_bytes`], so a malformed file,
-/// including one whose footer index disagrees with its frames, exits 1
-/// with one line on stderr and prints nothing.
+/// including one whose round frames are out of sequence, exits 1 with
+/// one line on stderr and prints nothing.
 fn cmd_report(o: &Opts) {
     let Some(path) = &o.session else {
         eprintln!("otc report needs --session FILE (record one with --perf-session)");

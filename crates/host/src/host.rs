@@ -466,7 +466,6 @@ struct TenantRuntime {
     /// no pattern distinguishing them from real accesses, and no state is
     /// shared between tenants).
     rng: SplitMix64,
-    worst_case_util: f64,
     /// Shard queueing attributed to this tenant's slot accesses (real +
     /// dummy). In closed-loop mode these cycles are actually *felt* by
     /// the tenant's core; in open-loop they are accounting only.
@@ -789,17 +788,10 @@ impl MultiTenantHost {
     }
 
     /// Worst-case shard-equivalents the *active* fleet demands (evicted
-    /// tenants return their share to the pool).
+    /// tenants return their share to the pool): the ledger's
+    /// [`LeakageLedger::fleet_capacity_share`].
     pub fn fleet_demand(&self) -> f64 {
-        // `+ 0.0` normalizes the -0.0 an empty f64 sum yields (no
-        // active tenants) so reports and JSON never print "-0.00" —
-        // IEEE 754 fixes the sign of `-0.0 + +0.0`, unlike `max`.
-        self.tenants
-            .iter()
-            .filter(|t| t.is_active())
-            .map(|t| t.worst_case_util)
-            .sum::<f64>()
-            + 0.0
+        self.ledger.fleet_capacity_share()
     }
 
     /// Shard-equivalents available under the admission cap.
@@ -937,7 +929,6 @@ impl MultiTenantHost {
             state: TenantState::Active,
             addr_tag,
             rng,
-            worst_case_util: util,
             queueing_cycles: 0,
             denied: 0,
             adversary,
@@ -1100,16 +1091,14 @@ impl MultiTenantHost {
         self.scratch.shard_cost_stale = true;
         // Re-price every active row under the new pool's model. Rows
         // admitted before the resize otherwise keep a `capacity_share`
-        // from the old geometry, silently divorcing the ledger's
-        // `fleet_capacity_share()` from the live `fleet_demand()` (for a
-        // homogeneous pool the figures are bit-identical, so this is
-        // behavior-neutral there).
-        for t in &mut self.tenants {
+        // from the old geometry, and `fleet_demand()` would price the
+        // new pool on the old one's terms (for a homogeneous pool the
+        // figures are bit-identical, so this is behavior-neutral there).
+        for t in &self.tenants {
             if !t.is_active() {
                 continue;
             }
             let util = model.slot_utilization(t.stream.policy().fastest_rate());
-            t.worst_case_util = util;
             self.ledger.reprice(t.id, util);
             self.arbiter.set_weight(t.id, util);
         }
@@ -1391,7 +1380,6 @@ impl MultiTenantHost {
                 CapacityKind::Olat => "olat".into(),
                 CapacityKind::Cadence => "cadence".into(),
             },
-            scheduler: "calendar".into(),
         };
         self.perf = Some(SessionRecorder::new(meta));
     }
@@ -1519,7 +1507,7 @@ impl MultiTenantHost {
                         TenantState::Active => None,
                         TenantState::Evicted { at } => Some(at),
                     },
-                    capacity_share: t.worst_case_util,
+                    capacity_share: entry.capacity_share,
                 }
             })
             .collect();

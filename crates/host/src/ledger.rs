@@ -117,8 +117,8 @@ impl LeakageLedger {
     /// Re-prices an active tenant's occupancy to `capacity_share`
     /// (called when a resize changes the pool's pricing cadence — rows
     /// admitted before the resize would otherwise keep old-geometry
-    /// shares and [`LeakageLedger::fleet_capacity_share`] would silently
-    /// diverge from the host's live demand). Frozen rows are left
+    /// shares, and [`LeakageLedger::fleet_capacity_share`] would price
+    /// the new pool on the old one's terms). Frozen rows are left
     /// untouched: an evicted tenant occupies nothing and its historical
     /// record stays as admitted.
     pub fn reprice(&mut self, tenant: usize, capacity_share: f64) {
@@ -154,12 +154,11 @@ impl LeakageLedger {
     /// Shard-equivalents the *active* fleet occupies at the admission
     /// pricing each row was admitted under (frozen rows excluded —
     /// eviction returns capacity to the pool, unlike leakage spend,
-    /// which is forever). Matches `MultiTenantHost::fleet_demand` when
-    /// rows were admitted under the pricing currently in force.
+    /// which is forever). `MultiTenantHost::fleet_demand` reads it.
     pub fn fleet_capacity_share(&self) -> f64 {
         // `+ 0.0` normalizes the -0.0 an empty f64 sum yields (a fully
-        // frozen fleet) so samples never record "-0.0" — IEEE 754 fixes
-        // the sign of `-0.0 + +0.0`, unlike `max`.
+        // frozen fleet) so reports, JSON and samples never print "-0.0"
+        // — IEEE 754 fixes the sign of `-0.0 + +0.0`, unlike `max`.
         self.entries
             .iter()
             .filter(|e| !e.frozen)

@@ -319,8 +319,7 @@ fn olat_pricing_admits_staged_shards_like_serial_ones() {
 fn eviction_returns_cadence_priced_capacity() {
     // Admission, eviction, and re-admission all price against the same
     // model: a cadence-priced pool filled to the brim re-opens exactly
-    // one tenant's worth of headroom per eviction, and the ledger's
-    // capacity-share rows track the live demand.
+    // one tenant's worth of headroom per eviction.
     let cfg = HostConfig {
         pipeline: PipelineConfig::staged(),
         capacity: CapacityKind::Cadence,
@@ -346,9 +345,7 @@ fn eviction_returns_cadence_priced_capacity() {
     }
     assert!(k >= 2, "pool too small for the eviction round-trip");
     let demand_full = host.fleet_demand();
-    assert!((host.ledger().fleet_capacity_share() - demand_full).abs() < 1e-12);
     host.evict(0).expect("evict");
-    assert!((host.ledger().fleet_capacity_share() - host.fleet_demand()).abs() < 1e-12);
     assert!(host.fleet_demand() < demand_full);
     host.admit(
         &spec("refill", RatePolicy::Static { rate: 600 }),

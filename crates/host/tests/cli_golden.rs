@@ -11,7 +11,10 @@
 //! panic (101), an aborting allocation (134) or a run that means
 //! nothing.
 
+use std::path::Path;
 use std::process::{Command, Output};
+
+use otc_host::PerfSession;
 
 mod util;
 
@@ -221,7 +224,7 @@ fn tenants_sweep_that_serves_no_fleet_writes_no_session() {
     // K=1 saturates, so no fleet serves and nothing is sampled: the
     // sweep must say that it wrote no session and fail, as a failed
     // write does, rather than exit 0 with no file.
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_saturated.otcp");
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_saturated.otcp");
     let _ = std::fs::remove_file(&path);
     let path_str = path.to_str().expect("UTF-8 path");
     let out = otc(&[
@@ -249,18 +252,10 @@ fn tenants_sweep_that_serves_no_fleet_writes_no_session() {
     assert!(!path.exists(), "a session file was written");
 }
 
-#[test]
-fn report_refuses_corrupt_sessions() {
-    // A session recorded by the binary, then four corrupt copies: one
-    // byte short, two round entries of the footer index trading offsets
-    // (their ordinals still sorted), a trailer pointing at a round
-    // frame instead of the index, and a summary frame whose histogram
-    // width is zeroed. Each, rendered or exported, is a runtime error:
-    // exit 1, one line naming the file, nothing printed. The summary's
-    // line names the frame, not the index.
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-    let good = dir.join("cli_report_good.otcp");
-    let good_path = good.to_str().expect("UTF-8 path");
+/// Records `otc run --tenants 2 --accesses 200 --oram small --seed 7`
+/// into `name` under the test scratch directory and decodes it.
+fn recorded_session(name: &str) -> PerfSession {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
     let out = otc(&[
         "run",
         "--tenants",
@@ -272,58 +267,94 @@ fn report_refuses_corrupt_sessions() {
         "--seed",
         "7",
         "--perf-session",
-        good_path,
+        path.to_str().expect("UTF-8 path"),
     ]);
     assert!(out.status.success(), "recording failed: {out:?}");
-    let bytes = std::fs::read(&good).expect("the session was written");
+    let bytes = std::fs::read(&path).expect("the session was written");
+    PerfSession::from_bytes(&bytes).expect("the session decodes")
+}
+
+/// Writes `bytes` to `name` under the test scratch directory and runs
+/// `otc report` on it, with `--jsonl` when `jsonl` is set.
+fn report(name: &str, bytes: &[u8], jsonl: bool) -> (String, Output) {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, bytes).expect("writes");
+    let path = path.to_str().expect("UTF-8 path").to_string();
+    let mut args = vec!["report", "--session", &path];
+    if jsonl {
+        args.push("--jsonl");
+    }
+    let out = otc(&args);
+    (path, out)
+}
+
+#[test]
+fn report_refuses_corrupt_sessions() {
+    // A session recorded by the binary, then corrupt copies: one byte
+    // short, one byte long, round frames 2 and 3 swapped, the last round
+    // frame dropped, a summary histogram of zero width, and a round
+    // whose capacity share is NaN or infinite. Each, rendered or
+    // exported, is a runtime error: exit 1, one line naming the file and
+    // what is wrong, nothing printed.
+    let good = recorded_session("cli_report_good.otcp");
+    assert!(good.rounds.len() >= 3, "too few rounds to corrupt");
+    let bytes = good.to_bytes();
     let n = bytes.len();
-    let trailer = n - 16; // index offset u64, then an 8-byte magic
-    let read_u64 = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-    // Index payload: meta and summary offsets, entry count, then
-    // entries of round u64, offset u64, len u32.
-    let index = read_u64(trailer) as usize + 5;
-    assert!(read_u64(index + 16) >= 3, "too few rounds to corrupt");
-    let entry = |i: usize| index + 24 + 20 * i;
-    let mut swapped = bytes.clone();
-    let (a, b) = (entry(1) + 8, entry(2) + 8);
-    swapped[a..a + 12].copy_from_slice(&bytes[b..b + 12]);
-    swapped[b..b + 12].copy_from_slice(&bytes[a..a + 12]);
-    let mut misdirected = bytes.clone();
-    misdirected[trailer..trailer + 8].copy_from_slice(&bytes[entry(1) + 8..entry(1) + 16]);
-    // Summary payload: six u64 counters, then the histogram's width.
-    let width = read_u64(index + 8) as usize + 5 + 48;
+    let reencoded = |corrupt: fn(&mut PerfSession)| {
+        let mut s = good.clone();
+        corrupt(&mut s);
+        s.to_bytes()
+    };
+    // The summary frame ends the file: its histogram's u64 width, the
+    // u32 bucket count, then one u64 per bucket.
+    let width = n - 8 * good.summary.service_hist.counts().len() - 4 - 8;
     let mut widthless = bytes.clone();
     widthless[width..width + 8].fill(0);
-    for (name, corrupt, names) in [
-        ("truncated", bytes[..n - 1].to_vec(), None),
-        ("swapped", swapped, None),
-        ("misdirected", misdirected, None),
+    let mut appended = bytes.clone();
+    appended.push(0);
+    let sequence = "corrupt session frame: round ordinals out of sequence";
+    let non_finite = "corrupt session frame: non-finite capacity share";
+    for (name, corrupt, what) in [
+        (
+            "truncated",
+            bytes[..n - 1].to_vec(),
+            "session file truncated",
+        ),
+        ("appended", appended, "trailing bytes"),
+        ("swapped", reencoded(|s| s.rounds.swap(1, 2)), sequence),
+        (
+            "last_dropped",
+            reencoded(|s| {
+                s.rounds.pop();
+            }),
+            sequence,
+        ),
         (
             "widthless",
             widthless,
-            Some("corrupt session frame: summary histogram shape"),
+            "corrupt session frame: summary histogram shape",
+        ),
+        (
+            "nan_share",
+            reencoded(|s| s.rounds[0].fleet_capacity_share = f64::NAN),
+            non_finite,
+        ),
+        (
+            "inf_share",
+            reencoded(|s| s.rounds[1].fleet_capacity_share = f64::INFINITY),
+            non_finite,
         ),
     ] {
-        let path = dir.join(format!("cli_report_{name}.otcp"));
-        std::fs::write(&path, corrupt).expect("writes");
-        let path = path.to_str().expect("UTF-8 path");
         for jsonl in [false, true] {
-            let mut args = vec!["report", "--session", path];
-            if jsonl {
-                args.push("--jsonl");
-            }
-            let out = otc(&args);
+            let (path, out) = report(&format!("cli_report_{name}.otcp"), &corrupt, jsonl);
             let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(1), "otc {args:?}: {stderr}");
-            assert!(out.stdout.is_empty(), "otc {args:?} printed to stdout");
-            assert_eq!(stderr.lines().count(), 1, "otc {args:?}: {stderr}");
+            assert_eq!(out.status.code(), Some(1), "{name} {jsonl}: {stderr}");
+            assert!(out.stdout.is_empty(), "{name} {jsonl} printed to stdout");
+            assert_eq!(stderr.lines().count(), 1, "{name} {jsonl}: {stderr}");
             assert!(
-                stderr.starts_with(&format!("otc report: {path}: ")),
-                "otc {args:?}: {stderr}"
+                stderr.starts_with(&format!("otc report: {path}: ")) && stderr.contains(what),
+                "{name} {jsonl}: {stderr}"
             );
-            if let Some(what) = names {
-                assert!(stderr.contains(what), "otc {args:?}: {stderr}");
-            }
         }
     }
 }
@@ -334,33 +365,29 @@ fn report_renders_sessions_with_extreme_counters() {
     // recorded session re-encoded with an OLAT of u64::MAX still
     // decodes, and `otc report` must render it rather than overflow
     // pricing its SLO at 8 OLATs.
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
-    let recorded = dir.join("cli_report_recorded.otcp");
-    let recorded_path = recorded.to_str().expect("UTF-8 path");
-    let out = otc(&[
-        "run",
-        "--tenants",
-        "2",
-        "--accesses",
-        "200",
-        "--oram",
-        "small",
-        "--seed",
-        "7",
-        "--perf-session",
-        recorded_path,
-    ]);
-    assert!(out.status.success(), "recording failed: {out:?}");
-    let bytes = std::fs::read(&recorded).expect("the session was written");
-    let mut session = otc_host::PerfSession::from_bytes(&bytes).expect("the session decodes");
+    let mut session = recorded_session("cli_report_recorded.otcp");
     session.meta.olat = u64::MAX;
-    let extreme = dir.join("cli_report_olat_max.otcp");
-    std::fs::write(&extreme, session.to_bytes()).expect("writes");
-    let path = extreme.to_str().expect("UTF-8 path");
-    let out = otc(&["report", "--session", path]);
+    let (_, out) = report("cli_report_olat_max.otcp", &session.to_bytes(), false);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "otc report: {stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains(&format!("olat {}", u64::MAX)), "{stdout}");
     assert!(stdout.contains("tenant SLO attainment"), "{stdout}");
+}
+
+#[test]
+fn report_escapes_the_meta_strings_it_exports() {
+    // A decodable session whose pipeline name holds a quote: the JSONL
+    // export escapes it, so the meta line stays one JSON object.
+    let mut session = recorded_session("cli_report_unquoted.otcp");
+    session.meta.pipeline = "ser\"al".into();
+    let (_, out) = report("cli_report_quoted.otcp", &session.to_bytes(), true);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "otc report --jsonl: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let meta = stdout.lines().next().expect("a meta line");
+    assert!(
+        meta.contains(r#","pipeline":"ser\"al","capacity":""#),
+        "{meta}"
+    );
 }

@@ -1,25 +1,23 @@
 //! The on-disk session format: framed, length-prefixed little-endian
-//! records behind a versioned header, with a footer index.
+//! records behind a versioned header.
 //!
 //! ```text
 //! offset 0   magic  b"OTCPERF\x01"                  (8 bytes)
-//! offset 8   format version u32 LE (currently 1)
+//! offset 8   format version u32 LE (currently 3)
 //! offset 12  frames: [kind u8][payload_len u32 LE][payload]
 //!              kind 1  meta     (exactly one, first)
 //!              kind 2  round    (one per scheduling round, in order)
-//!              kind 3  summary  (exactly one, after the rounds)
-//!              kind 4  index    (exactly one, last)
-//! tail       trailer: [index_frame_offset u64 LE][magic b"OTCPIDX\x01"]
+//!              kind 3  summary  (exactly one, last)
 //! ```
 //!
-//! The index frame holds the absolute offsets of the meta and summary
-//! frames plus one `{round, offset, payload_len}` entry per round frame,
-//! sorted by round. [`PerfSession::from_bytes`](crate::PerfSession::from_bytes),
-//! the only decoder, reads the frames in order and requires the trailer
-//! and the index to describe exactly the frames it read. Strings are `u16` length-prefixed UTF-8; `f64`s
-//! are stored as IEEE-754 bit patterns; `bool`s as one byte. Nothing in
-//! the layout depends on platform endianness or map iteration order, so
-//! equal sessions serialize to equal bytes.
+//! [`PerfSession::from_bytes`](crate::PerfSession::from_bytes), the only
+//! decoder, reads the frames in order and requires every payload to be
+//! consumed, nothing to follow the summary, and the round ordinals to
+//! count up by one to the summary's round count. Strings are `u16`
+//! length-prefixed UTF-8; `f64`s are stored as IEEE-754 bit patterns;
+//! `bool`s as one byte. Nothing in the layout depends on platform
+//! endianness or map iteration order, so equal sessions serialize to
+//! equal bytes.
 
 use crate::hist::Histogram;
 use crate::schema::{
@@ -28,13 +26,12 @@ use crate::schema::{
 
 /// Leading file magic (the trailing byte doubles as a layout epoch).
 pub const FILE_MAGIC: &[u8; 8] = b"OTCPERF\x01";
-/// Trailer magic closing the fixed-size footer.
-pub const INDEX_MAGIC: &[u8; 8] = b"OTCPIDX\x01";
 /// Format version written after the magic. Version 2 added the
-/// per-tenant `traffic` tag to round frames; older readers reject the
-/// file cleanly with [`CodecError::BadVersion`] instead of
-/// misinterpreting frames.
-pub const FORMAT_VERSION: u32 = 2;
+/// per-tenant `traffic` tag to round frames; version 3 dropped the
+/// footer index, the trailer and the meta's scheduler name. Other
+/// versions are rejected cleanly with [`CodecError::BadVersion`]
+/// instead of misinterpreting frames.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Frame kind tags.
 pub mod kind {
@@ -44,30 +41,6 @@ pub mod kind {
     pub const ROUND: u8 = 2;
     /// Summary frame.
     pub const SUMMARY: u8 = 3;
-    /// Footer-index frame.
-    pub const INDEX: u8 = 4;
-}
-
-/// One footer-index entry locating a round frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// Round ordinal the frame holds.
-    pub round: u64,
-    /// Absolute file offset of the frame (its kind byte).
-    pub offset: u64,
-    /// Payload length of the frame.
-    pub len: u32,
-}
-
-/// The decoded footer index.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SessionIndex {
-    /// Absolute offset of the meta frame.
-    pub meta_offset: u64,
-    /// Absolute offset of the summary frame.
-    pub summary_offset: u64,
-    /// Round-frame entries, sorted by round.
-    pub rounds: Vec<IndexEntry>,
 }
 
 /// Decode failures.
@@ -75,7 +48,7 @@ pub struct SessionIndex {
 pub enum CodecError {
     /// The buffer ended before a field did.
     Truncated,
-    /// Leading or trailer magic did not match.
+    /// The leading magic did not match.
     BadMagic,
     /// Unsupported format version.
     BadVersion(u32),
@@ -85,9 +58,8 @@ pub enum CodecError {
     BadString,
     /// A frame's fields decoded but describe no valid value.
     BadFrame(&'static str),
-    /// The footer index disagrees with the frames it points at.
-    BadIndex(&'static str),
-    /// A frame decoded without consuming its whole payload.
+    /// A frame decoded without consuming its whole payload, or bytes
+    /// follow the summary frame.
     TrailingBytes,
 }
 
@@ -100,8 +72,9 @@ impl std::fmt::Display for CodecError {
             CodecError::BadKind(k) => write!(f, "unexpected frame kind {k}"),
             CodecError::BadString => write!(f, "invalid UTF-8 in session string"),
             CodecError::BadFrame(what) => write!(f, "corrupt session frame: {what}"),
-            CodecError::BadIndex(what) => write!(f, "corrupt session index: {what}"),
-            CodecError::TrailingBytes => write!(f, "frame payload has trailing bytes"),
+            CodecError::TrailingBytes => {
+                write!(f, "trailing bytes in a frame or after the summary")
+            }
         }
     }
 }
@@ -133,16 +106,14 @@ pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(bytes);
 }
 
-/// Appends one `[kind][len][payload]` frame, returning its offset.
-pub(crate) fn put_frame(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) -> u64 {
-    let offset = buf.len() as u64;
+/// Appends one `[kind][len][payload]` frame.
+pub(crate) fn put_frame(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     put_u8(buf, kind);
     put_u32(
         buf,
         u32::try_from(payload.len()).expect("frame payloads fit in u32"),
     );
     buf.extend_from_slice(payload);
-    offset
 }
 
 pub(crate) fn encode_meta(m: &SessionMeta) -> Vec<u8> {
@@ -155,7 +126,6 @@ pub(crate) fn encode_meta(m: &SessionMeta) -> Vec<u8> {
     put_u32(&mut p, m.stage_units);
     put_str(&mut p, &m.pipeline);
     put_str(&mut p, &m.capacity);
-    put_str(&mut p, &m.scheduler);
     p
 }
 
@@ -209,19 +179,6 @@ pub(crate) fn encode_summary(s: &SessionSummary) -> Vec<u8> {
     p
 }
 
-pub(crate) fn encode_index(ix: &SessionIndex) -> Vec<u8> {
-    let mut p = Vec::new();
-    put_u64(&mut p, ix.meta_offset);
-    put_u64(&mut p, ix.summary_offset);
-    put_u64(&mut p, ix.rounds.len() as u64);
-    for e in &ix.rounds {
-        put_u64(&mut p, e.round);
-        put_u64(&mut p, e.offset);
-        put_u32(&mut p, e.len);
-    }
-    p
-}
-
 // ---------------------------------------------------------------- decode
 
 /// Bounds-checked little-endian reader over a byte slice.
@@ -239,11 +196,7 @@ impl<'a> Reader<'a> {
         self.pos == self.buf.len()
     }
 
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
         if end > self.buf.len() {
             return Err(CodecError::Truncated);
@@ -306,7 +259,6 @@ pub(crate) fn decode_meta(payload: &[u8]) -> Result<SessionMeta, CodecError> {
         stage_units: r.u32()?,
         pipeline: r.string()?,
         capacity: r.string()?,
-        scheduler: r.string()?,
     };
     finish(&r, m)
 }
@@ -318,6 +270,9 @@ pub(crate) fn decode_round(payload: &[u8]) -> Result<RoundSample, CodecError> {
     let admissions_denied = r.u64()?;
     let retired_accesses = r.u64()?;
     let fleet_capacity_share = r.f64()?;
+    if !fleet_capacity_share.is_finite() {
+        return Err(CodecError::BadFrame("non-finite capacity share"));
+    }
     let calendar = CalendarSample {
         entries: r.u32()?,
         occupied_buckets: r.u32()?,
@@ -400,32 +355,6 @@ pub(crate) fn decode_summary(payload: &[u8]) -> Result<SessionSummary, CodecErro
     )
 }
 
-pub(crate) fn decode_index(payload: &[u8]) -> Result<SessionIndex, CodecError> {
-    let mut r = Reader::new(payload);
-    let meta_offset = r.u64()?;
-    let summary_offset = r.u64()?;
-    let n = r.u64()? as usize;
-    let mut rounds = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        rounds.push(IndexEntry {
-            round: r.u64()?,
-            offset: r.u64()?,
-            len: r.u32()?,
-        });
-    }
-    if rounds.windows(2).any(|w| w[0].round >= w[1].round) {
-        return Err(CodecError::BadIndex("rounds not strictly increasing"));
-    }
-    finish(
-        &r,
-        SessionIndex {
-            meta_offset,
-            summary_offset,
-            rounds,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,7 +425,6 @@ mod tests {
             stage_units: 3,
             pipeline: "staged".into(),
             capacity: "cadence".into(),
-            scheduler: "calendar".into(),
         };
         assert_eq!(decode_meta(&encode_meta(&m)).expect("decodes"), m);
     }
@@ -564,26 +492,17 @@ mod tests {
     }
 
     #[test]
-    fn index_rejects_unsorted_rounds() {
-        let ix = SessionIndex {
-            meta_offset: 12,
-            summary_offset: 90,
-            rounds: vec![
-                IndexEntry {
-                    round: 2,
-                    offset: 40,
-                    len: 10,
-                },
-                IndexEntry {
-                    round: 1,
-                    offset: 60,
-                    len: 10,
-                },
-            ],
-        };
-        assert!(matches!(
-            decode_index(&encode_index(&ix)),
-            Err(CodecError::BadIndex(_))
-        ));
+    fn non_finite_capacity_shares_are_bad_frames() {
+        for share in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let r = RoundSample {
+                fleet_capacity_share: share,
+                ..sample()
+            };
+            assert_eq!(
+                decode_round(&encode_round(&r)),
+                Err(CodecError::BadFrame("non-finite capacity share")),
+                "{share}"
+            );
+        }
     }
 }

@@ -19,9 +19,8 @@
 //!   the finished session (meta + rounds + summary).
 //! - The on-disk format ([`PerfSession::to_bytes`] /
 //!   [`PerfSession::from_bytes`]) — framed, length-prefixed binary
-//!   records behind a versioned header, closed by a footer index. The
-//!   one decoder reads every frame in order and refuses a file whose
-//!   footer disagrees with them. [`codec`] documents the layout.
+//!   records behind a versioned header, read back by one strict
+//!   decoder. [`codec`] documents the layout and what it checks.
 //! - JSONL export ([`PerfSession::export_jsonl`]) — one line per record,
 //!   for diffing two sessions with plain `diff`.
 //! - [`report::render_session`] — stage-occupancy / queue-depth /
@@ -40,7 +39,7 @@
 //! let meta = SessionMeta { label: "doc".into(), seed: 7, ..SessionMeta::default() };
 //! let mut rec = SessionRecorder::new(meta);
 //! rec.push(RoundSample { round: 1, clock: 65_536, ..RoundSample::default() });
-//! let session = rec.finish(SessionSummary::default());
+//! let session = rec.finish(SessionSummary { rounds: 1, ..SessionSummary::default() });
 //! let bytes = session.to_bytes();
 //! let back = PerfSession::from_bytes(&bytes)?;
 //! assert_eq!(back.rounds[0].clock, 65_536);

@@ -21,8 +21,8 @@ pub fn render_session(s: &PerfSession, width: usize, slo_cycles: u64) -> String 
     let m = &s.meta;
     out.push_str(&format!("perf session: {}\n", m.label));
     out.push_str(&format!(
-        "  seed {} | olat {} | quantum {} | pipeline {} | capacity {} | scheduler {}\n",
-        m.seed, m.olat, m.quantum, m.pipeline, m.capacity, m.scheduler
+        "  seed {} | olat {} | quantum {} | pipeline {} | capacity {}\n",
+        m.seed, m.olat, m.quantum, m.pipeline, m.capacity
     ));
     out.push_str(&format!(
         "  rounds {} | horizon {} cycles | shards {} | stage units {}\n\n",
@@ -262,7 +262,6 @@ mod tests {
             stage_units: 2,
             pipeline: "staged".into(),
             capacity: "cadence".into(),
-            scheduler: "calendar".into(),
         };
         let mut rec = SessionRecorder::new(meta);
         for i in 1..=8u64 {

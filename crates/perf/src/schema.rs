@@ -29,9 +29,6 @@ pub struct SessionMeta {
     pub pipeline: String,
     /// Admission pricing (`"olat"` / `"cadence"`).
     pub capacity: String,
-    /// Slot scheduler: `"calendar"`, or `"merge"` in sessions recorded
-    /// before the host dropped its k-way merge.
-    pub scheduler: String,
 }
 
 impl Default for SessionMeta {
@@ -45,7 +42,6 @@ impl Default for SessionMeta {
             stage_units: 1,
             pipeline: "serial".into(),
             capacity: "olat".into(),
-            scheduler: "calendar".into(),
         }
     }
 }
@@ -64,9 +60,7 @@ pub struct ShardSample {
     pub stage_busy: Vec<u64>,
 }
 
-/// Calendar-queue bucket statistics at a round boundary (all zero in
-/// sessions recorded under the former k-way merge scheduler, which kept
-/// no calendar).
+/// Calendar-queue bucket statistics at a round boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CalendarSample {
     /// Slot entries currently queued.
@@ -143,7 +137,8 @@ pub struct RoundSample {
 /// End-of-session aggregate, written once at the tail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSummary {
-    /// Rounds the host stepped while recording.
+    /// The host's round count when the session closed: the last round
+    /// sample's ordinal.
     pub rounds: u64,
     /// Final host clock.
     pub clock: Cycle,

@@ -1,6 +1,6 @@
 //! Session recording, the on-disk container, and its one decoder.
 
-use crate::codec::{self, kind, CodecError, IndexEntry, SessionIndex, FILE_MAGIC, INDEX_MAGIC};
+use crate::codec::{self, kind, CodecError, FILE_MAGIC};
 use crate::schema::{RoundSample, SessionMeta, SessionSummary};
 
 /// Accumulates [`RoundSample`]s during a run.
@@ -63,94 +63,58 @@ impl PerfSession {
         let mut buf = Vec::new();
         buf.extend_from_slice(FILE_MAGIC);
         codec::put_u32(&mut buf, codec::FORMAT_VERSION);
-        let meta_offset = codec::put_frame(&mut buf, kind::META, &codec::encode_meta(&self.meta));
-        let mut entries = Vec::with_capacity(self.rounds.len());
+        codec::put_frame(&mut buf, kind::META, &codec::encode_meta(&self.meta));
         for r in &self.rounds {
-            let payload = codec::encode_round(r);
-            let offset = codec::put_frame(&mut buf, kind::ROUND, &payload);
-            entries.push(IndexEntry {
-                round: r.round,
-                offset,
-                len: payload.len() as u32,
-            });
+            codec::put_frame(&mut buf, kind::ROUND, &codec::encode_round(r));
         }
-        let summary_offset = codec::put_frame(
+        codec::put_frame(
             &mut buf,
             kind::SUMMARY,
             &codec::encode_summary(&self.summary),
         );
-        let index = SessionIndex {
-            meta_offset,
-            summary_offset,
-            rounds: entries,
-        };
-        let index_offset = codec::put_frame(&mut buf, kind::INDEX, &codec::encode_index(&index));
-        codec::put_u64(&mut buf, index_offset);
-        buf.extend_from_slice(INDEX_MAGIC);
         buf
     }
 
     /// Decodes a session: the only reader of the format. It walks the
-    /// frames in order (meta, rounds, summary, index, nothing after)
-    /// and requires the footer to describe exactly what it read: the
-    /// trailer must point at the index frame, and the index's meta and
-    /// summary offsets and every round entry (ordinal, offset, length)
-    /// must match the frames themselves.
+    /// frames in order (meta, rounds, summary, nothing after) and
+    /// requires each round's ordinal to be the previous one's plus 1
+    /// and the last to be the summary's round count. The first ordinal
+    /// is free: a recorder attached mid-run starts past round 1.
     ///
     /// # Errors
     ///
     /// Any [`CodecError`]: bad magic/version, truncation, frames out of
-    /// order, malformed frames, or a footer that disagrees with the
-    /// frame stream.
+    /// order, malformed frames, round ordinals out of sequence, or bytes
+    /// after the summary.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let (body, trailer_offset) = split_envelope(bytes)?;
-        let mut r = codec::Reader::new(body);
-        let mut next = || -> Result<(u64, u8, &[u8]), CodecError> {
-            let offset = (HEADER_LEN + r.pos()) as u64;
-            let (k, payload) = r.frame()?;
-            Ok((offset, k, payload))
-        };
-        let (meta_offset, k, payload) = next()?;
-        if k != kind::META {
-            return Err(CodecError::BadKind(k));
+        let mut r = codec::Reader::new(bytes);
+        if r.take(FILE_MAGIC.len())? != FILE_MAGIC {
+            return Err(CodecError::BadMagic);
         }
-        let meta = codec::decode_meta(payload)?;
+        let version = r.u32()?;
+        if version != codec::FORMAT_VERSION {
+            return Err(CodecError::BadVersion(version));
+        }
+        let meta = match r.frame()? {
+            (kind::META, payload) => codec::decode_meta(payload)?,
+            (other, _) => return Err(CodecError::BadKind(other)),
+        };
         let mut rounds = Vec::new();
-        let mut entries = Vec::new();
-        let (summary_offset, summary) = loop {
-            let (offset, k, payload) = next()?;
-            match k {
-                kind::ROUND => {
-                    let round = codec::decode_round(payload)?;
-                    entries.push(IndexEntry {
-                        round: round.round,
-                        offset,
-                        len: payload.len() as u32,
-                    });
-                    rounds.push(round);
-                }
-                kind::SUMMARY => break (offset, codec::decode_summary(payload)?),
-                other => return Err(CodecError::BadKind(other)),
+        let summary = loop {
+            match r.frame()? {
+                (kind::ROUND, payload) => rounds.push(codec::decode_round(payload)?),
+                (kind::SUMMARY, payload) => break codec::decode_summary(payload)?,
+                (other, _) => return Err(CodecError::BadKind(other)),
             }
         };
-        let (index_offset, k, payload) = next()?;
-        if k != kind::INDEX {
-            return Err(CodecError::BadKind(k));
-        }
-        let index = codec::decode_index(payload)?;
         if !r.is_done() {
             return Err(CodecError::TrailingBytes);
         }
-        if trailer_offset != index_offset {
-            return Err(CodecError::BadIndex("trailer does not point at the index"));
-        }
-        let read = SessionIndex {
-            meta_offset,
-            summary_offset,
-            rounds: entries,
-        };
-        if index != read {
-            return Err(CodecError::BadIndex("index disagrees with the frames"));
+        let consecutive = rounds
+            .windows(2)
+            .all(|w| w[0].round.checked_add(1) == Some(w[1].round));
+        if !consecutive || rounds.last().is_some_and(|l| l.round != summary.rounds) {
+            return Err(CodecError::BadFrame("round ordinals out of sequence"));
         }
         Ok(Self {
             meta,
@@ -171,28 +135,6 @@ impl PerfSession {
         jsonl_summary(&mut out, &self.summary);
         out
     }
-}
-
-const HEADER_LEN: usize = FILE_MAGIC.len() + 4;
-const TRAILER_LEN: usize = 8 + INDEX_MAGIC.len();
-
-/// Checks the magics and the version, returning the frame region and
-/// the index offset the trailer records.
-fn split_envelope(bytes: &[u8]) -> Result<(&[u8], u64), CodecError> {
-    if bytes.len() < HEADER_LEN + TRAILER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    let (header, rest) = bytes.split_at(HEADER_LEN);
-    let (body, trailer) = rest.split_at(rest.len() - TRAILER_LEN);
-    if &header[..FILE_MAGIC.len()] != FILE_MAGIC || &trailer[8..] != INDEX_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u32::from_le_bytes(header[FILE_MAGIC.len()..].try_into().expect("len 4"));
-    if version != codec::FORMAT_VERSION {
-        return Err(CodecError::BadVersion(version));
-    }
-    let index_offset = u64::from_le_bytes(trailer[..8].try_into().expect("len 8"));
-    Ok((body, index_offset))
 }
 
 /// The name perfbench decodes a session through: a forward to
@@ -236,9 +178,13 @@ fn jsonl_meta(out: &mut String, m: &SessionMeta) {
     out.push_str("{\"type\":\"meta\",\"label\":\"");
     json_escape(out, &m.label);
     out.push_str(&format!(
-        "\",\"seed\":{},\"olat\":{},\"quantum\":{},\"initial_shards\":{},\"stage_units\":{},\"pipeline\":\"{}\",\"capacity\":\"{}\",\"scheduler\":\"{}\"}}\n",
-        m.seed, m.olat, m.quantum, m.initial_shards, m.stage_units, m.pipeline, m.capacity, m.scheduler
+        "\",\"seed\":{},\"olat\":{},\"quantum\":{},\"initial_shards\":{},\"stage_units\":{},\"pipeline\":\"",
+        m.seed, m.olat, m.quantum, m.initial_shards, m.stage_units
     ));
+    json_escape(out, &m.pipeline);
+    out.push_str("\",\"capacity\":\"");
+    json_escape(out, &m.capacity);
+    out.push_str("\"}\n");
 }
 
 fn jsonl_round(out: &mut String, r: &RoundSample) {
@@ -332,7 +278,6 @@ mod tests {
             stage_units: 3,
             pipeline: "staged".into(),
             capacity: "cadence".into(),
-            scheduler: "calendar".into(),
         };
         let mut rec = SessionRecorder::new(meta);
         for i in 0..rounds as u64 {
@@ -430,72 +375,57 @@ mod tests {
             PerfSession::from_bytes(&bad_version),
             Err(CodecError::BadVersion(99))
         );
-        let mut bad_trailer = bytes.clone();
-        let n = bad_trailer.len();
-        bad_trailer[n - 1] = 0;
+        let mut appended = bytes.clone();
+        appended.push(0);
         assert_eq!(
-            PerfSession::from_bytes(&bad_trailer),
-            Err(CodecError::BadMagic)
+            PerfSession::from_bytes(&appended),
+            Err(CodecError::TrailingBytes)
         );
     }
 
     #[test]
-    fn footers_that_disagree_with_the_frames_are_rejected() {
-        // Every row leaves each frame well-formed and changes only where
-        // the footer says a frame is, or what a round frame holds, so
-        // only the cross-check of footer against frames can refuse it.
-        let bytes = session(4).to_bytes();
-        let n = bytes.len();
-        let trailer = n - TRAILER_LEN;
-        let index_offset = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap());
-        let payload = index_offset as usize + 5; // past the kind byte and length
-        let index = codec::decode_index(&bytes[payload..trailer]).expect("decodes");
-        let round = |i: usize| index.rounds[i].offset;
-        // Entry i of the index: round u64, then offset u64 and len u32.
-        let location = |i: usize| {
-            let at = payload + 24 + 20 * i + 8;
-            (at, bytes[at..at + 12].to_vec())
-        };
-        let le = |v: u64| v.to_le_bytes().to_vec();
-        let (first, second) = (location(1), location(2));
-        let rows = [
-            (
-                "trailer offset one byte early",
-                vec![(trailer, le(index_offset - 1))],
-            ),
-            (
-                "trailer points at a round frame",
-                vec![(trailer, le(round(1)))],
-            ),
-            (
-                "index meta offset +1",
-                vec![(payload, le(index.meta_offset + 1))],
-            ),
-            (
-                "index summary offset points at a round frame",
-                vec![(payload + 8, le(round(2)))],
-            ),
-            (
-                // The ordinals stay sorted, so the index alone looks valid.
-                "round entries 1 and 2 swapped",
-                vec![(first.0, second.1), (second.0, first.1)],
-            ),
-            (
-                "last round's ordinal rewritten 4 -> 99",
-                vec![(round(3) as usize + 5, le(99))],
-            ),
+    fn rounds_out_of_sequence_are_rejected() {
+        // Every row leaves each frame well-formed and changes only which
+        // round frames the file holds, or the ordinal one of them
+        // carries, so only the sequence check can refuse it.
+        type Corruption = fn(&mut PerfSession);
+        let rows: [(&str, Corruption); 8] = [
+            ("rounds 2 and 3 swapped", |s| s.rounds.swap(1, 2)),
+            ("round 2 dropped", |s| {
+                s.rounds.remove(1);
+            }),
+            ("round 2 repeated", |s| {
+                let twin = s.rounds[1].clone();
+                s.rounds.insert(2, twin);
+            }),
+            ("round 2 renumbered 2 -> 5", |s| s.rounds[1].round = 5),
+            ("last round renumbered 4 -> 99", |s| s.rounds[3].round = 99),
+            ("round 3 renumbered 3 -> u64::MAX", |s| {
+                s.rounds[2].round = u64::MAX
+            }),
+            ("last round dropped", |s| {
+                s.rounds.pop();
+            }),
+            ("every ordinal one past the summary", |s| {
+                s.rounds.iter_mut().for_each(|r| r.round += 1)
+            }),
         ];
-        for (what, patches) in rows {
-            let mut bad = bytes.clone();
-            for (at, patch) in patches {
-                bad[at..at + patch.len()].copy_from_slice(&patch);
-            }
-            assert_ne!(bad, bytes, "{what}: the corruption changed nothing");
-            let got = PerfSession::from_bytes(&bad);
-            assert!(
-                matches!(got, Err(CodecError::BadIndex(_))),
-                "{what}: {got:?}"
+        let good = session(4);
+        for (what, corrupt) in rows {
+            let mut bad = good.clone();
+            corrupt(&mut bad);
+            assert_ne!(bad, good, "{what}: the corruption changed nothing");
+            assert_eq!(
+                PerfSession::from_bytes(&bad.to_bytes()),
+                Err(CodecError::BadFrame("round ordinals out of sequence")),
+                "{what}"
             );
         }
+        // A recorder attached mid-run starts past round 1: the sequence
+        // only has to count up to the summary's round count.
+        let mut late = good;
+        late.rounds.iter_mut().for_each(|r| r.round += 10);
+        late.summary.rounds += 10;
+        assert_eq!(PerfSession::from_bytes(&late.to_bytes()), Ok(late));
     }
 }
