@@ -2,17 +2,17 @@
 //!
 //! The `otc-attacks` crate models what an adversary *does*; this module
 //! gives one a seat on the host. An adversary tenant is admitted through
-//! the same front door as everyone else — directory registration,
-//! capacity check, leakage authorization, a slot stream on its own grid —
-//! and its entire view of the fleet is what any tenant can measure for
-//! free: when its own slots started and how long its own accesses sat
-//! queued behind busy shards ([`ObservedSlot`]). The host's round loop
-//! appends those observations when it commits the round's completions,
-//! in posting order — the adversary's own slot order under every shard
-//! executor — so an adversary's observation log is byte-identical at
-//! any thread count, which is what lets the isolation tests assert
-//! *measured* leakage against the ledger's per-tenant budget instead of
-//! arguing from properties.
+//! the same front door as everyone else — capacity check, leakage
+//! authorization against the host's processor, a slot stream on its own
+//! grid — and its entire view of the fleet is what any tenant can
+//! measure for free: when its own slots started and how long its own
+//! accesses sat queued behind busy shards ([`ObservedSlot`]). The
+//! host's round loop appends those observations when it commits the
+//! round's completions, in posting order — the adversary's own slot
+//! order under every shard executor — so an adversary's observation
+//! log is byte-identical at any thread count, which is what lets the
+//! isolation tests assert *measured* leakage against the ledger's
+//! per-tenant budget instead of arguing from properties.
 //!
 //! Two adversary roles exist today:
 //!

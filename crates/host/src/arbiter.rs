@@ -15,12 +15,14 @@
 //! contended-port ties.
 //!
 //! [`WdrrArbiter`] implements the classic deficit round-robin scheme
-//! with per-tenant weights: each round every active tenant's credit
-//! grows by `weight × quantum`; each served slot spends the serving
-//! shard's per-slot cost. Among same-cycle ties the richest credit wins
-//! (the under-served tenant), with the legacy rotation rank as the
-//! deterministic final tie-break. Credits are integers (cycle·ppm), so
-//! the arbiter is exactly reproducible across runs and thread counts.
+//! with per-tenant weights, each the tenant's admitted capacity share
+//! as its [`LeakageLedger`] row holds it: each round every active
+//! tenant's credit grows by `weight × quantum`; each served slot spends
+//! the serving shard's per-slot cost. Among same-cycle ties the richest
+//! credit wins (the under-served tenant), with the legacy rotation rank
+//! as the deterministic final tie-break. Credits are integers
+//! (cycle·ppm), so the arbiter is exactly reproducible across runs and
+//! thread counts.
 //!
 //! # Equal weights replay the legacy order bit-for-bit
 //!
@@ -31,10 +33,11 @@
 //! traces and ledger for that case against digests recorded from the
 //! pre-WDRR rotation arbiter.
 
+use crate::ledger::LeakageLedger;
 use otc_dram::Cycle;
 
 /// Parts-per-million scale for integer credit arithmetic: weights are
-/// capacity shares (fractions of one shard), stored ×10⁶ so credits
+/// capacity shares (fractions of one shard), taken ×10⁶ so credits
 /// stay exact integers.
 const PPM: i64 = 1_000_000;
 
@@ -47,81 +50,47 @@ const BANK_ROUNDS: i64 = 4;
 
 /// Deterministic WDRR credit state, indexed by dense tenant id.
 ///
-/// The host owns one of these; admission registers a tenant's weight
-/// (its admitted capacity share), eviction clears it, a resize
-/// re-registers every active tenant at its re-priced share. Each
-/// scheduling round calls [`WdrrArbiter::replenish`] once, then
+/// A tenant's weight is its ledger row's admitted capacity share, so
+/// admission, eviction and resize touch only the ledger; they run
+/// between rounds, and each scheduling round calls
+/// [`WdrrArbiter::replenish`] once, before any rank is read, then
 /// [`WdrrArbiter::charge`]s every served slot with the serving shard's
 /// per-slot cost.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct WdrrArbiter {
-    /// Per-tenant weight in ppm of one shard (0 = inactive).
-    weight_ppm: Vec<i64>,
     /// Per-tenant unspent credit in cycle·ppm. Positive = under-served
     /// relative to weight, negative = over-served.
     credit: Vec<i64>,
-    /// Whether all active weights are equal (recomputed on weight
-    /// changes): the equal-weight fleet must replay the legacy rotation
-    /// order bit-for-bit, so the credit rank short-circuits to 0.
+    /// Whether all active weights were equal at the last replenish: the
+    /// equal-weight fleet must replay the legacy rotation order
+    /// bit-for-bit, so the credit rank short-circuits to 0.
     uniform: bool,
 }
 
 impl WdrrArbiter {
-    /// An empty arbiter.
-    pub(crate) fn new() -> Self {
-        Self {
-            weight_ppm: Vec::new(),
-            credit: Vec::new(),
-            uniform: true,
-        }
-    }
-
-    fn ensure(&mut self, tenant: usize) {
-        if tenant >= self.weight_ppm.len() {
-            self.weight_ppm.resize(tenant + 1, 0);
-            self.credit.resize(tenant + 1, 0);
-        }
-    }
-
-    fn recompute_uniform(&mut self) {
-        let mut active = self.weight_ppm.iter().filter(|&&w| w > 0);
-        let first = active.next().copied();
-        self.uniform = match first {
-            None => true,
-            Some(w) => active.all(|&x| x == w),
-        };
-    }
-
-    /// Registers (or re-prices) `tenant` at capacity share `share`
-    /// (fraction of one shard, the tenant's ledger `capacity_share`).
-    /// Credit is preserved across a re-price so a mid-run resize does
-    /// not hand anyone a fresh bank.
-    pub(crate) fn set_weight(&mut self, tenant: usize, share: f64) {
-        self.ensure(tenant);
-        self.weight_ppm[tenant] = (share * PPM as f64).round().max(0.0) as i64;
-        self.recompute_uniform();
-    }
-
-    /// Clears an evicted tenant: zero weight, zero credit (its unspent
-    /// bank leaves with it — credits never transfer between tenants).
-    pub(crate) fn clear(&mut self, tenant: usize) {
-        if tenant < self.weight_ppm.len() {
-            self.weight_ppm[tenant] = 0;
-            self.credit[tenant] = 0;
-            self.recompute_uniform();
-        }
-    }
-
-    /// Start-of-round replenishment: every active tenant banks
-    /// `weight × quantum` cycle·ppm of credit, capped at
-    /// [`BANK_ROUNDS`] rounds' worth so an idle tenant cannot hoard
-    /// priority without bound.
-    pub(crate) fn replenish(&mut self, quantum: Cycle) {
+    /// Start-of-round replenishment from the ledger's rows: every
+    /// active tenant banks `weight × quantum` cycle·ppm of credit,
+    /// capped at [`BANK_ROUNDS`] rounds' worth so an idle tenant cannot
+    /// hoard priority without bound. A frozen (evicted) row's credit is
+    /// zeroed — its unspent bank leaves with it, credits never transfer
+    /// between tenants — and a re-priced row keeps its balance, so a
+    /// mid-run resize hands nobody a fresh bank.
+    pub(crate) fn replenish(&mut self, quantum: Cycle, ledger: &LeakageLedger) {
         let quantum = i64::try_from(quantum).unwrap_or(i64::MAX);
-        for (w, c) in self.weight_ppm.iter().zip(self.credit.iter_mut()) {
-            if *w == 0 {
+        let rows = ledger.entries();
+        self.credit.resize(rows.len(), 0);
+        let mut first = None;
+        self.uniform = true;
+        for (row, c) in rows.iter().zip(self.credit.iter_mut()) {
+            if row.frozen {
+                *c = 0;
                 continue;
             }
+            let w = (row.capacity_share * PPM as f64).round().max(0.0) as i64;
+            if w == 0 {
+                continue;
+            }
+            self.uniform &= *first.get_or_insert(w) == w;
             let grant = w.saturating_mul(quantum);
             let cap = grant.saturating_mul(BANK_ROUNDS);
             *c = c.saturating_add(grant).min(cap);
@@ -132,7 +101,6 @@ impl WdrrArbiter {
     /// port (its pricing cadence — heterogeneous shards cost
     /// differently), spent from the tenant's credit.
     pub(crate) fn charge(&mut self, tenant: usize, cadence: Cycle) {
-        self.ensure(tenant);
         let cost = i64::try_from(cadence)
             .unwrap_or(i64::MAX)
             .saturating_mul(PPM);
@@ -156,32 +124,50 @@ impl WdrrArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otc_core::EpochSchedule;
+
+    /// A ledger with one active row per share, in id order: the
+    /// arbiter's view of admission.
+    fn ledger(shares: &[f64]) -> LeakageLedger {
+        let mut l = LeakageLedger::new();
+        for &share in shares {
+            add(&mut l, share);
+        }
+        l
+    }
+
+    /// Admits one more row at `share`.
+    fn add(l: &mut LeakageLedger, share: f64) {
+        let id = l.entries().len();
+        l.add_tenant(id, 1, EpochSchedule::scaled(4), share);
+    }
 
     #[test]
     fn uniform_weights_short_circuit_to_the_legacy_rank() {
-        let mut a = WdrrArbiter::new();
-        a.set_weight(0, 0.25);
-        a.set_weight(1, 0.25);
-        a.replenish(1_000);
+        let mut l = ledger(&[0.25, 0.25]);
+        let mut a = WdrrArbiter::default();
+        a.replenish(1_000, &l);
         a.charge(0, 400);
         // Credits differ, but equal weights must replay rotation order.
         assert_eq!(a.credit_rank(0), 0);
         assert_eq!(a.credit_rank(1), 0);
         // A third, heavier tenant breaks uniformity: credits surface.
-        a.set_weight(2, 0.5);
+        add(&mut l, 0.5);
+        a.replenish(1_000, &l);
         assert_ne!(a.credit_rank(0), a.credit_rank(1));
-        // Evicting it restores the uniform short-circuit.
-        a.clear(2);
+        // Evicting it restores the uniform short-circuit: a frozen row
+        // does not count toward uniformity.
+        l.freeze(2);
+        a.replenish(1_000, &l);
         assert_eq!(a.credit_rank(0), 0);
         assert_eq!(a.credit_rank(1), 0);
     }
 
     #[test]
     fn credits_accrue_by_weight_and_spend_by_cadence() {
-        let mut a = WdrrArbiter::new();
-        a.set_weight(0, 0.6);
-        a.set_weight(1, 0.2);
-        a.replenish(10_000);
+        let l = ledger(&[0.6, 0.2]);
+        let mut a = WdrrArbiter::default();
+        a.replenish(10_000, &l);
         // 0.6 × 10_000 = 6_000 cycles of credit vs 2_000.
         assert_eq!(a.credit_rank(0), 6_000 * PPM);
         assert_eq!(a.credit_rank(1), 2_000 * PPM);
@@ -196,42 +182,47 @@ mod tests {
 
     #[test]
     fn bank_is_capped_and_eviction_forfeits_it() {
-        let mut a = WdrrArbiter::new();
-        a.set_weight(0, 0.5);
-        a.set_weight(1, 0.1);
+        let mut l = ledger(&[0.5, 0.1]);
+        let mut a = WdrrArbiter::default();
         for _ in 0..100 {
-            a.replenish(1_000);
+            a.replenish(1_000, &l);
         }
-        let cap = (0.5f64 * PPM as f64) as i64 * 1_000 * BANK_ROUNDS;
-        assert_eq!(a.credit_rank(0), cap);
-        a.clear(0);
-        a.set_weight(0, 0.5);
-        assert_eq!(a.credit_rank(0), 0, "re-admission starts from zero");
+        let grant = (0.5f64 * PPM as f64) as i64 * 1_000;
+        assert_eq!(a.credit_rank(0), grant * BANK_ROUNDS);
+        // Evicted, then re-admitted under a fresh id: the frozen row's
+        // bank is gone and the new row starts from one round's grant.
+        l.freeze(0);
+        add(&mut l, 0.5);
+        a.replenish(1_000, &l);
+        assert_eq!(a.credit_rank(0), 0, "eviction forfeits the bank");
+        assert_eq!(a.credit_rank(2), grant, "re-admission starts fresh");
     }
 
     #[test]
     fn charge_saturates_instead_of_overflowing() {
-        let mut a = WdrrArbiter::new();
-        a.set_weight(0, 0.9);
-        a.set_weight(1, 0.1);
+        let l = ledger(&[0.9, 0.1]);
+        let mut a = WdrrArbiter::default();
+        // A zero quantum grants nothing; it only sizes the credit rows.
+        a.replenish(0, &l);
         for _ in 0..1_000 {
             a.charge(0, u64::MAX >> 22);
         }
         assert_eq!(a.credit_rank(0), i64::MIN);
-        a.replenish(u64::MAX);
+        a.replenish(u64::MAX, &l);
         assert!(a.credit_rank(0) > i64::MIN, "replenish recovers");
     }
 
     #[test]
     fn re_price_keeps_the_credit_balance() {
-        let mut a = WdrrArbiter::new();
-        a.set_weight(0, 0.3);
-        a.set_weight(1, 0.6);
-        a.replenish(1_000);
+        let mut l = ledger(&[0.3, 0.6]);
+        let mut a = WdrrArbiter::default();
+        a.replenish(1_000, &l);
         let before = a.credit_rank(0);
         assert!(before > 0);
-        // Resize re-prices the share; unspent credit must carry over.
-        a.set_weight(0, 0.4);
-        assert_eq!(a.credit_rank(0), before);
+        // Resize re-prices the share; unspent credit must carry over,
+        // and the next round grants at the new weight.
+        l.reprice(0, 0.4);
+        a.replenish(1_000, &l);
+        assert_eq!(a.credit_rank(0), before + 400_000 * 1_000);
     }
 }

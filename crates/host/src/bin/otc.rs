@@ -159,7 +159,8 @@
 
 use std::time::Instant;
 
-use otc_core::LeakageModel;
+use otc_core::{LeakageModel, SecureProcessor};
+use otc_crypto::SplitMix64;
 use otc_dram::DdrConfig;
 use otc_host::{
     parse_bench, parse_churn_script, parse_scenario, parse_scheme, render, EventOutcome, HostError,
@@ -1082,10 +1083,14 @@ fn cmd_report(o: &Opts) {
 }
 
 /// `otc leakage`: the budget `--scheme` implies, read from the same
-/// policy-to-parameters mapping admission authorizes.
+/// policy-to-parameters mapping admission authorizes, and the verdict
+/// admission would reach: [`SecureProcessor::authorize`] on a processor
+/// built at `--limit`, as the host builds its own.
 fn cmd_leakage(o: &Opts) {
     let policy = parse_scheme(&o.scheme).expect("--scheme is checked when the flags parse");
     let params = policy.leakage_params();
+    let processor =
+        SecureProcessor::manufacture(&mut SplitMix64::new(o.host.seed), o.host.limit_bits);
     let model = LeakageModel::new(params.rate_count, params.schedule);
     println!("otc leakage: scheme {} × {} tenants", o.scheme, o.tenants);
     println!(
@@ -1110,7 +1115,7 @@ fn cmd_leakage(o: &Opts) {
     println!(
         "  processor limit L             : {:>8} bits per tenant ({})",
         o.host.limit_bits,
-        if model.oram_timing_bits().ceil() as u64 <= o.host.limit_bits {
+        if processor.authorize(&params).is_ok() {
             "admissible"
         } else {
             "would be REJECTED at admission"

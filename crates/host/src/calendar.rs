@@ -169,10 +169,10 @@ impl CalendarQueue {
 
     /// Pops the earliest entry strictly before `frontier`; among entries
     /// due the same cycle, the one with the smallest `rank(key)` wins.
-    /// The rank is any `Ord` value — the host passes its rotating
-    /// round-robin rank, or the WDRR arbiter's `(credit, rotation)`
-    /// pair when weighted fairness is on. Returns `None` when nothing
-    /// is due.
+    /// The rank is any `Ord` value — the host passes the WDRR
+    /// arbiter's `(credit, rotation)` pair, whose credit part is
+    /// constant under uniform weights. Returns `None` when nothing is
+    /// due.
     ///
     /// Amortized O(entries due + buckets crossed): the cursor never
     /// revisits a bucket it has drained unless an insert lands there.
@@ -485,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn within_span_workloads_never_touch_overflow() {
+    fn within_span_entries_never_alias() {
         // Every period fits one ring span, so no entry ever aliases:
         // each round pops the four keys in slot-time order.
         let mut q = CalendarQueue::new(64, 8); // span = 512
@@ -501,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn far_future_entries_park_in_overflow_and_cascade() {
+    fn entries_whole_spans_ahead_pop_on_their_own_pass() {
         // Span is 8 × 64 = 512; entries whole spans ahead alias onto the
         // ring and must pop exactly when the cursor reaches their own
         // pass — in time order, ties by rank.
@@ -518,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_entries_beyond_level_one_horizon_alias_correctly() {
+    fn pass_check_holds_back_entries_sharing_a_ring_slot() {
         // Span 1 and span 9 share a ring slot with span 0's entries; the
         // pass check must hold each back until its own pass.
         let mut q = CalendarQueue::new(64, 8);
@@ -531,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_reaches_overflow_entries() {
+    fn remove_reaches_entries_whole_spans_ahead() {
         // An entry whole spans ahead of the cursor is removable by key
         // and time.
         let mut q = CalendarQueue::new(64, 8);
@@ -544,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_overflow_fast_forwards_the_cascade_watermark() {
+    fn empty_queue_fast_forwards_the_cursor_to_a_far_insert() {
         // After the queue empties, an insert far ahead moves the cursor
         // straight to it rather than walking every intervening span.
         let mut q = CalendarQueue::new(64, 8);

@@ -65,16 +65,13 @@ use crate::calendar::{self, CalendarQueue};
 use crate::ledger::LeakageLedger;
 use crate::parallel::{LaneRequest, ShardExecutor, Ticket};
 use crate::shard::{LaneOp, PipelineConfig, ShardClass, ShardedOram};
-use crate::tenant::TenantDirectory;
 use crate::traffic::{LoopMode, Request, TenantTraffic, TrafficModel, TrafficPull};
 use otc_attacks::RateEstimate;
-use otc_core::{RatePolicy, SessionError, SlotStream};
+use otc_core::{RatePolicy, SecureProcessor, SessionError, SlotStream};
 use otc_crypto::SplitMix64;
 use otc_dram::{Cycle, DdrConfig};
 use otc_oram::{CapacityKind, CapacityModel, OramConfig};
-use otc_perf::{
-    PerfSession, RoundSample, SessionMeta, SessionRecorder, SessionSummary, TenantSample,
-};
+use otc_perf::{PerfSession, RoundSample, SessionMeta, SessionSummary, TenantSample};
 use otc_sim::AccessKind;
 use otc_workloads::SpecBenchmark;
 use std::cmp::Reverse;
@@ -91,8 +88,7 @@ pub const MAX_SHARD_UTILIZATION: f64 = 0.9;
 /// Host-level errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HostError {
-    /// The tenant's leakage parameters exceed the processor's limit, or
-    /// session establishment failed.
+    /// The tenant's leakage parameters exceed the processor's limit.
     Session(SessionError),
     /// Admitting the tenant (or shrinking the shard pool) would
     /// oversubscribe the shards: worst-case fleet slot demand (in
@@ -207,7 +203,8 @@ pub struct HostConfig {
     pub quantum: Cycle,
     /// The processor's per-tenant leakage limit `L` (bits).
     pub leakage_limit_bits: u64,
-    /// Seed for the directory's protocol randomness.
+    /// Seed for the host's randomness: the processor's key material
+    /// and each tenant's address tag and dummy-shard PRNG.
     pub seed: u64,
     /// Whether tenant slot traces and the global serve log are recorded
     /// (tests/analysis; off for long sweeps).
@@ -340,7 +337,8 @@ impl HostConfigBuilder {
         self
     }
 
-    /// Seed for the directory's protocol randomness.
+    /// Seed for the host's randomness: the processor's key material
+    /// and each tenant's address tag and dummy-shard PRNG.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
         self
@@ -445,6 +443,8 @@ enum TenantState {
 
 struct TenantRuntime {
     id: usize,
+    /// Display name; a denial that names it counts against this row.
+    name: String,
     benchmark: SpecBenchmark,
     /// The tenant's slot grid. Its origin is the host clock at
     /// admission, which also anchors the frontend's tenant-local
@@ -684,7 +684,9 @@ struct RoundScratch {
 pub struct MultiTenantHost {
     cfg: HostConfig,
     sharded: ShardedOram,
-    directory: TenantDirectory,
+    /// The secure processor whose leakage limit `L` admission checks
+    /// every tenant's parameters against.
+    processor: SecureProcessor,
     ledger: LeakageLedger,
     tenants: Vec<TenantRuntime>,
     /// Next slot time per active tenant, keyed by tenant id.
@@ -696,15 +698,16 @@ pub struct MultiTenantHost {
     rounds: u64,
     /// Cumulative denied admissions/resizes (perf sessions sample it).
     admissions_denied: u64,
-    /// Active perf-session recorder. `None` — the common case — costs
-    /// one branch at the end of each round; nothing per served slot.
-    perf: Option<SessionRecorder>,
+    /// The perf session being recorded; its summary is filled when it
+    /// is taken. `None` — the common case — costs one branch at the end
+    /// of each round; nothing per served slot.
+    perf: Option<PerfSession>,
     /// Runs each round's shard accesses where [`HostConfig::parallel`]
     /// says: inline, or on persistent worker threads spawned as rounds
     /// first need them (per-round spawns would dominate the shard work).
     executor: ShardExecutor,
-    /// WDRR credit state for the contended-port tie-break; weights
-    /// track admission/eviction/resize.
+    /// WDRR credit state for the contended-port tie-break; each round
+    /// reads its weights from the ledger's capacity shares.
     arbiter: WdrrArbiter,
     /// Reusable round-loop buffers (see [`RoundScratch`]).
     scratch: RoundScratch,
@@ -741,14 +744,14 @@ impl MultiTenantHost {
         };
         let sharded =
             ShardedOram::with_mix(classes, &cfg.ddr, cfg.n_shards).map_err(HostError::Build)?;
-        let directory = TenantDirectory::new(cfg.leakage_limit_bits, cfg.seed);
+        let processor =
+            SecureProcessor::manufacture(&mut SplitMix64::new(cfg.seed), cfg.leakage_limit_bits);
         let calendar = CalendarQueue::new(calendar::BUCKET_WIDTH, calendar::BUCKETS);
-        let arbiter = WdrrArbiter::new();
         let executor = ShardExecutor::new(cfg.parallel);
         Ok(Self {
             cfg,
             sharded,
-            directory,
+            processor,
             ledger: LeakageLedger::new(),
             tenants: Vec::new(),
             calendar,
@@ -759,7 +762,7 @@ impl MultiTenantHost {
             admissions_denied: 0,
             perf: None,
             executor,
-            arbiter,
+            arbiter: WdrrArbiter::default(),
             scratch: RoundScratch {
                 shard_cost_stale: true,
                 ..RoundScratch::default()
@@ -811,13 +814,13 @@ impl MultiTenantHost {
 
     /// Admits a tenant *online* under the frontend feedback discipline
     /// `mode` (see the `traffic` module docs for the open-vs-closed
-    /// trade-off): leakage authorization (directory), capacity check
-    /// against the active fleet, stream + frontend construction, and an
-    /// O(1) splice of its first slot into the calendar. The tenant's
-    /// grid is anchored at the current clock — always a round boundary,
-    /// hence a public time — so admission never perturbs any other
-    /// tenant's stream and never materializes past-due slots. Returns
-    /// the tenant id.
+    /// trade-off): leakage authorization against the processor's limit
+    /// `L` (§5), capacity check against the active fleet, stream +
+    /// frontend construction, and an O(1) splice of its first slot into
+    /// the calendar. The tenant's grid is anchored at the current clock
+    /// — always a round boundary, hence a public time — so admission
+    /// never perturbs any other tenant's stream and never materializes
+    /// past-due slots. Returns the tenant id.
     ///
     /// # Errors
     ///
@@ -902,17 +905,13 @@ impl MultiTenantHost {
             });
         }
         let params = spec.policy.leakage_params();
-        let id = match self.directory.register(&spec.name, params) {
-            Ok(id) => id,
-            Err(e) => {
-                self.note_denial(Some(&spec.name));
-                return Err(e.into());
-            }
-        };
-        debug_assert_eq!(id, self.tenants.len(), "directory and runtime in lockstep");
+        if let Err(e) = self.processor.authorize(&params) {
+            self.note_denial(Some(&spec.name));
+            return Err(e.into());
+        }
+        let id = self.tenants.len();
         self.ledger
             .add_tenant(id, params.rate_count, params.schedule, util);
-        self.arbiter.set_weight(id, util);
         let mut stream =
             SlotStream::starting_at(self.sharded.olat(), spec.policy.clone(), self.clock);
         stream.set_trace_recording(self.cfg.record_traces);
@@ -921,6 +920,7 @@ impl MultiTenantHost {
         self.calendar.insert(id, stream.next_slot());
         self.tenants.push(TenantRuntime {
             id,
+            name: spec.name.clone(),
             benchmark: spec.benchmark,
             stream,
             traffic: TenantTraffic::with_model(spec.benchmark, spec.instructions, mode, model),
@@ -968,20 +968,13 @@ impl MultiTenantHost {
     }
 
     /// Records a denied admission or resize: bumps the fleet counter
-    /// and, when the denial names a tenant already in the directory
-    /// (a re-admission attempt after eviction), that tenant's own
-    /// counter — so perf sessions can attribute repeated rejections.
+    /// and, when the denial names a tenant already admitted (a
+    /// re-admission attempt after eviction), that tenant's own counter
+    /// — so perf sessions can attribute repeated rejections.
     fn note_denial(&mut self, name: Option<&str>) {
         self.admissions_denied += 1;
-        if let Some(name) = name {
-            let directory = &self.directory;
-            if let Some(rt) = self
-                .tenants
-                .iter_mut()
-                .find(|t| directory.entry(t.id).name == name)
-            {
-                rt.denied += 1;
-            }
+        if let Some(rt) = self.tenants.iter_mut().find(|t| Some(&*t.name) == name) {
+            rt.denied += 1;
         }
     }
 
@@ -1036,7 +1029,6 @@ impl MultiTenantHost {
         self.ledger
             .record_transitions(id, rt.stream.transitions().len() as u64);
         self.ledger.freeze(id);
-        self.arbiter.clear(id);
         rt.pending.clear();
         rt.lookahead = None;
         rt.state = TenantState::Evicted { at: clock };
@@ -1094,13 +1086,9 @@ impl MultiTenantHost {
         // from the old geometry, and `fleet_demand()` would price the
         // new pool on the old one's terms (for a homogeneous pool the
         // figures are bit-identical, so this is behavior-neutral there).
-        for t in &self.tenants {
-            if !t.is_active() {
-                continue;
-            }
+        for t in self.tenants.iter().filter(|t| t.is_active()) {
             let util = model.slot_utilization(t.stream.policy().fastest_rate());
             self.ledger.reprice(t.id, util);
-            self.arbiter.set_weight(t.id, util);
         }
         Ok(())
     }
@@ -1132,12 +1120,6 @@ impl MultiTenantHost {
     /// Virtual time reached so far.
     pub fn clock(&self) -> Cycle {
         self.clock
-    }
-
-    /// The tenant directory: every tenant ever admitted, evicted ones
-    /// included ([`MultiTenantHost::tenant_active`] tells them apart).
-    pub fn directory(&self) -> &TenantDirectory {
-        &self.directory
     }
 
     /// The leakage ledger (budgets + bits revealed so far).
@@ -1218,7 +1200,7 @@ impl MultiTenantHost {
         let n = self.tenants.len();
         let rotation = self.rotation;
         let record = self.cfg.record_traces;
-        self.arbiter.replenish(self.cfg.quantum);
+        self.arbiter.replenish(self.cfg.quantum, &self.ledger);
         // Per-shard slot costs (stable within a round: resizes happen
         // between rounds) the arbiter spends credits against.
         self.refresh_shard_cost();
@@ -1350,18 +1332,18 @@ impl MultiTenantHost {
         self.clock = frontier;
         self.rounds += 1;
         // Perf sampling happens at the round boundary only — never per
-        // served slot — and only when a recorder is attached, so the
+        // served slot — and only while a session records, so the
         // disabled path costs this one branch.
         if self.perf.is_some() {
             let mut sample = RoundSample::default();
             self.sample_into(&mut sample);
-            if let Some(recorder) = self.perf.as_mut() {
-                recorder.push(sample);
+            if let Some(session) = self.perf.as_mut() {
+                session.rounds.push(sample);
             }
         }
     }
 
-    /// Attaches a perf-session recorder: from now on every
+    /// Starts recording a perf session: from now on every
     /// [`MultiTenantHost::step_round`] appends one [`RoundSample`].
     /// `label` is free-form context stored in the session meta.
     /// Recording is deterministic — every sampled quantity derives from
@@ -1381,15 +1363,20 @@ impl MultiTenantHost {
                 CapacityKind::Cadence => "cadence".into(),
             },
         };
-        self.perf = Some(SessionRecorder::new(meta));
+        self.perf = Some(PerfSession {
+            meta,
+            rounds: Vec::new(),
+            summary: SessionSummary::default(),
+        });
     }
 
-    /// Detaches the recorder and closes it with the end-of-run summary
-    /// (fleet totals plus the merged service-time histogram). `None` if
-    /// [`MultiTenantHost::record_perf_session`] was never called.
+    /// Stops recording and closes the session with the end-of-run
+    /// summary (fleet totals plus the merged service-time histogram).
+    /// `None` if [`MultiTenantHost::record_perf_session`] was never
+    /// called.
     pub fn take_perf_session(&mut self) -> Option<PerfSession> {
-        let recorder = self.perf.take()?;
-        Some(recorder.finish(SessionSummary {
+        let mut session = self.perf.take()?;
+        session.summary = SessionSummary {
             rounds: self.rounds,
             clock: self.clock,
             accesses: self.sharded.accesses().iter().sum::<u64>() + self.sharded.retired_accesses(),
@@ -1397,7 +1384,8 @@ impl MultiTenantHost {
             queueing_cycles: self.sharded.queueing_cycles(),
             eviction_drains: self.sharded.drained_evictions(),
             service_hist: self.sharded.service_histogram(),
-        }))
+        };
+        Some(session)
     }
 
     /// Scheduling rounds stepped so far.
@@ -1480,7 +1468,7 @@ impl MultiTenantHost {
                 .max(1);
                 TenantReport {
                     id: t.id,
-                    name: self.directory.entry(t.id).name.clone(),
+                    name: t.name.clone(),
                     benchmark: t.benchmark.full_name(),
                     policy: t.stream.label(),
                     traffic: t.traffic_label(),
@@ -1631,6 +1619,96 @@ mod tests {
             RatePolicy::Static { rate: 1_000 },
         ))
         .expect("static fits");
+    }
+
+    #[test]
+    fn admission_registers_tenants_within_limit() {
+        let cfg = HostConfig {
+            leakage_limit_bits: 32,
+            ..HostConfig::small()
+        };
+        let mut host = MultiTenantHost::new(cfg).expect("builds");
+        // dynamic_R4_E4 wants exactly the 32-bit limit; a static tenant
+        // wants 0 bits. Both take the next dense ids.
+        let a = host
+            .add_tenant(&spec("alice", SpecBenchmark::Mcf, dynamic_policy()))
+            .expect("fits: 32 bits");
+        let b = host
+            .add_tenant(&spec(
+                "bob",
+                SpecBenchmark::Mcf,
+                RatePolicy::Static { rate: 1_000 },
+            ))
+            .expect("fits: 0 bits");
+        assert_eq!((a, b), (0, 1));
+        assert_eq!(host.tenant_count(), 2);
+        let budgets: Vec<f64> = host
+            .ledger()
+            .entries()
+            .iter()
+            .map(|e| e.budget_bits)
+            .collect();
+        assert_eq!(budgets, [32.0, 0.0]);
+        assert_eq!(host.admissions_denied(), 0);
+    }
+
+    #[test]
+    fn admission_rejects_over_budget_params() {
+        let cfg = HostConfig {
+            leakage_limit_bits: 32,
+            ..HostConfig::small()
+        };
+        let mut host = MultiTenantHost::new(cfg).expect("builds");
+        // dynamic_R4_E2 wants 64 bits > 32.
+        let err = host
+            .add_tenant(&spec(
+                "eve",
+                SpecBenchmark::Mcf,
+                RatePolicy::dynamic_paper(4, 2),
+            ))
+            .expect_err("over limit");
+        assert!(matches!(
+            err,
+            HostError::Session(SessionError::LeakageLimitExceeded { .. })
+        ));
+        // The refusal leaves no row behind and counts one denial.
+        assert_eq!(host.tenant_count(), 0);
+        assert!(host.ledger().entries().is_empty());
+        assert_eq!(host.admissions_denied(), 1);
+    }
+
+    #[test]
+    fn evicted_rows_keep_their_names_and_ids_are_never_reused() {
+        let mut host = MultiTenantHost::new(HostConfig::small()).expect("builds");
+        let policy = RatePolicy::Static { rate: 2_000 };
+        let a = host
+            .add_tenant(&spec("alice", SpecBenchmark::Mcf, policy.clone()))
+            .expect("admit");
+        let b = host
+            .add_tenant(&spec("bob", SpecBenchmark::Mcf, policy.clone()))
+            .expect("admit");
+        host.evict(a).expect("evict");
+        assert!(!host.tenant_active(a));
+        assert!(host.tenant_active(b));
+        // A returning tenant gets a fresh id, never a reused one.
+        let a2 = host
+            .add_tenant(&spec("alice", SpecBenchmark::Mcf, policy))
+            .expect("re-admit");
+        assert_eq!(a2, 2);
+        let rows: Vec<(usize, String, bool)> = host
+            .report()
+            .tenants
+            .into_iter()
+            .map(|t| (t.id, t.name.clone(), t.is_active()))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (0, "alice".to_string(), false),
+                (1, "bob".to_string(), true),
+                (2, "alice".to_string(), true),
+            ]
+        );
     }
 
     #[test]

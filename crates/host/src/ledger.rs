@@ -14,7 +14,7 @@ use otc_core::{combine_channels, EpochSchedule, LeakageModel};
 /// One tenant's row in the ledger.
 #[derive(Debug, Clone)]
 pub struct LedgerEntry {
-    /// Tenant id (directory index).
+    /// Tenant id (the host's dense tenant index, equal to the row index).
     pub tenant: usize,
     /// The model this tenant was authorized under.
     pub model: LeakageModel,

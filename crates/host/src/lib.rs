@@ -9,7 +9,7 @@
 //! # Architecture
 //!
 //! ```text
-//!  tenants ──► TenantDirectory (UserSession + authorize(L))   otc-core §5/§8
+//!  tenants ──► SecureProcessor::authorize(L), one per host    otc-core §5
 //!     │
 //!     ├─ TenantTraffic  : workload → LLC-miss arrivals        otc-workloads/otc-sim
 //!     ├─ SlotStream     : per-tenant rate-periodic timeline   otc-core enforcer
@@ -70,7 +70,6 @@ mod parallel;
 mod report;
 mod scenario;
 mod shard;
-mod tenant;
 mod timeq;
 mod traffic;
 
@@ -87,7 +86,6 @@ pub use scenario::{
     ScenarioError, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant, ServeEnd,
 };
 pub use shard::{PipelineConfig, PipelineKind, ShardClass, ShardService, ShardedOram};
-pub use tenant::{TenantDirectory, TenantEntry};
 pub use timeq::{TimeQ, TimedEvent};
 pub use traffic::{LoopMode, Request, TenantTraffic, TrafficModel, TrafficPull};
 

@@ -252,6 +252,78 @@ fn tenants_sweep_that_serves_no_fleet_writes_no_session() {
     assert!(!path.exists(), "a session file was written");
 }
 
+#[test]
+fn leakage_verdict_and_admission_agree_at_the_limit() {
+    // dynamic_R4_E4 (the default scheme) leaks 32 bits: a 32-bit limit
+    // admits it, a 31-bit one refuses it, and `otc leakage` reports the
+    // verdict admission reaches.
+    for (limit, verdict, admitted) in [("32", "(admissible)", true), ("31", "REJECTED", false)] {
+        let out = otc(&["leakage", "--scheme", "dynamic_R4_E4", "--limit", limit]);
+        assert!(out.status.success(), "otc leakage --limit {limit}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let line = stdout.lines().last().expect("a verdict line");
+        assert!(
+            line.starts_with("  processor limit L") && line.contains(verdict),
+            "--limit {limit}: {line}"
+        );
+        let out = otc(&[
+            "run",
+            "--tenants",
+            "1",
+            "--oram",
+            "small",
+            "--accesses",
+            "20",
+            "--limit",
+            limit,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if admitted {
+            assert_eq!(out.status.code(), Some(0), "--limit {limit}: {stderr}");
+        } else {
+            assert_eq!(out.status.code(), Some(1), "--limit {limit}: {stderr}");
+            assert!(
+                stderr.contains("leakage parameters allow 32 bits, limit is 31"),
+                "{stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn report_renders_each_shard_with_its_own_stage_units() {
+    // The mixed pool alternates serial shards (one stage unit) with
+    // staged ones (four): every stage row `otc report` prints belongs
+    // to a unit its shard has, so none is blank from end to end.
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_mixed_pool.otcp");
+    let path = path.to_str().expect("UTF-8 path");
+    let out = otc(&[
+        "run",
+        "--scenario",
+        "examples/mixed_pool.scenario",
+        "--perf-session",
+        path,
+    ]);
+    assert!(out.status.success(), "recording failed: {out:?}");
+    let out = otc(&["report", "--session", path]);
+    assert!(out.status.success(), "otc report: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("  shard ") && l.contains(" unit "))
+        .collect();
+    for row in &rows {
+        let cells = row.split('|').nth(1).expect("a timeline");
+        assert!(!cells.trim().is_empty(), "all-blank stage row: {row}");
+    }
+    // Shards 0 and 2 are serial, 1 and 3 (the regrown pool) staged.
+    let units = |shard: usize| {
+        let prefix = format!("  shard {shard} unit ");
+        rows.iter().filter(|l| l.starts_with(&prefix)).count()
+    };
+    assert_eq!((units(0), units(1), units(2), units(3)), (1, 4, 1, 4));
+}
+
 /// Records `otc run --tenants 2 --accesses 200 --oram small --seed 7`
 /// into `name` under the test scratch directory and decodes it.
 fn recorded_session(name: &str) -> PerfSession {

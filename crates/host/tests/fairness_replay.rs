@@ -7,7 +7,8 @@
 //!    round-robin arbiter (digests recorded from it), across a mixed
 //!    pool, churn, and static and dynamic seats. Uniform weighted
 //!    fairness *is* round-robin fairness, so the arbiter must vanish
-//!    from the observables.
+//!    from the observables — also once a heavier seat is evicted and
+//!    only its frozen ledger row is left.
 //! 2. **The arbiter reorders, never re-serves** — whatever the weights,
 //!    every tenant's slot grid (and hence its served-slot count) is
 //!    pure stream state, equal to a stream served alone; mixed weights
@@ -186,6 +187,56 @@ fn equal_weight_wdrr_replays_the_rotation_arbiter_bit_for_bit() {
             policy.label()
         );
     }
+}
+
+/// [`observables`] of the fleet in
+/// `evicting_a_heavier_seat_restores_the_equal_weight_order`, recorded
+/// from the arbiter that kept its own weight table, cleared at eviction.
+const HEAVY_SEAT_EVICTED_OBSERVABLES: &str = "log 1537 ec45c5ef4c353e24, \
+    traces [403 68f871537b303e5b, 403 68f871537b303e5b, 403 68f871537b303e5b, \
+    328 a640709d3cdcf3c7], spent 0000000000000000, budget 0000000000000000";
+
+#[test]
+fn evicting_a_heavier_seat_restores_the_equal_weight_order() {
+    // The equal-weight mixed-pool fleet at cadence pricing, where the
+    // serial and staged shards charge different per-slot costs, so
+    // equal weights do not mean equal credits. A fourth seat on a
+    // faster static rate holds a larger share and makes the credit rank
+    // count; once it is evicted, its frozen row must not count toward
+    // the uniform-weight check, or the survivors' ties would follow
+    // their diverged credits instead of the rotation.
+    let cfg = HostConfig {
+        record_traces: true,
+        shard_mix: mixed_classes(),
+        n_shards: 2,
+        capacity: CapacityKind::Cadence,
+        ..HostConfig::small()
+    };
+    let mut host = MultiTenantHost::new(cfg).expect("builds");
+    for i in 0..3 {
+        host.admit(
+            &spec(&format!("t{i}"), RatePolicy::Static { rate: 900 }),
+            LoopMode::Open,
+        )
+        .expect("admit");
+    }
+    let fast = host
+        .admit(
+            &spec("fast", RatePolicy::Static { rate: 400 }),
+            LoopMode::Open,
+        )
+        .expect("admit");
+    let shares: Vec<f64> = host
+        .report()
+        .tenants
+        .iter()
+        .map(|t| t.capacity_share)
+        .collect();
+    assert!(shares[fast] > shares[0], "the fast seat's share is larger");
+    host.run_for(1 << 18);
+    host.evict(fast).expect("evict");
+    host.run_for(1 << 18);
+    assert_eq!(observables(&host), HEAVY_SEAT_EVICTED_OBSERVABLES);
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Spine equivalence suite at fleet scale: the zero-allocation serving
-//! spine (pooled round scratch, indexed ORAM datapath, two-level
+//! spine (pooled round scratch, indexed ORAM datapath, one-ring
 //! calendar) must be *observably invisible*. A K=1024 churn storm on a
 //! 16-shard pool — the exact fleet shape `otc bench --spine` times —
 //! must produce byte-identical serve logs, per-tenant traces, reports,
@@ -7,10 +7,11 @@
 //! same service order as the k-way merge the calendar replaced
 //! (digests recorded from it).
 //!
-//! The fleet mixes rates spanning the calendar's level-0 horizon
-//! (64..192 x OLAT) with a band of slow tenants whose periods overflow
-//! into the level-1 wheel, so insertion, cascade, and mid-run eviction
-//! out of *both* levels are all on the tested path. A separate
+//! The fleet mixes rates within the calendar ring's span (64..192 x
+//! OLAT) with a band of slow tenants whose periods exceed it, so their
+//! entries alias onto the ring and the pass check holds them back until
+//! their own pass: insertion, aliased pops and mid-run eviction of both
+//! kinds of entry are all on the tested path. A separate
 //! regression pins the host past 2^32 virtual cycles, where the cycle
 //! arithmetic audited for overflow actually runs at scale.
 //!
@@ -38,8 +39,8 @@ const SHARDS: usize = 16;
 /// Static rates as OLAT multiples, cycled across the fast band.
 const RATE_OLATS: [u64; 4] = [64, 96, 128, 192];
 /// Tenants at the tail of the fleet whose period lands beyond the
-/// calendar's level-0 horizon (default 256 x 4096 = 1M cycles), parking
-/// their entries in the level-1 overflow wheel.
+/// calendar ring's span (256 x 4096 = 1M cycles), so their entries
+/// alias onto the ring and wait out the pass check.
 const SLOW: usize = 32;
 /// Slow-band rate multiple: ~3M cycles at the small geometry's OLAT.
 const SLOW_OLAT_MULT: u64 = 2048;
@@ -105,9 +106,9 @@ fn run(mut cfg: HostConfig, parallel: ParallelKind, script: fn(&mut MultiTenantH
 }
 
 /// Admits the K=1024 fleet (fast band cycling `RATE_OLATS`, slow band
-/// overflowing the calendar's level-0 horizon), then drives it through
-/// a churn storm: steady rounds, a 250-tenant eviction wave hitting
-/// both calendar levels, a 16 -> 8 shrink, and a regrow.
+/// beyond the calendar ring's span), then drives it through a churn
+/// storm: steady rounds, a 250-tenant eviction wave hitting fast and
+/// aliased entries alike, a 16 -> 8 shrink, and a regrow.
 fn k1024_storm(host: &mut MultiTenantHost) {
     let olat = small_olat();
     let benches = [
@@ -137,7 +138,7 @@ fn k1024_storm(host: &mut MultiTenantHost) {
     }
     // Eviction wave: every 4th fast tenant (the fastest rate class,
     // freeing the most capacity) plus two slow tenants whose pending
-    // entries sit in the level-1 overflow wheel.
+    // entries alias onto the ring from a later pass.
     for i in (0..K - SLOW).step_by(4) {
         host.evict(i).expect("evict fast tenant");
     }
@@ -213,10 +214,11 @@ const MERGE_STORM_SURFACES: &str = "log 11408 2050b0e1ee298505, traces 96001a335
 
 #[test]
 fn k1024_storm_schedulers_agree_on_every_serving_surface() {
-    // The calendar (the two-level wheel) must serve the storm exactly
-    // as the k-way merge did: the global serve log, every tenant trace,
-    // the clock, and the full report. Session bytes are left out: their
-    // calendar-occupancy samples are calendar state the merge never had.
+    // The calendar (one ring, slow entries aliased onto it) must serve
+    // the storm exactly as the k-way merge did: the global serve log,
+    // every tenant trace, the clock, and the full report. Session bytes
+    // are left out: their calendar-occupancy samples are calendar state
+    // the merge never had.
     let cal = run(spine_cfg(), ParallelKind::Serial, k1024_storm);
     util::assert_text_eq(
         "the merge's storm surfaces",
@@ -228,11 +230,11 @@ fn k1024_storm_schedulers_agree_on_every_serving_surface() {
 #[test]
 fn clock_past_2_pow_32_stays_sound() {
     // Million-round-horizon overflow regression: a slow tenant whose
-    // period (2^27 cycles) dwarfs the calendar's level-0 horizon parks
-    // every pending entry in the level-1 wheel, and driving the host
-    // past 2^32 virtual cycles runs the audited cycle arithmetic (slot
-    // grids, frontiers, lane clocks, cascade spans) far beyond 32-bit
-    // range. Debug builds also exercise the overflow debug_asserts.
+    // period (2^27 cycles) dwarfs the calendar ring's span aliases
+    // every pending entry onto the ring, where the pass check holds it
+    // back, and driving the host past 2^32 virtual cycles runs the
+    // audited cycle arithmetic (slot grids, frontiers, lane clocks,
+    // pass numbers) far beyond 32-bit range. Debug builds also exercise the overflow debug_asserts.
     let mut host = MultiTenantHost::new(HostConfig::small()).expect("builds");
     host.admit(
         &TenantSpec {

@@ -15,8 +15,8 @@
 //!   round while a session records (its shard pool and calendar queue
 //!   each write their own fields); a host that records nothing pays one
 //!   branch per round.
-//! - [`SessionRecorder`] / [`PerfSession`] — the in-memory sampler and
-//!   the finished session (meta + rounds + summary).
+//! - [`PerfSession`] — a session in memory, all public fields: meta,
+//!   the rounds in order, and the end-of-run summary.
 //! - The on-disk format ([`PerfSession::to_bytes`] /
 //!   [`PerfSession::from_bytes`]) — framed, length-prefixed binary
 //!   records behind a versioned header, read back by one strict
@@ -34,12 +34,13 @@
 //! JSONL export across a double run to pin this.
 //!
 //! ```
-//! use otc_perf::{PerfSession, RoundSample, SessionMeta, SessionRecorder, SessionSummary};
+//! use otc_perf::{PerfSession, RoundSample, SessionMeta, SessionSummary};
 //!
-//! let meta = SessionMeta { label: "doc".into(), seed: 7, ..SessionMeta::default() };
-//! let mut rec = SessionRecorder::new(meta);
-//! rec.push(RoundSample { round: 1, clock: 65_536, ..RoundSample::default() });
-//! let session = rec.finish(SessionSummary { rounds: 1, ..SessionSummary::default() });
+//! let session = PerfSession {
+//!     meta: SessionMeta { label: "doc".into(), seed: 7, ..SessionMeta::default() },
+//!     rounds: vec![RoundSample { round: 1, clock: 65_536, ..RoundSample::default() }],
+//!     summary: SessionSummary { rounds: 1, ..SessionSummary::default() },
+//! };
 //! let bytes = session.to_bytes();
 //! let back = PerfSession::from_bytes(&bytes)?;
 //! assert_eq!(back.rounds[0].clock, 65_536);
@@ -61,4 +62,4 @@ pub use hist::Histogram;
 pub use schema::{
     CalendarSample, RoundSample, SessionMeta, SessionSummary, ShardSample, TenantSample,
 };
-pub use session::{PerfSession, SessionFile, SessionRecorder};
+pub use session::{PerfSession, SessionFile};

@@ -10,6 +10,7 @@
 
 use crate::schema::RoundSample;
 use crate::session::PerfSession;
+use std::collections::HashMap;
 
 /// Renders the full report for a recorded session.
 ///
@@ -98,20 +99,23 @@ fn level_digit(v: u64) -> char {
 }
 
 fn render_timelines(out: &mut String, s: &PerfSession, cols: &[(usize, usize)]) {
-    let n_shards = s.rounds.iter().map(|r| r.shards.len()).max().unwrap_or(0);
-    let units = s
-        .rounds
-        .iter()
-        .flat_map(|r| r.shards.iter().map(|sh| sh.stage_busy.len()))
-        .max()
-        .unwrap_or(0);
+    // Each shard's own stage-unit count: the most it had in any round.
+    let mut units: Vec<usize> = Vec::new();
+    for r in &s.rounds {
+        if units.len() < r.shards.len() {
+            units.resize(r.shards.len(), 0);
+        }
+        for (n, sh) in units.iter_mut().zip(&r.shards) {
+            *n = (*n).max(sh.stage_busy.len());
+        }
+    }
     out.push_str(&format!(
         "stage occupancy (busy tenths per column; {} columns over {} rounds):\n",
         cols.len(),
         s.rounds.len()
     ));
-    for shard in 0..n_shards {
-        for unit in 0..units {
+    for (shard, &n_units) in units.iter().enumerate() {
+        for unit in 0..n_units {
             let row: String = cols
                 .iter()
                 .map(|&(a, b)| {
@@ -131,21 +135,20 @@ fn render_timelines(out: &mut String, s: &PerfSession, cols: &[(usize, usize)]) 
         }
     }
     out.push_str("\neviction queue depth (column max, saturating at 9):\n");
-    for shard in 0..n_shards {
-        let row: String = cols
-            .iter()
-            .map(|&(a, b)| {
-                let depths: Vec<u64> = s.rounds[a..b]
-                    .iter()
-                    .filter_map(|r| r.shards.get(shard).map(|sh| u64::from(sh.queue_depth)))
-                    .collect();
-                if depths.is_empty() {
-                    ' '
-                } else {
-                    level_digit(depths.into_iter().max().unwrap_or(0))
-                }
-            })
-            .collect();
+    // Shard-major digit grid, filled in one pass over each column's
+    // rounds. A blank sorts below every digit, so `max` keeps the
+    // column's deepest queue and leaves absent shards blank.
+    let mut depth = vec![b' '; units.len() * cols.len()];
+    for (c, &(a, b)) in cols.iter().enumerate() {
+        for r in &s.rounds[a..b] {
+            for (shard, sh) in r.shards.iter().enumerate() {
+                let cell = &mut depth[shard * cols.len() + c];
+                *cell = (*cell).max(level_digit(u64::from(sh.queue_depth)) as u8);
+            }
+        }
+    }
+    for (shard, row) in depth.chunks(cols.len()).enumerate() {
+        let row: String = row.iter().map(|&d| char::from(d)).collect();
         out.push_str(&format!("  shard {shard}        |{row}|\n"));
     }
     let cal_row: String = cols
@@ -163,9 +166,9 @@ fn render_timelines(out: &mut String, s: &PerfSession, cols: &[(usize, usize)]) 
     out.push_str(&format!("\ncalendar entries  |{cal_row}|\n"));
     out.push_str("\nutilization (bottleneck unit over the recorded window):\n");
     let n = s.rounds.len();
-    for shard in 0..n_shards {
+    for (shard, &n_units) in units.iter().enumerate() {
         let span = clock_delta(s, 0, n);
-        let busy = (0..units)
+        let busy = (0..n_units)
             .filter_map(|unit| {
                 counter_delta(&s.rounds, 0, n, |r| {
                     r.shards
@@ -185,6 +188,20 @@ fn render_timelines(out: &mut String, s: &PerfSession, cols: &[(usize, usize)]) 
     }
 }
 
+/// One last-round tenant's SLO tally, accumulated round by round.
+#[derive(Clone, Copy, Default)]
+struct Attainment {
+    /// Cumulative `(slots, queued_cycles)` at the previous round seen.
+    prev: (u64, u64),
+    /// Rounds in which the tenant was served.
+    considered: u64,
+    /// Of those, rounds whose mean wait plus OLAT met the SLO.
+    attained: u64,
+    /// 1 + index of the last round counted (a round counts its first
+    /// row for an id only).
+    seen: usize,
+}
+
 fn render_tenant_table(out: &mut String, s: &PerfSession, slo_cycles: u64) {
     let last = match s.rounds.last() {
         Some(r) => r,
@@ -195,37 +212,43 @@ fn render_tenant_table(out: &mut String, s: &PerfSession, slo_cycles: u64) {
         slo_cycles
     ));
     out.push_str("  id  state    slots    real    wait/slot  slo-ok%\n");
+    // One tally per id the last round names, filled in one pass over
+    // the rounds.
+    let mut index: HashMap<u32, usize> = HashMap::with_capacity(last.tenants.len());
     for t in &last.tenants {
-        let series: Vec<(u64, u64)> = s
-            .rounds
-            .iter()
-            .filter_map(|r| {
-                r.tenants
-                    .iter()
-                    .find(|row| row.id == t.id)
-                    .map(|row| (row.slots, row.queued_cycles))
-            })
-            .collect();
-        let mut considered = 0u64;
-        let mut attained = 0u64;
-        let mut prev = (0u64, 0u64);
-        let headroom = slo_cycles.saturating_sub(s.meta.olat);
-        for &(slots, queued) in &series {
-            let ds = slots.saturating_sub(prev.0);
-            let dq = queued.saturating_sub(prev.1);
-            prev = (slots, queued);
+        let next = index.len();
+        index.entry(t.id).or_insert(next);
+    }
+    let mut tally = vec![Attainment::default(); index.len()];
+    let headroom = slo_cycles.saturating_sub(s.meta.olat);
+    for (i, r) in s.rounds.iter().enumerate() {
+        for row in &r.tenants {
+            let Some(&k) = index.get(&row.id) else {
+                continue;
+            };
+            let a = &mut tally[k];
+            if a.seen == i + 1 {
+                continue;
+            }
+            a.seen = i + 1;
+            let ds = row.slots.saturating_sub(a.prev.0);
+            let dq = row.queued_cycles.saturating_sub(a.prev.1);
+            a.prev = (row.slots, row.queued_cycles);
             if ds == 0 {
                 continue;
             }
-            considered += 1;
+            a.considered += 1;
             if u128::from(dq) <= u128::from(ds) * u128::from(headroom) {
-                attained += 1;
+                a.attained += 1;
             }
         }
-        let pct = if considered == 0 {
+    }
+    for t in &last.tenants {
+        let a = tally[index[&t.id]];
+        let pct = if a.considered == 0 {
             100.0
         } else {
-            100.0 * attained as f64 / considered as f64
+            100.0 * a.attained as f64 / a.considered as f64
         };
         let wait = if t.slots == 0 {
             0.0
@@ -249,7 +272,6 @@ mod tests {
     use super::*;
     use crate::hist::Histogram;
     use crate::schema::{CalendarSample, SessionMeta, SessionSummary, ShardSample, TenantSample};
-    use crate::session::SessionRecorder;
 
     fn synthetic() -> PerfSession {
         let quantum = 1000u64;
@@ -263,9 +285,8 @@ mod tests {
             pipeline: "staged".into(),
             capacity: "cadence".into(),
         };
-        let mut rec = SessionRecorder::new(meta);
-        for i in 1..=8u64 {
-            rec.push(RoundSample {
+        let rounds = (1..=8u64)
+            .map(|i| RoundSample {
                 round: i,
                 clock: i * quantum,
                 admissions_denied: 0,
@@ -312,21 +333,25 @@ mod tests {
                         traffic: 1,
                     },
                 ],
-            });
-        }
+            })
+            .collect();
         let mut hist = Histogram::new(10, 64);
         for v in [100u64, 100, 100, 400] {
             hist.record(v);
         }
-        rec.finish(SessionSummary {
-            rounds: 8,
-            clock: 8000,
-            accesses: 96,
-            service_cycles: 9600,
-            queueing_cycles: 24_000,
-            eviction_drains: 5,
-            service_hist: hist,
-        })
+        PerfSession {
+            meta,
+            rounds,
+            summary: SessionSummary {
+                rounds: 8,
+                clock: 8000,
+                accesses: 96,
+                service_cycles: 9600,
+                queueing_cycles: 24_000,
+                eviction_drains: 5,
+                service_hist: hist,
+            },
+        }
     }
 
     #[test]
@@ -394,9 +419,87 @@ mod tests {
 
     #[test]
     fn empty_session_renders_header_only() {
-        let meta = SessionMeta::default();
-        let s = SessionRecorder::new(meta).finish(SessionSummary::default());
+        let s = PerfSession {
+            meta: SessionMeta::default(),
+            rounds: Vec::new(),
+            summary: SessionSummary::default(),
+        };
         let text = render_session(&s, 64, 1000);
         assert!(text.contains("(no rounds recorded)"));
+    }
+
+    #[test]
+    fn each_shard_renders_only_its_own_stage_units() {
+        // One round with one 4,000-unit shard, then one with 4,000
+        // zero-unit shards: a row per shard for every unit of the
+        // widest shard would be 16 M rows; each shard's own units are
+        // 4,000.
+        let wide = ShardSample {
+            stage_busy: vec![0; 4_000],
+            ..ShardSample::default()
+        };
+        let s = PerfSession {
+            meta: SessionMeta {
+                quantum: 1000,
+                ..SessionMeta::default()
+            },
+            rounds: vec![
+                RoundSample {
+                    round: 1,
+                    clock: 1000,
+                    shards: vec![wide],
+                    ..RoundSample::default()
+                },
+                RoundSample {
+                    round: 2,
+                    clock: 2000,
+                    shards: vec![ShardSample::default(); 4_000],
+                    ..RoundSample::default()
+                },
+            ],
+            summary: SessionSummary {
+                rounds: 2,
+                ..SessionSummary::default()
+            },
+        };
+        let text = render_session(&s, 64, 1000);
+        let stage_rows: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("  shard ") && l.contains(" unit "))
+            .collect();
+        assert_eq!(stage_rows.len(), 4_000);
+        assert!(stage_rows.iter().all(|l| l.starts_with("  shard 0 unit ")));
+        // Every shard still gets its queue-depth and utilization rows.
+        assert!(
+            text.contains("  shard 3999        | 0|"),
+            "{}",
+            &text[..200]
+        );
+        assert!(text.contains("  shard 3999     0.0%"));
+    }
+
+    #[test]
+    fn slo_table_counts_the_first_row_per_id_each_round() {
+        // A decodable session can name one id twice in a round; only
+        // the first row counts, and both last-round rows print the
+        // same attainment. Tenant 0 waits 500 cycles per slot in round
+        // 2 only: one of its two served rounds meets a 200-cycle SLO.
+        // Counting the never-waiting duplicates too would read 100%.
+        let mut s = synthetic();
+        s.rounds.truncate(2);
+        s.summary.rounds = 2;
+        for r in &mut s.rounds {
+            r.tenants.truncate(1);
+            let dup = TenantSample {
+                slots: r.tenants[0].slots + 1000,
+                ..r.tenants[0].clone()
+            };
+            r.tenants.push(dup);
+        }
+        s.rounds[1].tenants[0].queued_cycles = 3000;
+        let text = render_session(&s, 8, 200);
+        let rows: Vec<&str> = text.lines().filter(|l| l.starts_with("  0 ")).collect();
+        assert_eq!(rows.len(), 2, "{text}");
+        assert!(rows.iter().all(|l| l.ends_with("50.0")), "{text}");
     }
 }

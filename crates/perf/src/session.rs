@@ -1,48 +1,7 @@
-//! Session recording, the on-disk container, and its one decoder.
+//! The recorded session, its on-disk container, and its one decoder.
 
 use crate::codec::{self, kind, CodecError, FILE_MAGIC};
 use crate::schema::{RoundSample, SessionMeta, SessionSummary};
-
-/// Accumulates [`RoundSample`]s during a run.
-#[derive(Debug, Clone)]
-pub struct SessionRecorder {
-    meta: SessionMeta,
-    rounds: Vec<RoundSample>,
-}
-
-impl SessionRecorder {
-    /// A recorder for a run described by `meta`.
-    pub fn new(meta: SessionMeta) -> Self {
-        Self {
-            meta,
-            rounds: Vec::new(),
-        }
-    }
-
-    /// Appends one round's sample.
-    pub fn push(&mut self, sample: RoundSample) {
-        self.rounds.push(sample);
-    }
-
-    /// Rounds recorded so far.
-    pub fn len(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.rounds.is_empty()
-    }
-
-    /// Closes the recorder with the end-of-run aggregate.
-    pub fn finish(self, summary: SessionSummary) -> PerfSession {
-        PerfSession {
-            meta: self.meta,
-            rounds: self.rounds,
-            summary,
-        }
-    }
-}
 
 /// A complete recorded session: meta, per-round samples, and summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +38,7 @@ impl PerfSession {
     /// frames in order (meta, rounds, summary, nothing after) and
     /// requires each round's ordinal to be the previous one's plus 1
     /// and the last to be the summary's round count. The first ordinal
-    /// is free: a recorder attached mid-run starts past round 1.
+    /// is free: a session started mid-run starts past round 1.
     ///
     /// # Errors
     ///
@@ -279,9 +238,8 @@ mod tests {
             pipeline: "staged".into(),
             capacity: "cadence".into(),
         };
-        let mut rec = SessionRecorder::new(meta);
-        for i in 0..rounds as u64 {
-            rec.push(RoundSample {
+        let samples = (0..rounds as u64)
+            .map(|i| RoundSample {
                 round: i + 1,
                 clock: (i + 1) * 65_536,
                 admissions_denied: i / 3,
@@ -311,21 +269,25 @@ mod tests {
                         traffic: (t % 3) as u8,
                     })
                     .collect(),
-            });
-        }
+            })
+            .collect();
         let mut hist = Histogram::new(78, 32);
         for v in [100u64, 200, 1500, 2400] {
             hist.record(v);
         }
-        rec.finish(SessionSummary {
-            rounds: rounds as u64,
-            clock: rounds as u64 * 65_536,
-            accesses: 4,
-            service_cycles: 4200,
-            queueing_cycles: 120,
-            eviction_drains: 2,
-            service_hist: hist,
-        })
+        PerfSession {
+            meta,
+            rounds: samples,
+            summary: SessionSummary {
+                rounds: rounds as u64,
+                clock: rounds as u64 * 65_536,
+                accesses: 4,
+                service_cycles: 4200,
+                queueing_cycles: 120,
+                eviction_drains: 2,
+                service_hist: hist,
+            },
+        }
     }
 
     #[test]
@@ -421,7 +383,7 @@ mod tests {
                 "{what}"
             );
         }
-        // A recorder attached mid-run starts past round 1: the sequence
+        // A session started mid-run starts past round 1: the sequence
         // only has to count up to the summary's round count.
         let mut late = good;
         late.rounds.iter_mut().for_each(|r| r.round += 10);

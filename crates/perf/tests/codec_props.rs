@@ -4,8 +4,8 @@
 //! schema-shaped value, not just the ones the host happens to emit.
 
 use otc_perf::{
-    CalendarSample, Histogram, PerfSession, RoundSample, SessionMeta, SessionRecorder,
-    SessionSummary, ShardSample, TenantSample,
+    CalendarSample, Histogram, PerfSession, RoundSample, SessionMeta, SessionSummary, ShardSample,
+    TenantSample,
 };
 use proptest::prelude::*;
 
@@ -104,7 +104,7 @@ fn session() -> impl Strategy<Value = PerfSession> {
         (1u64..1 << 20, proptest::collection::vec(0u64..50, 4..12)),
     )
         .prop_map(|((pipeline, capacity, seed), rounds, (width, counts))| {
-            let mut rec = SessionRecorder::new(SessionMeta {
+            let meta = SessionMeta {
                 label: format!("prop {pipeline}/{capacity}"),
                 seed,
                 olat: 400,
@@ -113,22 +113,27 @@ fn session() -> impl Strategy<Value = PerfSession> {
                 stage_units: rounds[0].shards[0].stage_busy.len() as u32,
                 pipeline: pipeline.into(),
                 capacity: capacity.into(),
-            });
+            };
             let accesses: u64 = counts.iter().sum();
-            for (i, mut r) in rounds.into_iter().enumerate() {
-                r.round = i as u64 + 1;
-                rec.push(r);
+            let n = rounds.len() as u64;
+            let rounds = rounds
+                .into_iter()
+                .zip(1..)
+                .map(|(r, round)| RoundSample { round, ..r })
+                .collect();
+            PerfSession {
+                meta,
+                rounds,
+                summary: SessionSummary {
+                    rounds: n,
+                    clock: n << 16,
+                    accesses,
+                    service_cycles: accesses * 500,
+                    queueing_cycles: accesses * 100,
+                    eviction_drains: accesses / 7,
+                    service_hist: Histogram::from_parts(width, counts),
+                },
             }
-            let n = rec.len() as u64;
-            rec.finish(SessionSummary {
-                rounds: n,
-                clock: n << 16,
-                accesses,
-                service_cycles: accesses * 500,
-                queueing_cycles: accesses * 100,
-                eviction_drains: accesses / 7,
-                service_hist: Histogram::from_parts(width, counts),
-            })
         })
 }
 

@@ -18,7 +18,7 @@
 //! |-------|----------|
 //! | [`core`] | **The contribution**: epoch schedules, candidate rate sets, the Equation-1 rate learner with the Algorithm-1 shift divider, the slot-periodic rate enforcer with dummy accesses, information-theoretic leakage accounting, and the §5/§8 session protocol |
 //! | [`oram`] | Path ORAM: tree + stash + recursive position maps, probabilistic bucket encryption, access timing |
-//! | [`host`] | **Beyond the paper**: the multi-tenant serving layer — sharded ORAM backends, batched slot scheduling over per-tenant `SlotStream`s, a tenant directory with session-authorized leakage budgets, and the fleet-wide `LeakageLedger` (drive it with the `otc` CLI) |
+//! | [`host`] | **Beyond the paper**: the multi-tenant serving layer — sharded ORAM backends, batched slot scheduling over per-tenant `SlotStream`s, leakage authorization of every tenant against one secure processor's limit, and the fleet-wide `LeakageLedger` (drive it with the `otc` CLI) |
 //! | [`perf`] | Structured perf sessions: per-round sample schema, framed binary trace format with one strict decoder, exact-percentile histograms, and the `otc report` timeline renderer |
 //! | [`sim`] | Cycle-level in-order processor (Table 1): caches, write buffer, pluggable memory backends |
 //! | [`dram`] | DRAM timing: flat-latency baseline + calibrated DDR3-like channel model |
