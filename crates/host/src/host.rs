@@ -64,7 +64,7 @@ use crate::arbiter::WdrrArbiter;
 use crate::calendar::{self, CalendarQueue};
 use crate::ledger::LeakageLedger;
 use crate::parallel::{LaneRequest, ShardExecutor, Ticket};
-use crate::shard::{LaneOp, PipelineConfig, ShardClass, ShardedOram};
+use crate::shard::{LaneOp, PipelineKind, ShardClass, ShardedOram};
 use crate::traffic::{LoopMode, Request, TenantTraffic, TrafficModel, TrafficPull};
 use otc_attacks::RateEstimate;
 use otc_core::{RatePolicy, SecureProcessor, SessionError, SlotStream};
@@ -209,11 +209,12 @@ pub struct HostConfig {
     /// Whether tenant slot traces and the global serve log are recorded
     /// (tests/analysis; off for long sweeps).
     pub record_traces: bool,
-    /// Shard pipeline discipline (see [`PipelineKind`](crate::PipelineKind)):
-    /// `Serial` is the paper's controller, one opaque `OLAT` per access;
-    /// `Staged` overlaps the stages of consecutive accesses and defers
-    /// evictions to background drains.
-    pub pipeline: PipelineConfig,
+    /// Shard pipeline discipline (see [`PipelineKind`]): `Serial` is the
+    /// paper's controller, one opaque `OLAT` per access; `Staged`
+    /// overlaps the stages of consecutive accesses and defers evictions
+    /// to background drains, at most
+    /// [`MAX_DEFERRED`](crate::MAX_DEFERRED) per shard.
+    pub pipeline: PipelineKind,
     /// What admission prices one slot at (see [`CapacityKind`]): `Olat`
     /// charges a full `OLAT` per slot — the pre-cadence reference, bit-
     /// identical to historical admission decisions — while `Cadence`
@@ -244,7 +245,7 @@ impl Default for HostConfig {
             leakage_limit_bits: 64,
             seed: 0x07C0_57ED,
             record_traces: false,
-            pipeline: PipelineConfig::serial(),
+            pipeline: PipelineKind::Serial,
             capacity: CapacityKind::Olat,
             parallel: ParallelKind::Serial,
             shard_mix: Vec::new(),
@@ -351,7 +352,7 @@ impl HostConfigBuilder {
     }
 
     /// Shard pipeline discipline (homogeneous pools).
-    pub fn pipeline(mut self, pipeline: PipelineConfig) -> Self {
+    pub fn pipeline(mut self, pipeline: PipelineKind) -> Self {
         self.cfg.pipeline = pipeline;
         self
     }
@@ -664,15 +665,9 @@ struct PostedSlot {
 
 /// Persistent round-loop scratch, kept on the host so the steady-state
 /// serving spine allocates nothing. No buffer carries meaning across
-/// rounds (each round clears before filling) — except `shard_cost`, a
-/// cache of the per-shard pricing vector that stays valid until a pool
-/// resize marks it stale.
+/// rounds: each round clears before filling.
 #[derive(Default)]
 struct RoundScratch {
-    /// Cached [`ShardedOram::pricing_cadences`] result.
-    shard_cost: Vec<Cycle>,
-    /// Whether `shard_cost` must be rebuilt before the next round.
-    shard_cost_stale: bool,
     /// The round's slots in posting order.
     posted: Vec<PostedSlot>,
     /// Closed-loop feedback owed per tenant: the ticket of its last
@@ -763,22 +758,8 @@ impl MultiTenantHost {
             perf: None,
             executor,
             arbiter: WdrrArbiter::default(),
-            scratch: RoundScratch {
-                shard_cost_stale: true,
-                ..RoundScratch::default()
-            },
+            scratch: RoundScratch::default(),
         })
-    }
-
-    /// Rebuilds the cached per-shard pricing vector if a resize (or the
-    /// first round) left it stale. Cheap no-op in the steady state.
-    fn refresh_shard_cost(&mut self) {
-        if self.scratch.shard_cost_stale || self.scratch.shard_cost.len() != self.sharded.n_shards()
-        {
-            self.sharded
-                .pricing_cadences_into(self.cfg.capacity, &mut self.scratch.shard_cost);
-            self.scratch.shard_cost_stale = false;
-        }
     }
 
     /// The capacity model in force: the pool's pipeline discipline
@@ -787,7 +768,8 @@ impl MultiTenantHost {
     /// scheduler's per-round capacity, the ledger's utilization rows —
     /// prices against this one model.
     pub fn capacity_model(&self) -> CapacityModel {
-        self.sharded.capacity_model(self.cfg.capacity)
+        self.sharded
+            .capacity_model(self.sharded.n_shards(), self.cfg.capacity)
     }
 
     /// Worst-case shard-equivalents the *active* fleet demands (evicted
@@ -1062,7 +1044,7 @@ impl MultiTenantHost {
         // Price the *would-be* pool: a different shard count can
         // instantiate a different subset of the class mix, moving the
         // pricing cadence — the old model would mis-price the check.
-        let model = self.sharded.capacity_model_at(n_shards, self.cfg.capacity);
+        let model = self.sharded.capacity_model(n_shards, self.cfg.capacity);
         let demanded = self
             .tenants
             .iter()
@@ -1080,7 +1062,6 @@ impl MultiTenantHost {
             });
         }
         self.sharded.resize(n_shards).map_err(HostError::Build)?;
-        self.scratch.shard_cost_stale = true;
         // Re-price every active row under the new pool's model. Rows
         // admitted before the resize otherwise keep a `capacity_share`
         // from the old geometry, and `fleet_demand()` would price the
@@ -1200,13 +1181,13 @@ impl MultiTenantHost {
         let n = self.tenants.len();
         let rotation = self.rotation;
         let record = self.cfg.record_traces;
+        let pricing = self.cfg.capacity;
         self.arbiter.replenish(self.cfg.quantum, &self.ledger);
-        // Per-shard slot costs (stable within a round: resizes happen
-        // between rounds) the arbiter spends credits against.
-        self.refresh_shard_cost();
         self.executor.begin(self.sharded.take_lanes());
         // Disjoint field borrows so the spine can mutate tenants/
         // calendar/ledger/serve log while the executor holds the lanes.
+        // The router routes each slot and prices it for the arbiter
+        // (stable within a round: resizes happen between rounds).
         let router = self.sharded.router();
         let executor = &mut self.executor;
         let tenants = &mut self.tenants;
@@ -1214,12 +1195,7 @@ impl MultiTenantHost {
         let serve_log = &mut self.serve_log;
         let ledger = &mut self.ledger;
         let arbiter = &mut self.arbiter;
-        let RoundScratch {
-            shard_cost,
-            posted,
-            pending_fb,
-            ..
-        } = &mut self.scratch;
+        let RoundScratch { posted, pending_fb } = &mut self.scratch;
         posted.clear();
         pending_fb.clear();
         pending_fb.resize(n, None);
@@ -1253,12 +1229,12 @@ impl MultiTenantHost {
             let (shard, op) = if real {
                 let req = rt.pending.pop_front().expect("front exists");
                 rt.stream.serve(Some(req.at));
-                let local = router.local_addr(req.line_addr);
+                let (shard, local) = router.route(req.line_addr);
                 let op = match req.kind {
                     AccessKind::Read => LaneOp::Read { local },
                     AccessKind::Write => LaneOp::Write { local },
                 };
-                (router.shard_of(req.line_addr), op)
+                (shard, op)
             } else {
                 let shard = rt.rng.next_below(router.n_shards() as u64) as usize;
                 rt.stream.serve(None);
@@ -1269,7 +1245,7 @@ impl MultiTenantHost {
                 at: slot,
                 op,
             });
-            arbiter.charge(idx, shard_cost[shard]);
+            arbiter.charge(idx, router.cost(shard, pricing));
             if rt.traffic.is_closed_loop() && matches!(op, LaneOp::Read { .. }) {
                 pending_fb[idx] = Some(ticket);
             }
@@ -1358,10 +1334,7 @@ impl MultiTenantHost {
             initial_shards: self.sharded.n_shards() as u32,
             stage_units: self.sharded.n_stage_units() as u32,
             pipeline: self.sharded.pipeline_label().into(),
-            capacity: match self.cfg.capacity {
-                CapacityKind::Olat => "olat".into(),
-                CapacityKind::Cadence => "cadence".into(),
-            },
+            capacity: self.cfg.capacity.to_string(),
         };
         self.perf = Some(PerfSession {
             meta,
@@ -1961,11 +1934,11 @@ mod tests {
                     ],
                     seed: 0x717E_5EED,
                 },
-                pipeline: PipelineConfig::staged(),
+                pipeline: PipelineKind::Staged,
             },
             ShardClass {
                 oram: OramConfig::small(),
-                pipeline: PipelineConfig::serial(),
+                pipeline: PipelineKind::Serial,
             },
         ]
     }
@@ -2123,7 +2096,7 @@ mod tests {
         // The tentpole's headline: same closed-loop fleet at saturation,
         // staged vs serial — mean per-access service time and queueing
         // both drop, and background drains actually ran.
-        let build = |pipeline: PipelineConfig| {
+        let build = |pipeline: PipelineKind| {
             let cfg = HostConfig {
                 pipeline,
                 ..HostConfig::small()
@@ -2142,8 +2115,8 @@ mod tests {
             }
             host.run_until_slots(2_000)
         };
-        let serial = build(PipelineConfig::serial());
-        let staged = build(PipelineConfig::staged());
+        let serial = build(PipelineKind::Serial);
+        let staged = build(PipelineKind::Staged);
         assert_eq!(serial.pipeline_label, "serial");
         assert_eq!(staged.pipeline_label, "staged");
         assert_eq!(serial.background_eviction_drains, 0);
@@ -2155,6 +2128,38 @@ mod tests {
             serial.mean_service_cycles
         );
         assert!(staged.shard_queueing_cycles < serial.shard_queueing_cycles);
+    }
+
+    #[test]
+    fn staged_shrink_keeps_the_retired_shards_drains() {
+        // A shrink folds each retired lane's whole tally into the pool's:
+        // the background drains a staged shard ran before it was retired
+        // stay in every pool-wide total and in the report.
+        let cfg = HostConfig {
+            pipeline: PipelineKind::Staged,
+            ..HostConfig::small()
+        };
+        let mut host = MultiTenantHost::new(cfg).expect("builds");
+        for i in 0..2 {
+            host.admit(
+                &spec(
+                    &format!("t{i}"),
+                    SpecBenchmark::Mcf,
+                    RatePolicy::Static { rate: 600 },
+                ),
+                LoopMode::Closed,
+            )
+            .expect("admit");
+        }
+        host.run_until_slots(500);
+        assert!(host.sharded.shard(1).stats().eviction_drains > 0);
+        let drains = host.sharded.drained_evictions();
+        let served = host.sharded.service_histogram().total();
+        assert_eq!(host.report().background_eviction_drains, drains);
+        host.resize_shards(1).expect("two tenants fit one shard");
+        assert_eq!(host.sharded.drained_evictions(), drains);
+        assert_eq!(host.sharded.service_histogram().total(), served);
+        assert_eq!(host.report().background_eviction_drains, drains);
     }
 
     #[test]

@@ -85,7 +85,9 @@ pub use scenario::{
     parse_bench, parse_churn_script, parse_scenario, EventOutcome, OramChoice, ScenarioAction,
     ScenarioError, ScenarioEvent, ScenarioHost, ScenarioSpec, ScenarioTenant, ServeEnd,
 };
-pub use shard::{PipelineConfig, PipelineKind, ShardClass, ShardService, ShardedOram};
+pub use shard::{
+    PipelineConfig, PipelineKind, ShardClass, ShardService, ShardedOram, MAX_DEFERRED,
+};
 pub use timeq::{TimeQ, TimedEvent};
 pub use traffic::{LoopMode, Request, TenantTraffic, TrafficModel, TrafficPull};
 

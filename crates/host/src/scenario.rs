@@ -60,7 +60,7 @@
 
 use crate::adversary::AdversaryKind;
 use crate::host::{HostConfig, HostError, MultiTenantHost, SchedulerKind, TenantSpec};
-use crate::shard::{PipelineConfig, PipelineKind, ShardClass};
+use crate::shard::{PipelineKind, ShardClass};
 use crate::traffic::{LoopMode, TrafficModel};
 use otc_core::{parse_scheme, RatePolicy};
 use otc_dram::Cycle;
@@ -350,10 +350,6 @@ impl ScenarioSpec {
     ///
     /// [`HostError::Build`] from [`crate::HostConfigBuilder::build`].
     pub fn host_config(&self) -> Result<HostConfig, HostError> {
-        let pipeline = |p: PipelineKind| match p {
-            PipelineKind::Serial => PipelineConfig::serial(),
-            PipelineKind::Staged => PipelineConfig::staged(),
-        };
         let h = &self.host;
         let mut b = HostConfig::builder()
             .oram(h.oram.config())
@@ -361,16 +357,16 @@ impl ScenarioSpec {
             .quantum(h.quantum)
             .leakage_limit_bits(h.limit_bits)
             .seed(h.seed)
-            .pipeline(pipeline(h.pipeline))
+            .pipeline(h.pipeline)
             .capacity(h.capacity)
             .threads(h.threads);
         if !h.mix.is_empty() {
             b = b.shard_mix(
                 h.mix
                     .iter()
-                    .map(|&(o, p)| ShardClass {
+                    .map(|&(o, pipeline)| ShardClass {
                         oram: o.config(),
-                        pipeline: pipeline(p),
+                        pipeline,
                     })
                     .collect(),
             );

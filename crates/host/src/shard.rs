@@ -43,10 +43,11 @@
 //!
 //! Deferral is functional, not just timing: blocks of an undrained path
 //! wait in the shard's stash (Path ORAM's invariant is stash-agnostic,
-//! so `check_invariants` holds throughout), the queue bound plus a
-//! stash threshold force drains before the backlog can grow, and after
-//! a flush the bucket ciphertexts are bit-identical to a serial run of
-//! the same access sequence.
+//! so `check_invariants` holds throughout), the queue bound
+//! [`MAX_DEFERRED`] plus a stash threshold derived from it force drains
+//! before the backlog can grow, and after a flush the bucket
+//! ciphertexts are bit-identical to a serial run of the same access
+//! sequence.
 //!
 //! `PipelineKind::Serial`, the paper's controller, is the one-stage
 //! pipeline: its only unit is the data port, which each access holds
@@ -64,6 +65,13 @@
 //! construction (disjoint trees, disjoint counters), so per-lane FIFO
 //! execution on any worker reproduces the inline per-shard arithmetic
 //! bit-for-bit (see `host::ParallelKind`).
+//!
+//! A lane's counters (accesses, queueing, service, drains and the
+//! service histogram) are one [`Tally`]. The pool keeps one more for
+//! the shards a shrink retired, and each retired lane folds into it, so
+//! every pool-wide getter reads one total that survives resizes. The
+//! per-shard facts the round loop needs while the lanes are out —
+//! routing and what a slot costs — are one table, the [`ShardRouter`].
 
 use otc_dram::{Cycle, DdrConfig};
 use otc_oram::{
@@ -80,6 +88,12 @@ const SERVICE_HIST_BUCKETS: usize = 1024;
 /// `OLAT / 16`, so the histogram spans 64 `OLAT`s before saturating).
 const SERVICE_HIST_OLAT_FRACTION: u64 = 16;
 
+/// Per-shard bound on a staged shard's background eviction queue. At
+/// the bound, drains are forced ahead of the next access even if they
+/// delay it, so the queue (and with it the stash) cannot grow without
+/// limit. Serial shards never defer.
+pub const MAX_DEFERRED: usize = 4;
+
 /// How a shard schedules the stages of consecutive accesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PipelineKind {
@@ -91,21 +105,26 @@ pub enum PipelineKind {
     /// Staged pipeline: each posmap tree and the data-tree port are
     /// independent units, so the posmap lookups of access *i+1* overlap
     /// the data-path/eviction work of access *i*, and data-tree
-    /// evictions are deferred into a bounded background queue drained
-    /// during idle cycles (stash occupancy bounds enforced).
+    /// evictions are deferred into a background queue of at most
+    /// [`MAX_DEFERRED`] paths, drained during idle cycles (stash
+    /// occupancy bounds enforced).
     Staged,
 }
 
+/// The name the repo benchmark builds shard classes with: the same type
+/// as [`PipelineKind`], constructed by [`PipelineKind::serial`] and
+/// [`PipelineKind::staged`].
+pub type PipelineConfig = PipelineKind;
+
 impl PipelineKind {
-    /// Steady-state initiation interval of one shard under this
-    /// discipline: the full stage sum (`OLAT`) when serial,
-    /// [`AccessPlan::staged_cadence`] when staged. This is the figure
-    /// cadence-based admission prices one slot at.
-    pub fn effective_cadence(&self, plan: &AccessPlan) -> Cycle {
-        match self {
-            PipelineKind::Serial => plan.total(),
-            PipelineKind::Staged => plan.staged_cadence(),
-        }
+    /// The serial discipline: the paper's controller.
+    pub fn serial() -> Self {
+        Self::Serial
+    }
+
+    /// The staged pipeline.
+    pub fn staged() -> Self {
+        Self::Staged
     }
 
     /// The stage plan a shard running this discipline walks each access
@@ -120,42 +139,6 @@ impl PipelineKind {
                 eviction: 0,
             },
             PipelineKind::Staged => plan.clone(),
-        }
-    }
-}
-
-/// Pipeline discipline of a [`ShardedOram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Stage scheduling (see [`PipelineKind`]).
-    pub kind: PipelineKind,
-    /// Per-shard bound on the background eviction queue of a staged
-    /// shard. At the bound, drains are forced ahead of the next access
-    /// even if they delay it — the queue (and with it the stash) cannot
-    /// grow without limit.
-    pub max_deferred: usize,
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        Self::serial()
-    }
-}
-
-impl PipelineConfig {
-    /// The serial discipline: the paper's controller.
-    pub fn serial() -> Self {
-        Self {
-            kind: PipelineKind::Serial,
-            max_deferred: 0,
-        }
-    }
-
-    /// The staged pipeline with the default eviction-queue bound.
-    pub fn staged() -> Self {
-        Self {
-            kind: PipelineKind::Staged,
-            max_deferred: 4,
         }
     }
 }
@@ -189,41 +172,25 @@ pub struct ShardClass {
     /// shard-unique seed via [`OramConfig::shard`]).
     pub oram: OramConfig,
     /// Pipeline discipline this class's shards run.
-    pub pipeline: PipelineConfig,
+    pub pipeline: PipelineKind,
 }
 
-/// One class of the pool's mix with its derived figures, precomputed at
+/// One class of the pool's mix with its lane parameters, precomputed at
 /// construction so resizes can mint new shards without re-deriving.
 #[derive(Clone)]
 struct MixClass {
     class: ShardClass,
-    /// The staged decomposition of one access of this class (stage costs
-    /// sum to the class `OLAT`), whatever discipline its lanes run.
-    plan: AccessPlan,
     params: LaneParams,
-    capacity: u64,
 }
 
 impl MixClass {
-    /// The class `OLAT`: the full stage sum of one access.
-    fn olat(&self) -> Cycle {
-        self.plan.total()
-    }
-
     /// Steady-state initiation interval of this class's shards under
-    /// their own discipline.
-    fn effective_cadence(&self) -> Cycle {
-        self.class.pipeline.kind.effective_cadence(&self.plan)
-    }
-
-    /// The per-slot figure admission prices this class's shards at
-    /// under `kind`: the class `OLAT` under olat pricing, the class's
-    /// own pipeline cadence under cadence pricing.
-    fn pricing_cadence(&self, kind: CapacityKind) -> Cycle {
-        match kind {
-            CapacityKind::Olat => self.olat(),
-            CapacityKind::Cadence => self.effective_cadence(),
-        }
+    /// their own discipline: the bottleneck of the stages a lane walks,
+    /// surcharged by the eviction drain ([`AccessPlan::staged_cadence`]).
+    /// A serial lane's one stage holds the port for the whole `OLAT`,
+    /// so its cadence is the `OLAT`.
+    fn cadence(&self) -> Cycle {
+        self.params.plan.staged_cadence()
     }
 }
 
@@ -236,11 +203,8 @@ pub(crate) struct LaneParams {
     /// [`PipelineKind::lane_plan`]); their costs sum to the class `OLAT`
     /// exactly. The last unit is the data-tree port.
     pub(crate) plan: AccessPlan,
-    /// Bound on the background eviction queue (see
-    /// [`PipelineConfig::max_deferred`]).
-    pub(crate) max_deferred: usize,
     /// Forced-drain threshold on the data tree's stash, derived from the
-    /// geometry and the eviction-queue bound.
+    /// geometry and [`MAX_DEFERRED`].
     pub(crate) stash_bound: usize,
     /// Blocks on one data-tree path (levels × Z) — the stash headroom a
     /// deferred eviction can add.
@@ -270,6 +234,49 @@ pub(crate) enum LaneOp {
     Dummy,
 }
 
+/// Service counters of one shard, or of every shard a shrink retired.
+/// A pool-wide figure is the sum over the live lanes' tallies and the
+/// retired one.
+#[derive(Clone)]
+struct Tally {
+    /// Accesses (real + dummy) served.
+    accesses: u64,
+    /// Cycles accesses waited behind a busy shard.
+    queueing_cycles: u64,
+    /// Σ (completion − request time) over the accesses.
+    service_cycles: u64,
+    /// Background eviction drains completed.
+    drained_evictions: u64,
+    /// Per-access service-time distribution (bucket width `OLAT / 16`
+    /// of the pool `OLAT`, overflow in the last bucket).
+    hist: Histogram,
+}
+
+impl Tally {
+    /// An empty tally whose histogram is sized for pool `OLAT` `olat`.
+    fn new(olat: Cycle) -> Self {
+        Self {
+            accesses: 0,
+            queueing_cycles: 0,
+            service_cycles: 0,
+            drained_evictions: 0,
+            hist: Histogram::new(
+                (olat / SERVICE_HIST_OLAT_FRACTION).max(1),
+                SERVICE_HIST_BUCKETS,
+            ),
+        }
+    }
+
+    /// Adds `other`'s counts to this tally.
+    fn absorb(&mut self, other: &Tally) {
+        self.accesses += other.accesses;
+        self.queueing_cycles += other.queueing_cycles;
+        self.service_cycles += other.service_cycles;
+        self.drained_evictions += other.drained_evictions;
+        self.hist.merge(&other.hist);
+    }
+}
+
 /// One shard's complete service state: its ORAM plus every clock,
 /// counter, and histogram the pool keeps per shard. Lanes are mutually
 /// disjoint, so the host's executor can run different lanes on
@@ -290,23 +297,12 @@ pub(crate) struct Lane {
     /// Accumulated busy cycles per pipeline unit (the occupancy
     /// [`ShardedOram::utilization`] reports).
     stage_busy: Vec<u64>,
-    /// Accesses (real + dummy) served.
-    accesses: u64,
-    /// Dummy accesses served.
-    dummies: u64,
-    /// Cycles accesses waited behind this busy shard.
-    queueing_cycles: u64,
-    /// Σ (completion − request time) over this shard's accesses.
-    service_cycles: u64,
-    /// Background eviction drains completed.
-    drained_evictions: u64,
-    /// Per-access service-time distribution (bucket width `OLAT / 16`,
-    /// overflow in the last bucket).
-    hist: Histogram,
+    /// This shard's service counters.
+    tally: Tally,
 }
 
 impl Lane {
-    fn new(index: usize, params: LaneParams, oram: RecursivePathOram, hist_width: u64) -> Self {
+    fn new(index: usize, params: LaneParams, oram: RecursivePathOram, olat: Cycle) -> Self {
         let units = params.plan.posmap_levels.len() + 1;
         Self {
             index,
@@ -314,13 +310,21 @@ impl Lane {
             oram,
             stage_free: vec![0; units],
             stage_busy: vec![0; units],
-            accesses: 0,
-            dummies: 0,
-            queueing_cycles: 0,
-            service_cycles: 0,
-            drained_evictions: 0,
-            hist: Histogram::new(hist_width, SERVICE_HIST_BUCKETS),
+            tally: Tally::new(olat),
         }
+    }
+
+    /// Drains one deferred eviction onto the data port, charging the
+    /// path write to it. False when nothing is pending.
+    fn drain(&mut self) -> bool {
+        if !self.oram.drain_eviction() {
+            return false;
+        }
+        let data_unit = self.params.plan.posmap_levels.len();
+        self.stage_free[data_unit] += self.params.plan.eviction;
+        self.stage_busy[data_unit] += self.params.plan.eviction;
+        self.tally.drained_evictions += 1;
+        true
     }
 
     /// Walks one access through the lane's pipeline units. Posmap
@@ -331,13 +335,12 @@ impl Lane {
     /// serial lane's one stage makes this a strictly sequential `OLAT`
     /// per access.
     fn charge(&mut self, at: Cycle) -> ShardService {
-        let p = &self.params;
-        let data_unit = p.plan.posmap_levels.len();
+        let data_unit = self.params.plan.posmap_levels.len();
         // Stage 1..=P: the posmap recursion, one unit per tree.
         let mut t = at;
         let mut start = None;
         for j in 0..data_unit {
-            let cost = p.plan.posmap_levels[j];
+            let cost = self.params.plan.posmap_levels[j];
             let begin = t.max(self.stage_free[j]);
             start.get_or_insert(begin);
             t = begin + cost;
@@ -351,26 +354,24 @@ impl Lane {
         // costs the path *write* only — the gather inside `evict_path`
         // is functional bookkeeping for buckets the controller's
         // tree-top buffer holds on-chip (see `TreeOram::evict_path`).
-        let evict = p.plan.eviction;
         loop {
             let pending = self.oram.pending_evictions();
             if pending == 0 {
                 break;
             }
-            let forced = pending >= p.max_deferred.max(1)
+            let p = &self.params;
+            let forced = pending >= MAX_DEFERRED
                 || self.oram.data_stash_len() + p.path_blocks > p.stash_bound;
-            let free = self.stage_free[data_unit] + evict <= t;
+            let free = self.stage_free[data_unit] + p.plan.eviction <= t;
             if !forced && !free {
                 break;
             }
-            self.oram.drain_eviction();
-            self.stage_free[data_unit] += evict;
-            self.stage_busy[data_unit] += evict;
-            self.drained_evictions += 1;
+            self.drain();
         }
         // Data-path read: completion hands the block to the tenant; the
         // write-back joins the background queue instead of the critical
         // path.
+        let p = &self.params;
         let read_begin = t.max(self.stage_free[data_unit]);
         // Million-round horizons drive the clocks toward the u64 edge
         // long before anything else; catch the wrap where it would
@@ -382,12 +383,13 @@ impl Lane {
         let completion = read_begin + p.plan.data_read;
         self.stage_free[data_unit] = completion;
         self.stage_busy[data_unit] += p.plan.data_read;
-        self.accesses += 1;
         // Queueing = service time beyond the uncontended critical path.
         let queued_cycles = (completion - at) - p.plan.critical_path();
-        self.queueing_cycles += queued_cycles;
-        self.service_cycles += completion - at;
-        self.hist.record(completion - at);
+        let tally = &mut self.tally;
+        tally.accesses += 1;
+        tally.queueing_cycles += queued_cycles;
+        tally.service_cycles += completion - at;
+        tally.hist.record(completion - at);
         ShardService {
             shard: self.index,
             start: start.unwrap_or(read_begin),
@@ -405,50 +407,76 @@ impl Lane {
         match op {
             LaneOp::Read { local } => self.oram.read_discard(local),
             LaneOp::Write { local } => self.oram.write(local, &[0u8; 64]),
-            LaneOp::Dummy => {
-                self.dummies += 1;
-                self.oram.dummy_access();
-            }
+            LaneOp::Dummy => self.oram.dummy_access(),
         }
         service
     }
 }
 
-/// A [`ShardedOram`]'s address routing — the only copy of the
-/// line-interleave arithmetic — mapping a global line address to
-/// (shard, local address). The pool rebuilds it on every resize, and
-/// the host's round loop routes through it while the executor holds
-/// the lanes. Shards of different classes can have different
-/// capacities, so routing carries the per-shard capacity vector.
+/// What the pool knows about one shard without its lane: how many
+/// blocks it addresses and what one of its slots costs under each
+/// [`CapacityKind`].
+#[derive(Debug, Clone, Copy)]
+struct ShardFacts {
+    /// Addressable blocks.
+    capacity: u64,
+    /// A slot's cost under olat pricing: the shard class's `OLAT`.
+    olat: Cycle,
+    /// A slot's cost under cadence pricing: the class's pipeline cadence.
+    cadence: Cycle,
+}
+
+/// A [`ShardedOram`]'s one table of per-shard facts. It routes a global
+/// line address to (shard, local address) — the only copy of the
+/// line-interleave arithmetic — and prices each shard's slots for the
+/// host's WDRR arbiter; the round loop reads it while the executor
+/// holds the lanes. The pool rebuilds it on every resize. A shard index
+/// keeps its class (`i % mix.len()`) for the pool's lifetime, so a
+/// shard's facts never change at a resize.
 #[derive(Debug)]
 pub(crate) struct ShardRouter {
-    n_shards: u64,
-    capacities: Vec<u64>,
+    shards: Vec<ShardFacts>,
 }
 
 impl ShardRouter {
-    /// Routing over shards `0..n_shards` of `mix` (shard `i` is class
+    /// The table for shards `0..n_shards` of `mix` (shard `i` is class
     /// `i % mix.len()`).
     fn new(mix: &[MixClass], n_shards: usize) -> Self {
-        Self {
-            n_shards: n_shards as u64,
-            capacities: (0..n_shards).map(|i| mix[i % mix.len()].capacity).collect(),
+        let shards = (0..n_shards)
+            .map(|i| {
+                let c = &mix[i % mix.len()];
+                ShardFacts {
+                    capacity: c.class.oram.data_block_capacity(),
+                    olat: c.params.plan.total(),
+                    cadence: c.cadence(),
+                }
+            })
+            .collect();
+        Self { shards }
+    }
+
+    /// The shard owning global block address `addr` (line-interleaved)
+    /// and the address within it.
+    pub(crate) fn route(&self, addr: u64) -> (usize, u64) {
+        let n = self.shards.len() as u64;
+        let shard = (addr % n) as usize;
+        (shard, (addr / n) % self.shards[shard].capacity)
+    }
+
+    /// What one slot on `shard` costs under `pricing`: the shard's own
+    /// class `OLAT` under olat pricing, its class pipeline cadence under
+    /// cadence pricing.
+    pub(crate) fn cost(&self, shard: usize, pricing: CapacityKind) -> Cycle {
+        let facts = &self.shards[shard];
+        match pricing {
+            CapacityKind::Olat => facts.olat,
+            CapacityKind::Cadence => facts.cadence,
         }
-    }
-
-    /// The shard owning global block address `addr` (line-interleaved).
-    pub(crate) fn shard_of(&self, addr: u64) -> usize {
-        (addr % self.n_shards) as usize
-    }
-
-    /// The shard-local address of global block address `addr`.
-    pub(crate) fn local_addr(&self, addr: u64) -> u64 {
-        (addr / self.n_shards) % self.capacities[(addr % self.n_shards) as usize]
     }
 
     /// Number of shards routed across.
     pub(crate) fn n_shards(&self) -> usize {
-        self.n_shards as usize
+        self.shards.len()
     }
 }
 
@@ -461,28 +489,17 @@ pub struct ShardedOram {
     /// Pool `OLAT`, fixed at construction as the maximum over the mix's
     /// class `OLAT`s — the figure every tenant slot grid is built from.
     /// It must not move at resize: surviving streams anchored at
-    /// admission would otherwise shift their periods.
+    /// admission would otherwise shift their periods. Every tally's
+    /// histogram is sized from it, so mixed-class histograms merge.
     olat: Cycle,
-    /// Service-histogram bucket width shared by every lane (derived
-    /// from the pool `OLAT` so mixed-class histograms stay mergeable).
-    hist_width: u64,
     /// Per-shard service state, disjoint by construction.
     lanes: Vec<Lane>,
-    /// Address routing over the current shard count.
+    /// Per-shard routing and slot costs over the current shard count.
     router: ShardRouter,
-    /// Accesses/dummies served by shards that a shrink later retired
-    /// (so fleet-wide conservation checks survive resizes).
-    retired_accesses: u64,
-    retired_dummies: u64,
-    /// Queueing/service/drain counters of retired shards. These were
-    /// pool-global before the lane refactor; folding them here on
-    /// shrink keeps every pool-wide getter's value identical across
-    /// resizes.
-    retired_queueing: u64,
-    retired_service: u64,
-    retired_drained: u64,
-    /// Merged histograms of shards since retired by a shrink.
-    retired_hist: Histogram,
+    /// Counters of the shards a shrink retired, so every pool-wide
+    /// total (and the conservation `Σ accesses == Σ slots served`)
+    /// survives resizes.
+    retired: Tally,
 }
 
 impl std::fmt::Debug for ShardedOram {
@@ -530,55 +547,48 @@ impl ShardedOram {
                     OramTiming::derive(&class.oram, ddr).latency,
                     "plan must telescope to OLAT"
                 );
-                // Deferral keeps at most `max_deferred` undrained paths'
+                // Deferral keeps at most `MAX_DEFERRED` undrained paths'
                 // blocks in the stash; two extra paths of slack cover the
                 // serial baseline's transient occupancy.
                 let path_blocks = class.oram.data.levels() as usize * class.oram.data.z();
-                let stash_bound = (class.pipeline.max_deferred + 2) * path_blocks;
                 MixClass {
-                    capacity: class.oram.data_block_capacity(),
                     params: LaneParams {
-                        plan: class.pipeline.kind.lane_plan(&plan),
-                        max_deferred: class.pipeline.max_deferred,
-                        stash_bound,
+                        plan: class.pipeline.lane_plan(&plan),
+                        stash_bound: (MAX_DEFERRED + 2) * path_blocks,
                         path_blocks,
                     },
-                    plan,
                     class: class.clone(),
                 }
             })
             .collect::<Vec<_>>();
-        let olat = mix.iter().map(MixClass::olat).max().expect("non-empty");
-        let hist_width = (olat / SERVICE_HIST_OLAT_FRACTION).max(1);
+        let olat = mix
+            .iter()
+            .map(|c| c.params.plan.total())
+            .max()
+            .expect("non-empty");
         let lanes = (0..n_shards)
-            .map(|i| Self::mint_lane(&mix, i, hist_width))
+            .map(|i| Self::mint_lane(&mix, i, olat))
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Self {
             router: ShardRouter::new(&mix, n_shards),
             mix,
             olat,
-            hist_width,
             lanes,
-            retired_accesses: 0,
-            retired_dummies: 0,
-            retired_queueing: 0,
-            retired_service: 0,
-            retired_drained: 0,
-            retired_hist: Histogram::new(hist_width, SERVICE_HIST_BUCKETS),
+            retired: Tally::new(olat),
         })
     }
 
     /// Mints shard `index` from its mix class, with the shard-unique
-    /// seed and the pool-wide histogram width. A staged class's ORAM
-    /// defers its evictions; a serial class's evicts inline.
-    fn mint_lane(mix: &[MixClass], index: usize, hist_width: u64) -> Result<Lane, String> {
+    /// seed and a tally sized for pool `OLAT` `olat`. A staged class's
+    /// ORAM defers its evictions; a serial class's evicts inline.
+    fn mint_lane(mix: &[MixClass], index: usize, olat: Cycle) -> Result<Lane, String> {
         let c = &mix[index % mix.len()];
         let config = c.class.oram.shard(index as u64);
-        let oram = match c.class.pipeline.kind {
+        let oram = match c.class.pipeline {
             PipelineKind::Serial => RecursivePathOram::new(config),
             PipelineKind::Staged => RecursivePathOram::with_deferred_evictions(config),
         };
-        oram.map(|oram| Lane::new(index, c.params.clone(), oram, hist_width))
+        oram.map(|oram| Lane::new(index, c.params.clone(), oram, olat))
     }
 
     /// The mix classes shard indices `0..n_shards` would instantiate:
@@ -590,13 +600,14 @@ impl ShardedOram {
     /// Resizes the pool online to `n_shards`. New shards are minted from
     /// the base geometry with their shard-unique seeds and start idle;
     /// shrinking retires the highest-indexed shards, folding their
-    /// access counters into [`ShardedOram::retired_accesses`] so
-    /// conservation checks (`Σ shard accesses == Σ slots served`) keep
-    /// holding across resizes. Payloads are not migrated — the serving
-    /// host discards them (timing is the product). Routing is
-    /// `addr % n_shards`, so a grow re-routes nearly every address just
-    /// as a shrink does: callers that need the stored bytes must not
-    /// resize (the ROADMAP item "Data that survives the control plane").
+    /// counters into the retired tally so every pool-wide total, and
+    /// conservation checks (`Σ shard accesses + retired == Σ slots
+    /// served`), keep holding across resizes. Payloads are not migrated
+    /// — the serving host discards them (timing is the product).
+    /// Routing is `addr % n_shards`, so a grow re-routes nearly every
+    /// address just as a shrink does: callers that need the stored bytes
+    /// must not resize (the ROADMAP item "Data that survives the control
+    /// plane").
     ///
     /// # Errors
     ///
@@ -608,19 +619,13 @@ impl ShardedOram {
         }
         if n_shards > self.lanes.len() {
             let grown = (self.lanes.len()..n_shards)
-                .map(|i| Self::mint_lane(&self.mix, i, self.hist_width))
+                .map(|i| Self::mint_lane(&self.mix, i, self.olat))
                 .collect::<Result<Vec<_>, String>>()?;
             self.lanes.extend(grown);
         } else {
-            for lane in &self.lanes[n_shards..] {
-                self.retired_accesses += lane.accesses;
-                self.retired_dummies += lane.dummies;
-                self.retired_queueing += lane.queueing_cycles;
-                self.retired_service += lane.service_cycles;
-                self.retired_drained += lane.drained_evictions;
-                self.retired_hist.merge(&lane.hist);
+            for lane in self.lanes.drain(n_shards..) {
+                self.retired.absorb(&lane.tally);
             }
-            self.lanes.truncate(n_shards);
         }
         self.router = ShardRouter::new(&self.mix, n_shards);
         Ok(())
@@ -633,7 +638,7 @@ impl ShardedOram {
 
     /// Total addressable blocks across all shards.
     pub fn capacity(&self) -> u64 {
-        self.router.capacities.iter().sum()
+        self.router.shards.iter().map(|s| s.capacity).sum()
     }
 
     /// Pool `OLAT`: the per-access latency every slot grid is built
@@ -644,69 +649,37 @@ impl ShardedOram {
         self.olat
     }
 
-    /// The per-slot service figure cadence-based admission prices this
-    /// pool at: the maximum over the instantiated classes' steady-state
-    /// initiation intervals — conservative for whichever shard a slot
-    /// lands on. Reduces to the single class's cadence (the pre-mix
-    /// figure, bit for bit) for a homogeneous pool.
-    pub fn effective_cadence(&self) -> Cycle {
-        self.classes_in_use(self.lanes.len())
-            .iter()
-            .map(MixClass::effective_cadence)
-            .max()
-            .expect("at least one class")
-    }
-
-    /// The [`CapacityModel`] pricing this pool's slots under `kind`.
-    pub fn capacity_model(&self, kind: CapacityKind) -> CapacityModel {
-        self.capacity_model_at(self.lanes.len(), kind)
-    }
-
     /// The [`CapacityModel`] a pool of `n_shards` shards of this mix
-    /// would price slots at — what a resize must re-price admitted
-    /// tenants against, since growing or shrinking can change which mix
-    /// classes are instantiated. The pool `OLAT` never moves (grids are
-    /// anchored on it); only the pricing cadence follows the classes in
-    /// use.
-    pub fn capacity_model_at(&self, n_shards: usize, kind: CapacityKind) -> CapacityModel {
+    /// prices slots at under `kind`: the pool `OLAT`, which never moves
+    /// (grids are anchored on it), and the maximum pipeline cadence
+    /// over the classes those shards instantiate — conservative for
+    /// whichever shard a slot lands on, and for a homogeneous pool the
+    /// one class's cadence. A resize re-prices admitted tenants against
+    /// the would-be pool's model, since growing or shrinking can change
+    /// which mix classes are instantiated.
+    pub fn capacity_model(&self, n_shards: usize, kind: CapacityKind) -> CapacityModel {
         let cadence = self
             .classes_in_use(n_shards)
             .iter()
-            .map(MixClass::effective_cadence)
+            .map(MixClass::cadence)
             .max()
             .expect("at least one class");
         CapacityModel::from_parts(kind, self.olat, cadence)
     }
 
-    /// Per-shard pricing cadences under `kind`, in shard-index order —
-    /// what each shard's slots cost the scheduler per round (see
+    /// Per-shard slot costs under `kind`, in shard-index order — what
+    /// each shard's slots cost the scheduler per round (see
     /// [`crate::round_slot_capacity`]): the shard's own class `OLAT`
     /// under olat pricing, its class pipeline cadence under cadence
     /// pricing.
     pub fn pricing_cadences(&self, kind: CapacityKind) -> Vec<Cycle> {
-        let mut out = Vec::with_capacity(self.lanes.len());
-        self.pricing_cadences_into(kind, &mut out);
-        out
+        (0..self.router.n_shards())
+            .map(|s| self.router.cost(s, kind))
+            .collect()
     }
 
-    /// As [`ShardedOram::pricing_cadences`], filling a caller-owned
-    /// buffer so the round loop can cache the vector across rounds
-    /// (it only changes when the pool is resized).
-    pub fn pricing_cadences_into(&self, kind: CapacityKind, out: &mut Vec<Cycle>) {
-        out.clear();
-        out.extend(
-            self.lanes
-                .iter()
-                .map(|l| self.mix[l.index % self.mix.len()].pricing_cadence(kind)),
-        );
-    }
-
-    /// The shard owning global block address `addr` (line-interleaved).
-    pub fn shard_of(&self, addr: u64) -> usize {
-        self.router.shard_of(addr)
-    }
-
-    /// The pool's address routing (valid while the lanes are taken).
+    /// The pool's per-shard routing and slot costs (valid while the
+    /// lanes are taken).
     pub(crate) fn router(&self) -> &ShardRouter {
         &self.router
     }
@@ -728,7 +701,7 @@ impl ShardedOram {
 
     /// Reads the block at global address `addr` at slot time `at`.
     pub fn read(&mut self, addr: u64, at: Cycle) -> (Vec<u8>, ShardService) {
-        let (s, local) = (self.router.shard_of(addr), self.router.local_addr(addr));
+        let (s, local) = self.router.route(addr);
         let lane = &mut self.lanes[s];
         let service = lane.charge(at);
         (lane.oram.read(local), service)
@@ -739,13 +712,13 @@ impl ShardedOram {
     /// consumer of the cache line is outside the simulated appliance), so
     /// its steady state allocates nothing per slot.
     pub fn read_discard(&mut self, addr: u64, at: Cycle) -> ShardService {
-        let (s, local) = (self.router.shard_of(addr), self.router.local_addr(addr));
+        let (s, local) = self.router.route(addr);
         self.lanes[s].execute(LaneOp::Read { local }, at)
     }
 
     /// Writes the block at global address `addr` at slot time `at`.
     pub fn write(&mut self, addr: u64, data: &[u8], at: Cycle) -> ShardService {
-        let (s, local) = (self.router.shard_of(addr), self.router.local_addr(addr));
+        let (s, local) = self.router.route(addr);
         let lane = &mut self.lanes[s];
         let service = lane.charge(at);
         lane.oram.write(local, data);
@@ -766,35 +739,28 @@ impl ShardedOram {
     /// end-of-run analogue of the idle-cycle drains.
     pub fn drain_evictions(&mut self) {
         for lane in &mut self.lanes {
-            let data_unit = lane.params.plan.posmap_levels.len();
-            let evict = lane.params.plan.eviction;
-            while lane.oram.drain_eviction() {
-                lane.stage_free[data_unit] += evict;
-                lane.stage_busy[data_unit] += evict;
-                lane.drained_evictions += 1;
-            }
+            while lane.drain() {}
         }
     }
 
     /// Total accesses (real + dummy) per shard.
     pub fn accesses(&self) -> Vec<u64> {
-        self.lanes.iter().map(|l| l.accesses).collect()
-    }
-
-    /// Dummy accesses per shard.
-    pub fn dummies(&self) -> Vec<u64> {
-        self.lanes.iter().map(|l| l.dummies).collect()
+        self.lanes.iter().map(|l| l.tally.accesses).collect()
     }
 
     /// Accesses (real + dummy) served by shards since retired by a
     /// shrink ([`ShardedOram::resize`]).
     pub fn retired_accesses(&self) -> u64 {
-        self.retired_accesses
+        self.retired.accesses
     }
 
-    /// Dummy accesses served by shards since retired by a shrink.
-    pub fn retired_dummies(&self) -> u64 {
-        self.retired_dummies
+    /// The pool-wide tally: every live lane's plus the retired one.
+    fn total(&self) -> Tally {
+        let mut total = self.retired.clone();
+        for lane in &self.lanes {
+            total.absorb(&lane.tally);
+        }
+        total
     }
 
     /// Cycles slots spent queued behind a busy shard (an internal service
@@ -802,7 +768,7 @@ impl ShardedOram {
     /// bandwidth; the observable slot grids are unaffected). Includes
     /// shards since retired by a shrink.
     pub fn queueing_cycles(&self) -> u64 {
-        self.lanes.iter().map(|l| l.queueing_cycles).sum::<u64>() + self.retired_queueing
+        self.total().queueing_cycles
     }
 
     /// Per-shard busy fraction over `horizon` cycles, reported as
@@ -841,19 +807,12 @@ impl ShardedOram {
         &self.lanes[index].oram
     }
 
-    /// The pipeline discipline of the pool's first mix class. Exact for
-    /// a homogeneous pool; for a mixed pool use
-    /// [`ShardedOram::pipeline_label`] or the per-shard figures instead.
-    pub fn pipeline(&self) -> PipelineConfig {
-        self.mix[0].class.pipeline
-    }
-
     /// A human-readable pipeline label: `"serial"` / `"staged"` when
     /// every instantiated class agrees, `"mixed"` otherwise.
     pub fn pipeline_label(&self) -> &'static str {
         let classes = self.classes_in_use(self.lanes.len());
-        let first = classes[0].class.pipeline.kind;
-        if classes.iter().all(|c| c.class.pipeline.kind == first) {
+        let first = classes[0].class.pipeline;
+        if classes.iter().all(|c| c.class.pipeline == first) {
             match first {
                 PipelineKind::Serial => "serial",
                 PipelineKind::Staged => "staged",
@@ -863,34 +822,19 @@ impl ShardedOram {
         }
     }
 
-    /// The staged decomposition of one access for the pool's first mix
-    /// class (stage costs sum to that class's `OLAT` exactly). Exact
-    /// for a homogeneous pool.
-    pub fn plan(&self) -> &AccessPlan {
-        &self.mix[0].plan
-    }
-
-    /// The forced-drain threshold on a first-class shard's data-tree
-    /// stash, in blocks (only a staged shard defers, so only it can
-    /// reach the threshold).
-    pub fn stash_bound(&self) -> usize {
-        self.mix[0].params.stash_bound
-    }
-
     /// Σ (completion − request time) over all accesses, including
     /// shards since retired by a shrink.
     pub fn service_cycles(&self) -> u64 {
-        self.lanes.iter().map(|l| l.service_cycles).sum::<u64>() + self.retired_service
+        self.total().service_cycles
     }
 
     /// Mean per-access service time (cycles) so far; 0.0 when idle.
     pub fn mean_service_cycles(&self) -> f64 {
-        let served: u64 =
-            self.lanes.iter().map(|l| l.accesses).sum::<u64>() + self.retired_accesses;
-        if served == 0 {
+        let total = self.total();
+        if total.accesses == 0 {
             0.0
         } else {
-            self.service_cycles() as f64 / served as f64
+            total.service_cycles as f64 / total.accesses as f64
         }
     }
 
@@ -901,11 +845,7 @@ impl ShardedOram {
     /// the distribution the pipeline and admission gates read p50/p99
     /// from and perf-session summaries store.
     pub fn service_histogram(&self) -> Histogram {
-        let mut merged = self.retired_hist.clone();
-        for lane in &self.lanes {
-            merged.merge(&lane.hist);
-        }
-        merged
+        self.total().hist
     }
 
     /// Median per-access service time (cycles) so far, as the upper edge
@@ -926,7 +866,7 @@ impl ShardedOram {
     /// Deferred evictions drained in the background so far, including
     /// shards since retired by a shrink.
     pub fn drained_evictions(&self) -> u64 {
-        self.lanes.iter().map(|l| l.drained_evictions).sum::<u64>() + self.retired_drained
+        self.total().drained_evictions
     }
 
     /// Deferred evictions currently pending across all shards.
@@ -952,28 +892,20 @@ impl ShardedOram {
         self.lanes[shard].stage_busy.clone()
     }
 
-    /// Background-eviction queue depth of one shard.
-    pub fn queue_depth(&self, shard: usize) -> usize {
-        self.lanes[shard].oram.pending_evictions()
-    }
-
-    /// Current stash occupancy of one shard (data + posmap trees).
-    pub fn stash_len(&self, shard: usize) -> usize {
-        self.lanes[shard].oram.total_stash_len()
-    }
-
     /// Writes the per-shard rows and the retired-access counter into a
     /// perf-session round sample: cumulative accesses, eviction-queue
-    /// depth, stash occupancy, and per-unit stage busy cycles for every
-    /// live shard.
+    /// depth, stash occupancy (data + posmap trees), and per-unit stage
+    /// busy cycles for every live shard.
     pub(crate) fn sample_into(&self, sample: &mut RoundSample) {
-        sample.retired_accesses = self.retired_accesses;
-        sample.shards = (0..self.lanes.len())
-            .map(|s| ShardSample {
-                accesses: self.lanes[s].accesses,
-                queue_depth: self.queue_depth(s) as u32,
-                stash_len: self.stash_len(s) as u32,
-                stage_busy: self.stage_busy_snapshot(s),
+        sample.retired_accesses = self.retired.accesses;
+        sample.shards = self
+            .lanes
+            .iter()
+            .map(|l| ShardSample {
+                accesses: l.tally.accesses,
+                queue_depth: l.oram.pending_evictions() as u32,
+                stash_len: l.oram.total_stash_len() as u32,
+                stage_busy: l.stage_busy.clone(),
             })
             .collect();
     }
@@ -984,7 +916,7 @@ mod tests {
     use super::*;
 
     /// A homogeneous pool of `n` small-geometry shards.
-    fn pool(pipeline: PipelineConfig, n: usize) -> ShardedOram {
+    fn pool(pipeline: PipelineKind, n: usize) -> ShardedOram {
         let class = ShardClass {
             oram: OramConfig::small(),
             pipeline,
@@ -993,7 +925,18 @@ mod tests {
     }
 
     fn small(n: usize) -> ShardedOram {
-        pool(PipelineConfig::serial(), n)
+        pool(PipelineKind::Serial, n)
+    }
+
+    /// The stage plan of one small-geometry access.
+    fn small_plan() -> AccessPlan {
+        AccessPlan::derive(&OramConfig::small(), &DdrConfig::default())
+    }
+
+    /// The pipeline cadence `s` prices a slot at under cadence pricing.
+    fn cadence(s: &ShardedOram) -> Cycle {
+        s.capacity_model(s.n_shards(), CapacityKind::Cadence)
+            .pipeline_cadence()
     }
 
     #[test]
@@ -1010,9 +953,7 @@ mod tests {
         let r = s.router();
         let cap = OramConfig::small().data_block_capacity();
         for addr in 0..32u64 {
-            assert_eq!(s.shard_of(addr), (addr % 4) as usize);
-            assert_eq!(r.shard_of(addr), s.shard_of(addr));
-            assert_eq!(r.local_addr(addr), (addr / 4) % cap);
+            assert_eq!(r.route(addr), ((addr % 4) as usize, (addr / 4) % cap));
         }
         assert_eq!(r.n_shards(), 4);
     }
@@ -1046,9 +987,9 @@ mod tests {
         for (i, shard) in [0usize, 3, 1, 3, 2, 0].into_iter().enumerate() {
             s.dummy_access(shard, i as u64 * 10_000);
         }
-        assert_eq!(s.dummies(), &[2, 1, 1, 2]);
-        let total: u64 = s.accesses().iter().sum();
-        assert_eq!(total, 6);
+        // Only dummies were posted, so each shard's accesses are its
+        // dummies.
+        assert_eq!(s.accesses(), &[2, 1, 1, 2]);
     }
 
     #[test]
@@ -1078,7 +1019,7 @@ mod tests {
         assert_eq!(s.n_shards(), 5);
         // Routing follows the new interleave (a grow re-routes too).
         for addr in 0..10u64 {
-            assert_eq!(s.shard_of(addr), (addr % 5) as usize);
+            assert_eq!(s.router().route(addr).0, (addr % 5) as usize);
         }
         assert_eq!(s.accesses().iter().sum::<u64>(), 10);
         assert_eq!(s.accesses()[2..], [0, 0, 0]);
@@ -1094,7 +1035,7 @@ mod tests {
         // total stays conserved.
         s.resize(1).expect("shrink");
         assert_eq!(s.n_shards(), 1);
-        assert!((0..10u64).all(|addr| s.shard_of(addr) == 0));
+        assert!((0..10u64).all(|addr| s.router().route(addr).0 == 0));
         let total = s.accesses().iter().sum::<u64>() + s.retired_accesses();
         assert_eq!(total, 20);
         // Zero shards is refused and leaves the pool intact.
@@ -1123,7 +1064,7 @@ mod tests {
     }
 
     fn staged(n: usize) -> ShardedOram {
-        pool(PipelineConfig::staged(), n)
+        pool(PipelineKind::Staged, n)
     }
 
     #[test]
@@ -1151,20 +1092,20 @@ mod tests {
     fn effective_cadence_tracks_the_discipline() {
         let serial = small(1);
         let staged = staged(1);
-        let plan = serial.plan().clone();
-        assert_eq!(serial.effective_cadence(), serial.olat());
-        assert_eq!(staged.effective_cadence(), plan.staged_cadence());
-        assert!(staged.effective_cadence() < serial.effective_cadence());
+        assert_eq!(cadence(&serial), serial.olat());
+        assert_eq!(cadence(&staged), small_plan().staged_cadence());
+        assert!(cadence(&staged) < cadence(&serial));
         // Olat pricing charges a full OLAT whatever the discipline;
         // cadence pricing follows the pipeline.
         for s in [&serial, &staged] {
             assert_eq!(
-                s.capacity_model(CapacityKind::Olat).effective_cadence(),
+                s.capacity_model(1, CapacityKind::Olat).effective_cadence(),
                 s.olat()
             );
             assert_eq!(
-                s.capacity_model(CapacityKind::Cadence).effective_cadence(),
-                s.effective_cadence()
+                s.capacity_model(1, CapacityKind::Cadence)
+                    .effective_cadence(),
+                cadence(s)
             );
         }
     }
@@ -1173,7 +1114,7 @@ mod tests {
     fn serial_lanes_run_the_one_stage_pipeline() {
         let mut serial = small(1);
         let mut staged = staged(1);
-        let plan = serial.plan().clone();
+        let plan = small_plan();
         // One stage holding the data port for the whole OLAT: the
         // critical path is OLAT, so queueing reduces to `start − at`,
         // and the stage cadence is the serial pricing cadence.
@@ -1183,10 +1124,7 @@ mod tests {
             (one.total(), one.critical_path()),
             (plan.total(), plan.total())
         );
-        assert_eq!(
-            one.staged_cadence(),
-            PipelineKind::Serial.effective_cadence(&plan)
-        );
+        assert_eq!(one.staged_cadence(), cadence(&serial));
         assert_eq!(PipelineKind::Staged.lane_plan(&plan), plan);
         // Only a staged shard's ORAM defers its eviction.
         serial.read(0, 0);
@@ -1239,7 +1177,7 @@ mod tests {
         assert!(staged.queueing_cycles() < serial.queueing_cycles());
         // The pipeline's sustained cadence is the bottleneck stage, not
         // the full OLAT: the burst finishes measurably earlier.
-        let plan = staged.plan();
+        let plan = small_plan();
         assert!(plan.bottleneck() < plan.total());
     }
 
@@ -1260,15 +1198,16 @@ mod tests {
     #[test]
     fn staged_eviction_queue_stays_bounded_and_drains() {
         let mut s = staged(1);
-        let bound = s.pipeline().max_deferred;
+        let data = OramConfig::small().data;
+        let stash_bound = (MAX_DEFERRED + 2) * data.levels() as usize * data.z();
         for i in 0..64u64 {
             s.read(i, i * 10); // near-saturating arrivals
             assert!(
-                s.pending_evictions() <= bound,
-                "queue grew to {} (bound {bound})",
+                s.pending_evictions() <= MAX_DEFERRED,
+                "queue grew to {} (bound {MAX_DEFERRED})",
                 s.pending_evictions()
             );
-            assert!(s.shard(0).data_stash_len() <= s.stash_bound());
+            assert!(s.shard(0).data_stash_len() <= stash_bound);
         }
         assert!(s.drained_evictions() > 0, "background drains never ran");
         s.drain_evictions();
@@ -1310,7 +1249,7 @@ mod tests {
             for i in 0..20u64 {
                 let at = i * 700;
                 let addr = i * 3 % 16;
-                let (s, local) = (via_pool.shard_of(addr), via_pool.router().local_addr(addr));
+                let (s, local) = via_pool.router().route(addr);
                 let expect = match i % 3 {
                     0 => via_pool.read(addr, at).1,
                     1 => via_pool.write(addr, &zeros, at),
@@ -1327,7 +1266,6 @@ mod tests {
                 assert_eq!(got, expect, "op {i}");
             }
             assert_eq!(via_pool.accesses(), via_lane.accesses());
-            assert_eq!(via_pool.dummies(), via_lane.dummies());
             assert_eq!(via_pool.queueing_cycles(), via_lane.queueing_cycles());
             assert_eq!(via_pool.service_cycles(), via_lane.service_cycles());
             for shard in 0..2 {
@@ -1379,11 +1317,11 @@ mod tests {
             &[
                 ShardClass {
                     oram: OramConfig::small(),
-                    pipeline: PipelineConfig::serial(),
+                    pipeline: PipelineKind::Serial,
                 },
                 ShardClass {
                     oram: tiny(),
-                    pipeline: PipelineConfig::staged(),
+                    pipeline: PipelineKind::Staged,
                 },
             ],
             &DdrConfig::default(),
@@ -1398,7 +1336,7 @@ mod tests {
         assert!(ShardedOram::with_mix(&[], &ddr, 2).is_err());
         let class = ShardClass {
             oram: OramConfig::small(),
-            pipeline: PipelineConfig::serial(),
+            pipeline: PipelineKind::Serial,
         };
         assert!(ShardedOram::with_mix(&[class], &ddr, 0).is_err());
     }
@@ -1414,13 +1352,12 @@ mod tests {
         let r = m.router();
         for addr in 0..64u64 {
             let shard = (addr % 4) as usize;
-            assert_eq!(r.shard_of(addr), shard);
             let cap = if shard.is_multiple_of(2) {
                 small_cap
             } else {
                 tiny_cap
             };
-            assert_eq!(r.local_addr(addr), (addr / 4) % cap);
+            assert_eq!(r.route(addr), (shard, (addr / 4) % cap));
         }
     }
 
@@ -1443,7 +1380,7 @@ mod tests {
         let tiny_staged = ShardedOram::with_mix(
             &[ShardClass {
                 oram: tiny(),
-                pipeline: PipelineConfig::staged(),
+                pipeline: PipelineKind::Staged,
             }],
             &DdrConfig::default(),
             1,
@@ -1454,13 +1391,13 @@ mod tests {
         assert_eq!(m.olat(), small_pool.olat());
         // Pricing cadence is the max over classes in use: the serial
         // small class's full OLAT dominates the tiny staged cadence.
-        assert_eq!(m.effective_cadence(), small_pool.olat());
+        assert_eq!(cadence(&m), small_pool.olat());
         assert_eq!(m.pipeline_label(), "mixed");
         // Per-shard pricing alternates with the class assignment.
         let cadences = m.pricing_cadences(CapacityKind::Cadence);
         assert_eq!(cadences.len(), 4);
         assert_eq!(cadences[0], small_pool.olat());
-        assert_eq!(cadences[1], tiny_staged.effective_cadence());
+        assert_eq!(cadences[1], cadence(&tiny_staged));
         assert_eq!(cadences[0], cadences[2]);
         assert_eq!(cadences[1], cadences[3]);
         // Olat pricing charges each shard its own class OLAT.
@@ -1470,7 +1407,7 @@ mod tests {
         // A one-shard pool of this mix only instantiates class 0, and
         // the would-be pricing model reflects that; the pool OLAT stays
         // anchored at the construction-time max regardless.
-        let at1 = m.capacity_model_at(1, CapacityKind::Cadence);
+        let at1 = m.capacity_model(1, CapacityKind::Cadence);
         assert_eq!(at1.effective_cadence(), small_pool.olat());
         assert_eq!(at1.olat(), m.olat());
     }
@@ -1482,15 +1419,31 @@ mod tests {
         let tiny_cap = tiny().data_block_capacity();
         assert_eq!(m.capacity(), small_cap + tiny_cap);
         let olat_before = m.olat();
+        // Each class's slot cost under olat and under cadence pricing:
+        // serial small pays its OLAT either way, staged tiny its cadence.
+        let small_olat = small_plan().total();
+        let tiny_plan = AccessPlan::derive(&tiny(), &DdrConfig::default());
+        let olat_costs = [small_olat, tiny_plan.total()];
+        let cadence_costs = [small_olat, tiny_plan.staged_cadence()];
         // Grow: shards 2 and 3 must pick up classes 0 and 1 again.
         m.resize(4).expect("grow");
         assert_eq!(m.capacity(), 2 * (small_cap + tiny_cap));
         assert_eq!(m.olat(), olat_before, "pool OLAT is resize-stable");
+        assert_eq!(
+            m.pricing_cadences(CapacityKind::Olat),
+            [olat_costs, olat_costs].concat()
+        );
+        assert_eq!(
+            m.pricing_cadences(CapacityKind::Cadence),
+            [cadence_costs, cadence_costs].concat()
+        );
         // Shrink to one shard: only class 0 remains instantiated.
         m.resize(1).expect("shrink");
         assert_eq!(m.capacity(), small_cap);
         assert_eq!(m.pipeline_label(), "serial");
         assert_eq!(m.olat(), olat_before, "pool OLAT is resize-stable");
+        assert_eq!(m.pricing_cadences(CapacityKind::Olat), [small_olat]);
+        assert_eq!(m.pricing_cadences(CapacityKind::Cadence), [small_olat]);
         // Mixed service histograms stay mergeable across classes: serve
         // a little traffic on both classes after growing back.
         m.resize(4).expect("grow again");

@@ -17,7 +17,8 @@
 //!
 //! # Closed loop
 //!
-//! The closed-loop frontend ([`TenantTraffic::closed_loop`]) runs the
+//! The closed-loop frontend ([`TenantTraffic::with_mode`] with
+//! [`LoopMode::Closed`]) runs the
 //! *full* cycle-level core — [`SteppedSim`], the same code path as the
 //! single-session `Simulator` — and blocks on every LLC demand read until
 //! the host reports how long the shared backend actually took
@@ -402,14 +403,18 @@ impl TenantTraffic {
     /// moves, the test — not this sentence — is the authority.
     pub const DEFAULT_MISS_STALL: Cycle = 1_500;
 
-    /// Builds the open-loop frontend for `bench`, retiring at most
-    /// `instructions`.
-    pub fn new(bench: SpecBenchmark, instructions: u64) -> Self {
+    /// Builds the frontend for `bench` in the given [`LoopMode`],
+    /// retiring at most `instructions`. Open loop, it is the cache-only
+    /// replica with a fixed per-miss stall; closed loop, a full
+    /// [`SteppedSim`] whose every LLC demand read suspends until the
+    /// host feeds back the observed shard service completion via
+    /// [`TenantTraffic::complete`].
+    pub fn with_mode(bench: SpecBenchmark, instructions: u64, mode: LoopMode) -> Self {
         let cfg = SimConfig::default();
-        Self {
-            shaper: None,
-            mode: Mode::Open(Box::new(OpenLoop {
-                workload: bench.workload(instructions),
+        let workload = bench.workload(instructions);
+        let mode = match mode {
+            LoopMode::Open => Mode::Open(Box::new(OpenLoop {
+                workload,
                 core: cfg.core,
                 caches: WarmState::cold(&cfg),
                 cycle: 0,
@@ -418,15 +423,16 @@ impl TenantTraffic {
                 retired: 0,
                 queued: std::collections::VecDeque::new(),
             })),
-        }
-    }
-
-    /// Builds the frontend for `bench` in the given [`LoopMode`].
-    pub fn with_mode(bench: SpecBenchmark, instructions: u64, mode: LoopMode) -> Self {
-        match mode {
-            LoopMode::Open => Self::new(bench, instructions),
-            LoopMode::Closed => Self::closed_loop(bench, instructions),
-        }
+            LoopMode::Closed => Mode::Closed(Box::new(ClosedLoop {
+                workload,
+                core: SteppedSim::new(cfg),
+                budget: instructions,
+                outstanding: None,
+                finished: false,
+                feedback_cycles: 0,
+            })),
+        };
+        Self { mode, shaper: None }
     }
 
     /// Builds the frontend for `bench` in the given [`LoopMode`], shaped
@@ -465,23 +471,6 @@ impl TenantTraffic {
         match &self.shaper {
             Some(s) => &s.model,
             None => &WORKLOAD,
-        }
-    }
-
-    /// Builds the closed-loop frontend for `bench`: a full [`SteppedSim`]
-    /// whose every LLC demand read suspends until the host feeds back the
-    /// observed shard service completion via [`TenantTraffic::complete`].
-    pub fn closed_loop(bench: SpecBenchmark, instructions: u64) -> Self {
-        Self {
-            shaper: None,
-            mode: Mode::Closed(Box::new(ClosedLoop {
-                workload: bench.workload(instructions),
-                core: SteppedSim::new(SimConfig::default()),
-                budget: instructions,
-                outstanding: None,
-                finished: false,
-                feedback_cycles: 0,
-            })),
         }
     }
 
@@ -745,7 +734,7 @@ mod tests {
 
     #[test]
     fn memory_bound_tenant_generates_misses() {
-        let mut t = TenantTraffic::new(SpecBenchmark::Mcf, 50_000);
+        let mut t = TenantTraffic::with_mode(SpecBenchmark::Mcf, 50_000, LoopMode::Open);
         let mut n = 0u64;
         let mut last = 0;
         while let Some(r) = t.next_request() {
@@ -760,8 +749,8 @@ mod tests {
     #[test]
     fn compute_bound_tenant_generates_few_misses() {
         // Long enough that cold-start fills stop dominating hmmer's count.
-        let mut heavy = TenantTraffic::new(SpecBenchmark::Mcf, 200_000);
-        let mut light = TenantTraffic::new(SpecBenchmark::Hmmer, 200_000);
+        let mut heavy = TenantTraffic::with_mode(SpecBenchmark::Mcf, 200_000, LoopMode::Open);
+        let mut light = TenantTraffic::with_mode(SpecBenchmark::Hmmer, 200_000, LoopMode::Open);
         let count = |t: &mut TenantTraffic| {
             let mut n = 0u64;
             while t.next_request().is_some() {
@@ -783,7 +772,7 @@ mod tests {
     #[test]
     fn deterministic_across_rebuilds() {
         let collect = || {
-            let mut t = TenantTraffic::new(SpecBenchmark::Gobmk, 20_000);
+            let mut t = TenantTraffic::with_mode(SpecBenchmark::Gobmk, 20_000, LoopMode::Open);
             let mut v = Vec::new();
             while let Some(r) = t.next_request() {
                 v.push(r);
@@ -816,7 +805,7 @@ mod tests {
         // Budget sized so the 1 MB LLC fills and dirty lines start
         // spilling (mcf misses every ~20 instructions; the LLC holds
         // 16k lines).
-        let mut t = TenantTraffic::closed_loop(SpecBenchmark::Mcf, 400_000);
+        let mut t = TenantTraffic::with_mode(SpecBenchmark::Mcf, 400_000, LoopMode::Closed);
         let mut reads = 0u64;
         let mut writes = 0u64;
         loop {
@@ -878,10 +867,13 @@ mod tests {
             seed: 7,
         };
         let (mcf, n) = (SpecBenchmark::Mcf, 50_000);
-        assert_eq!(step_backs(TenantTraffic::new(mcf, n)), 0);
+        assert_eq!(
+            step_backs(TenantTraffic::with_mode(mcf, n, LoopMode::Open)),
+            0
+        );
         let shaped = TenantTraffic::with_model(mcf, n, LoopMode::Closed, bursty);
         assert_eq!(step_backs(shaped), 0);
-        assert!(step_backs(TenantTraffic::closed_loop(mcf, n)) > 0);
+        assert!(step_backs(TenantTraffic::with_mode(mcf, n, LoopMode::Closed)) > 0);
     }
 
     fn collect_shaped(model: TrafficModel) -> Vec<Request> {
@@ -1047,7 +1039,8 @@ mod tests {
         // stretches with the supplied latency, the open-loop clock is a
         // pure function of the program.
         let run_closed = |latency: Cycle| {
-            let mut t = TenantTraffic::closed_loop(SpecBenchmark::Libquantum, 20_000);
+            let mut t =
+                TenantTraffic::with_mode(SpecBenchmark::Libquantum, 20_000, LoopMode::Closed);
             loop {
                 match t.poll() {
                     TrafficPull::Request(r) => {
@@ -1064,7 +1057,7 @@ mod tests {
         assert!(run_closed(6_000) > run_closed(300));
 
         let run_open = || {
-            let mut t = TenantTraffic::new(SpecBenchmark::Libquantum, 20_000);
+            let mut t = TenantTraffic::with_mode(SpecBenchmark::Libquantum, 20_000, LoopMode::Open);
             while t.next_request().is_some() {}
             t.cycle()
         };

@@ -6,9 +6,9 @@
 //! eviction, and in lockstep against a `Serial` reference:
 //!
 //! 1. **Stash-bound safety** — the deferred-eviction queue never grows
-//!    past its configured bound and no shard's data-tree stash ever
-//!    exceeds [`ShardedOram::stash_bound`]; the forced-drain machinery,
-//!    not luck, is what holds the line at saturation arrival rates.
+//!    past [`MAX_DEFERRED`] and no shard's data-tree stash ever exceeds
+//!    `MAX_DEFERRED + 2` paths' blocks; the forced-drain machinery, not
+//!    luck, is what holds the line at saturation arrival rates.
 //! 2. **Ciphertext equivalence after drain** — once the staged backend
 //!    flushes its queues, every live shard's root fingerprint (the §3.2
 //!    probe observable) matches the serial reference bit for bit:
@@ -26,7 +26,7 @@
 //! stage cost — growing any stage can never make a pool look cheaper.
 
 use otc_dram::{Cycle, DdrConfig};
-use otc_host::{PipelineConfig, ShardClass, ShardedOram};
+use otc_host::{PipelineConfig, ShardClass, ShardedOram, MAX_DEFERRED};
 use otc_oram::{AccessPlan, CapacityKind, CapacityModel, OramConfig, OramTiming, TreeGeometry};
 use proptest::prelude::*;
 
@@ -51,8 +51,7 @@ fn run_script(seed: u64, ops: usize, saturate: bool) {
     };
     let mut serial = pool(PipelineConfig::serial());
     let mut staged = pool(PipelineConfig::staged());
-    let max_deferred = staged.pipeline().max_deferred;
-    let stash_bound = staged.stash_bound();
+    let stash_bound = (MAX_DEFERRED + 2) * base.data.levels() as usize * base.data.z();
     let olat = serial.olat();
     let mut rng = otc_crypto::SplitMix64::new(seed);
     let mut at: Cycle = 0;
@@ -105,14 +104,14 @@ fn run_script(seed: u64, ops: usize, saturate: bool) {
         }
         // 1. Bounds hold after every step, not just at the end.
         assert!(
-            staged.pending_evictions() <= max_deferred * staged.n_shards(),
-            "step {step}: {} pending across {} shards (bound {max_deferred}/shard)",
+            staged.pending_evictions() <= MAX_DEFERRED * staged.n_shards(),
+            "step {step}: {} pending across {} shards (bound {MAX_DEFERRED}/shard)",
             staged.pending_evictions(),
             staged.n_shards()
         );
         for s in 0..staged.n_shards() {
             assert!(
-                staged.shard(s).pending_evictions() <= max_deferred,
+                staged.shard(s).pending_evictions() <= MAX_DEFERRED,
                 "step {step}: shard {s} queue over bound"
             );
             assert!(
