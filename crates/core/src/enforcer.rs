@@ -243,7 +243,9 @@ pub struct SlotOutcome {
 /// A `SlotStream` owns *when* accesses happen — rate policy, epoch
 /// transitions, the learner's counters, waste accounting and the
 /// observable trace — but not *what* they touch: the caller performs the
-/// actual (real or dummy) ORAM access for every served slot.
+/// actual (real or dummy) ORAM access for every served slot. It counts
+/// the slots it served and the real ones among them; every other slot
+/// was a dummy.
 pub struct SlotStream {
     olat: Cycle,
     policy: RatePolicy,
@@ -266,9 +268,7 @@ pub struct SlotStream {
     record_trace: bool,
     slots_served: u64,
     real_served: u64,
-    dummy_served: u64,
     lifetime_waste: u64,
-    lifetime_oram_cycles: u64,
 }
 
 impl std::fmt::Debug for SlotStream {
@@ -320,9 +320,7 @@ impl SlotStream {
             record_trace: true,
             slots_served: 0,
             real_served: 0,
-            dummy_served: 0,
             lifetime_waste: 0,
-            lifetime_oram_cycles: 0,
         }
     }
 
@@ -384,7 +382,7 @@ impl SlotStream {
 
     /// Slots that served an indistinguishable dummy.
     pub fn dummy_served(&self) -> u64 {
-        self.dummy_served
+        self.slots_served - self.real_served
     }
 
     /// Fraction of served slots that were dummies.
@@ -392,7 +390,7 @@ impl SlotStream {
         if self.slots_served == 0 {
             0.0
         } else {
-            self.dummy_served as f64 / self.slots_served as f64
+            self.dummy_served() as f64 / self.slots_served as f64
         }
     }
 
@@ -401,16 +399,6 @@ impl SlotStream {
     /// never resets — it is the host's per-tenant efficiency metric).
     pub fn lifetime_waste(&self) -> u64 {
         self.lifetime_waste
-    }
-
-    /// Cumulative ORAM busy cycles charged to real accesses.
-    pub fn lifetime_oram_cycles(&self) -> u64 {
-        self.lifetime_oram_cycles
-    }
-
-    /// Completion time of the most recently served slot (0 before any).
-    pub fn last_completion(&self) -> Cycle {
-        self.last_completion
     }
 
     /// Serves the slot at [`SlotStream::next_slot`]. `pending_arrival` is
@@ -447,18 +435,13 @@ impl SlotStream {
                 };
                 self.counters.record_real_access(self.olat, waste);
                 self.lifetime_waste += waste;
-                self.lifetime_oram_cycles += self.olat;
                 true
             }
             None => false,
         };
 
         self.slots_served += 1;
-        if real {
-            self.real_served += 1;
-        } else {
-            self.dummy_served += 1;
-        }
+        self.real_served += u64::from(real);
         if self.record_trace && self.trace.len() < TRACE_CAP {
             self.trace.push(SlotRecord { start, real });
         }
@@ -643,7 +626,6 @@ impl Drop for OramCompanion {
 pub struct RateLimitedOramBackend {
     companion: OramCompanion,
     stream: SlotStream,
-    requests: u64,
     capacity: u64,
 }
 
@@ -674,7 +656,6 @@ impl RateLimitedOramBackend {
         Ok(Self {
             companion: OramCompanion::new(oram),
             stream: SlotStream::new(timing.latency, policy),
-            requests: 0,
             capacity,
         })
     }
@@ -739,7 +720,6 @@ impl RateLimitedOramBackend {
 
 impl MemoryBackend for RateLimitedOramBackend {
     fn request(&mut self, line_addr: u64, kind: AccessKind, now: Cycle) -> Cycle {
-        self.requests += 1;
         // The core blocks on each request, so none is ever queued: the
         // slots before `now` are dummies, and the first slot at or after
         // `now` serves this request.
@@ -751,7 +731,8 @@ impl MemoryBackend for RateLimitedOramBackend {
     }
 
     fn request_count(&self) -> u64 {
-        self.requests
+        // Each request is one real slot; the drains serve only dummies.
+        self.stream.real_served()
     }
 
     fn finish(&mut self, now: Cycle) {
@@ -787,6 +768,8 @@ pub struct UnprotectedOramBackend {
     busy_until: Cycle,
     trace: Vec<SlotRecord>,
     record_trace: bool,
+    /// Requests served, for `request_count` and the power model: the
+    /// ORAM's own count sits on the companion thread, behind a join.
     requests: u64,
     capacity: u64,
 }
@@ -1244,7 +1227,8 @@ mod tests {
 
         /// After every `finish`, the companion has run exactly the slots
         /// (unprotected: the requests) the timing side accounted for,
-        /// and the next request starts a fresh companion.
+        /// the rate-limited backend counts every request it was made, and
+        /// the next request starts a fresh companion.
         #[test]
         fn prop_finish_leaves_the_oram_caught_up(seed in any::<u64>(), rate in 50u64..3_000) {
             let mut limited = small_static(rate);
@@ -1252,6 +1236,7 @@ mod tests {
                 .expect("valid config");
             let mut rng = otc_crypto::SplitMix64::new(seed);
             let mut now = 0;
+            let mut requests = 0;
             for _ in 0..6 {
                 for _ in 0..rng.next_below(80) {
                     now += rng.next_below(2 * rate);
@@ -1263,6 +1248,7 @@ mod tests {
                     let addr = rng.next_below(1 << 20);
                     limited.request(addr, kind, now);
                     plain.request(addr, kind, now);
+                    requests += 1;
                 }
                 now += rng.next_below(40_000);
                 limited.finish(now);
@@ -1271,6 +1257,7 @@ mod tests {
                 prop_assert_eq!(stats.total_accesses(), limited.slots_served());
                 prop_assert_eq!(stats.real_accesses, limited.stream().real_served());
                 prop_assert_eq!(stats.dummy_accesses, limited.stream().dummy_served());
+                prop_assert_eq!(limited.request_count(), requests);
                 prop_assert_eq!(plain.oram().stats().total_accesses(), plain.request_count());
             }
         }

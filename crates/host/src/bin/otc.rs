@@ -449,9 +449,7 @@ fn describe(action: &ScenarioAction, outcome: EventOutcome) -> String {
             bench.full_name(),
             loop_label(*closed)
         ),
-        (Act::Evict { id }, Did::Evicted(retired)) => {
-            format!("evicted tenant {id} ({retired} due slots retired as dummies)")
-        }
+        (Act::Evict { id }, Did::Evicted) => format!("evicted tenant {id}"),
         (Act::Shards { n }, Did::Resized) => format!("resized shard pool to {n}"),
         (Act::Admit { .. }, Did::Rejected(e)) => format!("admit REJECTED: {e}"),
         (Act::Evict { .. }, Did::Rejected(e)) => format!("evict REJECTED: {e}"),

@@ -105,6 +105,8 @@ pub struct CalendarQueue {
     /// an entry; advances monotonically except when an insert lands
     /// earlier.
     cursor: u64,
+    /// Entries over all buckets, kept so `len`/`is_empty` and `pop_due`
+    /// need no bucket walk.
     len: usize,
 }
 

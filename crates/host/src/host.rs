@@ -34,11 +34,12 @@
 //!   the new grid is anchored at the admission clock
 //!   ([`SlotStream::starting_at`]), so no phantom past-due slots
 //!   materialize and no other tenant's stream moves.
-//! * [`MultiTenantHost::evict`] retires any still-due slots as dummies,
-//!   freezes the tenant's ledger entry (fleet sums are conserved — an
-//!   eviction never un-spends bits), drops its queued arrivals, and
-//!   removes its calendar entry. Other tenants' streams are untouched:
-//!   eviction is an O(1) bucket op, not a drain.
+//! * [`MultiTenantHost::evict`] freezes the tenant's ledger entry
+//!   (fleet sums are conserved — an eviction never un-spends bits),
+//!   drops its queued arrivals, and removes its calendar entry. It runs
+//!   between rounds, when the tenant's stream has been served up to the
+//!   clock, so no slot is left due. Other tenants' streams are
+//!   untouched: eviction is an O(1) bucket op, not a drain.
 //! * [`MultiTenantHost::resize_shards`] grows or shrinks the backend
 //!   shard pool online — nothing pauses, nothing drains. Routing is
 //!   `addr % n_shards`, so any resize, grow or shrink, re-routes nearly
@@ -960,61 +961,36 @@ impl MultiTenantHost {
         }
     }
 
-    /// Evicts tenant `id` online. Any slots of its grid still due at the
-    /// current clock are retired as dummies (so the observable stream
-    /// ends exactly on its own grid, never mid-slot), its queued
-    /// arrivals are dropped unserved, its calendar entry is removed
-    /// (O(1) bucket op — no other tenant's stream pauses), and its
-    /// ledger entry is frozen in place: the fleet's budget and spent
-    /// sums are conserved, an eviction never un-spends bits. Returns the
-    /// number of dummy slots retired (0 when called between rounds, the
-    /// normal case).
+    /// Evicts tenant `id` online: its queued arrivals are dropped
+    /// unserved, its calendar entry is removed (O(1) bucket op — no other
+    /// tenant's stream pauses), and its ledger entry is frozen in place:
+    /// the fleet's budget and spent sums are conserved, an eviction never
+    /// un-spends bits. Eviction runs between rounds, when every active
+    /// stream has been served up to the clock (so its observable stream
+    /// ends on its own grid) and its ledger row was synced at its last
+    /// served slot.
     ///
     /// # Errors
     ///
     /// [`HostError::UnknownTenant`] / [`HostError::AlreadyEvicted`].
-    pub fn evict(&mut self, id: usize) -> Result<u64, HostError> {
+    pub fn evict(&mut self, id: usize) -> Result<(), HostError> {
         if id >= self.tenants.len() {
             return Err(HostError::UnknownTenant { id });
         }
         if let TenantState::Evicted { at } = self.tenants[id].state {
             return Err(HostError::AlreadyEvicted { id, at });
         }
-        let clock = self.clock;
         let rt = &mut self.tenants[id];
         let removed = self.calendar.remove(id, rt.stream.next_slot());
         debug_assert!(
             removed,
             "calendar entry out of sync with tenant {id}'s stream"
         );
-        // Retire still-due slots as dummies. Under the scheduler's own
-        // invariant (every due slot is served before the clock advances)
-        // this loop never iterates — `churn_props.rs` asserts retired ==
-        // 0 — so it is a release-mode safety net: if that invariant ever
-        // breaks, eviction still ends the stream on its own grid instead
-        // of abandoning due slots.
-        let mut retired = 0u64;
-        while rt.stream.next_slot() < clock {
-            let shard = rt.rng.next_below(self.sharded.n_shards() as u64) as usize;
-            let start = rt.stream.serve(None).start;
-            rt.queueing_cycles += self.sharded.dummy_access(shard, start).queued_cycles;
-            if self.cfg.record_traces && self.serve_log.len() < SERVE_LOG_CAP {
-                self.serve_log.push(ServedSlot {
-                    tenant: id,
-                    start,
-                    real: false,
-                });
-            }
-            retired += 1;
-        }
-        // Final ledger sync, then freeze the row where it stands.
-        self.ledger
-            .record_transitions(id, rt.stream.transitions().len() as u64);
         self.ledger.freeze(id);
         rt.pending.clear();
         rt.lookahead = None;
-        rt.state = TenantState::Evicted { at: clock };
-        Ok(retired)
+        rt.state = TenantState::Evicted { at: self.clock };
+        Ok(())
     }
 
     /// Resizes the shard pool online to `n_shards`. Growing adds fresh,
@@ -1136,7 +1112,8 @@ impl MultiTenantHost {
                 rt.lookahead = match rt.traffic.poll() {
                     TrafficPull::Request(mut r) => {
                         r.line_addr ^= rt.addr_tag;
-                        r.at += rt.stream.origin();
+                        // Saturating: a parked arrival stays parked.
+                        r.at = r.at.saturating_add(rt.stream.origin());
                         Some(r)
                     }
                     TrafficPull::AwaitingService | TrafficPull::Exhausted => None,
@@ -1781,8 +1758,11 @@ mod tests {
         let served_at_eviction = host.tenant_stream(gone).slots_served();
         let spent_at_eviction = host.ledger().entry(gone).spent_bits;
         let budget_before = host.ledger().fleet_budget_bits();
-        let retired = host.evict(gone).expect("evict");
-        assert_eq!(retired, 0, "between rounds nothing is due");
+        assert!(
+            host.tenant_stream(gone).next_slot() >= host.clock(),
+            "between rounds nothing is due"
+        );
+        host.evict(gone).expect("evict");
         assert!(!host.tenant_active(gone));
         assert_eq!(host.evicted_at(gone), Some(host.clock()));
         host.run_for(1 << 20);
@@ -2153,6 +2133,20 @@ mod tests {
         }
         host.run_until_slots(500);
         assert!(host.sharded.shard(1).stats().eviction_drains > 0);
+        // Each live lane's tally restates its ORAM's own counts.
+        let shards = 0..host.sharded.n_shards();
+        for i in shards.clone() {
+            let oram = host.sharded.shard(i).stats();
+            assert_eq!(
+                host.sharded.accesses()[i],
+                oram.total_accesses(),
+                "shard {i}"
+            );
+        }
+        let oram_drains: u64 = shards
+            .map(|i| host.sharded.shard(i).stats().eviction_drains)
+            .sum();
+        assert_eq!(host.sharded.drained_evictions(), oram_drains);
         let drains = host.sharded.drained_evictions();
         let served = host.sharded.service_histogram().total();
         assert_eq!(host.report().background_eviction_drains, drains);
@@ -2160,6 +2154,32 @@ mod tests {
         assert_eq!(host.sharded.drained_evictions(), drains);
         assert_eq!(host.sharded.service_histogram().total(), served);
         assert_eq!(host.report().background_eviction_drains, drains);
+    }
+
+    #[test]
+    fn replay_beyond_the_end_of_time_serves_a_late_tenant_one_real_slot() {
+        // A gap that overruns the clock parks every later arrival at the
+        // end of time, also once the host shifts it by the origin of a
+        // tenant admitted mid-run: one arrival is ever due.
+        let mut host = MultiTenantHost::new(HostConfig::small()).expect("builds");
+        host.step_round();
+        let model = TrafficModel::Replay {
+            gaps: vec![1, Cycle::MAX],
+            repeat: 2,
+        };
+        let policy = RatePolicy::Static { rate: 300 };
+        let id = host
+            .admit_with_traffic(
+                &spec("a", SpecBenchmark::Mcf, policy),
+                LoopMode::Open,
+                model,
+            )
+            .expect("admit");
+        assert!(host.tenant_stream(id).origin() > 0);
+        host.run_until_slots(50);
+        let stream = host.tenant_stream(id);
+        assert!(stream.slots_served() >= 50);
+        assert_eq!(stream.real_served(), 1);
     }
 
     #[test]

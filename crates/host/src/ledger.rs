@@ -22,7 +22,9 @@ pub struct LedgerEntry {
     pub budget_bits: f64,
     /// Bits revealed so far: epoch transitions taken × `lg |R|`.
     pub spent_bits: f64,
-    /// Epoch transitions observed so far.
+    /// Epoch transitions observed so far: the tenant stream's own count,
+    /// copied in by [`LeakageLedger::record_transitions`]. The copy stays
+    /// because perfbench's `ledger.record_ns` probe times that call.
     pub transitions: u64,
     /// Shard-equivalents this tenant's admission charged against the
     /// pool: worst-case slots at its fastest candidate rate, each priced

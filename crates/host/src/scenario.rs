@@ -270,9 +270,8 @@ pub enum EventOutcome {
         /// Its id.
         id: usize,
     },
-    /// `evict`: the tenant left; this many still-due slots were retired
-    /// as dummies.
-    Evicted(u64),
+    /// `evict`: the tenant left.
+    Evicted,
     /// `shards`: the pool now has the event's shard count.
     Resized,
     /// The host refused the event (saturation, an unknown or already
@@ -729,7 +728,7 @@ fn fire(host: &mut MultiTenantHost, action: &ScenarioAction, instructions: u64) 
                     .map(|id| EventOutcome::Admitted { name, id })
             }
         },
-        ScenarioAction::Evict { id } => host.evict(*id).map(EventOutcome::Evicted),
+        ScenarioAction::Evict { id } => host.evict(*id).map(|()| EventOutcome::Evicted),
         ScenarioAction::Shards { n } => host.resize_shards(*n).map(|()| EventOutcome::Resized),
     };
     applied.unwrap_or_else(EventOutcome::Rejected)
@@ -1254,7 +1253,7 @@ mod tests {
                     (0, 0, EventOutcome::Rejected(HostError::UnknownTenant { id: 9 })),
                     (0, 0, EventOutcome::Rejected(HostError::Build(_))),
                     (1, q1, EventOutcome::Admitted { name, id: 1 }),
-                    (2, _, EventOutcome::Evicted(0)),
+                    (2, _, EventOutcome::Evicted),
                     (3, _, EventOutcome::Resized),
                 ] if *q1 == quantum && name == "c1"
             ),

@@ -237,6 +237,14 @@ pub(crate) enum LaneOp {
 /// Service counters of one shard, or of every shard a shrink retired.
 /// A pool-wide figure is the sum over the live lanes' tallies and the
 /// retired one.
+///
+/// A live lane's `accesses` and `drained_evictions` restate its ORAM's
+/// own `OramStats` (one ORAM call per access, one `drain_eviction` per
+/// drain). They stay so that live and retired shards share one struct
+/// and every pool-wide getter reads one total: without them the retired
+/// tally would need its own two counters, and each getter a walk over
+/// the live ORAMs' stats. `staged_shrink_keeps_the_retired_shards_drains`
+/// checks that the copies agree.
 #[derive(Clone)]
 struct Tally {
     /// Accesses (real + dummy) served.

@@ -71,7 +71,7 @@ use otc_workloads::{SpecBenchmark, SyntheticWorkload};
 pub struct Request {
     /// Arrival cycle (tenant-local virtual time).
     pub at: Cycle,
-    /// Cache-line address (byte address / 64).
+    /// Cache-line address (the byte address's line, `Cache::line_of`).
     pub line_addr: u64,
     /// Demand fill or dirty writeback.
     pub kind: AccessKind,
@@ -272,10 +272,14 @@ impl Shaper {
                 mean_on, mean_off, ..
             } => {
                 let (mean_on, mean_off) = (*mean_on, *mean_off);
-                while at >= self.on_end {
+                // Saturating: a window bound past the end of time parks
+                // every later arrival there, and ends the loop.
+                while at >= self.on_end && self.on_end < Cycle::MAX {
                     let off = Self::draw(&mut self.rng, mean_off);
-                    self.on_start = self.on_end + off;
-                    self.on_end = self.on_start + Self::draw(&mut self.rng, mean_on);
+                    self.on_start = self.on_end.saturating_add(off);
+                    self.on_end = self
+                        .on_start
+                        .saturating_add(Self::draw(&mut self.rng, mean_on));
                 }
                 at.max(self.on_start)
             }
@@ -303,7 +307,11 @@ impl Shaper {
                     self.done = true;
                     return None;
                 }
-                self.replay_clock += gaps[(self.replay_pos % gaps.len() as u64) as usize];
+                // Saturating: a gap past the end of time parks the rest
+                // of the schedule there.
+                self.replay_clock = self
+                    .replay_clock
+                    .saturating_add(gaps[(self.replay_pos % gaps.len() as u64) as usize]);
                 self.replay_pos += 1;
                 // Replay replaces program timing wholesale (open-loop
                 // only), so it skips the delay-only clamp below: the
@@ -644,10 +652,6 @@ impl OpenLoop {
         self.retired >= self.budget || self.workload.finished()
     }
 
-    fn line(addr: u64) -> u64 {
-        addr / 64
-    }
-
     fn next_request(&mut self) -> Option<Request> {
         if let Some(r) = self.queued.pop_front() {
             return Some(r);
@@ -669,9 +673,10 @@ impl OpenLoop {
                     if taken {
                         self.cycle += self.core.taken_branch_penalty;
                         self.pc = target;
-                        let outcome = self.caches.l1i.access(Self::line(self.pc), false);
+                        let line = self.caches.l1i.line_of(self.pc);
+                        let outcome = self.caches.l1i.access(line, false);
                         if !outcome.hit {
-                            let l2 = self.caches.l2.access(Self::line(self.pc), false);
+                            let l2 = self.caches.l2.access(line, false);
                             if l2.hit {
                                 self.cycle += self.caches.l2.config().hit_latency;
                             } else {
@@ -679,11 +684,11 @@ impl OpenLoop {
                                 let at = self.cycle;
                                 self.queued.push_back(Request {
                                     at,
-                                    line_addr: Self::line(self.pc),
+                                    line_addr: line,
                                     kind: AccessKind::Read,
                                 });
-                                let line = self.caches.process_l2_eviction(&l2);
-                                self.write_back(line);
+                                let wb = self.caches.process_l2_eviction(&l2);
+                                self.write_back(wb);
                                 return self.queued.pop_front();
                             }
                         }
@@ -692,10 +697,11 @@ impl OpenLoop {
                 Instr::Load { addr } | Instr::Store { addr } => {
                     let write = matches!(instr, Instr::Store { .. });
                     self.cycle += self.caches.l1d.config().hit_latency;
-                    let l1 = self.caches.l1d.access(Self::line(addr), write);
+                    let line = self.caches.l1d.line_of(addr);
+                    let l1 = self.caches.l1d.access(line, write);
                     if let Some(victim) = l1.writeback {
-                        let line = self.caches.push_l1d_victim(victim);
-                        self.write_back(line);
+                        let wb = self.caches.push_l1d_victim(victim);
+                        self.write_back(wb);
                     }
                     if l1.hit {
                         if let Some(r) = self.queued.pop_front() {
@@ -703,7 +709,7 @@ impl OpenLoop {
                         }
                         continue;
                     }
-                    let l2 = self.caches.l2.access(Self::line(addr), write);
+                    let l2 = self.caches.l2.access(line, write);
                     if l2.hit {
                         self.cycle += self.caches.l2.config().hit_latency;
                         if let Some(r) = self.queued.pop_front() {
@@ -715,11 +721,11 @@ impl OpenLoop {
                     let at = self.cycle;
                     self.queued.push_back(Request {
                         at,
-                        line_addr: Self::line(addr),
+                        line_addr: line,
                         kind: AccessKind::Read,
                     });
-                    let line = self.caches.process_l2_eviction(&l2);
-                    self.write_back(line);
+                    let wb = self.caches.process_l2_eviction(&l2);
+                    self.write_back(wb);
                     return self.queued.pop_front();
                 }
             }
@@ -953,6 +959,25 @@ mod tests {
         for (s, p) in shaped.iter().zip(&plain) {
             assert_eq!(s.line_addr, p.line_addr);
         }
+    }
+
+    #[test]
+    fn shaping_parks_arrivals_at_the_end_of_time() {
+        // A replay gap or a bursty OFF window that overruns the clock
+        // saturates instead of wrapping back towards cycle 0.
+        let replay = collect_shaped(TrafficModel::Replay {
+            gaps: vec![1, Cycle::MAX],
+            repeat: 2,
+        });
+        let at: Vec<Cycle> = replay.iter().map(|r| r.at).collect();
+        assert_eq!(at, [1, Cycle::MAX, Cycle::MAX, Cycle::MAX]);
+        let bursty = collect_shaped(TrafficModel::Bursty {
+            mean_on: 1,
+            mean_off: Cycle::MAX,
+            seed: 1,
+        });
+        assert_eq!(bursty.len(), collect_shaped(TrafficModel::Workload).len());
+        assert!(bursty.iter().all(|r| r.at == Cycle::MAX), "{bursty:?}");
     }
 
     #[test]

@@ -295,9 +295,7 @@ fn mixed_pool_transcript(parallel: ParallelKind) -> String {
     let end = spec.serve(&mut host, instructions, |ev, clock, outcome| {
         let outcome = match (outcome, &ev.action) {
             (EventOutcome::Admitted { id, .. }, _) => Ok(format!("admitted id {id}")),
-            (EventOutcome::Evicted(retired), ScenarioAction::Evict { id }) => {
-                Ok(format!("evicted {id}, {retired} retired"))
-            }
+            (EventOutcome::Evicted, ScenarioAction::Evict { id }) => Ok(format!("evicted {id}")),
             (EventOutcome::Resized, ScenarioAction::Shards { n }) => Ok(format!("resized to {n}")),
             (EventOutcome::Rejected(e), _) => Err(e),
             (outcome, action) => panic!("{outcome:?} does not answer {action:?}"),

@@ -42,6 +42,7 @@ pub struct RecursivePathOram {
     posmaps: Vec<TreeOram>,
     onchip: SparseLeafMap,
     rng: SplitMix64,
+    /// Access and drain counts; [`RecursivePathOram::stats`] derives the rest.
     stats: OramStats,
     /// Whether data-tree accesses defer their path write-back.
     defer_evictions: bool,
@@ -59,7 +60,7 @@ impl std::fmt::Debug for RecursivePathOram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RecursivePathOram")
             .field("config", &self.config)
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -199,7 +200,6 @@ impl RecursivePathOram {
         self.data.dummy_access(leaf, self.defer_evictions);
         self.defer_eviction(leaf);
         self.stats.dummy_accesses += 1;
-        self.stats.bytes_moved += self.config.bytes_per_access();
     }
 
     /// Queues the data-tree path to `leaf` for a later drain, when this
@@ -207,7 +207,6 @@ impl RecursivePathOram {
     fn defer_eviction(&mut self, leaf: Leaf) {
         if self.defer_evictions {
             self.pending_evictions.push_back(leaf);
-            self.stats.deferred_evictions += 1;
         }
     }
 
@@ -328,27 +327,20 @@ impl RecursivePathOram {
         self.defer_eviction(cur_leaf);
 
         self.stats.real_accesses += 1;
-        self.stats.bytes_moved += self.config.bytes_per_access();
-        self.stats.stash_peak = self.stats.stash_peak.max(self.data.stats().stash_peak).max(
-            self.posmaps
-                .iter()
-                .map(|t| t.stats().stash_peak)
-                .max()
-                .unwrap_or(0),
-        );
     }
 
-    /// Statistics snapshot.
+    /// Statistics snapshot. Every access moves
+    /// [`OramConfig::bytes_per_access`] and, in an ORAM that defers its
+    /// evictions, defers one; the stash peak is its trees' largest.
     pub fn stats(&self) -> OramStats {
-        let mut s = self.stats;
-        s.stash_peak = s.stash_peak.max(self.data.stats().stash_peak).max(
-            self.posmaps
-                .iter()
-                .map(|t| t.stats().stash_peak)
-                .max()
-                .unwrap_or(0),
-        );
-        s
+        let accesses = self.stats.total_accesses();
+        let trees = std::iter::once(&self.data).chain(&self.posmaps);
+        OramStats {
+            bytes_moved: accesses * self.config.bytes_per_access(),
+            stash_peak: trees.map(|t| t.stats().stash_peak).max().unwrap_or(0),
+            deferred_evictions: if self.defer_evictions { accesses } else { 0 },
+            ..self.stats
+        }
     }
 
     /// Ciphertext fingerprint of the *data tree's root bucket* — the §3.2

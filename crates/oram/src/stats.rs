@@ -1,6 +1,6 @@
 //! Aggregate ORAM statistics.
 
-/// Counters maintained by [`crate::RecursivePathOram`].
+/// Counters reported by [`crate::RecursivePathOram::stats`].
 ///
 /// These drive the power model (bytes moved × per-chunk AES/stash energy,
 /// §9.1.4) and the paper's dummy-access fraction statistic (§10 footnote:

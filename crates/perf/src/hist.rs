@@ -11,6 +11,7 @@
 pub struct Histogram {
     width: u64,
     counts: Vec<u64>,
+    /// Σ `counts`, kept so a percentile's rank needs no bucket walk.
     total: u64,
 }
 

@@ -25,7 +25,9 @@ pub struct AccessOutcome {
 /// index `s * ways + w` of each — so a cache is three zeroed allocations
 /// whatever its size. The set count is a power of two: a line's set is
 /// its low bits, its tag the rest. So is the line size: a byte address's
-/// line is a shift away.
+/// line is a shift away. A cache counts no hits or misses: each
+/// [`Cache::access`] says whether it hit, and the simulator's counts
+/// live in [`crate::SimStats`].
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
@@ -41,8 +43,6 @@ pub struct Cache {
     stamps: Vec<u64>,
     dirty: Vec<bool>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -74,8 +74,6 @@ impl Cache {
             stamps: vec![0; n],
             dirty: vec![false; n],
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -84,9 +82,10 @@ impl Cache {
         &self.config
     }
 
-    /// The line holding byte address `addr` (`addr / line_bytes`).
+    /// The line holding byte address `addr` (`addr / line_bytes`): the
+    /// line address [`Cache::access`] takes.
     #[inline]
-    pub(crate) fn line_of(&self, addr: u64) -> u64 {
+    pub fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift
     }
 
@@ -117,7 +116,6 @@ impl Cache {
         if let Some(i) = self.find(set.clone(), tag) {
             self.stamps[i] = self.tick;
             self.dirty[i] |= write;
-            self.hits += 1;
             return AccessOutcome {
                 hit: true,
                 writeback: None,
@@ -125,7 +123,6 @@ impl Cache {
             };
         }
 
-        self.misses += 1;
         // Victim: the first invalid way if any, else the LRU one. Invalid
         // ways have stamp 0 and valid stamps are distinct, so that is the
         // first way with the smallest stamp.
@@ -160,16 +157,6 @@ impl Cache {
         self.stamps[i] = 0;
         Some(self.dirty[i])
     }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
 }
 
 #[cfg(test)]
@@ -194,8 +181,6 @@ mod tests {
         pub struct RefCache {
             sets: Vec<Vec<Way>>,
             tick: u64,
-            pub hits: u64,
-            pub misses: u64,
         }
 
         impl RefCache {
@@ -203,8 +188,6 @@ mod tests {
                 Self {
                     sets: vec![vec![Way::default(); config.ways]; config.sets()],
                     tick: 0,
-                    hits: 0,
-                    misses: 0,
                 }
             }
 
@@ -222,7 +205,6 @@ mod tests {
                 if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
                     way.lru = self.tick;
                     way.dirty |= write;
-                    self.hits += 1;
                     return AccessOutcome {
                         hit: true,
                         writeback: None,
@@ -230,7 +212,6 @@ mod tests {
                     };
                 }
 
-                self.misses += 1;
                 let victim_idx = set.iter().position(|w| !w.valid).unwrap_or_else(|| {
                     set.iter()
                         .enumerate()
@@ -328,7 +309,6 @@ mod tests {
         let mut c = tiny(2, 8);
         assert!(!c.access(5, false).hit);
         assert!(c.access(5, false).hit);
-        assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 
     #[test]
@@ -411,7 +391,7 @@ mod tests {
         }
 
         /// Over random power-of-two geometries, every outcome, probe and
-        /// invalidate result and both counters match the reference.
+        /// invalidate result matches the reference.
         #[test]
         fn prop_matches_the_nested_vec_reference(
             (ways, log2_sets, ops) in geometry_and_ops()
@@ -440,8 +420,6 @@ mod tests {
                         prop_assert_eq!(got, want, "step {} {:?}", step, op);
                     }
                 }
-                let counters = (flat.hits(), flat.misses());
-                prop_assert_eq!(counters, (oracle.hits, oracle.misses), "step {}", step);
             }
         }
     }

@@ -54,7 +54,6 @@ pub trait MemoryBackend {
 #[derive(Debug)]
 pub struct DramBackend {
     dram: FlatDram,
-    requests: u64,
 }
 
 impl DramBackend {
@@ -62,7 +61,6 @@ impl DramBackend {
     pub fn new() -> Self {
         Self {
             dram: FlatDram::paper_default(),
-            requests: 0,
         }
     }
 }
@@ -75,17 +73,16 @@ impl Default for DramBackend {
 
 impl MemoryBackend for DramBackend {
     fn request(&mut self, _line_addr: u64, _kind: AccessKind, now: Cycle) -> Cycle {
-        self.requests += 1;
         self.dram.access(now)
     }
 
     fn request_count(&self) -> u64 {
-        self.requests
+        self.dram.access_count()
     }
 
     fn energy_profile(&self) -> BackendEnergyProfile {
         BackendEnergyProfile {
-            dram_ctrl_lines: self.requests,
+            dram_ctrl_lines: self.dram.access_count(),
             oram_accesses: 0,
             oram_dummy_accesses: 0,
         }

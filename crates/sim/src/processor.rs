@@ -306,9 +306,6 @@ pub struct SteppedSim {
     drain_port_free: Cycle,
     stats: SimStats,
     next_window: u64,
-    /// Requests issued so far (reads + writebacks), mirroring what a
-    /// backend's `request_count()` reports under the blocking driver.
-    issued_requests: u64,
     /// Events generated but not yet handed to the caller.
     outbox: VecDeque<StepEvent>,
     cont: Cont,
@@ -340,7 +337,6 @@ impl SteppedSim {
             drain_port_free: 0,
             stats: SimStats::default(),
             next_window: config.window_instructions.unwrap_or(u64::MAX),
-            issued_requests: 0,
             outbox: VecDeque::new(),
             cont: Cont::Ready,
             awaiting_resume: false,
@@ -663,7 +659,7 @@ impl SteppedSim {
             self.stats.windows.push(WindowSample {
                 instructions: self.stats.instructions,
                 cycle: self.now,
-                backend_requests: self.issued_requests,
+                backend_requests: self.stats.llc_demand_misses + self.stats.llc_writebacks,
             });
             self.next_window += self.config.window_instructions.expect("windows enabled");
         }
@@ -695,7 +691,6 @@ impl SteppedSim {
         // LLC miss → below-LLC event (ORAM or DRAM).
         self.stats.llc_demand_misses += 1;
         let t = t + self.config.l2.miss_extra;
-        self.issued_requests += 1;
         self.pending_read_at = t;
         self.outbox.push_back(StepEvent::DemandRead {
             line_addr: line,
@@ -714,7 +709,6 @@ impl SteppedSim {
 
     fn emit_writeback(&mut self, line_addr: u64, at: Cycle) {
         self.stats.llc_writebacks += 1;
-        self.issued_requests += 1;
         self.outbox
             .push_back(StepEvent::Writeback { line_addr, at });
     }
@@ -856,6 +850,17 @@ mod tests {
         assert_eq!(s.windows.len(), 10);
         assert_eq!(s.windows[0].instructions, 1_000);
         assert!(s.windows[9].cycle > s.windows[0].cycle);
+        // Stores 1 MiB apart share every cache's set: each one misses and,
+        // once the set is full, writes back a dirty victim. The last
+        // window, taken at the run's last instruction, has seen every
+        // request the backend served.
+        let stores = looping((0..64).map(|i| Instr::Store { addr: i << 20 }).collect());
+        let mut backend = DramBackend::new();
+        let s = Simulator::new(cfg).run(&mut Script::new(stores), &mut backend, 10_000);
+        let last = s.windows.last().expect("windows recorded");
+        assert_eq!(last.instructions, s.instructions);
+        assert!(s.llc_writebacks > 0);
+        assert_eq!(last.backend_requests, backend.request_count());
     }
 
     #[test]

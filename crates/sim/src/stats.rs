@@ -53,14 +53,19 @@ pub struct WindowSample {
     pub instructions: u64,
     /// Cycle at the sample point.
     pub cycle: Cycle,
-    /// Backend requests (LLC misses + evictions) served so far.
+    /// Backend requests issued so far: the run's `llc_demand_misses +
+    /// llc_writebacks` at the sample point, which is what the backend's
+    /// `request_count()` reads under the blocking driver.
     pub backend_requests: u64,
 }
 
 /// Full result of one simulation.
 ///
 /// `PartialEq`/`Eq` compare every field — the stepped-vs-blocking
-/// equivalence suite relies on exact equality.
+/// equivalence suite relies on exact equality. Every field is a reported
+/// result (the figures print them, `tests/sim_golden.rs` pins each one),
+/// so figures that follow from them, like a window's backend requests,
+/// are derived rather than counted twice.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Total cycles elapsed.
